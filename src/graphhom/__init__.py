@@ -10,18 +10,11 @@ of these.
 """
 
 from .cube import (
-    CYCLE_ALGEBRA,
-    EDGE_ALGEBRA,
     VARIANTS,
-    AlgebraSpec,
-    BasisVector,
     BigradedComplex,
     ProjectionMaps,
     RetractionMaps,
     build_complex,
-    chain_module,
-    dual_number_algebra,
-    edge_sign,
     graded_euler,
     per_edge_map,
     phi_psi,
@@ -34,7 +27,6 @@ from .homology import (
     cohomology,
     induced_map_ranks,
     kernel_basis,
-    poincare,
     smith_normal_form,
     verify_snf,
 )
@@ -55,7 +47,6 @@ from .laurent import (
     BivariateLaurent,
     evaluate,
     geometric_sum,
-    poly_arith,
     substitute_shift,
 )
 from .matrices import IntMatrix
@@ -91,15 +82,11 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraSpec",
-    "BasisVector",
     "BigradedComplex",
     "BivariateLaurent",
     "CHECK_NAMES",
-    "CYCLE_ALGEBRA",
     "CheckReport",
     "CohomologyTable",
-    "EDGE_ALGEBRA",
     "IntMatrix",
     "InvariantParams",
     "Multigraph",
@@ -119,7 +106,6 @@ __all__ = [
     "bouquet_graph",
     "build",
     "build_complex",
-    "chain_module",
     "check_deletion_contraction",
     "check_euler",
     "check_permutation_invariance",
@@ -131,8 +117,6 @@ __all__ = [
     "cohomology",
     "corpus_graphs",
     "cycle_graph",
-    "dual_number_algebra",
-    "edge_sign",
     "eval_del_con",
     "evaluate",
     "g_polynomials",
@@ -144,8 +128,6 @@ __all__ = [
     "per_edge_map",
     "permute_edges",
     "phi_psi",
-    "poincare",
-    "poly_arith",
     "projection_map",
     "reduce",
     "run_all_checks",

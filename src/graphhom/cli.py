@@ -150,9 +150,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     G = _load_graph(args.input, args.max_edges)
-    cx = build_complex(G, args.variant, max_edges=args.max_edges)
-    if args.height is not None and not 0 <= args.height < max(cx.height_count - 1, 1):
+    if args.height is not None and not 0 <= args.height < max(G.edge_count, 1):
         raise _CliError(f"height {args.height} out of range")
+    cx = build_complex(G, args.variant, max_edges=args.max_edges)
     print(json.dumps(cx.blocks_json(args.height), indent=2))
     return 0
 

@@ -1,25 +1,28 @@
 """The hypercube cochain complex of a multigraph.
 
-Every edge subset S gets a free bigraded module: one tensor factor per
-edge of S (yamada variant only), one per connected component of the
-spanning subgraph [G:S], and one per independent cycle. Corresponding
-cube edges carry per-edge maps (unit insertion, component
-multiplication, cycle-factor insertion); with the usual alternating
-signs these assemble into a differential that preserves the bidegree
-and squares to zero, which `build_complex` verifies on every run.
+Every edge subset S gets a free bigraded module C^S: a tensor product of
+copies of Z[t]/(t^2), one per edge of S (yamada variant only) and one per
+connected component of the spanning subgraph [G:S], and of copies of
+Z[w]/(w^2), one per independent cycle. Corresponding cube edges carry
+per-edge maps (unit insertion, component multiplication, cycle-factor
+insertion); with the usual alternating signs these assemble into a
+differential that preserves the bidegree and squares to zero, which
+`build_complex` verifies on every run.
 
-Tensor slot order is fixed once and for all: edge factors by ascending
-edge index, then component factors by ascending minimal vertex, then
-cycle factors; within a chain module the basis is enumerated
-little-endian over those slots. States inside one height sit in
-ascending bitmask order. These conventions pin every matrix entry, so
-two runs (or two machines) produce identical artifacts.
+A basis element of C^S picks 1 or the generator in every tensor slot, so
+it is a bitmask, and its index in C^S is that bitmask read as an integer:
+bit k is slot k, a set bit is the generator. Slots are edge factors by
+ascending edge index, then component factors by ascending minimal
+vertex, then cycle factors. The bidegree of an index is (number of set
+edge and component bits, number of set cycle bits). States inside one
+height sit in ascending bitmask order. These conventions pin every
+matrix entry, so two runs (or two machines) produce identical artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .laurent import BivariateLaurent
 from .matrices import IntMatrix
@@ -28,184 +31,61 @@ from .multigraph import Multigraph, StateSubset, all_states, state_stats
 Bidegree = tuple[int, int]
 VARIANTS = ("yamada", "tutte")
 
+# Largest total chain rank (sum over all states of rank C^S) that
+# `build_complex` agrees to build; larger complexes are refused up front.
+MAX_CHAIN_RANK = 1 << 20
+
 
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Finite free bigraded algebra over the integers, given by tables.
+def _edge_rule(
+    mask: int, e: int, p: int, q: int, size: int, yamada: bool
+) -> list[tuple[int, int]]:
+    """(source, target) index pairs of the unsigned map C^S -> C^(S+e).
 
-    `products[i][j]` is the coefficient vector of basis_i * basis_j in
-    the basis. The unit image must sit in bidegree (0, 0); the optional
-    counit is an integer functional with counit(unit) = 1. Construction
-    validates associativity and bidegree-additivity of the table.
+    `mask` is S, `size` the rank of C^S, and p, q are the components of
+    [G:S] holding the endpoints of e. Every coefficient is 1. In the
+    yamada variant a 0 bit (the unit) is inserted at e's edge slot. If
+    p == q the new cycle slot is the highest bit of the target and holds
+    the unit, so nothing else moves. Otherwise the component bits of p
+    and q are OR-ed into the lower one, elements with both set are
+    dropped (t * t = 0), and the higher one is removed, which moves the
+    later components down one slot.
     """
-
-    name: str
-    labels: tuple[str, ...]
-    bidegrees: tuple[Bidegree, ...]
-    products: tuple[tuple[tuple[int, ...], ...], ...]
-    unit_index: int
-    counit: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        r = len(self.labels)
-        if len(self.bidegrees) != r:
-            raise ValueError("one bidegree per basis element required")
-        if len(self.products) != r or any(len(row) != r for row in self.products):
-            raise ValueError("multiplication table must be rank x rank")
-        if any(len(vec) != r for row in self.products for vec in row):
-            raise ValueError("multiplication table entries must have length rank")
-        if not 0 <= self.unit_index < r:
-            raise ValueError("unit index out of range")
-        if self.bidegrees[self.unit_index] != (0, 0):
-            raise ValueError("the unit must sit in bidegree (0, 0)")
-        for i in range(r):
-            for j in range(r):
-                dj = self.bidegrees[i][0] + self.bidegrees[j][0]
-                dk = self.bidegrees[i][1] + self.bidegrees[j][1]
-                for k, coeff in enumerate(self.products[i][j]):
-                    if coeff and self.bidegrees[k] != (dj, dk):
-                        raise ValueError("multiplication is not bidegree-additive")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    left = [0] * r
-                    for m, cm in enumerate(self.products[i][j]):
-                        if cm:
-                            for n, cn in enumerate(self.products[m][k]):
-                                left[n] += cm * cn
-                    right = [0] * r
-                    for m, cm in enumerate(self.products[j][k]):
-                        if cm:
-                            for n, cn in enumerate(self.products[i][m]):
-                                right[n] += cm * cn
-                    if left != right:
-                        raise ValueError("multiplication table is not associative")
-        if self.counit is not None:
-            if len(self.counit) != r:
-                raise ValueError("counit must have length rank")
-            if self.counit[self.unit_index] != 1:
-                raise ValueError("counit composed with the unit must be 1")
-
-    @property
-    def rank(self) -> int:
-        return len(self.labels)
-
-    def product(self, i: int, j: int) -> tuple[int, ...]:
-        return self.products[i][j]
-
-    def qdim(self) -> BivariateLaurent:
-        """Graded dimension: sum of t^j w^k over basis bidegrees."""
-        out: dict[Bidegree, int] = {}
-        for jk in self.bidegrees:
-            out[jk] = out.get(jk, 0) + 1
-        return BivariateLaurent(out)
+    if yamada:
+        comp0 = mask.bit_count() + 1  # the target's edge slots come first
+        insert = (mask & ((1 << e) - 1)).bit_count()
+        below = (1 << insert) - 1
+        targets = [(x >> insert << insert + 1) | (x & below) for x in range(size)]
+    else:
+        comp0 = 0
+        targets = range(size)
+    if p == q:
+        return list(enumerate(targets))
+    lo, hi = comp0 + min(p, q), comp0 + max(p, q)
+    lo_bit, hi_bit, below_hi = 1 << lo, 1 << hi, (1 << hi) - 1
+    pairs = []
+    for x, y in enumerate(targets):
+        if y & hi_bit:
+            if y & lo_bit:
+                continue
+            y |= lo_bit
+        pairs.append((x, (y >> hi + 1 << hi) | (y & below_hi)))
+    return pairs
 
 
-def dual_number_algebra(symbol: str, generator_bidegree: Bidegree) -> AlgebraSpec:
-    """Z[s]/(s^2) with basis (1, s) and the generator in the given bidegree."""
-    return AlgebraSpec(
-        name=f"Z[{symbol}]/({symbol}^2)",
-        labels=("1", symbol),
-        bidegrees=((0, 0), generator_bidegree),
-        products=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
-        unit_index=0,
-        counit=(1, 0),
-    )
+def _component_index(components: tuple[tuple[int, ...], ...], vertex_count: int) -> list[int]:
+    comp_of = [0] * vertex_count
+    for idx, comp in enumerate(components):
+        for v in comp:
+            comp_of[v] = idx
+    return comp_of
 
 
-EDGE_ALGEBRA = dual_number_algebra("t", (1, 0))
-CYCLE_ALGEBRA = dual_number_algebra("w", (0, 1))
-
-
-@dataclass(frozen=True)
-class BasisVector:
-    """One tensor-product basis element of a chain module C^S.
-
-    Each tuple holds the basis index chosen in the corresponding slot
-    (for the rank-2 default algebras these are bits: 0 is the unit, 1
-    the generator). `edge_bits` is empty in the tutte variant.
-    """
-
-    state: StateSubset
-    edge_bits: tuple[int, ...]
-    comp_bits: tuple[int, ...]
-    cycle_bits: tuple[int, ...]
-
-    def bidegree(
-        self,
-        edge_algebra: AlgebraSpec = EDGE_ALGEBRA,
-        cycle_algebra: AlgebraSpec = CYCLE_ALGEBRA,
-    ) -> Bidegree:
-        j = k = 0
-        for d in self.edge_bits:
-            dj, dk = edge_algebra.bidegrees[d]
-            j += dj
-            k += dk
-        for d in self.comp_bits:
-            dj, dk = edge_algebra.bidegrees[d]
-            j += dj
-            k += dk
-        for d in self.cycle_bits:
-            dj, dk = cycle_algebra.bidegrees[d]
-            j += dj
-            k += dk
-        return (j, k)
-
-
-def _unpack(index: int, counts: Sequence[int], radices: Sequence[int]) -> list[tuple[int, ...]]:
-    groups = []
-    for count, radix in zip(counts, radices):
-        digits = []
-        for _ in range(count):
-            index, d = divmod(index, radix)
-            digits.append(d)
-        groups.append(tuple(digits))
-    return groups
-
-
-def _pack(m_digits: Iterable[int], rm: int, n_digits: Iterable[int], rn: int) -> int:
-    idx = 0
-    for d in reversed(tuple(n_digits)):
-        idx = idx * rn + d
-    for d in reversed(tuple(m_digits)):
-        idx = idx * rm + d
-    return idx
-
-
-def chain_module(
-    G: Multigraph,
-    S: StateSubset,
-    variant: str,
-    edge_algebra: AlgebraSpec = EDGE_ALGEBRA,
-    cycle_algebra: AlgebraSpec = CYCLE_ALGEBRA,
-) -> list[BasisVector]:
-    """Ordered basis of C^S: little-endian over edge, component, cycle slots."""
-    _check_variant(variant)
-    st = state_stats(G, S)
-    lam = S.size() if variant == "yamada" else 0
-    mu, nu = st.b0, st.b1
-    rm, rn = edge_algebra.rank, cycle_algebra.rank
-    total = rm ** (lam + mu) * rn ** nu
-    out = []
-    for index in range(total):
-        edge_digits, comp_digits, cycle_digits = _unpack(index, (lam, mu, nu), (rm, rm, rn))
-        out.append(BasisVector(S, edge_digits, comp_digits, cycle_digits))
-    return out
-
-
-def per_edge_map(
-    G: Multigraph,
-    S: StateSubset,
-    e: int,
-    variant: str,
-    edge_algebra: AlgebraSpec = EDGE_ALGEBRA,
-    cycle_algebra: AlgebraSpec = CYCLE_ALGEBRA,
-) -> IntMatrix:
+def per_edge_map(G: Multigraph, S: StateSubset, e: int, variant: str) -> IntMatrix:
     """Unsigned map C^S -> C^(S+e) along one cube edge.
 
     In the yamada variant the unit is inserted at edge e's slot. If the
@@ -217,73 +97,23 @@ def per_edge_map(
     _check_variant(variant)
     if S.contains(e):
         raise ValueError(f"edge {e} already belongs to the state")
+    yamada = variant == "yamada"
     S1 = S.add(e)
     st0 = state_stats(G, S)
     st1 = state_stats(G, S1)
-    rm, rn = edge_algebra.rank, cycle_algebra.rank
-    lam1 = S1.size() if variant == "yamada" else 0
-    rows = rm ** (lam1 + st1.b0) * rn ** st1.b1
-    source = chain_module(G, S, variant, edge_algebra, cycle_algebra)
-
-    comp_of = {}
-    for idx, comp in enumerate(st0.components):
-        for v in comp:
-            comp_of[v] = idx
+    cols = 1 << ((S.size() if yamada else 0) + st0.b0 + st0.b1)
+    rows = 1 << ((S1.size() if yamada else 0) + st1.b0 + st1.b1)
+    comp_of = _component_index(st0.components, G.vertex_count)
     u, v = G.edges[e]
-    p, q = comp_of[u], comp_of[v]
-    insert_pos = (S.mask & ((1 << e) - 1)).bit_count()
-    unit_m = edge_algebra.unit_index
-    unit_n = cycle_algebra.unit_index
-
-    entries: dict[tuple[int, int], int] = {}
-    if p == q:
-        # Lemma case (i): a new independent cycle appears.
-        for col, bv in enumerate(source):
-            if variant == "yamada":
-                te = bv.edge_bits[:insert_pos] + (unit_m,) + bv.edge_bits[insert_pos:]
-            else:
-                te = ()
-            row = _pack(te + bv.comp_bits, rm, bv.cycle_bits + (unit_n,), rn)
-            entries[(row, col)] = entries.get((row, col), 0) + 1
-    else:
-        # Lemma case (ii): two components merge.
-        lo, hi = (p, q) if p < q else (q, p)
-        new_pos_by_min = {comp[0]: idx for idx, comp in enumerate(st1.components)}
-        merged_pos = new_pos_by_min[st0.components[lo][0]]
-        keep = [r for r in range(st0.b0) if r not in (lo, hi)]
-        keep_pos = [new_pos_by_min[st0.components[r][0]] for r in keep]
-        for col, bv in enumerate(source):
-            if variant == "yamada":
-                te = bv.edge_bits[:insert_pos] + (unit_m,) + bv.edge_bits[insert_pos:]
-            else:
-                te = ()
-            template = [0] * st1.b0
-            for r, pos in zip(keep, keep_pos):
-                template[pos] = bv.comp_bits[r]
-            for k, coeff in enumerate(edge_algebra.product(bv.comp_bits[lo], bv.comp_bits[hi])):
-                if not coeff:
-                    continue
-                template[merged_pos] = k
-                row = _pack(te + tuple(template), rm, bv.cycle_bits, rn)
-                entries[(row, col)] = entries.get((row, col), 0) + coeff
-    return IntMatrix(rows, len(source), entries)
-
-
-def edge_sign(xi: Sequence) -> int:
-    """Sign of a cube edge label in {0, 1, *}^n: parity of 1s before the *."""
-    stars = [i for i, s in enumerate(xi) if s == "*"]
-    if len(stars) != 1:
-        raise ValueError("cube edge label must contain exactly one '*'")
-    if any(s not in (0, 1, "*") for s in xi):
-        raise ValueError("cube edge label entries must be 0, 1 or '*'")
-    ones_before = sum(1 for s in xi[: stars[0]] if s == 1)
-    return -1 if ones_before % 2 else 1
+    pairs = _edge_rule(S.mask, e, comp_of[u], comp_of[v], cols, yamada)
+    return IntMatrix(rows, cols, {(y, x): 1 for x, y in pairs})
 
 
 @dataclass
 class BigradedComplex:
-    """Cochain complex with per-height bases and per-bidegree blocks.
+    """Cochain complex with per-height bidegrees and per-bidegree blocks.
 
+    `bidegrees[i][pos]` is the bidegree of basis element `pos` of C^i;
     `differentials[i]` is the full signed map C^i -> C^(i+1);
     `blocks[i][(j,k)]` its restriction to bidegree (j, k). Both are in
     the global basis order fixed by the construction.
@@ -291,9 +121,6 @@ class BigradedComplex:
 
     variant: str
     graph: Multigraph
-    edge_algebra: AlgebraSpec
-    cycle_algebra: AlgebraSpec
-    bases: list[list[BasisVector]]
     bidegrees: list[list[Bidegree]]
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
@@ -303,11 +130,11 @@ class BigradedComplex:
 
     @property
     def height_count(self) -> int:
-        return len(self.bases)
+        return len(self.bidegrees)
 
     def rank(self, i: int) -> int:
         if 0 <= i < self.height_count:
-            return len(self.bases[i])
+            return len(self.bidegrees[i])
         return 0
 
     def differential(self, i: int) -> IntMatrix:
@@ -356,90 +183,111 @@ class BigradedComplex:
         return out
 
 
-def build_complex(
-    G: Multigraph,
-    variant: str,
-    edge_algebra: AlgebraSpec = EDGE_ALGEBRA,
-    cycle_algebra: AlgebraSpec = CYCLE_ALGEBRA,
-    max_edges: int = 12,
-) -> BigradedComplex:
-    """Assemble the full complex and verify d^2 = 0 and bidegree preservation."""
+def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedComplex:
+    """Assemble the full complex and verify d^2 = 0 and bidegree preservation.
+
+    Refuses, before building anything, graphs over `max_edges` edges and
+    complexes whose total chain rank exceeds `MAX_CHAIN_RANK`.
+    """
     _check_variant(variant)
     n = G.edge_count
     if n > max_edges:
         raise ValueError(f"graph has {n} edges, over the limit of {max_edges}")
+    if 1 << n > MAX_CHAIN_RANK:
+        raise ValueError(
+            f"chain complex has rank at least 2^{n}, over the limit of {MAX_CHAIN_RANK}"
+        )
+    yamada = variant == "yamada"
 
-    states_by_height: list[list[StateSubset]] = [[] for _ in range(n + 1)]
-    for S in all_states(G):
-        states_by_height[S.size()].append(S)
+    # Per state: (edge + component slots, cycle slots) and the component of each vertex.
+    stats = [state_stats(G, S) for S in all_states(G)]
+    slots = [((mask.bit_count() if yamada else 0) + st.b0, st.b1) for mask, st in enumerate(stats)]
+    chain_rank = sum(1 << (j + k) for j, k in slots)
+    if chain_rank > MAX_CHAIN_RANK:
+        raise ValueError(
+            f"chain complex has rank {chain_rank}, over the limit of {MAX_CHAIN_RANK}"
+        )
+    comp_of = [_component_index(st.components, G.vertex_count) for st in stats]
 
-    bases: list[list[BasisVector]] = []
+    masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        masks_by_height[mask.bit_count()].append(mask)
+    popcounts = [x.bit_count() for x in range(1 << max(max(j, k) for j, k in slots))]
+
     bidegs: list[list[Bidegree]] = []
     offsets: list[dict[int, int]] = []
     sizes: list[dict[int, int]] = []
-    for i in range(n + 1):
-        basis_i: list[BasisVector] = []
+    bidegree_index: list[dict[Bidegree, list[int]]] = []
+    block_pos: list[list[int]] = []  # position of each basis element inside its bidegree
+    for masks in masks_by_height:
+        bidegs_i: list[Bidegree] = []
         offset_map: dict[int, int] = {}
         size_map: dict[int, int] = {}
-        for S in states_by_height[i]:
-            offset_map[S.mask] = len(basis_i)
-            module = chain_module(G, S, variant, edge_algebra, cycle_algebra)
-            size_map[S.mask] = len(module)
-            basis_i.extend(module)
-        bases.append(basis_i)
-        bidegs.append([bv.bidegree(edge_algebra, cycle_algebra) for bv in basis_i])
+        for mask in masks:
+            j_slots, k_slots = slots[mask]
+            offset_map[mask] = len(bidegs_i)
+            size_map[mask] = 1 << (j_slots + k_slots)
+            bidegs_i.extend(
+                (pj, pk) for pk in popcounts[: 1 << k_slots] for pj in popcounts[: 1 << j_slots]
+            )
+        index: dict[Bidegree, list[int]] = {}
+        pos_i = []
+        for pos, jk in enumerate(bidegs_i):
+            members = index.setdefault(jk, [])
+            pos_i.append(len(members))
+            members.append(pos)
+        bidegs.append(bidegs_i)
         offsets.append(offset_map)
         sizes.append(size_map)
+        bidegree_index.append(index)
+        block_pos.append(pos_i)
 
     diffs: list[IntMatrix] = []
+    blocks: list[dict[Bidegree, IntMatrix]] = []
     for i in range(n):
         entries: dict[tuple[int, int], int] = {}
-        for S in states_by_height[i]:
-            src_off = offsets[i][S.mask]
+        for mask in masks_by_height[i]:
+            src_off = offsets[i][mask]
             for e in range(n):
-                if S.contains(e):
+                if mask >> e & 1:
                     continue
-                ones_before = (S.mask & ((1 << e) - 1)).bit_count()
-                sign = -1 if ones_before % 2 else 1
-                pm = per_edge_map(G, S, e, variant, edge_algebra, cycle_algebra)
-                dst_off = offsets[i + 1][S.add(e).mask]
-                for r, c, v in pm.sorted_entries():
-                    key = (dst_off + r, src_off + c)
-                    entries[key] = entries.get(key, 0) + sign * v
-        diffs.append(IntMatrix(len(bases[i + 1]), len(bases[i]), entries))
+                sign = -1 if (mask & ((1 << e) - 1)).bit_count() % 2 else 1
+                dst_off = offsets[i + 1][mask | 1 << e]
+                u, v = G.edges[e]
+                p, q = comp_of[mask][u], comp_of[mask][v]
+                for x, y in _edge_rule(mask, e, p, q, sizes[i][mask], yamada):
+                    entries[(dst_off + y, src_off + x)] = sign
+        diffs.append(IntMatrix(len(bidegs[i + 1]), len(bidegs[i]), entries))
 
-    for i, diff in enumerate(diffs):
-        for r, c, _ in diff.sorted_entries():
-            if bidegs[i + 1][r] != bidegs[i][c]:
+        block_entries: dict[Bidegree, dict[tuple[int, int], int]] = {
+            jk: {} for jk in set(bidegree_index[i]) | set(bidegree_index[i + 1])
+        }
+        row_bidegs, col_bidegs = bidegs[i + 1], bidegs[i]
+        row_pos, col_pos = block_pos[i + 1], block_pos[i]
+        for (r, c), val in entries.items():
+            jk = col_bidegs[c]
+            if row_bidegs[r] != jk:
                 raise RuntimeError(
                     f"differential d^{i} does not preserve the bidegree at entry ({r},{c})"
                 )
-    for i in range(len(diffs) - 1):
-        if not (diffs[i + 1] @ diffs[i]).is_zero():
-            raise RuntimeError(f"d^2 != 0 between heights {i} and {i + 2}")
-
-    bidegree_index: list[dict[Bidegree, list[int]]] = []
-    for i in range(n + 1):
-        index: dict[Bidegree, list[int]] = {}
-        for pos, jk in enumerate(bidegs[i]):
-            index.setdefault(jk, []).append(pos)
-        bidegree_index.append(index)
-
-    blocks: list[dict[Bidegree, IntMatrix]] = []
-    for i in range(n):
-        block_map: dict[Bidegree, IntMatrix] = {}
-        for jk in set(bidegree_index[i]) | set(bidegree_index[i + 1]):
-            block_map[jk] = diffs[i].submatrix(
-                bidegree_index[i + 1].get(jk, []), bidegree_index[i].get(jk, [])
-            )
-        blocks.append(block_map)
+            block_entries[jk][(row_pos[r], col_pos[c])] = val
+        blocks.append(
+            {
+                jk: IntMatrix(
+                    len(bidegree_index[i + 1].get(jk, [])), len(bidegree_index[i].get(jk, [])), ents
+                )
+                for jk, ents in block_entries.items()
+            }
+        )
+        if i > 0:
+            for jk, block in blocks[i].items():
+                below = blocks[i - 1].get(jk)
+                if below is not None and not (block @ below).is_zero():
+                    raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
 
     return BigradedComplex(
         variant=variant,
         graph=G,
-        edge_algebra=edge_algebra,
-        cycle_algebra=cycle_algebra,
-        bases=bases,
         bidegrees=bidegs,
         state_offsets=offsets,
         state_sizes=sizes,
@@ -472,8 +320,6 @@ def projection_map(
     G: Multigraph,
     gamma: Iterable[int],
     variant: str = "yamada",
-    edge_algebra: AlgebraSpec = EDGE_ALGEBRA,
-    cycle_algebra: AlgebraSpec = CYCLE_ALGEBRA,
     max_edges: int = 12,
     source: BigradedComplex | None = None,
 ) -> ProjectionMaps:
@@ -487,13 +333,11 @@ def projection_map(
     gamma_sorted = sorted(set(gamma))
     if any(not 0 <= e < G.edge_count for e in gamma_sorted):
         raise ValueError("gamma is not a subset of the edge indices")
-    src = source if source is not None else build_complex(
-        G, variant, edge_algebra, cycle_algebra, max_edges
-    )
+    src = source if source is not None else build_complex(G, variant, max_edges)
     if src.graph != G or src.variant != variant:
         raise ValueError("provided source complex does not match the graph/variant")
     sub = Multigraph(G.vertex_count, tuple(G.edges[e] for e in gamma_sorted))
-    dst = build_complex(sub, variant, edge_algebra, cycle_algebra, max_edges)
+    dst = build_complex(sub, variant, max_edges)
     pos = {e: i for i, e in enumerate(gamma_sorted)}
     gamma_mask = 0
     for e in gamma_sorted:
@@ -533,24 +377,19 @@ class RetractionMaps:
 
 def phi_psi(
     G: Multigraph,
-    edge_algebra: AlgebraSpec = EDGE_ALGEBRA,
-    cycle_algebra: AlgebraSpec = CYCLE_ALGEBRA,
     max_edges: int = 12,
     tutte_complex: BigradedComplex | None = None,
     yamada_complex: BigradedComplex | None = None,
 ) -> RetractionMaps:
-    """Per-height matrices of phi: C_T -> C_Y and psi: C_Y -> C_T."""
-    if edge_algebra.counit is None:
-        raise ValueError("edge algebra has no counit; the retraction needs one")
-    cx_t = tutte_complex if tutte_complex is not None else build_complex(
-        G, "tutte", edge_algebra, cycle_algebra, max_edges
-    )
-    cx_y = yamada_complex if yamada_complex is not None else build_complex(
-        G, "yamada", edge_algebra, cycle_algebra, max_edges
-    )
-    rm = edge_algebra.rank
-    unit = edge_algebra.unit_index
-    counit = edge_algebra.counit
+    """Per-height matrices of phi: C_T -> C_Y and psi: C_Y -> C_T.
+
+    Edge slots are the low |S| bits of a yamada index, so phi sends a
+    tutte index l to l << |S|, and psi keeps exactly the yamada indices
+    whose edge bits are all 0 (the counit kills the generator) and
+    shifts them back.
+    """
+    cx_t = tutte_complex if tutte_complex is not None else build_complex(G, "tutte", max_edges)
+    cx_y = yamada_complex if yamada_complex is not None else build_complex(G, "yamada", max_edges)
 
     phi: list[IntMatrix] = []
     psi: list[IntMatrix] = []
@@ -559,22 +398,10 @@ def phi_psi(
         psi_entries: dict[tuple[int, int], int] = {}
         for mask, y_off in cx_y.state_offsets[i].items():
             t_off = cx_t.state_offsets[i][mask]
-            t_size = cx_t.state_sizes[i][mask]
             lam = mask.bit_count()
-            rm_lam = rm ** lam
-            unit_base = sum(unit * rm ** f for f in range(lam))
-            for l in range(t_size):
-                phi_entries[(y_off + unit_base + rm_lam * l, t_off + l)] = 1
-            for y_local in range(cx_y.state_sizes[i][mask]):
-                rest = y_local
-                coeff = 1
-                for _ in range(lam):
-                    rest, digit = rest // rm, rest % rm
-                    coeff *= counit[digit]
-                    if not coeff:
-                        break
-                if coeff:
-                    psi_entries[(t_off + rest, y_off + y_local)] = coeff
+            for l in range(cx_t.state_sizes[i][mask]):
+                phi_entries[(y_off + (l << lam), t_off + l)] = 1
+                psi_entries[(t_off + l, y_off + (l << lam))] = 1
         phi.append(IntMatrix(cx_y.rank(i), cx_t.rank(i), phi_entries))
         psi.append(IntMatrix(cx_t.rank(i), cx_y.rank(i), psi_entries))
     return RetractionMaps(tutte=cx_t, yamada=cx_y, phi=phi, psi=psi)

@@ -343,21 +343,6 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     return CohomologyTable(variant=cx.variant, height_count=heights, summands=summands)
 
 
-def poincare(table: CohomologyTable) -> tuple[list[BivariateLaurent], BivariateLaurent]:
-    """Per-height free-rank polynomials and their alternating sum."""
-    per_height = []
-    for i in range(table.height_count):
-        out: dict[Bidegree, int] = {}
-        for (h, j, k), s in table.summands.items():
-            if h == i and s.free_rank:
-                out[(j, k)] = s.free_rank
-        per_height.append(BivariateLaurent(out))
-    chi = BivariateLaurent.zero()
-    for i, p in enumerate(per_height):
-        chi = chi + (-p if i % 2 else p)
-    return per_height, chi
-
-
 def induced_map_ranks(
     cx_src: BigradedComplex,
     cx_dst: BigradedComplex,

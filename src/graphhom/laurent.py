@@ -207,23 +207,6 @@ ONE = BivariateLaurent.one()
 ZERO = BivariateLaurent.zero()
 
 
-def poly_arith(op: str, *args) -> BivariateLaurent:
-    """Dispatcher over the ring operations: add, neg, mul, pow."""
-    if op == "add":
-        p, q = args
-        return p + q
-    if op == "neg":
-        (p,) = args
-        return -p
-    if op == "mul":
-        p, q = args
-        return p * q
-    if op == "pow":
-        p, n = args
-        return p ** n
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def substitute_shift(p: BivariateLaurent) -> BivariateLaurent:
     """p(1+t, 1+w), exact, via binomial expansion.
 

@@ -83,14 +83,8 @@ class IntMatrix:
             dense[r][c] = v
         return dense
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self._entries.items()})
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, {k: -v for k, v in self._entries.items()})
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, {key: k * v for key, v in self._entries.items()})
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -138,14 +132,6 @@ class IntMatrix:
             if i is not None and j is not None:
                 out[(i, j)] = v
         return IntMatrix(len(row_idx), len(col_idx), out)
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [0] * self.rows
-        for (r, c), v in self._entries.items():
-            out[r] += v * vec[c]
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):

@@ -92,10 +92,6 @@ class StateSubset:
     def edge_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.width) if self.mask >> i & 1)
 
-    def alpha(self) -> tuple[int, ...]:
-        """The cube vertex (alpha_1, ..., alpha_n) for this subset."""
-        return tuple((self.mask >> i) & 1 for i in range(self.width))
-
 
 def all_states(G: Multigraph) -> Iterator[StateSubset]:
     """All edge subsets of G in ascending bitmask order."""

@@ -131,6 +131,28 @@ def test_dump_height_filter(bigon_path, capsys):
     assert run(["dump", "--input", bigon_path, "--variant", "yamada", "--height", "9"]) == 1
 
 
+def test_dump_height_checked_before_building(bigon_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an out-of-range height must not build the complex")
+
+    monkeypatch.setattr(graphhom.cli, "build_complex", never)
+    for height in ("2", "-1"):
+        assert run(["dump", "--input", bigon_path, "--variant", "yamada", "--height", height]) == 1
+        assert "out of range" in capsys.readouterr().err
+
+
+def test_oversized_complex_is_exit_1(tmp_path, capsys):
+    isolated = tmp_path / "isolated.json"
+    isolated.write_text(json.dumps({"vertices": 64, "edges": []}))
+    bouquet = tmp_path / "bouquet12.json"
+    bouquet.write_text(json.dumps({"vertices": 1, "edges": [[0, 0]] * 12}))
+    for path, rank in ((isolated, 2**64), (bouquet, 2 * 5**12)):
+        for command in ("cohomology", "dump"):
+            assert run([command, "--variant", "yamada", "--input", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"rank {rank}," in err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert run(["poly", "--which", "yamada", "--input", "/nonexistent.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -2,14 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhom.cube as cube
 from graphhom.cube import (
-    CYCLE_ALGEBRA,
-    EDGE_ALGEBRA,
-    AlgebraSpec,
+    MAX_CHAIN_RANK,
     build_complex,
-    chain_module,
-    dual_number_algebra,
-    edge_sign,
     graded_euler,
     per_edge_map,
     phi_psi,
@@ -43,67 +39,22 @@ def random_graphs(draw, max_vertices=4, max_edges=6):
     return Multigraph(v, edges)
 
 
-def test_default_algebras():
-    assert EDGE_ALGEBRA.rank == 2
-    assert EDGE_ALGEBRA.bidegrees == ((0, 0), (1, 0))
-    assert EDGE_ALGEBRA.qdim() == P({(0, 0): 1, (1, 0): 1})
-    assert CYCLE_ALGEBRA.qdim() == P({(0, 0): 1, (0, 1): 1})
-    # t * t = 0
-    assert EDGE_ALGEBRA.product(1, 1) == (0, 0)
-    assert EDGE_ALGEBRA.counit == (1, 0)
-
-
-def test_algebra_validation_rejects_bad_tables():
-    with pytest.raises(ValueError, match="associative"):
-        AlgebraSpec(
-            name="broken",
-            labels=("p", "q"),
-            bidegrees=((0, 0), (0, 0)),
-            products=(((0, 1), (1, 0)), ((0, 0), (0, 0))),
-            unit_index=0,
-        )
-    with pytest.raises(ValueError, match="bidegree-additive"):
-        AlgebraSpec(
-            name="broken",
-            labels=("1", "s"),
-            bidegrees=((0, 0), (1, 0)),
-            products=(((1, 0), (0, 1)), ((0, 1), (1, 0))),
-            unit_index=0,
-        )
-    with pytest.raises(ValueError, match="bidegree"):
-        AlgebraSpec(
-            name="broken",
-            labels=("1", "s"),
-            bidegrees=((1, 0), (0, 0)),
-            products=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
-            unit_index=0,
-        )
-    with pytest.raises(ValueError, match="counit"):
-        AlgebraSpec(
-            name="broken",
-            labels=("1", "s"),
-            bidegrees=((0, 0), (1, 0)),
-            products=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
-            unit_index=0,
-            counit=(0, 1),
-        )
-
-
 def test_chain_module_sizes():
-    P2 = bigon()
-    assert len(chain_module(P2, StateSubset.full(2), "yamada")) == 16
-    assert len(chain_module(P2, StateSubset.empty(2), "yamada")) == 4
-    assert len(chain_module(P2, StateSubset.from_edges(2, [0]), "tutte")) == 2
+    yamada = build_complex(bigon(), "yamada")
+    assert yamada.state_sizes[2][0b11] == 16
+    assert yamada.state_sizes[0][0b00] == 4
+    assert build_complex(bigon(), "tutte").state_sizes[1][0b01] == 2
 
 
 def test_chain_module_order_is_little_endian():
-    P2 = bigon()
-    module = chain_module(P2, StateSubset.from_edges(2, [0]), "yamada")
-    assert module[0].edge_bits == (0,) and module[0].comp_bits == (0,)
-    assert module[1].edge_bits == (1,) and module[1].comp_bits == (0,)
-    assert module[2].edge_bits == (0,) and module[2].comp_bits == (1,)
-    assert module[0].bidegree() == (0, 0)
-    assert module[3].bidegree() == (2, 0)
+    # C^{e1} of the bigon: bit 0 is the edge slot, bit 1 the component slot
+    maps = phi_psi(bigon())
+    cx = maps.yamada
+    off = cx.state_offsets[1][0b01]
+    assert cx.bidegrees[1][off : off + 4] == [(0, 0), (1, 0), (1, 0), (2, 0)]
+    # psi kills the generator in the edge slot and keeps the one in the component slot
+    kept = {c for _, c, _ in maps.psi[1].sorted_entries()}
+    assert off + 1 not in kept and off + 2 in kept
 
 
 def test_per_edge_map_merge_case():
@@ -139,20 +90,6 @@ def test_per_edge_map_tutte_variant_drops_edge_factors():
 def test_per_edge_map_rejects_member_edge():
     with pytest.raises(ValueError):
         per_edge_map(bigon(), StateSubset.from_edges(2, [0]), 0, "yamada")
-
-
-def test_edge_sign():
-    assert edge_sign(("*", 1)) == 1
-    assert edge_sign((1, "*")) == -1
-    assert edge_sign(("*", 0, 0)) == 1
-    assert edge_sign((1, 1, "*")) == 1
-    assert edge_sign((1, 0, "*")) == -1
-    with pytest.raises(ValueError):
-        edge_sign((0, 1))
-    with pytest.raises(ValueError):
-        edge_sign(("*", "*"))
-    with pytest.raises(ValueError):
-        edge_sign((2, "*"))
 
 
 def test_build_complex_bigon_ranks_and_differentials():
@@ -339,21 +276,37 @@ def test_phi_psi_chain_maps_on_samples():
             ) @ maps.psi[i]
 
 
-def test_phi_psi_needs_counit():
-    no_counit = AlgebraSpec(
-        name="no-counit",
-        labels=("1", "t"),
-        bidegrees=((0, 0), (1, 0)),
-        products=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
-        unit_index=0,
-        counit=None,
-    )
-    with pytest.raises(ValueError):
-        phi_psi(bigon(), edge_algebra=no_counit)
-
-
 def test_basis_vector_bidegree_counts_generators():
-    module = chain_module(bigon(), StateSubset.full(2), "yamada")
-    top = module[-1]
-    assert top.edge_bits == (1, 1) and top.comp_bits == (1,) and top.cycle_bits == (1,)
-    assert top.bidegree() == (3, 1)
+    # the top element of C^{e1,e2} sets both edge bits, the component bit and the cycle bit
+    cx = build_complex(bigon(), "yamada")
+    assert cx.state_offsets[2][0b11] + 0b1111 == cx.rank(2) - 1
+    assert cx.bidegrees[2][0b1111] == (3, 1)
+
+
+def test_build_complex_computes_state_stats_once_per_state(monkeypatch):
+    calls = []
+
+    def counting(G, S):
+        calls.append(S.mask)
+        return state_stats(G, S)
+
+    monkeypatch.setattr(cube, "state_stats", counting)
+    for G in (bigon(), triangle(), build(5, [(0, 1), (1, 2), (2, 0), (2, 2), (1, 2)])):
+        for variant in ("yamada", "tutte"):
+            calls.clear()
+            build_complex(G, variant)
+            assert sorted(calls) == list(range(1 << G.edge_count))
+
+
+def test_build_complex_refuses_oversized_chain_rank(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized complex must not reach the per-edge maps")
+
+    monkeypatch.setattr(cube, "_edge_rule", never)
+    with pytest.raises(ValueError, match=str(2**64)):
+        build_complex(build(64, []), "yamada")
+    with pytest.raises(ValueError, match=str(2 * 5**12)):
+        build_complex(bouquet_graph(12), "yamada")
+    with pytest.raises(ValueError, match="at least 2\\^21"):
+        build_complex(bouquet_graph(21), "tutte", max_edges=21)
+    assert 2 * 5**12 > MAX_CHAIN_RANK

@@ -12,7 +12,6 @@ from graphhom.laurent import (
     BivariateLaurent,
     evaluate,
     geometric_sum,
-    poly_arith,
     substitute_shift,
 )
 
@@ -51,15 +50,6 @@ def test_pow_negative_requires_unit():
     with pytest.raises(ValueError):
         P({(1, 0): 2}) ** -1
     assert X ** -3 == P({(-3, 0): 1})
-
-
-def test_poly_arith_dispatch():
-    assert poly_arith("add", X, Y) == X + Y
-    assert poly_arith("neg", X) == -X
-    assert poly_arith("mul", X, Y) == P({(1, 1): 1})
-    assert poly_arith("pow", X, 2) == P({(2, 0): 1})
-    with pytest.raises(ValueError):
-        poly_arith("div", X, Y)
 
 
 def test_substitute_shift_examples():

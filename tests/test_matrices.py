@@ -31,11 +31,11 @@ def test_matmul_with_empty_shapes():
     assert (a @ b).shape == (0, 2)
 
 
-def test_add_sub_neg_transpose():
+def test_add_sub_neg():
     a = IntMatrix.from_rows([[1, -2], [0, 5]])
     assert (a + (-a)).is_zero()
     assert (a - a).is_zero()
-    assert a.transpose().to_rows() == [[1, 0], [-2, 5]]
+    assert (-a).to_rows() == [[-1, 2], [0, -5]]
 
 
 def test_hstack_and_submatrix():
@@ -46,11 +46,6 @@ def test_hstack_and_submatrix():
     assert sub.to_rows() == [[3, 4]]
     with pytest.raises(ValueError):
         a.hstack(IntMatrix.zeros(3, 1))
-
-
-def test_apply():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert a.apply([1, 1]) == [3, 7]
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,6 @@ def test_state_stats_width_mismatch():
 
 def test_state_subset_basics():
     S = StateSubset.from_edges(4, [1, 3])
-    assert S.alpha() == (0, 1, 0, 1)
     assert S.size() == 2
     assert S.edge_indices() == (1, 3)
     assert S.add(0).mask == 0b1011
