@@ -17,16 +17,7 @@ from .cube import build_complex
 from .homology import cohomology
 from .invariants import eval_del_con, g_polynomials, specialization, yamada_state_sum
 from .multigraph import Multigraph, from_json_dict
-from .verify import (
-    CHECK_NAMES,
-    check_deletion_contraction,
-    check_euler,
-    check_permutation_invariance,
-    check_projection,
-    check_retraction,
-    default_gamma,
-    default_sigma,
-)
+from .verify import CHECK_NAMES, run_checks
 
 POLY_CHOICES = ("yamada", "g", "tutte", "chromatic", "flow", "negami")
 
@@ -127,23 +118,10 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     G = _load_graph(args.input, args.max_edges)
     if args.all:
-        selected = list(CHECK_NAMES)
+        names = CHECK_NAMES
     else:
-        selected = [name.strip() for name in args.only.split(",") if name.strip()]
-        unknown = [name for name in selected if name not in CHECK_NAMES]
-        if unknown:
-            raise _CliError(f"unknown checks: {', '.join(unknown)}")
-        selected = [name for name in CHECK_NAMES if name in selected]
-    runners = {
-        "deletion_contraction": lambda: check_deletion_contraction(G),
-        "euler": lambda: check_euler(G, max_edges=args.max_edges),
-        "permutation_invariance": lambda: check_permutation_invariance(
-            G, default_sigma(G), max_edges=args.max_edges
-        ),
-        "projection": lambda: check_projection(G, default_gamma(G), max_edges=args.max_edges),
-        "retraction": lambda: check_retraction(G, max_edges=args.max_edges),
-    }
-    reports = [runners[name]() for name in selected]
+        names = [name.strip() for name in args.only.split(",") if name.strip()]
+    reports = run_checks(G, names, max_edges=args.max_edges)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0 if all(r.passed for r in reports) else 2
 

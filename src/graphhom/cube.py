@@ -36,6 +36,24 @@ VARIANTS = ("yamada", "tutte")
 MAX_CHAIN_RANK = 1 << 20
 
 
+def _chain_rank_floor(vertex_count: int, edge_count: int, yamada: bool) -> int:
+    """Lower bound on the total chain rank from (V, |E|, variant) alone.
+
+    A state with k edges has b0 >= max(1, V - k) components (b0 = 0 when
+    V = 0) and b1 = k - V + b0 cycles, so rank C^S = 2^(lambda + b0 + b1),
+    with lambda = k in the yamada variant and 0 in the tutte one, is at
+    least 2^(lambda + k - V + 2 * min b0). Summed over the C(|E|, k)
+    states of each size.
+    """
+    total = 0
+    binom = 1  # C(edge_count, k)
+    for k in range(edge_count + 1):
+        b0 = max(min(vertex_count, 1), vertex_count - k)
+        total += binom << ((k if yamada else 0) + k - vertex_count + 2 * b0)
+        binom = binom * (edge_count - k) // (k + 1)
+    return total
+
+
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -187,17 +205,20 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
     """Assemble the full complex and verify d^2 = 0 and bidegree preservation.
 
     Refuses, before building anything, graphs over `max_edges` edges and
-    complexes whose total chain rank exceeds `MAX_CHAIN_RANK`.
+    complexes whose total chain rank exceeds `MAX_CHAIN_RANK`: first by a
+    lower bound before any state is enumerated, then by the exact rank
+    before any basis is built.
     """
     _check_variant(variant)
     n = G.edge_count
     if n > max_edges:
         raise ValueError(f"graph has {n} edges, over the limit of {max_edges}")
-    if 1 << n > MAX_CHAIN_RANK:
-        raise ValueError(
-            f"chain complex has rank at least 2^{n}, over the limit of {MAX_CHAIN_RANK}"
-        )
     yamada = variant == "yamada"
+    floor = _chain_rank_floor(G.vertex_count, n, yamada)
+    if floor > MAX_CHAIN_RANK:
+        raise ValueError(
+            f"chain complex has rank at least {floor}, over the limit of {MAX_CHAIN_RANK}"
+        )
 
     # Per state: (edge + component slots, cycle slots) and the component of each vertex.
     stats = [state_stats(G, S) for S in all_states(G)]

@@ -3,7 +3,9 @@
 The differential preserves the bidegree, so the complex splits into
 independent blocks and each block is handled by Smith normal form over
 the integers: free ranks come from rank counting, torsion from the
-invariant factors of the incoming differential. All arithmetic is exact.
+invariant factors of the incoming differential. Both come from the
+sparse elimination in `matrices`, without transforms; `smith_normal_form`
+runs the same routine with them. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .cube import Bidegree, BigradedComplex
 from .laurent import BivariateLaurent
-from .matrices import IntMatrix, det, rank
+from .matrices import IntMatrix, _eliminate, det, rank
 
 
 @dataclass(frozen=True)
@@ -42,103 +44,10 @@ class SNFResult:
 
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
-    """Exact Smith normal form with transform tracking.
-
-    Pivots are chosen by minimal absolute value to limit entry growth;
-    empty matrices are fine.
-    """
-    m, n = mat.rows, mat.cols
-    a = mat.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        if not q:
-            return
-        arow, asrc = a[dst], a[src]
-        for k in range(n):
-            arow[k] += q * asrc[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(m):
-            urow[k] += q * usrc[k]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        if not q:
-            return
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        best = 0
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                val = row[j]
-                if val and (pivot is None or abs(val) < best):
-                    pivot = (i, j)
-                    best = abs(val)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            col_rest = [i for i in range(t + 1, m) if a[i][t]]
-            if col_rest:
-                i = min(col_rest, key=lambda r: abs(a[r][t]))
-                if abs(a[i][t]) < abs(a[t][t]):
-                    swap_rows(t, i)
-                for r in range(t + 1, m):
-                    add_row(r, t, -(a[r][t] // a[t][t]))
-                continue
-            row_rest = [j for j in range(t + 1, n) if a[t][j]]
-            if row_rest:
-                j = min(row_rest, key=lambda c: abs(a[t][c]))
-                if abs(a[t][j]) < abs(a[t][t]):
-                    swap_cols(t, j)
-                for c in range(t + 1, n):
-                    add_col(c, t, -(a[t][c] // a[t][t]))
-                continue
-            piv = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = a[i]
-                for j in range(t + 1, n):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    return SNFResult(
-        d=IntMatrix.from_rows(a, n),
-        u=IntMatrix.from_rows(u, m),
-        v=IntMatrix.from_rows(v, n),
-    )
+    """Exact Smith normal form with transform tracking; empty matrices are fine."""
+    factors, u, v = _eliminate(mat, track=True)
+    d = IntMatrix(mat.rows, mat.cols, {(t, t): f for t, f in enumerate(factors)})
+    return SNFResult(d=d, u=u, v=v)
 
 
 def verify_snf(mat: IntMatrix, res: SNFResult) -> None:
@@ -168,97 +77,6 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     res = smith_normal_form(mat)
     r = res.rank
     return res.v.submatrix(range(mat.cols), range(r, mat.cols))
-
-
-def _diagonal_factors(mat: IntMatrix) -> list[int]:
-    """Nonzero invariant factors of mat, without transform tracking.
-
-    Same elimination as `smith_normal_form`, restricted to the active
-    window and with a fast path for unit pivots; backs the per-block
-    cohomology computation where U and V are never needed.
-    """
-    m, n = mat.rows, mat.cols
-    if m == 0 or n == 0 or mat.is_zero():
-        return []
-    a = mat.to_rows()
-    factors: list[int] = []
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pi = -1
-        pj = -1
-        best = 0
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if pi < 0 or av < best:
-                        pi, pj, best = i, j, av
-                        if av == 1:
-                            break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a[t:]:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                v = a[i][t]
-                if v:
-                    q = v // piv
-                    if q:
-                        ai, at = a[i], a[t]
-                        for k in range(t, n):
-                            ai[k] -= q * at[k]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if v:
-                    q = v // piv
-                    if q:
-                        for i2 in range(t, m):
-                            row = a[i2]
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a[t:]:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            piv = a[t][t]
-            if piv not in (1, -1):
-                offender = -1
-                for i in range(t + 1, m):
-                    row = a[i]
-                    for j in range(t + 1, n):
-                        if row[j] % piv:
-                            offender = i
-                            break
-                    if offender >= 0:
-                        break
-                if offender >= 0:
-                    at, ao = a[t], a[offender]
-                    for k in range(t, n):
-                        at[k] += ao[k]
-                    continue
-            break
-        factors.append(abs(a[t][t]))
-        t += 1
-    return factors
 
 
 @dataclass(frozen=True)
@@ -321,11 +139,7 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     block_data: dict[tuple[int, Bidegree], tuple[int, tuple[int, ...]]] = {}
     for i in range(heights - 1):
         for jk in set(cx.bidegree_index[i]) | set(cx.bidegree_index[i + 1]):
-            block = cx.block(i, jk)
-            if block.rows == 0 or block.cols == 0 or block.is_zero():
-                block_data[(i, jk)] = (0, ())
-                continue
-            factors = _diagonal_factors(block)
+            factors = _eliminate(cx.block(i, jk))[0]
             torsion = tuple(f for f in factors if f > 1)
             block_data[(i, jk)] = (len(factors), torsion)
 

@@ -2,13 +2,16 @@
 
 Sparse storage keyed by (row, col); all arithmetic uses Python's
 arbitrary-precision integers, because entries in normal-form computations
-can grow far past any fixed width. Dense helpers (`rank`, `det`) back the
-cohomology computations.
+can grow far past any fixed width. `_eliminate` is the one elimination
+routine: it yields the invariant factors, and on request the transforms,
+behind `rank`, the per-block cohomology and `smith_normal_form`. `det`
+(Bareiss) stays a separate dense routine so that `verify_snf` checks
+unimodularity independently of it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 
@@ -145,29 +148,162 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self._entries)})"
 
 
-def rank(mat: IntMatrix) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    m, n = mat.rows, mat.cols
-    if m == 0 or n == 0 or mat.is_zero():
-        return 0
-    a = [[Fraction(v) for v in row] for row in mat.to_rows()]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        for i in range(r + 1, m):
-            f = a[i][c] / prow[c]
-            if f:
-                arow = a[i]
-                for j in range(c, n):
-                    arow[j] -= f * prow[j]
-        r += 1
-        if r == m:
+def _axpy(
+    dst: dict[int, int],
+    src: dict[int, int],
+    q: int,
+    index: dict[int, set[int]] | None = None,
+    key: int = 0,
+) -> None:
+    """dst += q * src on sparse vectors.
+
+    With `index` (column -> rows holding an entry there), `dst` is row
+    `key` of the working matrix and the index follows every entry the
+    update creates or cancels.
+    """
+    if not q:
+        return
+    for j, x in src.items():
+        y = dst.get(j, 0) + q * x
+        if y:
+            if index is not None and j not in dst:
+                index[j].add(key)
+            dst[j] = y
+        else:
+            del dst[j]
+            if index is not None:
+                index[j].discard(key)
+
+
+def _eliminate(
+    mat: IntMatrix, track: bool = False
+) -> tuple[list[int], IntMatrix | None, IntMatrix | None]:
+    """Nonzero invariant factors of `mat`, by sparse integer elimination.
+
+    The working matrix is a dict of sparse rows plus a column -> rows
+    index; it is never made dense. Each pivot is an entry of smallest
+    absolute value, ties going to the smallest Markowitz cost
+    (row entries - 1) * (column entries - 1), then to the lowest (row,
+    column). Its column is cleared with row operations, then its row with
+    column operations, both by floor quotients. A surviving remainder is
+    smaller than the pivot, so the pivot is picked again. A pivot that
+    does not divide every remaining entry gets the first offending row
+    added to its own row and is reduced again. Hence each factor divides
+    all later ones: they come out positive and in divisibility order.
+
+    With `track`, also returns unimodular U (rows x rows) and V
+    (cols x cols) with U @ mat @ V equal to the factors on the leading
+    diagonal and zero elsewhere; the columns of V past the factors span
+    the kernel. Without it the second and third results are None.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), x in mat._entries.items():
+        rows.setdefault(r, {})[c] = x
+        cols.setdefault(c, set()).add(r)
+    u = {i: {i: 1} for i in range(mat.rows)} if track else {}
+    v = {j: {j: 1} for j in range(mat.cols)} if track else {}
+    # Pivot candidates keyed (|entry|, Markowitz cost, row, col). After each
+    # step the entries of every row and column it touched are pushed with
+    # their new keys; a popped key that no longer matches its entry is stale.
+    heap: list[tuple[int, int, int, int]] = []
+    dirty_rows, dirty_cols = set(rows), set()
+    pivots: list[tuple[int, int]] = []
+    factors: list[int] = []
+    repick = True
+    while True:
+        for i in dirty_rows & rows.keys():
+            row = rows[i]
+            if not row:
+                del rows[i]
+                continue
+            n = len(row) - 1
+            for j, x in row.items():
+                heappush(heap, (abs(x), n * (len(cols[j]) - 1), i, j))
+        for j in dirty_cols & cols.keys():
+            col = cols[j]
+            if not col:
+                del cols[j]
+                continue
+            n = len(col) - 1
+            for i in col:
+                if i not in dirty_rows:
+                    heappush(heap, (abs(rows[i][j]), (len(rows[i]) - 1) * n, i, j))
+        dirty_rows, dirty_cols = set(), set()
+        if not rows:
             break
-    return r
+        while repick:
+            a, cost, r, c = heappop(heap)
+            row = rows.get(r)
+            x = row.get(c) if row else None
+            repick = x is None or abs(x) != a or (len(row) - 1) * (len(cols[c]) - 1) != cost
+        repick = True
+        row_r = rows[r]
+        p = row_r[c]
+
+        others = [i for i in cols[c] if i != r]
+        for i in others:
+            q = rows[i][c] // p
+            _axpy(rows[i], row_r, -q, cols, i)
+            if track:
+                _axpy(u[i], u[r], -q)
+        dirty_rows.update(others)
+        dirty_rows.add(r)
+        dirty_cols.update(row_r)
+        if len(cols[c]) > 1:
+            continue
+
+        for j, x in list(row_r.items()):
+            if j != c:
+                q = x // p
+                if track:
+                    _axpy(v[j], v[c], -q)
+                if x - q * p:
+                    row_r[j] = x - q * p
+                else:
+                    del row_r[j]
+                    cols[j].discard(r)
+        if len(row_r) > 1:
+            continue
+
+        if p not in (1, -1):
+            offender = next(
+                (i for i, row in rows.items() if i != r and any(x % p for x in row.values())),
+                None,
+            )
+            if offender is not None:
+                _axpy(row_r, rows[offender], 1, cols, r)
+                if track:
+                    _axpy(u[r], u[offender], 1)
+                dirty_cols.update(row_r)
+                # Keep this pivot: its row now holds a non-multiple of p,
+                # which the row pass reduces to a remainder below |p|.
+                repick = False
+                continue
+
+        del rows[r]
+        cols[c].discard(r)
+        dirty_cols.add(c)
+        if track and p < 0:
+            u[r] = {k: -x for k, x in u[r].items()}
+        pivots.append((r, c))
+        factors.append(abs(p))
+
+    if not track:
+        return factors, None, None
+    row_order = [r for r, _ in pivots]
+    col_order = [c for _, c in pivots]
+    done_rows, done_cols = set(row_order), set(col_order)
+    row_order += [i for i in range(mat.rows) if i not in done_rows]
+    col_order += [j for j in range(mat.cols) if j not in done_cols]
+    u_mat = {(t, k): x for t, i in enumerate(row_order) for k, x in u[i].items()}
+    v_mat = {(k, t): x for t, j in enumerate(col_order) for k, x in v[j].items()}
+    return factors, IntMatrix(mat.rows, mat.rows, u_mat), IntMatrix(mat.cols, mat.cols, v_mat)
+
+
+def rank(mat: IntMatrix) -> int:
+    """Rank over the rationals: the number of nonzero invariant factors."""
+    return len(_eliminate(mat)[0])
 
 
 def det(mat: IntMatrix) -> int:

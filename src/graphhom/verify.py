@@ -167,6 +167,35 @@ def default_gamma(G: Multigraph) -> tuple[int, ...]:
     return tuple(range(G.edge_count - 1)) if G.edge_count else ()
 
 
+def run_checks(
+    G: Multigraph,
+    names: Iterable[str] = CHECK_NAMES,
+    sigma: Sequence[int] | None = None,
+    gamma: Iterable[int] | None = None,
+    max_edges: int = 12,
+) -> list[CheckReport]:
+    """The named checkers with canonical default inputs, in fixed name order.
+
+    Raises ValueError on a name outside CHECK_NAMES, before any check runs.
+    """
+    names = list(names)
+    unknown = [name for name in names if name not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    sigma = default_sigma(G) if sigma is None else tuple(sigma)
+    gamma = default_gamma(G) if gamma is None else tuple(gamma)
+    runners = {
+        "deletion_contraction": lambda: check_deletion_contraction(G),
+        "euler": lambda: check_euler(G, max_edges=max_edges),
+        "permutation_invariance": lambda: check_permutation_invariance(
+            G, sigma, max_edges=max_edges
+        ),
+        "projection": lambda: check_projection(G, gamma, max_edges=max_edges),
+        "retraction": lambda: check_retraction(G, max_edges=max_edges),
+    }
+    return [runners[name]() for name in CHECK_NAMES if name in names]
+
+
 def run_all_checks(
     G: Multigraph,
     sigma: Sequence[int] | None = None,
@@ -174,16 +203,7 @@ def run_all_checks(
     max_edges: int = 12,
 ) -> list[CheckReport]:
     """All five checkers with canonical default inputs, in fixed name order."""
-    sigma = default_sigma(G) if sigma is None else tuple(sigma)
-    gamma = default_gamma(G) if gamma is None else tuple(gamma)
-    reports = {
-        "deletion_contraction": check_deletion_contraction(G),
-        "euler": check_euler(G, max_edges=max_edges),
-        "permutation_invariance": check_permutation_invariance(G, sigma, max_edges=max_edges),
-        "projection": check_projection(G, gamma, max_edges=max_edges),
-        "retraction": check_retraction(G, max_edges=max_edges),
-    }
-    return [reports[name] for name in CHECK_NAMES]
+    return run_checks(G, CHECK_NAMES, sigma, gamma, max_edges)
 
 
 def corpus_graphs() -> list[Multigraph]:

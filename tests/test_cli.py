@@ -3,6 +3,7 @@ import json
 import pytest
 
 import graphhom.cli
+import graphhom.verify
 from graphhom.cli import run
 from graphhom.verify import CheckReport
 
@@ -100,7 +101,7 @@ def test_check_only_selection(triangle_path, capsys):
 
 def test_check_failure_exit_code(bigon_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        graphhom.cli,
+        graphhom.verify,
         "check_euler",
         lambda G, max_edges=12: CheckReport("euler", False, "synthetic failure"),
         raising=True,
@@ -150,7 +151,7 @@ def test_oversized_complex_is_exit_1(tmp_path, capsys):
         for command in ("cohomology", "dump"):
             assert run([command, "--variant", "yamada", "--input", str(path)]) == 1
             err = capsys.readouterr().err
-            assert f"rank {rank}," in err
+            assert f"rank at least {rank}," in err
 
 
 def test_missing_file_is_exit_1(capsys):

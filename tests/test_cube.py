@@ -21,6 +21,7 @@ from graphhom.multigraph import (
     bigon,
     bouquet_graph,
     build,
+    cycle_graph,
     state_stats,
     tree_graph,
     triangle,
@@ -190,8 +191,6 @@ def test_random_complexes_build_and_match_euler(G):
 
 
 def test_six_edge_cycle_builds_and_matches_euler():
-    from graphhom.multigraph import cycle_graph
-
     G = cycle_graph(6)
     cx = build_complex(G, "yamada")
     assert graded_euler(cx) == g_polynomials(G)[1]
@@ -307,6 +306,17 @@ def test_build_complex_refuses_oversized_chain_rank(monkeypatch):
         build_complex(build(64, []), "yamada")
     with pytest.raises(ValueError, match=str(2 * 5**12)):
         build_complex(bouquet_graph(12), "yamada")
-    with pytest.raises(ValueError, match="at least 2\\^21"):
+    with pytest.raises(ValueError, match=f"at least {2 * 3**21},"):
         build_complex(bouquet_graph(21), "tutte", max_edges=21)
     assert 2 * 5**12 > MAX_CHAIN_RANK
+
+
+def test_build_complex_refuses_before_enumerating_states(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized complex must be refused before any state is examined")
+
+    monkeypatch.setattr(cube, "state_stats", never)
+    with pytest.raises(ValueError, match=f"at least {2 * 3**16},"):
+        build_complex(bouquet_graph(16), "tutte", max_edges=16)
+    with pytest.raises(ValueError, match="rank at least"):
+        build_complex(cycle_graph(18), "tutte", max_edges=18)

@@ -1,9 +1,10 @@
 """Regression guards for the complex builder.
 
 The sha256 digests pin the exact bytes that `dump` and `cohomology --json`
-print, so any change to basis order, signs, block layout or cohomology shows
-up here. The corruption tests prove that `build_complex` still runs both of
-its run-time verifications (bidegree preservation and d^2 = 0).
+print, and the cohomology tables of the whole corpus, so any change to basis
+order, signs, block layout or cohomology (torsion included) shows up here.
+The corruption tests prove that `build_complex` still runs both of its
+run-time verifications (bidegree preservation and d^2 = 0).
 """
 
 import hashlib
@@ -20,6 +21,7 @@ GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
 # A loop, a parallel pair, a merge with a bystander component and an isolated vertex.
 MIXED = {"vertices": 5, "edges": [[0, 1], [1, 2], [2, 0], [2, 2], [1, 2]]}
+K4 = {"vertices": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}
 
 DIGESTS = {
     ("bigon", "dump", "yamada"): "d83ddc9ed9b501c50f5b0f3f89e308c24c7fa1a465beeb94c0b649c375c8487d",
@@ -38,13 +40,24 @@ DIGESTS = {
     ("mixed", "dump", "tutte"): "3fb0c8299b54ddc5a09fb63cff318e0b91638f625dc7b4b4b9a4858688b24667",
     ("mixed", "cohomology", "yamada"): "7394632c8a26cb89422cec334e52660c9491ae5b653bb6608b02fda3d04b9c23",
     ("mixed", "cohomology", "tutte"): "87baad9f7eadae9720184a9b19be91bfae88c80487c9f249192394cd8d57e957",
+    ("K4", "cohomology", "yamada"): "74e85f3ceefe21c8c771fd9c9b4d0d5c6e767ed0d562cf1e38c69c66a3968143",
+    ("cycle6", "cohomology", "yamada"): "8b4712cb4564502cffa8a05aad1dfa29b2a5a75365211e1df8376f31e31f4820",
 }
+
+# sha256 over the JSON tables of every corpus graph, yamada then tutte per graph:
+# pins the corpus torsion (thirty Z/2 factors), which Euler characteristics cannot see.
+CORPUS_TABLES_DIGEST = "415357bade4b1bde10106dae4ab913e0c405ea27f15be3cf2c259060510c1058"
 
 
 def _graph_path(name, tmp_path):
     if name in ("bigon", "triangle"):
         return str(GRAPHS / f"{name}.json")
-    data = to_json_dict(cycle_graph(5)) if name == "cycle5" else MIXED
+    data = {
+        "cycle5": to_json_dict(cycle_graph(5)),
+        "cycle6": to_json_dict(cycle_graph(6)),
+        "K4": K4,
+        "mixed": MIXED,
+    }[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
     return str(path)
@@ -58,6 +71,15 @@ def test_output_digest(name, command, variant, tmp_path, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, command, variant)]
+
+
+def test_corpus_tables_digest(corpus, table_of):
+    digest = hashlib.sha256()
+    for G in corpus:
+        for variant in ("yamada", "tutte"):
+            table = table_of(G, variant)
+            digest.update(json.dumps(table.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == CORPUS_TABLES_DIGEST
 
 
 def _corrupt_first_edge_map(monkeypatch, add=None, drop=None):

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphhom.cube import build_complex, graded_euler, phi_psi
 from graphhom.homology import (
@@ -13,8 +16,8 @@ from graphhom.homology import (
 )
 from graphhom.invariants import g_polynomials
 from graphhom.laurent import BivariateLaurent
-from graphhom.matrices import IntMatrix, rank
-from graphhom.multigraph import bigon, build, tree_graph, triangle
+from graphhom.matrices import IntMatrix, _eliminate, rank
+from graphhom.multigraph import Multigraph, bigon, build, cycle_graph, tree_graph, triangle
 
 P = BivariateLaurent
 
@@ -38,6 +41,48 @@ BIGON_TUTTE = {
 BIGON_EULER = P(
     {(1, 0): 1, (2, 0): 2, (3, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 3, (3, 1): 1}
 )
+
+
+def _rank_over_q(mat):
+    """Reference rank: Gaussian elimination over the rationals."""
+    a = [[Fraction(v) for v in row] for row in mat.to_rows()]
+    r = 0
+    for c in range(mat.cols):
+        piv = next((i for i in range(r, mat.rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, mat.rows):
+            f = a[i][c] / a[r][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def _rank_mod_p(mat, p):
+    """Reference rank over F_p: row echelon form kept as one reduced row
+    per leading column."""
+    rows = {}
+    for r, c, v in mat.sorted_entries():
+        rows.setdefault(r, {})[c] = v
+    echelon = {}
+    for entries in rows.values():
+        row = {c: v % p for c, v in entries.items() if v % p}
+        while row:
+            lead = min(row)
+            if lead not in echelon:
+                inv = pow(row[lead], -1, p)
+                echelon[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in echelon[lead].items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(echelon)
 
 
 def test_snf_identity():
@@ -77,7 +122,52 @@ def test_snf_random_matrices_seeded():
         )
         res = smith_normal_form(mat)
         verify_snf(mat, res)
-        assert res.rank == rank(mat)
+        assert res.rank == rank(mat) == _rank_over_q(mat)
+
+
+@st.composite
+def sparse_unit_heavy_matrices(draw):
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 12))
+    value = st.sampled_from([0] * 10 + [1, -1] * 4 + [2, -2, 3, -3])
+    dense = [[draw(value) for _ in range(n)] for _ in range(m)]
+    for r in draw(st.sets(st.integers(0, 11), max_size=3)):
+        if r < m:
+            dense[r] = [0] * n
+    for c in draw(st.sets(st.integers(0, 11), max_size=3)):
+        if c < n:
+            for row in dense:
+                row[c] = 0
+    return IntMatrix.from_rows(dense, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_unit_heavy_matrices())
+def test_snf_property_on_sparse_unit_heavy_matrices(mat):
+    res = smith_normal_form(mat)
+    verify_snf(mat, res)
+    assert list(res.invariant_factors) == _eliminate(mat)[0]
+    assert rank(mat) == _rank_over_q(mat)
+
+
+def test_rank_mod_p_counts_factors_prime_to_p(corpus, complex_of):
+    # rank over F_p = rank over Q - #(invariant factors divisible by p), for p = 2, 3
+    k4 = Multigraph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+    complexes = [complex_of(G, variant) for G in corpus for variant in ("yamada", "tutte")]
+    complexes += [complex_of(k4, "yamada"), complex_of(cycle_graph(6), "yamada")]
+    blocks = divisible_by_2 = 0
+    for cx in complexes:
+        for level in cx.blocks:
+            for block in level.values():
+                if block.is_zero():
+                    continue
+                factors = _eliminate(block)[0]
+                for p in (2, 3):
+                    assert _rank_mod_p(block, p) == sum(1 for f in factors if f % p)
+                blocks += 1
+                divisible_by_2 += sum(1 for f in factors if f % 2 == 0)
+    assert blocks
+    assert divisible_by_2  # the corpus has Z/2 torsion
 
 
 def test_verify_snf_catches_forgeries():
