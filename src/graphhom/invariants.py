@@ -6,6 +6,10 @@ five-coefficient recursion determined by (A, B, C, D, E), closed forms
 for trees, bouquets, multi-edges and cycles, the classical
 specializations (Tutte, chromatic, flow, Negami, and the state sum
 itself), and a brute-force proper-coloring oracle.
+
+The state sums read only how many states have each (|S|, b0), taken from
+`multigraph.state_histogram`, with b1 = |S| - |V| + b0. The recursion
+memoizes the minors it meets, for the length of one call.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .laurent import ONE, X, Y, ZERO, BivariateLaurent, geometric_sum, substitute_shift
-from .multigraph import Multigraph, all_states, classify_edge, reduce, state_stats
+from .multigraph import Multigraph, classify_edge, reduce, state_histogram
 
 FamilyKind = Literal["tree", "bouquet", "multiedge", "cycle"]
 SpecializationName = Literal["tutte", "chromatic", "flow", "negami", "yamada"]
@@ -47,13 +51,11 @@ class InvariantParams:
 
 def yamada_state_sum(G: Multigraph) -> BivariateLaurent:
     """h(G; x, y): sum over S of (-x)^(|S|-|E|) x^b0([G:S]) y^b1([G:S])."""
-    n = G.edge_count
+    n, V = G.edge_count, G.vertex_count
     out: dict[tuple[int, int], int] = {}
-    for S in all_states(G):
-        st = state_stats(G, S)
-        sign = -1 if (n - S.size()) % 2 else 1
-        key = (S.size() - n + st.b0, st.b1)
-        out[key] = out.get(key, 0) + sign
+    for (size, b0), count in state_histogram(G).items():
+        key = (size - n + b0, size - V + b0)
+        out[key] = out.get(key, 0) + (-count if (n - size) % 2 else count)
     return BivariateLaurent(out)
 
 
@@ -63,12 +65,11 @@ def g_polynomials(G: Multigraph) -> tuple[BivariateLaurent, BivariateLaurent]:
     g~ = sum over S of (-1)^|S| x^(|S|+b0) y^b1 has nonnegative exponents
     by construction; that is asserted before shifting.
     """
+    V = G.vertex_count
     out: dict[tuple[int, int], int] = {}
-    for S in all_states(G):
-        st = state_stats(G, S)
-        sign = -1 if S.size() % 2 else 1
-        key = (S.size() + st.b0, st.b1)
-        out[key] = out.get(key, 0) + sign
+    for (size, b0), count in state_histogram(G).items():
+        key = (size + b0, size - V + b0)
+        out[key] = out.get(key, 0) + (-count if size % 2 else count)
     g_tilde = BivariateLaurent(out)
     assert not g_tilde.has_negative_exponents()
     return g_tilde, substitute_shift(g_tilde)
@@ -81,17 +82,33 @@ def eval_del_con(G: Multigraph, params: InvariantParams) -> BivariateLaurent:
     an isthmus as c*d*f(G/e). A graph with no edges is worth c^(-|V|):
     the single vertex must be c^(-1) for consistency with the one-edge
     base cases, and the value is multiplicative over disjoint unions.
+
+    The recursion always reduces edge 0, so its value is a function of
+    the exact Multigraph; minors reached along several branches are
+    evaluated once, from a memo that lives for this call only.
     """
-    if G.edge_count == 0:
-        return params.c_inverse ** G.vertex_count
-    kind = classify_edge(G, 0)
-    if kind == "loop":
-        return params.c * params.e * eval_del_con(reduce(G, 0, "delete"), params)
-    if kind == "isthmus":
-        return params.c * params.d * eval_del_con(reduce(G, 0, "contract"), params)
-    return params.a * eval_del_con(reduce(G, 0, "contract"), params) + params.b * eval_del_con(
-        reduce(G, 0, "delete"), params
-    )
+    memo: dict[Multigraph, BivariateLaurent] = {}
+
+    def value(H: Multigraph) -> BivariateLaurent:
+        cached = memo.get(H)
+        if cached is not None:
+            return cached
+        if H.edge_count == 0:
+            result = params.c_inverse ** H.vertex_count
+        else:
+            kind = classify_edge(H, 0)
+            if kind == "loop":
+                result = params.c * params.e * value(reduce(H, 0, "delete"))
+            elif kind == "isthmus":
+                result = params.c * params.d * value(reduce(H, 0, "contract"))
+            else:
+                result = params.a * value(reduce(H, 0, "contract")) + params.b * value(
+                    reduce(H, 0, "delete")
+                )
+        memo[H] = result
+        return result
+
+    return value(G)
 
 
 def closed_form(kind: FamilyKind, n: int, params: InvariantParams) -> BivariateLaurent:

@@ -4,6 +4,11 @@ Loops and parallel edges are allowed, and the position of an edge in the
 edge list is part of the graph's identity: the state cube, the signs of
 the differentials and every serialized artifact index edges by that
 position. Two graphs with permuted edge lists are different values.
+
+Two views of the state cube: `state_stats` gives the components of one
+state, which the complex builder needs for its tensor slots;
+`state_histogram` counts all states by (|S|, b0) in one sweep, which is
+all that the state sums need.
 """
 
 from __future__ import annotations
@@ -142,17 +147,83 @@ def state_stats(G: Multigraph, S: StateSubset) -> StateStats:
     return StateStats(b0, b1, components)
 
 
+def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:
+    """How many states S of G have each value of (|S|, b0([G:S])).
+
+    One depth-first pass over the edges in order, each edge first left
+    out and then put in, visits all 2^|E| states. The components live in
+    a union-find (union by size, no path compression) whose unions are
+    undone on the way back, so a state costs O(log V) on top of its
+    parent. Only edge endpoints enter the union-find; every other vertex
+    is its own component in every state and adds a constant to b0.
+    """
+    ends = sorted({w for edge in G.edges for w in edge})
+    index = {w: i for i, w in enumerate(ends)}
+    edges = [(index[u], index[v]) for u, v in G.edges]
+    n = len(edges)
+    parent = list(range(len(ends)))
+    weight = [1] * len(ends)
+    counts = [[0] * (len(ends) + 1) for _ in range(n + 1)]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def sweep(i: int, size: int, b0: int) -> None:
+        if i == n:
+            counts[size][b0] += 1
+            return
+        sweep(i + 1, size, b0)
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            sweep(i + 1, size + 1, b0)
+            return
+        if weight[ru] < weight[rv]:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        weight[ru] += weight[rv]
+        sweep(i + 1, size + 1, b0 - 1)
+        weight[ru] -= weight[rv]
+        parent[rv] = rv
+
+    sweep(0, 0, len(ends))
+    isolated = G.vertex_count - len(ends)
+    return {
+        (size, b0 + isolated): c
+        for size, row in enumerate(counts)
+        for b0, c in enumerate(row)
+        if c
+    }
+
+
 def classify_edge(G: Multigraph, e: int) -> EdgeKind:
-    """loop / isthmus / ordinary, per deletion of e from the full graph."""
+    """loop / isthmus / ordinary, per deletion of e from the full graph.
+
+    A non-loop edge is an isthmus exactly when deleting it disconnects its
+    endpoints, so one search of G - e from u decides it in O(|E|).
+    """
     if not 0 <= e < G.edge_count:
         raise IndexError(f"edge index {e} out of range")
     u, v = G.edges[e]
     if u == v:
         return "loop"
-    full = StateSubset.full(G.edge_count)
-    before = state_stats(G, full).b0
-    after = state_stats(G, full.remove(e)).b0
-    return "isthmus" if after > before else "ordinary"
+    neighbours: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(G.edges):
+        if i != e:
+            neighbours.setdefault(a, []).append(b)
+            neighbours.setdefault(b, []).append(a)
+    seen = {u}
+    stack = [u]
+    while stack:
+        for w in neighbours.get(stack.pop(), ()):
+            if w == v:
+                return "ordinary"
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return "isthmus"
 
 
 def reduce(G: Multigraph, e: int, mode: Literal["delete", "contract"]) -> Multigraph:

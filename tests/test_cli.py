@@ -5,6 +5,7 @@ import pytest
 import graphhom.cli
 import graphhom.verify
 from graphhom.cli import run
+from graphhom.laurent import X, BivariateLaurent
 from graphhom.verify import CheckReport
 
 
@@ -51,6 +52,33 @@ def test_poly_negami_t_guard(bigon_path, capsys):
     capsys.readouterr()
     assert run(["poly", "--which", "negami", "--negami-t", "2", "--input", bigon_path]) == 1
     assert "negami" in capsys.readouterr().err
+
+
+# The 12-edge loopless multigraph of the poly golden digests, on 6 vertices.
+MULTI12_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0],
+                 [0, 1], [2, 3], [4, 5], [0, 3], [1, 4], [2, 5]]
+
+
+def _poly(which, vertices, edges, tmp_path, capsys):
+    path = tmp_path / f"graph{vertices}.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    assert run(["poly", "--which", which, "--input", str(path), "--json"]) == 0
+    return BivariateLaurent.from_json_dict(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("which,extra", [("yamada", 100_000), ("chromatic", 100_000), ("g", 40)])
+def test_poly_isolated_vertices_cost_nothing(which, extra, tmp_path, capsys):
+    """Isolated vertices multiply h and the chromatic polynomial by x^k and g by
+    (1+t)^k. The endpoints are spread over the labels so the extra vertices fall
+    between them. g(G + k points) has terms t^i for every i up to k + |V(G)|, with
+    coefficients up to C(k, k/2), so its row uses a small k: the size of the
+    answer grows with k, not the cost of the state sum."""
+    step = 1 + extra // 5
+    spread = [[step * u, step * v] for u, v in MULTI12_EDGES]
+    small = _poly(which, 6, MULTI12_EDGES, tmp_path, capsys)
+    large = _poly(which, 6 + extra, spread, tmp_path, capsys)
+    factor = (X + 1) ** extra if which == "g" else X ** extra
+    assert large == factor * small
 
 
 def test_cohomology_human(bigon_path, capsys):

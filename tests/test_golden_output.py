@@ -1,8 +1,9 @@
-"""Regression guards for the complex builder.
+"""Regression guards for the complex builder and the polynomials.
 
-The sha256 digests pin the exact bytes that `dump` and `cohomology --json`
-print, and the cohomology tables of the whole corpus, so any change to basis
-order, signs, block layout or cohomology (torsion included) shows up here.
+The sha256 digests pin the exact bytes that `dump`, `cohomology --json` and
+`poly --json` print, and the cohomology tables of the whole corpus, so any
+change to basis order, signs, block layout, cohomology (torsion included) or
+to a polynomial shows up here.
 The corruption tests prove that `build_complex` still runs both of its
 run-time verifications (bidegree preservation and d^2 = 0).
 """
@@ -22,6 +23,12 @@ GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 # A loop, a parallel pair, a merge with a bystander component and an isolated vertex.
 MIXED = {"vertices": 5, "edges": [[0, 1], [1, 2], [2, 0], [2, 2], [1, 2]]}
 K4 = {"vertices": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}
+# Loopless, 12 edges: a hexagon, three doubled sides and the three long diagonals.
+MULTI12 = {
+    "vertices": 6,
+    "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0],
+              [0, 1], [2, 3], [4, 5], [0, 3], [1, 4], [2, 5]],
+}
 
 DIGESTS = {
     ("bigon", "dump", "yamada"): "d83ddc9ed9b501c50f5b0f3f89e308c24c7fa1a465beeb94c0b649c375c8487d",
@@ -44,6 +51,45 @@ DIGESTS = {
     ("cycle6", "cohomology", "yamada"): "8b4712cb4564502cffa8a05aad1dfa29b2a5a75365211e1df8376f31e31f4820",
 }
 
+POLY_DIGESTS = {
+    ("bigon", "yamada"): "2e896845fbe61205c80242b9a62d34684af65f9d195273d6d5984919afd5255f",
+    ("bigon", "g"): "fa0fc0144e1e3180df39261a7d0fadacf8ddf0e172d02ae129e2dbe3bd0f8127",
+    ("bigon", "tutte"): "b37d95b77af1e7d2a2dfa1f66fef618444378201659102c3331f5a9226d62efb",
+    ("bigon", "chromatic"): "907b5ad33193a9350b42e4dd3aac386812e396825f735e6c64d72a7806d97cee",
+    ("bigon", "flow"): "665e46da2360295ea6c78710185c0176828cebb0a207a16a2eec13abb0d79299",
+    ("bigon", "negami"): "936a27dd1e234e018f48ada79ee59dc6de8292f1ad9fcc52774c07c6b37302d4",
+    ("triangle", "yamada"): "2e896845fbe61205c80242b9a62d34684af65f9d195273d6d5984919afd5255f",
+    ("triangle", "g"): "85ac616b069d1a2e871415f52b8bc5097e2afd404531bf257f4cc6dccf04828d",
+    ("triangle", "tutte"): "1db846257f4e17959d07854c5861f8dc9b7328484674b4fcb4983598252bcf89",
+    ("triangle", "chromatic"): "4a28cbbf7b0dcf4e295446cc1d7076a5717f40140e56597ad9c4f9b1fbc212e8",
+    ("triangle", "flow"): "665e46da2360295ea6c78710185c0176828cebb0a207a16a2eec13abb0d79299",
+    ("triangle", "negami"): "879f64a7c11b85a7d11a00d7d79026e0256a8dde94f9b402cb78279cd9c7d855",
+    ("cycle5", "yamada"): "2e896845fbe61205c80242b9a62d34684af65f9d195273d6d5984919afd5255f",
+    ("cycle5", "g"): "2aa702aeea92467dc6dfae87ab3ea797939be708a1c0a507e565f9a0c4a2c376",
+    ("cycle5", "tutte"): "786b9579e31ded6c4ddcf364ee8a455aa1664ff71aedaf704b442be0ad07c6c3",
+    ("cycle5", "chromatic"): "dbcb39a5995f59b5ad1fdc37f1b11de4d25f3239b2aa4c4d350cfb5121922e58",
+    ("cycle5", "flow"): "665e46da2360295ea6c78710185c0176828cebb0a207a16a2eec13abb0d79299",
+    ("cycle5", "negami"): "98209d786359d6265ac9058dabd0b258754a9476226e9c3869c75cac4595b3ad",
+    ("mixed", "yamada"): "2ffa2489db35c4cb9db996f4f22f3e5ce7f07bc29e1be3630c76c4ce608030e0",
+    ("mixed", "g"): "7c97ee7a6e737f6c6ab88cf492afd691052904839734b226613fa9528e35676d",
+    ("mixed", "tutte"): "b92e91ed81c3797d1fafb59879b6a2e499eb1ba27f82fe98ff4b6d1650e435f0",
+    ("mixed", "chromatic"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("mixed", "flow"): "e7d0dac79c873c7637b30df691bcf5a58f4e039562636845a593306c52114971",
+    ("mixed", "negami"): "98209d786359d6265ac9058dabd0b258754a9476226e9c3869c75cac4595b3ad",
+    ("K4", "yamada"): "fd155635610da83d9f913fcb24aab94fa5d32918b77a6b8039dce96ce4f90ae4",
+    ("K4", "g"): "2e73f98c032542f3a129530cd8149bf12464469f30cdd66a982831b1b228783d",
+    ("K4", "tutte"): "d54872e656d15d2965fa5baeea3540108cfe975c279cd9c0671f7e019684c44c",
+    ("K4", "chromatic"): "7355d082b7628e635325b49a3400120281d6f0ce96575898cee95698567cd68b",
+    ("K4", "flow"): "aedccc2cd6715a0b4d7a95e2baf48ef84bc8f0d675ed19ff50b58add706c02a2",
+    ("K4", "negami"): "275b7eb8d37ed2d1702f1a97cd262cab0a316525a9dc02e72caa9d2e07ab77a1",
+    ("multi12", "yamada"): "81edc33a40b0722f124df3e6c0ac912cb8adfb956d82d652452b34427474c791",
+    ("multi12", "g"): "b57ecd218923ac1e14f2391cacf723a88f3895a278bbc39572bf30840ba0b672",
+    ("multi12", "tutte"): "3c127a5b6c7d86b81de2186167304c4fb70059996f12704187ad09dd8483b97e",
+    ("multi12", "chromatic"): "259179b29f74492890680da5639da5f62818ec6ce84265046f897ddac176dcaf",
+    ("multi12", "flow"): "cbb62a6456cb5cbe7ab95a93d4a21991579017ab8964428d8258a19100d22722",
+    ("multi12", "negami"): "667f50a80cf4c4f39d75e6905017a0e1b1b71d31b28cb83a43b2801f6fdab34e",
+}
+
 # sha256 over the JSON tables of every corpus graph, yamada then tutte per graph:
 # pins the corpus torsion (thirty Z/2 factors), which Euler characteristics cannot see.
 CORPUS_TABLES_DIGEST = "415357bade4b1bde10106dae4ab913e0c405ea27f15be3cf2c259060510c1058"
@@ -57,6 +103,7 @@ def _graph_path(name, tmp_path):
         "cycle6": to_json_dict(cycle_graph(6)),
         "K4": K4,
         "mixed": MIXED,
+        "multi12": MULTI12,
     }[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
@@ -71,6 +118,13 @@ def test_output_digest(name, command, variant, tmp_path, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, command, variant)]
+
+
+@pytest.mark.parametrize("name,which", sorted(POLY_DIGESTS))
+def test_poly_digest(name, which, tmp_path, capsys):
+    assert run(["poly", "--which", which, "--input", _graph_path(name, tmp_path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POLY_DIGESTS[(name, which)]
 
 
 def test_corpus_tables_digest(corpus, table_of):

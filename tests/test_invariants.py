@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphhom.invariants import (
     InvariantParams,
@@ -15,8 +17,10 @@ from graphhom.multigraph import (
     bigon,
     bouquet_graph,
     build,
+    classify_edge,
     cycle_graph,
     multiedge_graph,
+    reduce,
     tree_graph,
     triangle,
 )
@@ -92,6 +96,38 @@ def test_eval_del_con_matches_state_sum_on_samples():
     yam = ROWS["yamada"]
     for G in (bigon(), triangle(), bouquet_graph(3), multiedge_graph(3), tree_graph(3)):
         assert eval_del_con(G, yam) == yamada_state_sum(G)
+
+
+def _eval_del_con_uncached(G, params):
+    """The deletion-contraction recursion with no memo, as a reference."""
+    if G.edge_count == 0:
+        return params.c_inverse ** G.vertex_count
+    kind = classify_edge(G, 0)
+    if kind == "loop":
+        return params.c * params.e * _eval_del_con_uncached(reduce(G, 0, "delete"), params)
+    if kind == "isthmus":
+        return params.c * params.d * _eval_del_con_uncached(reduce(G, 0, "contract"), params)
+    return params.a * _eval_del_con_uncached(
+        reduce(G, 0, "contract"), params
+    ) + params.b * _eval_del_con_uncached(reduce(G, 0, "delete"), params)
+
+
+@st.composite
+def multigraphs(draw, max_vertices=5, max_edges=8):
+    """Loops, parallel edges and isolated vertices; the empty graph too."""
+    v = draw(st.integers(0, max_vertices))
+    if not v:
+        return Multigraph(0, ())
+    endpoint = st.integers(0, v - 1)
+    m = draw(st.integers(0, max_edges))
+    return Multigraph(v, tuple((draw(endpoint), draw(endpoint)) for _ in range(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs())
+def test_memoized_eval_del_con_matches_uncached_recursion(G):
+    for row in ROWS.values():
+        assert eval_del_con(G, row) == _eval_del_con_uncached(G, row)
 
 
 def test_chromatic_row_known_values():
@@ -219,8 +255,6 @@ def test_wedge_multiplicativity(name):
 
 
 def test_deletion_contraction_axiom_for_state_sum():
-    from graphhom.multigraph import classify_edge, reduce
-
     for G in (bigon(), triangle(), multiedge_graph(3)):
         h = yamada_state_sum(G)
         for e in range(G.edge_count):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from graphhom.multigraph import (
     multiedge_graph,
     permute_edges,
     reduce,
+    state_histogram,
     state_stats,
     to_json_dict,
     tree_graph,
@@ -23,9 +26,9 @@ from graphhom.multigraph import (
 
 
 @st.composite
-def small_graphs(draw, max_vertices=4, max_edges=5):
-    v = draw(st.integers(1, max_vertices))
-    m = draw(st.integers(0, max_edges))
+def small_graphs(draw, max_vertices=4, max_edges=5, min_vertices=1):
+    v = draw(st.integers(min_vertices, max_vertices))
+    m = draw(st.integers(0, max_edges)) if v else 0
     edges = tuple(
         (draw(st.integers(0, v - 1)), draw(st.integers(0, v - 1))) for _ in range(m)
     )
@@ -98,6 +101,38 @@ def test_reduce_examples():
 def test_reduce_keeps_isolated_vertices():
     G = build(2, [(0, 1)])
     assert reduce(G, 0, "delete") == Multigraph(2, ())
+
+
+def test_classify_edge_matches_b0_definition(corpus):
+    """The reachability test agrees with comparing b0 of E and E - e."""
+    for G in corpus:
+        full = StateSubset.full(G.edge_count)
+        before = state_stats(G, full).b0
+        for e in range(G.edge_count):
+            u, v = G.edges[e]
+            if u == v:
+                expected = "loop"
+            elif state_stats(G, full.remove(e)).b0 > before:
+                expected = "isthmus"
+            else:
+                expected = "ordinary"
+            assert classify_edge(G, e) == expected
+
+
+def test_state_histogram_examples():
+    assert state_histogram(build(0, [])) == {(0, 0): 1}
+    assert state_histogram(build(3, [])) == {(0, 3): 1}
+    assert state_histogram(bigon()) == {(0, 2): 1, (1, 1): 2, (2, 1): 1}
+    assert state_histogram(bouquet_graph(2)) == {(0, 1): 1, (1, 1): 2, (2, 1): 1}
+    # the endpoints sit far apart in the labels; the other vertices only add to b0
+    assert state_histogram(build(1000, [(999, 3)])) == {(0, 1000): 1, (1, 999): 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(min_vertices=0, max_vertices=5, max_edges=8))
+def test_state_histogram_matches_state_stats(G):
+    expected = Counter((S.size(), state_stats(G, S).b0) for S in all_states(G))
+    assert state_histogram(G) == expected
 
 
 def test_isthmus_deletion_increases_b0():
