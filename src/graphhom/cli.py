@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cube import build_complex
 from .homology import cohomology
@@ -31,7 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later `run` calls:
+    parsing keeps no state in it."""
     parser = _Parser(
         prog="graphhom",
         description="Exact graph polynomials and bigraded graph cohomology.",

@@ -7,7 +7,10 @@ Z[w]/(w^2), one per independent cycle. Corresponding cube edges carry
 per-edge maps (unit insertion, component multiplication, cycle-factor
 insertion); with the usual alternating signs these assemble into a
 differential that preserves the bidegree and squares to zero, which
-`build_complex` verifies on every run.
+`build_complex` verifies on every run: the bidegree on every entry as
+it is written into its per-bidegree block, and d^2 = 0 one square face
+of the cube at a time. The blocks are the only stored form of the
+differential.
 
 A basis element of C^S picks 1 or the generator in every tensor slot, so
 it is a bitmask, and its index in C^S is that bitmask read as an integer:
@@ -22,6 +25,8 @@ matrix entry, so two runs (or two machines) produce identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import Iterable
 
 from .laurent import BivariateLaurent
@@ -36,22 +41,41 @@ VARIANTS = ("yamada", "tutte")
 MAX_CHAIN_RANK = 1 << 20
 
 
-def _chain_rank_floor(vertex_count: int, edge_count: int, yamada: bool) -> int:
-    """Lower bound on the total chain rank from (V, |E|, variant) alone.
+# A lower bound with more bits than this is stated as 2^m, its largest
+# term: the exact sum would take O(V)-bit integers to compute, and Python
+# refuses to print an integer of more than 4300 digits.
+_EXACT_FLOOR_BITS = 1024
+
+
+def _refuse_by_floor(vertex_count: int, edge_count: int, yamada: bool) -> None:
+    """Raise ValueError if the total chain rank is provably over the limit
+    from (V, |E|, variant) alone.
 
     A state with k edges has b0 >= max(1, V - k) components (b0 = 0 when
     V = 0) and b1 = k - V + b0 cycles, so rank C^S = 2^(lambda + b0 + b1),
     with lambda = k in the yamada variant and 0 in the tutte one, is at
-    least 2^(lambda + k - V + 2 * min b0). Summed over the C(|E|, k)
-    states of each size.
+    least 2^(lambda + k - V + 2 * min b0). The bound is the sum of that
+    over the C(|E|, k) states of each size. Its exponents are small
+    integers, and the sum has at most (largest exponent + |E| + 1) bits,
+    so it is only added up when that is at most `_EXACT_FLOOR_BITS`.
     """
-    total = 0
-    binom = 1  # C(edge_count, k)
-    for k in range(edge_count + 1):
-        b0 = max(min(vertex_count, 1), vertex_count - k)
-        total += binom << ((k if yamada else 0) + k - vertex_count + 2 * b0)
-        binom = binom * (edge_count - k) // (k + 1)
-    return total
+    exponents = [
+        (k if yamada else 0) + k - vertex_count + 2 * max(min(vertex_count, 1), vertex_count - k)
+        for k in range(edge_count + 1)
+    ]
+    top = max(exponents)
+    if top + edge_count > _EXACT_FLOOR_BITS:
+        # With V > 0, top is at least the exponents of k = 0 and k = |E|,
+        # V and |E| - V + 2, so top > _EXACT_FLOOR_BITS / 3 > log2 of the limit.
+        floor = f"2^{top}"
+    else:
+        total = sum(comb(edge_count, k) << x for k, x in enumerate(exponents))
+        if total <= MAX_CHAIN_RANK:
+            return
+        floor = str(total)
+    raise ValueError(
+        f"chain complex has rank at least {floor}, over the limit of {MAX_CHAIN_RANK}"
+    )
 
 
 def _check_variant(variant: str) -> None:
@@ -131,10 +155,14 @@ def per_edge_map(G: Multigraph, S: StateSubset, e: int, variant: str) -> IntMatr
 class BigradedComplex:
     """Cochain complex with per-height bidegrees and per-bidegree blocks.
 
-    `bidegrees[i][pos]` is the bidegree of basis element `pos` of C^i;
-    `differentials[i]` is the full signed map C^i -> C^(i+1);
-    `blocks[i][(j,k)]` its restriction to bidegree (j, k). Both are in
-    the global basis order fixed by the construction.
+    `bidegrees[i][pos]` is the bidegree of basis element `pos` of C^i and
+    `bidegree_index[i][(j,k)]` lists, in ascending order, the positions of
+    bidegree (j, k). `blocks[i][(j,k)]` is the signed differential
+    C^i -> C^(i+1) restricted to bidegree (j, k), row r and column c
+    standing for positions `bidegree_index[i+1][(j,k)][r]` and
+    `bidegree_index[i][(j,k)][c]`. The blocks are the only stored form of
+    the differential; `differentials` assembles the full maps from them
+    on request.
     """
 
     variant: str
@@ -142,7 +170,6 @@ class BigradedComplex:
     bidegrees: list[list[Bidegree]]
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
-    differentials: list[IntMatrix]
     bidegree_index: list[dict[Bidegree, list[int]]]
     blocks: list[dict[Bidegree, IntMatrix]]
 
@@ -155,8 +182,23 @@ class BigradedComplex:
             return len(self.bidegrees[i])
         return 0
 
+    @cached_property
+    def differentials(self) -> list[IntMatrix]:
+        """The full signed maps C^i -> C^(i+1) in the global basis order,
+        assembled from the blocks on first use and kept from then on."""
+        out = []
+        for i, level in enumerate(self.blocks):
+            row_index, col_index = self.bidegree_index[i + 1], self.bidegree_index[i]
+            entries: dict[tuple[int, int], int] = {}
+            for jk, block in level.items():
+                rows, cols = row_index.get(jk, []), col_index.get(jk, [])
+                for r, c, val in block.sorted_entries():
+                    entries[(rows[r], cols[c])] = val
+            out.append(IntMatrix(self.rank(i + 1), self.rank(i), entries))
+        return out
+
     def differential(self, i: int) -> IntMatrix:
-        if 0 <= i < len(self.differentials):
+        if 0 <= i < len(self.blocks):
             return self.differentials[i]
         return IntMatrix.zeros(self.rank(i + 1), self.rank(i))
 
@@ -183,7 +225,7 @@ class BigradedComplex:
     def blocks_json(self, height: int | None = None) -> list[dict]:
         """Per-height, per-bidegree matrices, entries sorted by (row, col)."""
         out = []
-        for i in range(len(self.differentials)):
+        for i in range(len(self.blocks)):
             if height is not None and i != height:
                 continue
             jks = set(self.bidegree_index[i]) | set(self.bidegree_index[i + 1])
@@ -201,24 +243,56 @@ class BigradedComplex:
         return out
 
 
+def _check_faces(
+    masks: list[int],
+    n: int,
+    below: dict[tuple[int, int], tuple[int, list[int]]],
+    above: dict[tuple[int, int], tuple[int, list[int]]],
+    i: int,
+) -> None:
+    """Raise unless every square face from height i - 1 to i + 1 anticommutes.
+
+    `below` and `above` hold the signed per-edge maps out of heights i - 1
+    and i as target arrays. The piece S -> S+e+f of d^i d^(i-1) is the sum
+    of the two paths round the face; each path sends x to at most one
+    element, with the product of its signs. So the piece is zero exactly
+    when both paths send every x to the same element (or both kill it)
+    and, unless every x is killed, the two sign products are opposite.
+    """
+    for mask in masks:
+        free = [e for e in range(n) if not mask >> e & 1]
+        for t, e in enumerate(free):
+            sign_a, a = below[(mask, e)]
+            for f in free[t + 1 :]:
+                sign_b, b = above[(mask | 1 << e, f)]
+                sign_c, c = below[(mask, f)]
+                sign_d, d = above[(mask | 1 << f, e)]
+                ab = list(map(b.__getitem__, a))
+                if ab != list(map(d.__getitem__, c)) or (
+                    sign_a * sign_b == sign_c * sign_d and max(ab) >= 0
+                ):
+                    raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
+
+
 def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedComplex:
-    """Assemble the full complex and verify d^2 = 0 and bidegree preservation.
+    """Assemble the complex into per-bidegree blocks and verify it.
 
     Refuses, before building anything, graphs over `max_edges` edges and
     complexes whose total chain rank exceeds `MAX_CHAIN_RANK`: first by a
     lower bound before any state is enumerated, then by the exact rank
-    before any basis is built.
+    before any basis is built. Heights are assembled in order. Each entry
+    is checked to preserve the bidegree as it is written into its block,
+    each per-edge map must be a partial function (every coefficient is 1),
+    and once height i is written, the faces from height i - 1 to i + 1 are
+    checked to anticommute (`_check_faces`). Any failure raises
+    RuntimeError.
     """
     _check_variant(variant)
     n = G.edge_count
     if n > max_edges:
         raise ValueError(f"graph has {n} edges, over the limit of {max_edges}")
     yamada = variant == "yamada"
-    floor = _chain_rank_floor(G.vertex_count, n, yamada)
-    if floor > MAX_CHAIN_RANK:
-        raise ValueError(
-            f"chain complex has rank at least {floor}, over the limit of {MAX_CHAIN_RANK}"
-        )
+    _refuse_by_floor(G.vertex_count, n, yamada)
 
     # Per state: (edge + component slots, cycle slots) and the component of each vertex.
     stats = [state_stats(G, S) for S in all_states(G)]
@@ -263,35 +337,41 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
         bidegree_index.append(index)
         block_pos.append(pos_i)
 
-    diffs: list[IntMatrix] = []
     blocks: list[dict[Bidegree, IntMatrix]] = []
+    below: dict[tuple[int, int], tuple[int, list[int]]] = {}
     for i in range(n):
-        entries: dict[tuple[int, int], int] = {}
+        row_bidegs, col_bidegs = bidegs[i + 1], bidegs[i]
+        row_pos, col_pos = block_pos[i + 1], block_pos[i]
+        block_entries: dict[Bidegree, dict[tuple[int, int], int]] = {
+            jk: {} for jk in set(bidegree_index[i]) | set(bidegree_index[i + 1])
+        }
+        # (mask, e) -> (sign, target of each source or -1 when it is killed).
+        # The extra trailing -1 lets a composite look up a killed element at
+        # index -1 and get -1 back.
+        maps: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for mask in masks_by_height[i]:
-            src_off = offsets[i][mask]
+            src_off, size = offsets[i][mask], sizes[i][mask]
             for e in range(n):
                 if mask >> e & 1:
                     continue
                 sign = -1 if (mask & ((1 << e) - 1)).bit_count() % 2 else 1
                 dst_off = offsets[i + 1][mask | 1 << e]
                 u, v = G.edges[e]
-                p, q = comp_of[mask][u], comp_of[mask][v]
-                for x, y in _edge_rule(mask, e, p, q, sizes[i][mask], yamada):
-                    entries[(dst_off + y, src_off + x)] = sign
-        diffs.append(IntMatrix(len(bidegs[i + 1]), len(bidegs[i]), entries))
-
-        block_entries: dict[Bidegree, dict[tuple[int, int], int]] = {
-            jk: {} for jk in set(bidegree_index[i]) | set(bidegree_index[i + 1])
-        }
-        row_bidegs, col_bidegs = bidegs[i + 1], bidegs[i]
-        row_pos, col_pos = block_pos[i + 1], block_pos[i]
-        for (r, c), val in entries.items():
-            jk = col_bidegs[c]
-            if row_bidegs[r] != jk:
-                raise RuntimeError(
-                    f"differential d^{i} does not preserve the bidegree at entry ({r},{c})"
-                )
-            block_entries[jk][(row_pos[r], col_pos[c])] = val
+                target = [-1] * (size + 1)
+                for x, y in _edge_rule(mask, e, comp_of[mask][u], comp_of[mask][v], size, yamada):
+                    r, c = dst_off + y, src_off + x
+                    jk = col_bidegs[c]
+                    if row_bidegs[r] != jk:
+                        raise RuntimeError(
+                            f"differential d^{i} does not preserve the bidegree at entry ({r},{c})"
+                        )
+                    if target[x] >= 0:
+                        raise RuntimeError(
+                            f"the map of edge {e} out of state {mask:#b} sends {x} to two targets"
+                        )
+                    target[x] = y
+                    block_entries[jk][(row_pos[r], col_pos[c])] = sign
+                maps[(mask, e)] = (sign, target)
         blocks.append(
             {
                 jk: IntMatrix(
@@ -301,10 +381,8 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
             }
         )
         if i > 0:
-            for jk, block in blocks[i].items():
-                below = blocks[i - 1].get(jk)
-                if below is not None and not (block @ below).is_zero():
-                    raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
+            _check_faces(masks_by_height[i - 1], n, below, maps, i)
+        below = maps
 
     return BigradedComplex(
         variant=variant,
@@ -312,7 +390,6 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
         bidegrees=bidegs,
         state_offsets=offsets,
         state_sizes=sizes,
-        differentials=diffs,
         bidegree_index=bidegree_index,
         blocks=blocks,
     )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,22 @@ def test_oversized_complex_is_exit_1(tmp_path, capsys):
             assert f"rank at least {rank}," in err
 
 
+@pytest.mark.parametrize("vertices", [10**6, 10**12])
+def test_huge_vertex_count_is_exit_1(vertices, tmp_path, capsys):
+    # the bound is stated as a power of two instead of an integer of V bits
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": [[0, 1]]}))
+    for argv in (
+        ["cohomology", "--variant", "yamada"],
+        ["dump", "--variant", "tutte"],
+        ["check", "--all"],
+    ):
+        assert run(argv + ["--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"rank at least 2^{vertices}," in captured.err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert run(["poly", "--which", "yamada", "--input", "/nonexistent.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -220,3 +240,40 @@ def test_byte_identical_reruns(bigon_path, capsys):
     first = capsys.readouterr().out
     run(["cohomology", "--variant", "yamada", "--input", bigon_path, "--json"])
     assert capsys.readouterr().out == first
+
+
+def test_parser_reuse_matches_fresh_parsers(bigon_path, capsys):
+    argvs = [
+        ["poly", "--which", "yamada", "--input", bigon_path],
+        ["poly", "--what", "yamada", "--input", bigon_path],
+        ["dump", "--input", bigon_path, "--variant", "tutte", "--height", "1"],
+    ]
+    shared = []
+    for argv in argvs:
+        code = run(argv)
+        shared.append((code, *capsys.readouterr()))
+    assert graphhom.cli._build_parser() is graphhom.cli._build_parser()
+    fresh = []
+    for argv in argvs:
+        graphhom.cli._build_parser.cache_clear()
+        code = run(argv)
+        fresh.append((code, *capsys.readouterr()))
+    assert [code for code, _, _ in shared] == [0, 1, 0]
+    assert shared == fresh
+
+
+def test_python_dash_m_runs_the_cli(bigon_path, capsys):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+    def module(*argv):
+        command = [sys.executable, "-m", "graphhom", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+    argv = ["poly", "--which", "yamada", "--input", bigon_path]
+    proc = module(*argv)
+    assert run(argv) == 0
+    assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
+    proc = module("poly")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")

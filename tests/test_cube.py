@@ -320,3 +320,19 @@ def test_build_complex_refuses_before_enumerating_states(monkeypatch):
         build_complex(bouquet_graph(16), "tutte", max_edges=16)
     with pytest.raises(ValueError, match="rank at least"):
         build_complex(cycle_graph(18), "tutte", max_edges=18)
+
+
+K4 = Multigraph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+
+
+@pytest.mark.parametrize("G", [K4, cycle_graph(6)], ids=["K4", "cycle6"])
+def test_differential_view_matches_blocks_and_squares_to_zero(G, complex_of):
+    # a global oracle for the face-by-face d^2 check, beyond the corpus
+    cx = complex_of(G, "yamada")
+    for i in range(cx.height_count - 1):
+        d = cx.differential(i)
+        rows_of, cols_of = cx.bidegree_index[i + 1], cx.bidegree_index[i]
+        for jk in set(rows_of) | set(cols_of):
+            assert d.submatrix(rows_of.get(jk, []), cols_of.get(jk, [])) == cx.block(i, jk)
+        assert d.nnz() == sum(block.nnz() for block in cx.blocks[i].values())
+        assert (cx.differential(i + 1) @ d).is_zero()

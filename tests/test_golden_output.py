@@ -5,7 +5,9 @@ The sha256 digests pin the exact bytes that `dump`, `cohomology --json` and
 change to basis order, signs, block layout, cohomology (torsion included) or
 to a polynomial shows up here.
 The corruption tests prove that `build_complex` still runs both of its
-run-time verifications (bidegree preservation and d^2 = 0).
+run-time verifications (bidegree preservation and d^2 = 0), and that it
+refuses a per-edge map that is not a partial function, on which its
+face-by-face d^2 check would not be exact.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 
 import graphhom.cube as cube
 from graphhom.cli import run
-from graphhom.multigraph import bigon, cycle_graph, to_json_dict
+from graphhom.multigraph import bigon, cycle_graph, multiedge_graph, to_json_dict
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
@@ -48,8 +50,13 @@ DIGESTS = {
     ("mixed", "cohomology", "yamada"): "7394632c8a26cb89422cec334e52660c9491ae5b653bb6608b02fda3d04b9c23",
     ("mixed", "cohomology", "tutte"): "87baad9f7eadae9720184a9b19be91bfae88c80487c9f249192394cd8d57e957",
     ("K4", "cohomology", "yamada"): "74e85f3ceefe21c8c771fd9c9b4d0d5c6e767ed0d562cf1e38c69c66a3968143",
+    ("K4", "dump", "tutte"): "c01ae1ef2a42e5d0fe0d955cb7e970cbac43536f8559e0e7ad5beb7677e3356f",
+    ("cycle6", "dump", "yamada"): "001b930c76c0fd79da626e5081181d8c0d75db6c93717e48d61c0327b481dbd8",
     ("cycle6", "cohomology", "yamada"): "8b4712cb4564502cffa8a05aad1dfa29b2a5a75365211e1df8376f31e31f4820",
 }
+
+# `dump --height 0` of the seven-edge bigon generalisation, yamada variant.
+MULTIEDGE7_HEIGHT0_DIGEST = "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0d9611ca7ede74"
 
 POLY_DIGESTS = {
     ("bigon", "yamada"): "2e896845fbe61205c80242b9a62d34684af65f9d195273d6d5984919afd5255f",
@@ -104,6 +111,7 @@ def _graph_path(name, tmp_path):
         "K4": K4,
         "mixed": MIXED,
         "multi12": MULTI12,
+        "multiedge7": to_json_dict(multiedge_graph(7)),
     }[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
@@ -118,6 +126,13 @@ def test_output_digest(name, command, variant, tmp_path, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, command, variant)]
+
+
+def test_dump_height_digest(tmp_path, capsys):
+    argv = ["dump", "--variant", "yamada", "--height", "0"]
+    assert run(argv + ["--input", _graph_path("multiedge7", tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MULTIEDGE7_HEIGHT0_DIGEST
 
 
 @pytest.mark.parametrize("name,which", sorted(POLY_DIGESTS))
@@ -170,5 +185,14 @@ def test_corrupted_map_breaking_d_squared_is_caught(monkeypatch):
     # dropping 1 (x) 1 -> 1 keeps every bidegree but the square through {0} stops commuting
     seen = _corrupt_first_edge_map(monkeypatch, drop=(0, 0))
     with pytest.raises(RuntimeError, match="d\\^2"):
+        cube.build_complex(bigon(), "yamada")
+    assert seen
+
+
+def test_corrupted_map_with_two_targets_is_caught(monkeypatch):
+    # t (x) 1 also goes to the edge generator, of the same bidegree (1, 0): the
+    # face check assumes every per-edge map is a partial function
+    seen = _corrupt_first_edge_map(monkeypatch, add=(1, 1))
+    with pytest.raises(RuntimeError, match="two targets"):
         cube.build_complex(bigon(), "yamada")
     assert seen
