@@ -28,6 +28,7 @@ from graphhom.multigraph import (
 )
 
 P = BivariateLaurent
+K4 = Multigraph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
 
 
 @st.composite
@@ -320,9 +321,6 @@ def test_build_complex_refuses_before_enumerating_states(monkeypatch):
         build_complex(bouquet_graph(16), "tutte", max_edges=16)
     with pytest.raises(ValueError, match="rank at least"):
         build_complex(cycle_graph(18), "tutte", max_edges=18)
-
-
-K4 = Multigraph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
 
 
 @pytest.mark.parametrize("G", [K4, cycle_graph(6)], ids=["K4", "cycle6"])

@@ -55,7 +55,7 @@ DIGESTS = {
     ("cycle6", "cohomology", "yamada"): "8b4712cb4564502cffa8a05aad1dfa29b2a5a75365211e1df8376f31e31f4820",
 }
 
-# `dump --height 0` of the seven-edge bigon generalisation, yamada variant.
+# `dump --height 0` of two vertices joined by seven parallel edges, yamada variant.
 MULTIEDGE7_HEIGHT0_DIGEST = "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0d9611ca7ede74"
 
 POLY_DIGESTS = {
