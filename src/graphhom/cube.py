@@ -12,14 +12,17 @@ it is written into its per-bidegree block, and d^2 = 0 one square face
 of the cube at a time. The blocks are the only stored form of the
 differential.
 
-A basis element of C^S picks 1 or the generator in every tensor slot, so
-it is a bitmask, and its index in C^S is that bitmask read as an integer:
-bit k is slot k, a set bit is the generator. Slots are edge factors by
-ascending edge index, then component factors by ascending minimal
-vertex, then cycle factors. The bidegree of an index is (number of set
-edge and component bits, number of set cycle bits). States inside one
-height sit in ascending bitmask order. These conventions pin every
-matrix entry, so two runs (or two machines) produce identical artifacts.
+A state S is its edge bitmask, and the components of [G:S] come from
+`multigraph.state_components`, which derives every state from its
+parent state. A basis element of C^S picks 1 or the generator in every
+tensor slot, so it is a bitmask too, and its index in C^S is that
+bitmask read as an integer: bit k is slot k, a set bit is the
+generator. Slots are edge factors by ascending edge index, then
+component factors by ascending minimal vertex, then cycle factors. The
+bidegree of an index is (number of set edge and component bits, number
+of set cycle bits). States inside one height sit in ascending bitmask
+order. These conventions pin every matrix entry, so two runs (or two
+machines) produce identical artifacts.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable
 
 from .laurent import BivariateLaurent
 from .matrices import IntMatrix
-from .multigraph import Multigraph, StateSubset, all_states, state_stats
+from .multigraph import Multigraph, state_components
 
 Bidegree = tuple[int, int]
 VARIANTS = ("yamada", "tutte")
@@ -117,38 +120,6 @@ def _edge_rule(
             y |= lo_bit
         pairs.append((x, (y >> hi + 1 << hi) | (y & below_hi)))
     return pairs
-
-
-def _component_index(components: tuple[tuple[int, ...], ...], vertex_count: int) -> list[int]:
-    comp_of = [0] * vertex_count
-    for idx, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = idx
-    return comp_of
-
-
-def per_edge_map(G: Multigraph, S: StateSubset, e: int, variant: str) -> IntMatrix:
-    """Unsigned map C^S -> C^(S+e) along one cube edge.
-
-    In the yamada variant the unit is inserted at edge e's slot. If the
-    endpoints of e lie in one component of [G:S], components are kept
-    and a unit cycle factor is appended at the last slot; otherwise the
-    two touched component factors multiply into the merged component's
-    slot and the survivors reorder canonically.
-    """
-    _check_variant(variant)
-    if S.contains(e):
-        raise ValueError(f"edge {e} already belongs to the state")
-    yamada = variant == "yamada"
-    S1 = S.add(e)
-    st0 = state_stats(G, S)
-    st1 = state_stats(G, S1)
-    cols = 1 << ((S.size() if yamada else 0) + st0.b0 + st0.b1)
-    rows = 1 << ((S1.size() if yamada else 0) + st1.b0 + st1.b1)
-    comp_of = _component_index(st0.components, G.vertex_count)
-    u, v = G.edges[e]
-    pairs = _edge_rule(S.mask, e, comp_of[u], comp_of[v], cols, yamada)
-    return IntMatrix(rows, cols, {(y, x): 1 for x, y in pairs})
 
 
 @dataclass
@@ -279,8 +250,10 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
 
     Refuses, before building anything, graphs over `max_edges` edges and
     complexes whose total chain rank exceeds `MAX_CHAIN_RANK`: first by a
-    lower bound before any state is enumerated, then by the exact rank
-    before any basis is built. Heights are assembled in order. Each entry
+    lower bound before any state is looked at, then by the exact rank
+    before any basis is built. The exact rank takes b0 of every state from
+    `state_components`, which also gives the component of each endpoint
+    that the per-edge maps need. Heights are assembled in order. Each entry
     is checked to preserve the bidegree as it is written into its block,
     each per-edge map must be a partial function (every coefficient is 1),
     and once height i is written, the faces from height i - 1 to i + 1 are
@@ -294,15 +267,17 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
     yamada = variant == "yamada"
     _refuse_by_floor(G.vertex_count, n, yamada)
 
-    # Per state: (edge + component slots, cycle slots) and the component of each vertex.
-    stats = [state_stats(G, S) for S in all_states(G)]
-    slots = [((mask.bit_count() if yamada else 0) + st.b0, st.b1) for mask, st in enumerate(stats)]
+    # Per state: the component of each vertex, and (edge + component slots, cycle slots).
+    components = state_components(G)
+    slots = []
+    for mask, (_, b0) in enumerate(components):
+        size = mask.bit_count()
+        slots.append(((size if yamada else 0) + b0, size - G.vertex_count + b0))
     chain_rank = sum(1 << (j + k) for j, k in slots)
     if chain_rank > MAX_CHAIN_RANK:
         raise ValueError(
             f"chain complex has rank {chain_rank}, over the limit of {MAX_CHAIN_RANK}"
         )
-    comp_of = [_component_index(st.components, G.vertex_count) for st in stats]
 
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
@@ -351,6 +326,7 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
         maps: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for mask in masks_by_height[i]:
             src_off, size = offsets[i][mask], sizes[i][mask]
+            comp_of = components[mask][0]
             for e in range(n):
                 if mask >> e & 1:
                     continue
@@ -358,7 +334,7 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
                 dst_off = offsets[i + 1][mask | 1 << e]
                 u, v = G.edges[e]
                 target = [-1] * (size + 1)
-                for x, y in _edge_rule(mask, e, comp_of[mask][u], comp_of[mask][v], size, yamada):
+                for x, y in _edge_rule(mask, e, comp_of[u], comp_of[v], size, yamada):
                     r, c = dst_off + y, src_off + x
                     jk = col_bidegs[c]
                     if row_bidegs[r] != jk:

@@ -5,16 +5,17 @@ edge list is part of the graph's identity: the state cube, the signs of
 the differentials and every serialized artifact index edges by that
 position. Two graphs with permuted edge lists are different values.
 
-Two views of the state cube: `state_stats` gives the components of one
-state, which the complex builder needs for its tensor slots;
-`state_histogram` counts all states by (|S|, b0) in one sweep, which is
-all that the state sums need.
+A state S is an edge subset, kept as a bitmask of width |E| (bit i set
+means edge i is in S). Two views of the state cube: `state_components`
+labels the components of every state, which the complex builder needs
+for its tensor slots; `state_histogram` counts all states by (|S|, b0)
+in one sweep, which is all that the state sums need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 Edge = tuple[int, int]
 EdgeKind = Literal["loop", "isthmus", "ordinary"]
@@ -48,103 +49,28 @@ def build(vertex_count: int, edge_list: Iterable[Iterable[int]]) -> Multigraph:
     return Multigraph(int(vertex_count), tuple(edges))
 
 
-@dataclass(frozen=True)
-class StateSubset:
-    """Subset S of the edge set, as a bitmask of width |E|.
+def state_components(G: Multigraph) -> list[tuple[list[int], int]]:
+    """For every state mask, the component of each vertex of [G:S] and b0.
 
-    Bit i set means edge i belongs to S; the complement F = E - S is
-    implicit. The 0/1 vector over all bits is the cube vertex for S.
+    Components are numbered by ascending minimal vertex. Each mask is
+    its parent `mask & (mask - 1)` plus its lowest edge, so the masks are
+    labelled in ascending order from the empty state, where every vertex
+    is its own component. If the new edge joins components p < q, q
+    merges into p and every label above q moves down by one; otherwise
+    the parent's labels are unchanged and its list is shared, so callers
+    must not change the lists. b1 of the state is |S| - V + b0.
     """
-
-    mask: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 0 or not 0 <= self.mask < (1 << self.width):
-            raise ValueError(f"mask {self.mask} does not fit in width {self.width}")
-
-    @classmethod
-    def empty(cls, width: int) -> "StateSubset":
-        return cls(0, width)
-
-    @classmethod
-    def full(cls, width: int) -> "StateSubset":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def from_edges(cls, width: int, edge_indices: Iterable[int]) -> "StateSubset":
-        mask = 0
-        for e in edge_indices:
-            if not 0 <= e < width:
-                raise ValueError(f"edge index {e} out of range")
-            mask |= 1 << e
-        return cls(mask, width)
-
-    def contains(self, e: int) -> bool:
-        return bool(self.mask >> e & 1)
-
-    def add(self, e: int) -> "StateSubset":
-        if not 0 <= e < self.width:
-            raise ValueError(f"edge index {e} out of range")
-        return StateSubset(self.mask | (1 << e), self.width)
-
-    def remove(self, e: int) -> "StateSubset":
-        return StateSubset(self.mask & ~(1 << e), self.width)
-
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def edge_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.mask >> i & 1)
-
-
-def all_states(G: Multigraph) -> Iterator[StateSubset]:
-    """All edge subsets of G in ascending bitmask order."""
-    n = G.edge_count
-    for mask in range(1 << n):
-        yield StateSubset(mask, n)
-
-
-@dataclass(frozen=True)
-class StateStats:
-    """Betti data of a spanning subgraph [G:S].
-
-    `components` lists the vertex sets, each sorted, ordered by minimal
-    vertex; this order fixes the tensor-factor slots downstream.
-    """
-
-    b0: int
-    b1: int
-    components: tuple[tuple[int, ...], ...]
-
-
-def state_stats(G: Multigraph, S: StateSubset) -> StateStats:
-    """Connected components and Betti numbers of the state [G:S]."""
-    if S.width != G.edge_count:
-        raise ValueError(f"state width {S.width} does not match |E| = {G.edge_count}")
-    parent = list(range(G.vertex_count))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for e in S.edge_indices():
-        u, v = G.edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-
-    groups: dict[int, list[int]] = {}
-    for v in range(G.vertex_count):
-        groups.setdefault(find(v), []).append(v)
-    components = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
-    b0 = len(components)
-    b1 = S.size() - G.vertex_count + b0
-    return StateStats(b0, b1, components)
+    out = [(list(range(G.vertex_count)), G.vertex_count)]
+    for mask in range(1, 1 << G.edge_count):
+        low = mask & -mask
+        labels, b0 = out[mask ^ low]
+        u, v = G.edges[low.bit_length() - 1]
+        p, q = sorted((labels[u], labels[v]))
+        if p == q:
+            out.append((labels, b0))
+        else:
+            out.append(([p if c == q else c - 1 if c > q else c for c in labels], b0 - 1))
+    return out
 
 
 def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:

@@ -168,13 +168,10 @@ def default_gamma(G: Multigraph) -> tuple[int, ...]:
 
 
 def run_checks(
-    G: Multigraph,
-    names: Iterable[str] = CHECK_NAMES,
-    sigma: Sequence[int] | None = None,
-    gamma: Iterable[int] | None = None,
-    max_edges: int = 12,
+    G: Multigraph, names: Iterable[str] = CHECK_NAMES, max_edges: int = 12
 ) -> list[CheckReport]:
-    """The named checkers with canonical default inputs, in fixed name order.
+    """The named checkers with canonical default inputs (`default_sigma`,
+    `default_gamma`), in fixed name order.
 
     Raises ValueError on a name outside CHECK_NAMES, before any check runs.
     """
@@ -182,28 +179,16 @@ def run_checks(
     unknown = [name for name in names if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    sigma = default_sigma(G) if sigma is None else tuple(sigma)
-    gamma = default_gamma(G) if gamma is None else tuple(gamma)
     runners = {
         "deletion_contraction": lambda: check_deletion_contraction(G),
         "euler": lambda: check_euler(G, max_edges=max_edges),
         "permutation_invariance": lambda: check_permutation_invariance(
-            G, sigma, max_edges=max_edges
+            G, default_sigma(G), max_edges=max_edges
         ),
-        "projection": lambda: check_projection(G, gamma, max_edges=max_edges),
+        "projection": lambda: check_projection(G, default_gamma(G), max_edges=max_edges),
         "retraction": lambda: check_retraction(G, max_edges=max_edges),
     }
     return [runners[name]() for name in CHECK_NAMES if name in names]
-
-
-def run_all_checks(
-    G: Multigraph,
-    sigma: Sequence[int] | None = None,
-    gamma: Iterable[int] | None = None,
-    max_edges: int = 12,
-) -> list[CheckReport]:
-    """All five checkers with canonical default inputs, in fixed name order."""
-    return run_checks(G, CHECK_NAMES, sigma, gamma, max_edges)
 
 
 def corpus_graphs() -> list[Multigraph]:

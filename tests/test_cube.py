@@ -7,7 +7,6 @@ from graphhom.cube import (
     MAX_CHAIN_RANK,
     build_complex,
     graded_euler,
-    per_edge_map,
     phi_psi,
     projection_map,
 )
@@ -16,13 +15,11 @@ from graphhom.laurent import BivariateLaurent
 from graphhom.matrices import IntMatrix
 from graphhom.multigraph import (
     Multigraph,
-    StateSubset,
-    all_states,
     bigon,
     bouquet_graph,
     build,
     cycle_graph,
-    state_stats,
+    state_components,
     tree_graph,
     triangle,
 )
@@ -59,39 +56,42 @@ def test_chain_module_order_is_little_endian():
     assert off + 1 not in kept and off + 2 in kept
 
 
+def _edge_map(G, mask, e, variant):
+    """(source, target) pairs of the unsigned map C^S -> C^(S+e) for
+    S = mask, with the ranks of C^S and C^(S+e)."""
+    sizes = build_complex(G, variant).state_sizes
+    labels = state_components(G)[mask][0]
+    u, v = G.edges[e]
+    i = mask.bit_count()
+    size = sizes[i][mask]
+    pairs = cube._edge_rule(mask, e, labels[u], labels[v], size, variant == "yamada")
+    return pairs, size, sizes[i + 1][mask | 1 << e]
+
+
 def test_per_edge_map_merge_case():
-    P2 = bigon()
-    pm = per_edge_map(P2, StateSubset.empty(2), 0, "yamada")
     # t (x) t dies; 1 (x) 1 lands on the unit edge factor times the unit component
-    assert pm == IntMatrix(4, 4, {(0, 0): 1, (2, 1): 1, (2, 2): 1})
+    assert _edge_map(bigon(), 0b00, 0, "yamada") == ([(0, 0), (1, 2), (2, 2)], 4, 4)
 
 
 def test_per_edge_map_cycle_case():
-    P2 = bigon()
-    pm = per_edge_map(P2, StateSubset.from_edges(2, [1]), 0, "yamada")
+    pairs, cols, rows = _edge_map(bigon(), 0b10, 0, "yamada")
     # t on edge slot e2 goes to 1_A (x) t (x) 1_A (x) 1_B
-    assert pm.entry(2, 1) == 1
-    assert pm == IntMatrix(16, 4, {(0, 0): 1, (2, 1): 1, (4, 2): 1, (6, 3): 1})
+    assert (1, 2) in pairs
+    assert (pairs, cols, rows) == ([(0, 0), (1, 2), (2, 4), (3, 6)], 4, 16)
 
 
 def test_per_edge_map_merge_with_bystander_component():
     # three isolated vertices; the added edge merges the second and third
     G = build(3, [(1, 2)])
-    pm = per_edge_map(G, StateSubset.empty(1), 0, "yamada")
-    assert pm == IntMatrix(
-        8, 8, {(0, 0): 1, (2, 1): 1, (4, 2): 1, (4, 4): 1, (6, 3): 1, (6, 5): 1}
+    assert _edge_map(G, 0b0, 0, "yamada") == (
+        [(0, 0), (1, 2), (2, 4), (3, 6), (4, 4), (5, 6)],
+        8,
+        8,
     )
 
 
 def test_per_edge_map_tutte_variant_drops_edge_factors():
-    P2 = bigon()
-    pm = per_edge_map(P2, StateSubset.empty(2), 0, "tutte")
-    assert pm == IntMatrix(2, 4, {(0, 0): 1, (1, 1): 1, (1, 2): 1})
-
-
-def test_per_edge_map_rejects_member_edge():
-    with pytest.raises(ValueError):
-        per_edge_map(bigon(), StateSubset.from_edges(2, [0]), 0, "yamada")
+    assert _edge_map(bigon(), 0b00, 0, "tutte") == ([(0, 0), (1, 1), (2, 1)], 4, 2)
 
 
 def test_build_complex_bigon_ranks_and_differentials():
@@ -160,12 +160,12 @@ def test_qdim_matches_state_formula():
             cx = build_complex(G, variant)
             for i in range(cx.height_count):
                 expected = P()
-                for S in all_states(G):
-                    if S.size() != i:
+                for mask, (_, b0) in enumerate(state_components(G)):
+                    if mask.bit_count() != i:
                         continue
-                    st = state_stats(G, S)
-                    lam = S.size() if variant == "yamada" else 0
-                    expected = expected + one_plus_t ** (lam + st.b0) * one_plus_w ** st.b1
+                    b1 = i - G.vertex_count + b0
+                    lam = i if variant == "yamada" else 0
+                    expected = expected + one_plus_t ** (lam + b0) * one_plus_w ** b1
                 assert cx.qdim(i) == expected
 
 
@@ -205,16 +205,33 @@ def test_unsigned_squares_commute():
         build(3, [(0, 1), (1, 2), (0, 0), (1, 2)]),
     ]
     for G in graphs:
+        components = state_components(G)
         for variant in ("yamada", "tutte"):
-            for S in all_states(G):
-                free = [e for e in range(G.edge_count) if not S.contains(e)]
+            sizes = {}
+            for level in build_complex(G, variant).state_sizes:
+                sizes.update(level)
+
+            def targets(mask, e):
+                # target of each source, -1 when it is killed (also at index -1)
+                labels = components[mask][0]
+                u, v = G.edges[e]
+                out = [-1] * (sizes[mask] + 1)
+                for x, y in cube._edge_rule(
+                    mask, e, labels[u], labels[v], sizes[mask], variant == "yamada"
+                ):
+                    out[x] = y
+                return out
+
+            for mask in range(1 << G.edge_count):
+                free = [e for e in range(G.edge_count) if not mask >> e & 1]
                 for a in free:
                     for b in free:
                         if a >= b:
                             continue
-                        ab = per_edge_map(G, S.add(a), b, variant) @ per_edge_map(G, S, a, variant)
-                        ba = per_edge_map(G, S.add(b), a, variant) @ per_edge_map(G, S, b, variant)
-                        assert ab == ba, (G, S.mask, a, b, variant)
+                        after_a, after_b = targets(mask | 1 << a, b), targets(mask | 1 << b, a)
+                        ab = [after_a[y] for y in targets(mask, a)]
+                        ba = [after_b[y] for y in targets(mask, b)]
+                        assert ab == ba, (G, mask, a, b, variant)
 
 
 def test_projection_map_bigon():
@@ -283,21 +300,6 @@ def test_basis_vector_bidegree_counts_generators():
     assert cx.bidegrees[2][0b1111] == (3, 1)
 
 
-def test_build_complex_computes_state_stats_once_per_state(monkeypatch):
-    calls = []
-
-    def counting(G, S):
-        calls.append(S.mask)
-        return state_stats(G, S)
-
-    monkeypatch.setattr(cube, "state_stats", counting)
-    for G in (bigon(), triangle(), build(5, [(0, 1), (1, 2), (2, 0), (2, 2), (1, 2)])):
-        for variant in ("yamada", "tutte"):
-            calls.clear()
-            build_complex(G, variant)
-            assert sorted(calls) == list(range(1 << G.edge_count))
-
-
 def test_build_complex_refuses_oversized_chain_rank(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an oversized complex must not reach the per-edge maps")
@@ -314,9 +316,9 @@ def test_build_complex_refuses_oversized_chain_rank(monkeypatch):
 
 def test_build_complex_refuses_before_enumerating_states(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("an oversized complex must be refused before any state is examined")
+        raise AssertionError("an oversized complex must be refused before any state is labelled")
 
-    monkeypatch.setattr(cube, "state_stats", never)
+    monkeypatch.setattr(cube, "state_components", never)
     with pytest.raises(ValueError, match=f"at least {2 * 3**16},"):
         build_complex(bouquet_graph(16), "tutte", max_edges=16)
     with pytest.raises(ValueError, match="rank at least"):

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from graphhom.multigraph import (
     Multigraph,
-    StateSubset,
-    all_states,
     bigon,
     bouquet_graph,
     build,
@@ -17,8 +15,8 @@ from graphhom.multigraph import (
     multiedge_graph,
     permute_edges,
     reduce,
+    state_components,
     state_histogram,
-    state_stats,
     to_json_dict,
     tree_graph,
     triangle,
@@ -33,6 +31,39 @@ def small_graphs(draw, max_vertices=4, max_edges=5, min_vertices=1):
         (draw(st.integers(0, v - 1)), draw(st.integers(0, v - 1))) for _ in range(m)
     )
     return Multigraph(v, edges)
+
+
+def _state_stats(G, mask):
+    """Reference (b0, b1, components) of the state [G:S] with S = mask, by a
+    fresh union-find over its edges; components are sorted vertex tuples
+    ordered by minimal vertex."""
+    if not 0 <= mask < 1 << G.edge_count:
+        raise ValueError(f"mask {mask} does not fit in width {G.edge_count}")
+    parent = list(range(G.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e, (u, v) in enumerate(G.edges):
+        if mask >> e & 1:
+            parent[find(v)] = find(u)
+    groups = {}
+    for v in range(G.vertex_count):
+        groups.setdefault(find(v), []).append(v)
+    components = tuple(sorted(tuple(g) for g in groups.values()))
+    b0 = len(components)
+    return b0, mask.bit_count() - G.vertex_count + b0, components
+
+
+def _labels(components, vertex_count):
+    """Component index of each vertex, given the ordered components."""
+    labels = [0] * vertex_count
+    for idx, comp in enumerate(components):
+        for v in comp:
+            labels[v] = idx
+    return labels
 
 
 def test_build_examples():
@@ -50,34 +81,24 @@ def test_build_errors():
 
 def test_state_stats_examples():
     P2 = bigon()
-    empty = StateSubset.empty(2)
-    assert state_stats(P2, empty).b0 == 2
-    assert state_stats(P2, empty).b1 == 0
-    full = StateSubset.full(2)
-    assert (state_stats(P2, full).b0, state_stats(P2, full).b1) == (1, 1)
-    L1 = bouquet_graph(1)
-    st_loop = state_stats(L1, StateSubset.full(1))
-    assert (st_loop.b0, st_loop.b1) == (1, 1)
+    assert _state_stats(P2, 0b00)[:2] == (2, 0)
+    assert _state_stats(P2, 0b11)[:2] == (1, 1)
+    assert [b0 for _, b0 in state_components(P2)] == [2, 1, 1, 1]
+    assert _state_stats(bouquet_graph(1), 0b1)[:2] == (1, 1)
+    assert state_components(bouquet_graph(1))[0b1] == ([0], 1)
 
 
 def test_state_stats_components_order():
     G = build(4, [(2, 3)])
-    st_ = state_stats(G, StateSubset.full(1))
-    assert st_.components == ((0,), (1,), (2, 3))
+    assert _state_stats(G, 0b1)[2] == ((0,), (1,), (2, 3))
+    assert state_components(G)[0b1] == ([0, 1, 2, 2], 3)
 
 
 def test_state_stats_width_mismatch():
+    # a mask wider than |E| is no state of the graph
+    assert len(state_components(bigon())) == 4
     with pytest.raises(ValueError):
-        state_stats(bigon(), StateSubset.empty(3))
-
-
-def test_state_subset_basics():
-    S = StateSubset.from_edges(4, [1, 3])
-    assert S.size() == 2
-    assert S.edge_indices() == (1, 3)
-    assert S.add(0).mask == 0b1011
-    with pytest.raises(ValueError):
-        StateSubset(8, 3)
+        _state_stats(bigon(), 0b100)
 
 
 def test_classify_edge():
@@ -106,13 +127,13 @@ def test_reduce_keeps_isolated_vertices():
 def test_classify_edge_matches_b0_definition(corpus):
     """The reachability test agrees with comparing b0 of E and E - e."""
     for G in corpus:
-        full = StateSubset.full(G.edge_count)
-        before = state_stats(G, full).b0
+        b0 = [b0 for _, b0 in state_components(G)]
+        full = (1 << G.edge_count) - 1
         for e in range(G.edge_count):
             u, v = G.edges[e]
             if u == v:
                 expected = "loop"
-            elif state_stats(G, full.remove(e)).b0 > before:
+            elif b0[full & ~(1 << e)] > b0[full]:
                 expected = "isthmus"
             else:
                 expected = "ordinary"
@@ -131,41 +152,50 @@ def test_state_histogram_examples():
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(min_vertices=0, max_vertices=5, max_edges=8))
 def test_state_histogram_matches_state_stats(G):
-    expected = Counter((S.size(), state_stats(G, S).b0) for S in all_states(G))
+    stats = [_state_stats(G, mask) for mask in range(1 << G.edge_count)]
+    expected = Counter((mask.bit_count(), b0) for mask, (b0, _, _) in enumerate(stats))
     assert state_histogram(G) == expected
+    assert state_components(G) == [
+        (_labels(components, G.vertex_count), b0) for b0, _, components in stats
+    ]
 
 
 def test_isthmus_deletion_increases_b0():
     for G in (tree_graph(3), build(3, [(0, 1), (1, 2), (1, 2)])):
-        full = StateSubset.full(G.edge_count)
-        base = state_stats(G, full).b0
+        b0 = [b0 for _, b0 in state_components(G)]
+        full = (1 << G.edge_count) - 1
         for e in range(G.edge_count):
             if classify_edge(G, e) == "isthmus":
-                assert state_stats(G, full.remove(e)).b0 == base + 1
+                assert b0[full & ~(1 << e)] == b0[full] + 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_euler_relation_on_all_states(G):
-    for S in all_states(G):
-        st_ = state_stats(G, S)
-        assert st_.b1 == S.size() - G.vertex_count + st_.b0
-        assert st_.b1 >= 0
-        assert sum(len(c) for c in st_.components) == G.vertex_count
+    for mask, (labels, b0) in enumerate(state_components(G)):
+        b1 = _state_stats(G, mask)[1]
+        assert b1 == mask.bit_count() - G.vertex_count + b0
+        assert b1 >= 0
+        # every vertex has a component, and the b0 labels all occur
+        assert len(labels) == G.vertex_count
+        assert sorted(set(labels)) == list(range(b0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_adding_edge_dichotomy(G):
     """Adding one edge either closes a cycle or merges two components."""
-    for S in all_states(G):
-        before = state_stats(G, S)
+    stats = [
+        (b0, mask.bit_count() - G.vertex_count + b0)
+        for mask, (_, b0) in enumerate(state_components(G))
+    ]
+    for mask, (b0, b1) in enumerate(stats):
         for e in range(G.edge_count):
-            if S.contains(e):
+            if mask >> e & 1:
                 continue
-            after = state_stats(G, S.add(e))
-            closes_cycle = after.b0 == before.b0 and after.b1 == before.b1 + 1
-            merges = after.b0 == before.b0 - 1 and after.b1 == before.b1
+            after_b0, after_b1 = stats[mask | 1 << e]
+            closes_cycle = after_b0 == b0 and after_b1 == b1 + 1
+            merges = after_b0 == b0 - 1 and after_b1 == b1
             assert closes_cycle != merges
 
 

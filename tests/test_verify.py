@@ -20,7 +20,7 @@ from graphhom.verify import (
     corpus_graphs,
     default_gamma,
     default_sigma,
-    run_all_checks,
+    run_checks,
 )
 
 SAMPLES = [
@@ -91,7 +91,7 @@ def test_check_projection_specific_gammas():
 
 
 def test_run_all_checks_order_and_verdicts():
-    reports = run_all_checks(bigon())
+    reports = run_checks(bigon())
     assert [r.name for r in reports] == list(CHECK_NAMES)
     assert all(r.passed for r in reports)
 
@@ -112,7 +112,7 @@ def test_five_checkers_across_corpus_sample(corpus):
     # broad smoke over a spread of the corpus; the acceptance suite
     # covers the full corpus criterion by criterion
     for G in corpus[::23]:
-        reports = run_all_checks(G)
+        reports = run_checks(G)
         failed = [r for r in reports if not r.passed]
         assert not failed, (G, failed)
 
