@@ -81,11 +81,6 @@ def _refuse_by_floor(vertex_count: int, edge_count: int, yamada: bool) -> None:
     )
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
 def _edge_rule(
     mask: int, e: int, p: int, q: int, size: int, yamada: bool
 ) -> list[tuple[int, int]]:
@@ -260,7 +255,8 @@ def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedC
     checked to anticommute (`_check_faces`). Any failure raises
     RuntimeError.
     """
-    _check_variant(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = G.edge_count
     if n > max_edges:
         raise ValueError(f"graph has {n} edges, over the limit of {max_edges}")
@@ -390,38 +386,31 @@ class ProjectionMaps:
     matrices: list[IntMatrix]
 
 
-def projection_map(
-    G: Multigraph,
-    gamma: Iterable[int],
-    variant: str = "yamada",
-    max_edges: int = 12,
-    source: BigradedComplex | None = None,
-) -> ProjectionMaps:
-    """Per-height matrices selecting the summands with S inside gamma.
+def projection_map(source: BigradedComplex, gamma: Iterable[int]) -> ProjectionMaps:
+    """Per-height matrices selecting the summands of `source` with S inside gamma.
 
     The target complex lives on the subgraph with gamma's edges in their
     induced order (all vertices retained, so states and their chain
-    modules match verbatim).
+    modules match verbatim), in the source's variant. It is built with
+    the source's edge count as the limit: the subgraph never has more
+    edges, and its chain rank is at most the source's.
     """
-    _check_variant(variant)
+    G = source.graph
     gamma_sorted = sorted(set(gamma))
     if any(not 0 <= e < G.edge_count for e in gamma_sorted):
         raise ValueError("gamma is not a subset of the edge indices")
-    src = source if source is not None else build_complex(G, variant, max_edges)
-    if src.graph != G or src.variant != variant:
-        raise ValueError("provided source complex does not match the graph/variant")
     sub = Multigraph(G.vertex_count, tuple(G.edges[e] for e in gamma_sorted))
-    dst = build_complex(sub, variant, max_edges)
+    dst = build_complex(sub, source.variant, G.edge_count)
     pos = {e: i for i, e in enumerate(gamma_sorted)}
     gamma_mask = 0
     for e in gamma_sorted:
         gamma_mask |= 1 << e
 
     mats: list[IntMatrix] = []
-    for i in range(src.height_count):
+    for i in range(source.height_count):
         entries: dict[tuple[int, int], int] = {}
         if i < dst.height_count:
-            for mask, src_off in src.state_offsets[i].items():
+            for mask, src_off in source.state_offsets[i].items():
                 if mask & ~gamma_mask:
                     continue
                 dst_mask = 0
@@ -429,10 +418,10 @@ def projection_map(
                     if mask >> e & 1:
                         dst_mask |= 1 << pos[e]
                 dst_off = dst.state_offsets[i][dst_mask]
-                for l in range(src.state_sizes[i][mask]):
+                for l in range(source.state_sizes[i][mask]):
                     entries[(dst_off + l, src_off + l)] = 1
-        mats.append(IntMatrix(dst.rank(i), src.rank(i), entries))
-    return ProjectionMaps(source=src, target=dst, matrices=mats)
+        mats.append(IntMatrix(dst.rank(i), source.rank(i), entries))
+    return ProjectionMaps(source=source, target=dst, matrices=mats)
 
 
 @dataclass
@@ -449,33 +438,26 @@ class RetractionMaps:
     psi: list[IntMatrix]
 
 
-def phi_psi(
-    G: Multigraph,
-    max_edges: int = 12,
-    tutte_complex: BigradedComplex | None = None,
-    yamada_complex: BigradedComplex | None = None,
-) -> RetractionMaps:
-    """Per-height matrices of phi: C_T -> C_Y and psi: C_Y -> C_T.
+def phi_psi(tutte: BigradedComplex, yamada: BigradedComplex) -> RetractionMaps:
+    """Per-height matrices of phi: C_T -> C_Y and psi: C_Y -> C_T, between
+    the two variants' complexes of one graph.
 
     Edge slots are the low |S| bits of a yamada index, so phi sends a
     tutte index l to l << |S|, and psi keeps exactly the yamada indices
     whose edge bits are all 0 (the counit kills the generator) and
     shifts them back.
     """
-    cx_t = tutte_complex if tutte_complex is not None else build_complex(G, "tutte", max_edges)
-    cx_y = yamada_complex if yamada_complex is not None else build_complex(G, "yamada", max_edges)
-
     phi: list[IntMatrix] = []
     psi: list[IntMatrix] = []
-    for i in range(cx_y.height_count):
+    for i in range(yamada.height_count):
         phi_entries: dict[tuple[int, int], int] = {}
         psi_entries: dict[tuple[int, int], int] = {}
-        for mask, y_off in cx_y.state_offsets[i].items():
-            t_off = cx_t.state_offsets[i][mask]
+        for mask, y_off in yamada.state_offsets[i].items():
+            t_off = tutte.state_offsets[i][mask]
             lam = mask.bit_count()
-            for l in range(cx_t.state_sizes[i][mask]):
+            for l in range(tutte.state_sizes[i][mask]):
                 phi_entries[(y_off + (l << lam), t_off + l)] = 1
                 psi_entries[(t_off + l, y_off + (l << lam))] = 1
-        phi.append(IntMatrix(cx_y.rank(i), cx_t.rank(i), phi_entries))
-        psi.append(IntMatrix(cx_t.rank(i), cx_y.rank(i), psi_entries))
-    return RetractionMaps(tutte=cx_t, yamada=cx_y, phi=phi, psi=psi)
+        phi.append(IntMatrix(yamada.rank(i), tutte.rank(i), phi_entries))
+        psi.append(IntMatrix(tutte.rank(i), yamada.rank(i), psi_entries))
+    return RetractionMaps(tutte=tutte, yamada=yamada, phi=phi, psi=psi)

@@ -24,6 +24,12 @@ from .multigraph import Multigraph, classify_edge, reduce, state_histogram
 FamilyKind = Literal["tree", "bouquet", "multiedge", "cycle"]
 SpecializationName = Literal["tutte", "chromatic", "flow", "negami", "yamada"]
 
+# Largest x-degree of g~ that `g_polynomials` agrees to shift. Substituting
+# x = 1 + t expands a degree-d term into d + 1 terms with binomials of up
+# to d bits, so the cost and the printed size of g grow like d^2. The
+# degree is at most |E| + |V|, and each isolated vertex multiplies g~ by x.
+MAX_G_DEGREE = 1024
+
 
 @dataclass(frozen=True)
 class InvariantParams:
@@ -63,7 +69,8 @@ def g_polynomials(G: Multigraph) -> tuple[BivariateLaurent, BivariateLaurent]:
     """(g~, g): the (-x)^|E| rescaling of h, and its value at (1+t, 1+w).
 
     g~ = sum over S of (-1)^|S| x^(|S|+b0) y^b1 has nonnegative exponents
-    by construction; that is asserted before shifting.
+    by construction; that is asserted before shifting. Raises ValueError,
+    before shifting, when the x-degree of g~ is over `MAX_G_DEGREE`.
     """
     V = G.vertex_count
     out: dict[tuple[int, int], int] = {}
@@ -72,6 +79,9 @@ def g_polynomials(G: Multigraph) -> tuple[BivariateLaurent, BivariateLaurent]:
         out[key] = out.get(key, 0) + (-count if size % 2 else count)
     g_tilde = BivariateLaurent(out)
     assert not g_tilde.has_negative_exponents()
+    degree = max((a for a, _, _ in g_tilde.terms()), default=0)
+    if degree > MAX_G_DEGREE:
+        raise ValueError(f"g~ has x-degree {degree}, over the limit of {MAX_G_DEGREE}")
     return g_tilde, substitute_shift(g_tilde)
 
 

@@ -4,16 +4,21 @@ Each checker runs one exact identity on a concrete graph and returns a
 pass/fail report; on failure the report carries a witness describing the
 first counterexample found. All comparisons are of canonical forms, so
 there are no tolerances anywhere.
+
+Checkers read complexes and tables through `complex_of(graph, variant)`
+and `table_of(graph, variant)`; `run_checks` memoizes both for one run,
+so each distinct (graph, variant) is built and eliminated once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
-from .cube import VARIANTS, build_complex, graded_euler, phi_psi, projection_map
-from .homology import cohomology, induced_map_ranks
+from .cube import VARIANTS, BigradedComplex, build_complex, graded_euler, phi_psi, projection_map
+from .homology import CohomologyTable, cohomology, induced_map_ranks
 from .invariants import g_polynomials, yamada_state_sum
 from .laurent import X
 from .matrices import IntMatrix
@@ -29,6 +34,9 @@ from .multigraph import (
     tree_graph,
     triangle,
 )
+
+ComplexOf = Callable[[Multigraph, str], BigradedComplex]
+TableOf = Callable[[Multigraph, str], CohomologyTable]
 
 CHECK_NAMES = (
     "deletion_contraction",
@@ -53,11 +61,10 @@ class CheckReport:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
-def check_euler(G: Multigraph, max_edges: int = 12) -> CheckReport:
+def check_euler(G: Multigraph, complex_of: ComplexOf, table_of: TableOf) -> CheckReport:
     """Chain-level Euler characteristic == cohomology Euler == g(G; t, w)."""
-    cx = build_complex(G, "yamada", max_edges=max_edges)
-    chain_chi = graded_euler(cx)
-    coh_chi = cohomology(cx).euler()
+    chain_chi = graded_euler(complex_of(G, "yamada"))
+    coh_chi = table_of(G, "yamada").euler()
     g = g_polynomials(G)[1]
     if chain_chi != g:
         return CheckReport(
@@ -75,13 +82,12 @@ def check_euler(G: Multigraph, max_edges: int = 12) -> CheckReport:
 
 
 def check_permutation_invariance(
-    G: Multigraph, sigma: Sequence[int], max_edges: int = 12
+    G: Multigraph, sigma: Sequence[int], table_of: TableOf
 ) -> CheckReport:
     """Cohomology tables (free ranks and torsion) survive edge relabelling."""
     H = permute_edges(G, sigma)
     for variant in VARIANTS:
-        before = cohomology(build_complex(G, variant, max_edges=max_edges))
-        after = cohomology(build_complex(H, variant, max_edges=max_edges))
+        before, after = table_of(G, variant), table_of(H, variant)
         if before != after:
             for key in sorted(set(before.summands) | set(after.summands)):
                 if before.summands.get(key) != after.summands.get(key):
@@ -93,10 +99,10 @@ def check_permutation_invariance(
     return CheckReport("permutation_invariance", True)
 
 
-def check_retraction(G: Multigraph, max_edges: int = 12) -> CheckReport:
+def check_retraction(G: Multigraph, complex_of: ComplexOf, table_of: TableOf) -> CheckReport:
     """phi and psi are chain maps, psi o phi is the identity, and the
     induced composition is the identity on the tutte-variant cohomology."""
-    maps = phi_psi(G, max_edges=max_edges)
+    maps = phi_psi(complex_of(G, "tutte"), complex_of(G, "yamada"))
     cx_t, cx_y = maps.tutte, maps.yamada
     for i in range(cx_y.height_count - 1):
         if maps.phi[i + 1] @ cx_t.differential(i) != cx_y.differential(i) @ maps.phi[i]:
@@ -109,7 +115,7 @@ def check_retraction(G: Multigraph, max_edges: int = 12) -> CheckReport:
         if comp != IntMatrix.identity(cx_t.rank(i)):
             return CheckReport("retraction", False, f"psi o phi is not the identity at height {i}")
         composition.append(comp)
-    table_t = cohomology(cx_t)
+    table_t = table_of(G, "tutte")
     ranks = induced_map_ranks(cx_t, cx_t, composition)
     expected = {key: s.free_rank for key, s in table_t.summands.items() if s.free_rank}
     if ranks != expected:
@@ -141,11 +147,11 @@ def check_deletion_contraction(G: Multigraph) -> CheckReport:
     return CheckReport("deletion_contraction", True)
 
 
-def check_projection(G: Multigraph, gamma: Iterable[int], max_edges: int = 12) -> CheckReport:
+def check_projection(G: Multigraph, gamma: Iterable[int], complex_of: ComplexOf) -> CheckReport:
     """The subgraph projection commutes with both differentials."""
     gamma = tuple(gamma)
     for variant in VARIANTS:
-        pm = projection_map(G, gamma, variant, max_edges=max_edges)
+        pm = projection_map(complex_of(G, variant), gamma)
         src, dst = pm.source, pm.target
         for i in range(src.height_count - 1):
             lhs = pm.matrices[i + 1] @ src.differential(i)
@@ -173,20 +179,26 @@ def run_checks(
     """The named checkers with canonical default inputs (`default_sigma`,
     `default_gamma`), in fixed name order.
 
-    Raises ValueError on a name outside CHECK_NAMES, before any check runs.
+    Each complex is built (with `max_edges`) and each table computed at
+    most once per call. Raises ValueError on a name outside CHECK_NAMES,
+    or on no name at all, before any check runs.
     """
     names = list(names)
     unknown = [name for name in names if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    if not names:
+        raise ValueError("no checks named")
+    complex_of = cache(lambda H, variant: build_complex(H, variant, max_edges))
+    table_of = cache(lambda H, variant: cohomology(complex_of(H, variant)))
     runners = {
         "deletion_contraction": lambda: check_deletion_contraction(G),
-        "euler": lambda: check_euler(G, max_edges=max_edges),
+        "euler": lambda: check_euler(G, complex_of, table_of),
         "permutation_invariance": lambda: check_permutation_invariance(
-            G, default_sigma(G), max_edges=max_edges
+            G, default_sigma(G), table_of
         ),
-        "projection": lambda: check_projection(G, default_gamma(G), max_edges=max_edges),
-        "retraction": lambda: check_retraction(G, max_edges=max_edges),
+        "projection": lambda: check_projection(G, default_gamma(G), complex_of),
+        "retraction": lambda: check_retraction(G, complex_of, table_of),
     }
     return [runners[name]() for name in CHECK_NAMES if name in names]
 

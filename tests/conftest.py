@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from graphhom import build_complex, cohomology, corpus_graphs
@@ -10,27 +12,12 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def complex_of():
-    """Session-wide cache of built complexes keyed by (graph, variant)."""
-    cache = {}
-
-    def get(graph, variant):
-        key = (graph, variant)
-        if key not in cache:
-            cache[key] = build_complex(graph, variant)
-        return cache[key]
-
-    return get
+    """Session-wide memo of built complexes, keyed by (graph, variant) like
+    the one `verify.run_checks` holds for a single check run."""
+    return functools.cache(lambda graph, variant: build_complex(graph, variant))
 
 
 @pytest.fixture(scope="session")
 def table_of(complex_of):
-    """Session-wide cache of cohomology tables keyed by (graph, variant)."""
-    cache = {}
-
-    def get(graph, variant):
-        key = (graph, variant)
-        if key not in cache:
-            cache[key] = cohomology(complex_of(graph, variant))
-        return cache[key]
-
-    return get
+    """Session-wide memo of cohomology tables, keyed by (graph, variant)."""
+    return functools.cache(lambda graph, variant: cohomology(complex_of(graph, variant)))

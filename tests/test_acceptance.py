@@ -135,7 +135,7 @@ def test_criterion_06_retraction_on_corpus(corpus, complex_of, table_of):
     for G in corpus:
         cx_t = complex_of(G, "tutte")
         cx_y = complex_of(G, "yamada")
-        maps = phi_psi(G, tutte_complex=cx_t, yamada_complex=cx_y)
+        maps = phi_psi(cx_t, cx_y)
         for i in range(cx_y.height_count - 1):
             if maps.phi[i + 1] @ cx_t.differential(i) != cx_y.differential(i) @ maps.phi[i]:
                 failures.append((G, "phi", i))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphhom.cli
 import graphhom.verify
-from graphhom.cli import run
+from graphhom.cli import POLY_CHOICES, run
 from graphhom.laurent import X, BivariateLaurent
-from graphhom.verify import CheckReport
+from graphhom.verify import CHECK_NAMES, CheckReport
 
 
 @pytest.fixture
@@ -85,6 +89,17 @@ def test_poly_isolated_vertices_cost_nothing(which, extra, tmp_path, capsys):
     assert large == factor * small
 
 
+def test_poly_g_refuses_large_x_degree_at_once(tmp_path, capsys):
+    # a triangle plus a loop among 16,000 vertices: g~ has x-degree 4 + 15,998, and
+    # shifting it would expand thousands of terms with thousands-of-bits binomials
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"vertices": 16_000, "edges": [[0, 1], [1, 2], [0, 2], [0, 0]]}))
+    assert run(["poly", "--which", "g", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "g~ has x-degree 16002, over the limit of 1024" in captured.err
+
+
 def test_cohomology_human(bigon_path, capsys):
     assert run(["cohomology", "--variant", "yamada", "--input", bigon_path]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -129,13 +144,19 @@ def test_check_only_selection(triangle_path, capsys):
     assert [r["name"] for r in reports] == ["euler", "retraction"]
     capsys.readouterr()
     assert run(["check", "--only", "bogus", "--input", triangle_path]) == 1
+    assert "unknown checks: bogus" in capsys.readouterr().err
+    for empty in (",", ""):
+        assert run(["check", "--only", empty, "--input", triangle_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no checks named" in captured.err
 
 
 def test_check_failure_exit_code(bigon_path, capsys, monkeypatch):
     monkeypatch.setattr(
         graphhom.verify,
         "check_euler",
-        lambda G, max_edges=12: CheckReport("euler", False, "synthetic failure"),
+        lambda G, complex_of, table_of: CheckReport("euler", False, "synthetic failure"),
         raising=True,
     )
     assert run(["check", "--only", "euler", "--input", bigon_path]) == 2
@@ -277,3 +298,69 @@ def test_python_dash_m_runs_the_cli(bigon_path, capsys):
     proc = module("poly")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+# Graph JSON for the CLI fuzz test: objects with at most 4 edges whose fields may
+# be missing, of the wrong type, negative, out of range or huge, other JSON values,
+# malformed text, arrays nested past the parser's recursion limit, and an integer
+# too long to read. `--max-edges` stays at its default throughout.
+_ENDPOINT = st.one_of(st.integers(-2, 6), st.just(10**6), st.booleans(), st.floats(), st.none())
+_EDGE = st.one_of(st.lists(_ENDPOINT, max_size=3), _ENDPOINT)
+_GRAPH = st.fixed_dictionaries(
+    {},
+    optional={
+        "vertices": st.one_of(
+            st.integers(-3, 6), st.sampled_from([10**3, 10**6]), st.booleans(), st.floats(),
+            st.text(max_size=2), st.none(),
+        ),
+        "edges": st.one_of(st.lists(_EDGE, max_size=4), st.integers(), st.text(max_size=2)),
+    },
+)
+_DOCUMENT = st.one_of(
+    _GRAPH.map(json.dumps),
+    st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.none()).map(json.dumps),
+    st.text(alphabet='{}[]:,"-.0123456789aedgrstv ', max_size=30),
+    st.sampled_from([1, 10**4]).map(lambda n: "[" * n + "]" * n),
+    st.just('{"vertices": ' + "9" * 5000 + ', "edges": []}'),
+)
+_INT_FLAG = st.one_of(st.integers(-3, 5), st.sampled_from([10**30, -(10**30)])).map(str)
+_TRIANGLE_LOOP = [[0, 1], [1, 2], [0, 2], [0, 0]]
+
+
+@settings(max_examples=40, deadline=None)
+@example("[" * 10**4 + "]" * 10**4, "g", "1", "yamada", None, None)
+@example(json.dumps({"vertices": 10**6, "edges": _TRIANGLE_LOOP}), "g", "0", "tutte", None, "-1")
+@example(json.dumps({"vertices": 4, "edges": _TRIANGLE_LOOP}), "negami", "-3", "yamada", [], "4")
+@example(json.dumps({"vertices": 3, "edges": [[0, 3]]}), "negami", str(10**30), "tutte", [""], None)
+@given(
+    document=_DOCUMENT,
+    which=st.sampled_from(POLY_CHOICES),
+    negami_t=st.one_of(_INT_FLAG, st.just("x")),
+    variant=st.sampled_from(("yamada", "tutte")),
+    only=st.one_of(
+        st.none(), st.lists(st.sampled_from(CHECK_NAMES + ("bogus", "")), max_size=3)
+    ),
+    height=st.one_of(st.none(), _INT_FLAG),
+)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, document, which, negami_t, variant, only, height):
+    """Every subcommand on malformed or extreme input exits 0, 1 or 2, and no
+    exception escapes; on exit 1 only an error message is printed, on stderr."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-graph.json"
+    path.write_text(document, encoding="utf-8")
+    check = ["--all"] if only is None else ["--only", ",".join(only)]
+    argvs = [
+        ["poly", "--which", which, "--negami-t", negami_t],
+        ["cohomology", "--variant", variant],
+        ["check", *check],
+        ["dump", "--variant", variant, *([] if height is None else ["--height", height])],
+    ]
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*argv, "--input", str(path)])
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        else:
+            assert err.getvalue() == "", (argv, err.getvalue())

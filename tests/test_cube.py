@@ -47,7 +47,7 @@ def test_chain_module_sizes():
 
 def test_chain_module_order_is_little_endian():
     # C^{e1} of the bigon: bit 0 is the edge slot, bit 1 the component slot
-    maps = phi_psi(bigon())
+    maps = phi_psi(build_complex(bigon(), "tutte"), build_complex(bigon(), "yamada"))
     cx = maps.yamada
     off = cx.state_offsets[1][0b01]
     assert cx.bidegrees[1][off : off + 4] == [(0, 0), (1, 0), (1, 0), (2, 0)]
@@ -235,41 +235,42 @@ def test_unsigned_squares_commute():
 
 
 def test_projection_map_bigon():
-    P2 = bigon()
-    pm = projection_map(P2, [0], "yamada")
+    pm = projection_map(build_complex(bigon(), "yamada"), [0])
     assert pm.matrices[0] == IntMatrix.identity(4)
     assert pm.matrices[1] == IntMatrix(4, 8, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
     assert pm.matrices[2] == IntMatrix.zeros(0, 16)
 
 
 def test_projection_map_empty_and_full_gamma():
-    P2 = bigon()
-    pm_empty = projection_map(P2, [], "yamada")
+    source = build_complex(bigon(), "yamada")
+    pm_empty = projection_map(source, [])
     assert pm_empty.matrices[0] == IntMatrix.identity(4)
     assert pm_empty.matrices[1].is_zero() and pm_empty.matrices[1].rows == 0
-    pm_full = projection_map(P2, [0, 1], "yamada")
+    pm_full = projection_map(source, [0, 1])
     for i, mat in enumerate(pm_full.matrices):
         assert mat == IntMatrix.identity(pm_full.source.rank(i))
 
 
-def test_projection_map_is_chain_map():
+def test_projection_map_is_chain_map(complex_of):
     for G in (bigon(), triangle()):
         for gamma in ([], [0], [0, 1]):
             for variant in ("yamada", "tutte"):
-                pm = projection_map(G, gamma, variant)
+                pm = projection_map(complex_of(G, variant), gamma)
+                assert pm.target.variant == variant
                 for i in range(pm.source.height_count - 1):
                     lhs = pm.matrices[i + 1] @ pm.source.differential(i)
                     rhs = pm.target.differential(i) @ pm.matrices[i]
                     assert lhs == rhs
 
 
-def test_projection_map_rejects_bad_gamma():
-    with pytest.raises(ValueError):
-        projection_map(bigon(), [5])
+def test_projection_map_rejects_bad_gamma(complex_of):
+    for gamma in ([5], [-1], [0, 2]):
+        with pytest.raises(ValueError, match="gamma is not a subset"):
+            projection_map(complex_of(bigon(), "yamada"), gamma)
 
 
-def test_phi_psi_bigon():
-    maps = phi_psi(bigon())
+def test_phi_psi_bigon(complex_of):
+    maps = phi_psi(complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada"))
     # height 0 carries no edge factors, so both maps are the identity
     assert maps.phi[0] == IntMatrix.identity(4)
     assert maps.psi[0] == IntMatrix.identity(4)
@@ -281,9 +282,9 @@ def test_phi_psi_bigon():
         assert maps.psi[i] @ maps.phi[i] == IntMatrix.identity(maps.tutte.rank(i))
 
 
-def test_phi_psi_chain_maps_on_samples():
+def test_phi_psi_chain_maps_on_samples(complex_of):
     for G in (bigon(), triangle(), tree_graph(2), build(1, [])):
-        maps = phi_psi(G)
+        maps = phi_psi(complex_of(G, "tutte"), complex_of(G, "yamada"))
         for i in range(maps.yamada.height_count - 1):
             assert maps.phi[i + 1] @ maps.tutte.differential(i) == maps.yamada.differential(
                 i

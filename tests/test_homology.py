@@ -259,14 +259,14 @@ def test_cohomology_table_json_schema():
     assert data["euler"]["terms"][0] == {"x": 2, "y": 0, "c": "1"}
 
 
-def test_induced_map_ranks_for_phi():
-    maps = phi_psi(bigon())
+def test_induced_map_ranks_for_phi(complex_of):
+    maps = phi_psi(complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada"))
     ranks = induced_map_ranks(maps.tutte, maps.yamada, maps.phi)
     assert ranks == {(0, 1, 0): 1, (0, 2, 0): 1, (2, 0, 1): 1, (2, 1, 1): 1}
 
 
-def test_induced_composition_is_identity_on_tutte():
-    maps = phi_psi(bigon())
+def test_induced_composition_is_identity_on_tutte(complex_of):
+    maps = phi_psi(complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada"))
     comp = [psi @ phi for psi, phi in zip(maps.psi, maps.phi)]
     ranks = induced_map_ranks(maps.tutte, maps.tutte, comp)
     table = cohomology(maps.tutte)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhom.invariants
 from graphhom.invariants import (
     InvariantParams,
     chromatic_count,
@@ -76,6 +77,15 @@ def test_g_polynomials_examples():
     )
     assert g_polynomials(build(0, [])) == (ONE, ONE)
     assert g_polynomials(build(1, [])) == (X, P({(0, 0): 1, (1, 0): 1}))
+
+
+def test_g_polynomials_refuse_x_degree_over_limit(monkeypatch):
+    # the bigon's g~ = x^3 y - x^2 has x-degree |E| + b0 = 3
+    monkeypatch.setattr(graphhom.invariants, "MAX_G_DEGREE", 3)
+    assert g_polynomials(bigon())[0] == P({(3, 1): 1, (2, 0): -1})
+    monkeypatch.setattr(graphhom.invariants, "MAX_G_DEGREE", 2)
+    with pytest.raises(ValueError, match="x-degree 3, over the limit of 2"):
+        g_polynomials(bigon())
 
 
 def test_g_tilde_has_nonnegative_exponents(corpus):

@@ -1,11 +1,16 @@
 import pytest
 
+import graphhom.cube
+import graphhom.verify
+from graphhom.cube import build_complex, projection_map
+from graphhom.homology import cohomology
 from graphhom.multigraph import (
     Multigraph,
     bigon,
     bouquet_graph,
     build,
     multiedge_graph,
+    permute_edges,
     tree_graph,
     triangle,
 )
@@ -43,29 +48,29 @@ def test_failing_report_needs_witness():
 
 
 @pytest.mark.parametrize("G", SAMPLES, ids=lambda g: f"v{g.vertex_count}e{g.edge_count}")
-def test_check_euler(G):
-    assert check_euler(G).passed
+def test_check_euler(G, complex_of, table_of):
+    assert check_euler(G, complex_of, table_of).passed
 
 
 @pytest.mark.parametrize("G", SAMPLES, ids=lambda g: f"v{g.vertex_count}e{g.edge_count}")
-def test_check_permutation_invariance_default_sigma(G):
-    assert check_permutation_invariance(G, default_sigma(G)).passed
+def test_check_permutation_invariance_default_sigma(G, table_of):
+    assert check_permutation_invariance(G, default_sigma(G), table_of).passed
 
 
-def test_check_permutation_invariance_specific_swaps():
-    assert check_permutation_invariance(bigon(), (1, 0)).passed
-    assert check_permutation_invariance(triangle(), (1, 2, 0)).passed
-    assert check_permutation_invariance(triangle(), (0, 1, 2)).passed
+def test_check_permutation_invariance_specific_swaps(table_of):
+    assert check_permutation_invariance(bigon(), (1, 0), table_of).passed
+    assert check_permutation_invariance(triangle(), (1, 2, 0), table_of).passed
+    assert check_permutation_invariance(triangle(), (0, 1, 2), table_of).passed
 
 
-def test_check_permutation_invariance_rejects_bad_sigma():
+def test_check_permutation_invariance_rejects_bad_sigma(table_of):
     with pytest.raises(ValueError):
-        check_permutation_invariance(bigon(), (0, 0))
+        check_permutation_invariance(bigon(), (0, 0), table_of)
 
 
 @pytest.mark.parametrize("G", SAMPLES, ids=lambda g: f"v{g.vertex_count}e{g.edge_count}")
-def test_check_retraction(G):
-    assert check_retraction(G).passed
+def test_check_retraction(G, complex_of, table_of):
+    assert check_retraction(G, complex_of, table_of).passed
 
 
 @pytest.mark.parametrize("G", SAMPLES, ids=lambda g: f"v{g.vertex_count}e{g.edge_count}")
@@ -78,22 +83,51 @@ def test_check_deletion_contraction_vacuous_on_tree():
 
 
 @pytest.mark.parametrize("G", SAMPLES, ids=lambda g: f"v{g.vertex_count}e{g.edge_count}")
-def test_check_projection_default_gamma(G):
-    assert check_projection(G, default_gamma(G)).passed
+def test_check_projection_default_gamma(G, complex_of):
+    assert check_projection(G, default_gamma(G), complex_of).passed
 
 
-def test_check_projection_specific_gammas():
-    assert check_projection(bigon(), [0]).passed
-    assert check_projection(triangle(), [0, 2]).passed
-    assert check_projection(triangle(), range(3)).passed
+def test_check_projection_specific_gammas(complex_of):
+    assert check_projection(bigon(), [0], complex_of).passed
+    assert check_projection(triangle(), [0, 2], complex_of).passed
+    assert check_projection(triangle(), range(3), complex_of).passed
     with pytest.raises(ValueError):
-        check_projection(bigon(), [7])
+        check_projection(bigon(), [7], complex_of)
 
 
 def test_run_all_checks_order_and_verdicts():
     reports = run_checks(bigon())
     assert [r.name for r in reports] == list(CHECK_NAMES)
     assert all(r.passed for r in reports)
+
+
+def test_run_checks_builds_each_complex_and_table_once(monkeypatch):
+    """One check run builds one complex and one table per distinct (graph, variant):
+    on K4, 6 complexes (G, its edge reversal and its projection subgraph, in both
+    variants) and 4 tables (G and its reversal, in both variants)."""
+    builds, tables = [], []
+
+    def counting_build(G, variant, *args, **kwargs):
+        builds.append((G, variant))
+        return build_complex(G, variant, *args, **kwargs)
+
+    def counting_cohomology(cx):
+        tables.append((cx.graph, cx.variant))
+        return cohomology(cx)
+
+    monkeypatch.setattr(graphhom.verify, "build_complex", counting_build)
+    monkeypatch.setattr(graphhom.cube, "build_complex", counting_build)
+    monkeypatch.setattr(graphhom.verify, "cohomology", counting_cohomology)
+    K4 = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    reports = run_checks(K4)
+    assert all(r.passed for r in reports)
+    H = permute_edges(K4, default_sigma(K4))
+    sub = Multigraph(4, K4.edges[:-1])
+    # first use, in check order: euler, permutation_invariance, projection
+    assert builds == [
+        (K4, "yamada"), (H, "yamada"), (K4, "tutte"), (H, "tutte"), (sub, "yamada"), (sub, "tutte")
+    ]
+    assert tables == [(K4, "yamada"), (H, "yamada"), (K4, "tutte"), (H, "tutte")]
 
 
 def test_corpus_contents():
@@ -118,10 +152,6 @@ def test_five_checkers_across_corpus_sample(corpus):
 
 
 def test_permutation_invariance_full_corpus_reversal(corpus, table_of):
-    from graphhom.cube import build_complex
-    from graphhom.homology import cohomology
-    from graphhom.multigraph import permute_edges
-
     for G in corpus:
         H = permute_edges(G, default_sigma(G))
         for variant in ("yamada", "tutte"):
@@ -130,12 +160,10 @@ def test_permutation_invariance_full_corpus_reversal(corpus, table_of):
 
 
 def test_projection_chain_map_full_corpus(corpus, complex_of):
-    from graphhom.cube import projection_map
-
     for G in corpus:
         gamma = default_gamma(G)
         for variant in ("yamada", "tutte"):
-            pm = projection_map(G, gamma, variant, source=complex_of(G, variant))
+            pm = projection_map(complex_of(G, variant), gamma)
             for i in range(pm.source.height_count - 1):
                 lhs = pm.matrices[i + 1] @ pm.source.differential(i)
                 rhs = pm.target.differential(i) @ pm.matrices[i]
