@@ -104,7 +104,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     G = _load_graph(args.input, args.max_edges)
-    cx = build_complex(G, args.variant, max_edges=args.max_edges)
+    cx = build_complex(G, args.variant)
     table = cohomology(cx)
     if args.json:
         print(json.dumps(table.to_json_dict(), indent=2))
@@ -125,7 +125,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         names = CHECK_NAMES
     else:
         names = [name.strip() for name in args.only.split(",") if name.strip()]
-    reports = run_checks(G, names, max_edges=args.max_edges)
+    reports = run_checks(G, names)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0 if all(r.passed for r in reports) else 2
 
@@ -134,7 +134,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     G = _load_graph(args.input, args.max_edges)
     if args.height is not None and not 0 <= args.height < max(G.edge_count, 1):
         raise _CliError(f"height {args.height} out of range")
-    cx = build_complex(G, args.variant, max_edges=args.max_edges)
+    cx = build_complex(G, args.variant)
     print(json.dumps(cx.blocks_json(args.height), indent=2))
     return 0
 

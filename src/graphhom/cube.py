@@ -123,12 +123,13 @@ class BigradedComplex:
 
     `bidegrees[i][pos]` is the bidegree of basis element `pos` of C^i and
     `bidegree_index[i][(j,k)]` lists, in ascending order, the positions of
-    bidegree (j, k). `blocks[i][(j,k)]` is the signed differential
-    C^i -> C^(i+1) restricted to bidegree (j, k), row r and column c
-    standing for positions `bidegree_index[i+1][(j,k)][r]` and
+    bidegree (j, k). `blocks[i]` holds one block for every bidegree present
+    at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is the
+    signed differential C^i -> C^(i+1) restricted to bidegree (j, k), row r
+    and column c standing for positions `bidegree_index[i+1][(j,k)][r]` and
     `bidegree_index[i][(j,k)][c]`. The blocks are the only stored form of
-    the differential; `differentials` assembles the full maps from them
-    on request.
+    the differential; `differentials` assembles the full maps from them on
+    request.
     """
 
     variant: str
@@ -194,9 +195,7 @@ class BigradedComplex:
         for i in range(len(self.blocks)):
             if height is not None and i != height:
                 continue
-            jks = set(self.bidegree_index[i]) | set(self.bidegree_index[i + 1])
-            for jk in sorted(jks):
-                block = self.block(i, jk)
+            for jk, block in sorted(self.blocks[i].items()):
                 out.append(
                     {
                         "i": i,
@@ -240,26 +239,23 @@ def _check_faces(
                     raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
 
 
-def build_complex(G: Multigraph, variant: str, max_edges: int = 12) -> BigradedComplex:
+def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     """Assemble the complex into per-bidegree blocks and verify it.
 
-    Refuses, before building anything, graphs over `max_edges` edges and
-    complexes whose total chain rank exceeds `MAX_CHAIN_RANK`: first by a
-    lower bound before any state is looked at, then by the exact rank
-    before any basis is built. The exact rank takes b0 of every state from
-    `state_components`, which also gives the component of each endpoint
-    that the per-edge maps need. Heights are assembled in order. Each entry
-    is checked to preserve the bidegree as it is written into its block,
-    each per-edge map must be a partial function (every coefficient is 1),
-    and once height i is written, the faces from height i - 1 to i + 1 are
-    checked to anticommute (`_check_faces`). Any failure raises
-    RuntimeError.
+    Refuses, before building anything, complexes whose total chain rank
+    exceeds `MAX_CHAIN_RANK`: first by a lower bound before any state is
+    looked at, then by the exact rank before any basis is built. The exact
+    rank takes b0 of every state from `state_components`, which also gives
+    the component of each endpoint that the per-edge maps need. Heights are
+    assembled in order. Each entry is checked to preserve the bidegree as it
+    is written into its block, each per-edge map must be a partial function
+    (every coefficient is 1), and once height i is written, the faces from
+    height i - 1 to i + 1 are checked to anticommute (`_check_faces`). Any
+    failure raises RuntimeError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = G.edge_count
-    if n > max_edges:
-        raise ValueError(f"graph has {n} edges, over the limit of {max_edges}")
     yamada = variant == "yamada"
     _refuse_by_floor(G.vertex_count, n, yamada)
 
@@ -391,16 +387,15 @@ def projection_map(source: BigradedComplex, gamma: Iterable[int]) -> ProjectionM
 
     The target complex lives on the subgraph with gamma's edges in their
     induced order (all vertices retained, so states and their chain
-    modules match verbatim), in the source's variant. It is built with
-    the source's edge count as the limit: the subgraph never has more
-    edges, and its chain rank is at most the source's.
+    modules match verbatim), in the source's variant. Its chain rank is
+    at most the source's, so it is never refused.
     """
     G = source.graph
     gamma_sorted = sorted(set(gamma))
     if any(not 0 <= e < G.edge_count for e in gamma_sorted):
         raise ValueError("gamma is not a subset of the edge indices")
     sub = Multigraph(G.vertex_count, tuple(G.edges[e] for e in gamma_sorted))
-    dst = build_complex(sub, source.variant, G.edge_count)
+    dst = build_complex(sub, source.variant)
     pos = {e: i for i, e in enumerate(gamma_sorted)}
     gamma_mask = 0
     for e in gamma_sorted:

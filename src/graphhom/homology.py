@@ -137,9 +137,9 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     """Integer cohomology of the complex, blockwise per bidegree."""
     heights = cx.height_count
     block_data: dict[tuple[int, Bidegree], tuple[int, tuple[int, ...]]] = {}
-    for i in range(heights - 1):
-        for jk in set(cx.bidegree_index[i]) | set(cx.bidegree_index[i + 1]):
-            factors = _eliminate(cx.block(i, jk))[0]
+    for i, level in enumerate(cx.blocks):
+        for jk, block in level.items():
+            factors = _eliminate(block)[0]
             torsion = tuple(f for f in factors if f > 1)
             block_data[(i, jk)] = (len(factors), torsion)
 

@@ -4,9 +4,10 @@ Sparse storage keyed by (row, col); all arithmetic uses Python's
 arbitrary-precision integers, because entries in normal-form computations
 can grow far past any fixed width. `_eliminate` is the one elimination
 routine: it yields the invariant factors, and on request the transforms,
-behind `rank`, the per-block cohomology and `smith_normal_form`. `det`
-(Bareiss) stays a separate dense routine so that `verify_snf` checks
-unimodularity independently of it.
+behind `rank`, the per-block cohomology and `smith_normal_form`. Its pivot
+queue is a heap whose keys are checked when popped, not refreshed each
+time a column changes. `det` (Bareiss) stays a separate dense routine so
+that `verify_snf` checks unimodularity independently of it.
 """
 
 from __future__ import annotations
@@ -183,13 +184,19 @@ def _eliminate(
     The working matrix is a dict of sparse rows plus a column -> rows
     index; it is never made dense. Each pivot is an entry of smallest
     absolute value, ties going to the smallest Markowitz cost
-    (row entries - 1) * (column entries - 1), then to the lowest (row,
-    column). Its column is cleared with row operations, then its row with
-    column operations, both by floor quotients. A surviving remainder is
-    smaller than the pivot, so the pivot is picked again. A pivot that
-    does not divide every remaining entry gets the first offending row
-    added to its own row and is reduced again. Hence each factor divides
-    all later ones: they come out positive and in divisibility order.
+    (row entries - 1) * (column entries - 1) known when its key was pushed,
+    then to the lowest (row, column). Its column is cleared with row
+    operations, then its row with column operations, both by floor
+    quotients. A surviving remainder is smaller than the pivot, so the
+    pivot is picked again. A pivot that does not divide every remaining
+    entry gets the first offending row added to its own row and is reduced
+    again. Hence each factor divides all later ones: they come out
+    positive and in divisibility order.
+
+    Keys are pushed only for the rows a step changed and checked when
+    popped, so an entry whose column shrank keeps its older, higher cost
+    until that key reaches the top. The pivot order, and with it U and V
+    below, depends on this; the factors do not.
 
     With `track`, also returns unimodular U (rows x rows) and V
     (cols x cols) with U @ mat @ V equal to the factors on the leading
@@ -204,15 +211,17 @@ def _eliminate(
     u = {i: {i: 1} for i in range(mat.rows)} if track else {}
     v = {j: {j: 1} for j in range(mat.cols)} if track else {}
     # Pivot candidates keyed (|entry|, Markowitz cost, row, col). After each
-    # step the entries of every row and column it touched are pushed with
-    # their new keys; a popped key that no longer matches its entry is stale.
+    # step only the entries of the rows it changed are pushed, so every
+    # entry has a key with its current |entry|. A popped key whose entry is
+    # gone is dropped; one that has moved since its push goes back with the
+    # current key; otherwise its entry is the pivot.
     heap: list[tuple[int, int, int, int]] = []
-    dirty_rows, dirty_cols = set(rows), set()
+    dirty = set(rows)
     pivots: list[tuple[int, int]] = []
     factors: list[int] = []
     repick = True
     while True:
-        for i in dirty_rows & rows.keys():
+        for i in dirty & rows.keys():
             row = rows[i]
             if not row:
                 del rows[i]
@@ -220,23 +229,19 @@ def _eliminate(
             n = len(row) - 1
             for j, x in row.items():
                 heappush(heap, (abs(x), n * (len(cols[j]) - 1), i, j))
-        for j in dirty_cols & cols.keys():
-            col = cols[j]
-            if not col:
-                del cols[j]
-                continue
-            n = len(col) - 1
-            for i in col:
-                if i not in dirty_rows:
-                    heappush(heap, (abs(rows[i][j]), (len(rows[i]) - 1) * n, i, j))
-        dirty_rows, dirty_cols = set(), set()
+        dirty = set()
         if not rows:
             break
         while repick:
-            a, cost, r, c = heappop(heap)
+            key = heappop(heap)
+            _, _, r, c = key
             row = rows.get(r)
-            x = row.get(c) if row else None
-            repick = x is None or abs(x) != a or (len(row) - 1) * (len(cols[c]) - 1) != cost
+            if row is None or c not in row:
+                continue
+            fresh = (abs(row[c]), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+            repick = fresh != key
+            if repick:
+                heappush(heap, fresh)
         repick = True
         row_r = rows[r]
         p = row_r[c]
@@ -247,9 +252,8 @@ def _eliminate(
             _axpy(rows[i], row_r, -q, cols, i)
             if track:
                 _axpy(u[i], u[r], -q)
-        dirty_rows.update(others)
-        dirty_rows.add(r)
-        dirty_cols.update(row_r)
+        dirty.update(others)
+        dirty.add(r)
         if len(cols[c]) > 1:
             continue
 
@@ -275,7 +279,6 @@ def _eliminate(
                 _axpy(row_r, rows[offender], 1, cols, r)
                 if track:
                     _axpy(u[r], u[offender], 1)
-                dirty_cols.update(row_r)
                 # Keep this pivot: its row now holds a non-multiple of p,
                 # which the row pass reduces to a remainder below |p|.
                 repick = False
@@ -283,7 +286,6 @@ def _eliminate(
 
         del rows[r]
         cols[c].discard(r)
-        dirty_cols.add(c)
         if track and p < 0:
             u[r] = {k: -x for k, x in u[r].items()}
         pivots.append((r, c))

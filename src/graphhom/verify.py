@@ -173,15 +173,13 @@ def default_gamma(G: Multigraph) -> tuple[int, ...]:
     return tuple(range(G.edge_count - 1)) if G.edge_count else ()
 
 
-def run_checks(
-    G: Multigraph, names: Iterable[str] = CHECK_NAMES, max_edges: int = 12
-) -> list[CheckReport]:
+def run_checks(G: Multigraph, names: Iterable[str] = CHECK_NAMES) -> list[CheckReport]:
     """The named checkers with canonical default inputs (`default_sigma`,
     `default_gamma`), in fixed name order.
 
-    Each complex is built (with `max_edges`) and each table computed at
-    most once per call. Raises ValueError on a name outside CHECK_NAMES,
-    or on no name at all, before any check runs.
+    Each complex is built and each table computed at most once per call.
+    Raises ValueError on a name outside CHECK_NAMES, or on no name at all,
+    before any check runs.
     """
     names = list(names)
     unknown = [name for name in names if name not in CHECK_NAMES]
@@ -189,7 +187,7 @@ def run_checks(
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     if not names:
         raise ValueError("no checks named")
-    complex_of = cache(lambda H, variant: build_complex(H, variant, max_edges))
+    complex_of = cache(build_complex)
     table_of = cache(lambda H, variant: cohomology(complex_of(H, variant)))
     runners = {
         "deletion_contraction": lambda: check_deletion_contraction(G),

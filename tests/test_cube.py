@@ -128,12 +128,9 @@ def test_build_complex_single_vertex():
     assert cx.differentials == []
 
 
-def test_build_complex_edge_limit():
-    G = bouquet_graph(5)
-    with pytest.raises(ValueError):
-        build_complex(G, "yamada", max_edges=4)
-    with pytest.raises(ValueError):
-        build_complex(G, "euler")
+def test_build_complex_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant"):
+        build_complex(bouquet_graph(5), "euler")
 
 
 def test_bidegree_dims_bigon():
@@ -311,7 +308,7 @@ def test_build_complex_refuses_oversized_chain_rank(monkeypatch):
     with pytest.raises(ValueError, match=str(2 * 5**12)):
         build_complex(bouquet_graph(12), "yamada")
     with pytest.raises(ValueError, match=f"at least {2 * 3**21},"):
-        build_complex(bouquet_graph(21), "tutte", max_edges=21)
+        build_complex(bouquet_graph(21), "tutte")
     assert 2 * 5**12 > MAX_CHAIN_RANK
 
 
@@ -321,9 +318,9 @@ def test_build_complex_refuses_before_enumerating_states(monkeypatch):
 
     monkeypatch.setattr(cube, "state_components", never)
     with pytest.raises(ValueError, match=f"at least {2 * 3**16},"):
-        build_complex(bouquet_graph(16), "tutte", max_edges=16)
+        build_complex(bouquet_graph(16), "tutte")
     with pytest.raises(ValueError, match="rank at least"):
-        build_complex(cycle_graph(18), "tutte", max_edges=18)
+        build_complex(cycle_graph(18), "tutte")
 
 
 @pytest.mark.parametrize("G", [K4, cycle_graph(6)], ids=["K4", "cycle6"])

@@ -18,7 +18,7 @@ import pytest
 
 import graphhom.cube as cube
 from graphhom.cli import run
-from graphhom.multigraph import bigon, cycle_graph, multiedge_graph, to_json_dict
+from graphhom.multigraph import bigon, cycle_graph, multiedge_graph, to_json_dict, tree_graph
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
@@ -53,6 +53,9 @@ DIGESTS = {
     ("K4", "dump", "tutte"): "c01ae1ef2a42e5d0fe0d955cb7e970cbac43536f8559e0e7ad5beb7677e3356f",
     ("cycle6", "dump", "yamada"): "001b930c76c0fd79da626e5081181d8c0d75db6c93717e48d61c0327b481dbd8",
     ("cycle6", "cohomology", "yamada"): "8b4712cb4564502cffa8a05aad1dfa29b2a5a75365211e1df8376f31e31f4820",
+    # the two graphs of the benchmark's coh-elim workload, in canonical edge order
+    ("cycle8", "cohomology", "tutte"): "e7387613e89304606df7f9f8a59e3032060ba4ca7e39a7fdd0874197d398f78f",
+    ("path6", "cohomology", "yamada"): "6647b3f44c377ed208be90d2157430827f1d497d5e10aa0639ca93259f563c32",
 }
 
 # `dump --height 0` of two vertices joined by seven parallel edges, yamada variant.
@@ -108,6 +111,8 @@ def _graph_path(name, tmp_path):
     data = {
         "cycle5": to_json_dict(cycle_graph(5)),
         "cycle6": to_json_dict(cycle_graph(6)),
+        "cycle8": to_json_dict(cycle_graph(8)),
+        "path6": to_json_dict(tree_graph(6)),
         "K4": K4,
         "mixed": MIXED,
         "multi12": MULTI12,
