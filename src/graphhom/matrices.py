@@ -5,9 +5,9 @@ arbitrary-precision integers, because entries in normal-form computations
 can grow far past any fixed width. `_eliminate` is the one elimination
 routine: it yields the invariant factors, and on request the transforms,
 behind `rank`, the per-block cohomology and `smith_normal_form`. Its pivot
-queue is a heap whose keys are checked when popped, not refreshed each
-time a column changes. `det` (Bareiss) stays a separate dense routine so
-that `verify_snf` checks unimodularity independently of it.
+queue is a heap with one key per row, pushed when the row changes and
+checked against the row when popped. `det` (Bareiss) stays a separate
+dense routine so that `verify_snf` checks unimodularity independently of it.
 """
 
 from __future__ import annotations
@@ -142,9 +142,6 @@ class IntMatrix:
             return NotImplemented
         return self.shape == other.shape and self._entries == other._entries
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, frozenset(self._entries.items())))
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self._entries)})"
 
@@ -176,27 +173,30 @@ def _axpy(
                 index[j].discard(key)
 
 
+def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
+    """Heap key of row `i`: (smallest |entry|, number of entries, row)."""
+    return min(map(abs, row.values())), len(row), i
+
+
 def _eliminate(
     mat: IntMatrix, track: bool = False
 ) -> tuple[list[int], IntMatrix | None, IntMatrix | None]:
     """Nonzero invariant factors of `mat`, by sparse integer elimination.
 
     The working matrix is a dict of sparse rows plus a column -> rows
-    index; it is never made dense. Each pivot is an entry of smallest
-    absolute value, ties going to the smallest Markowitz cost
-    (row entries - 1) * (column entries - 1) known when its key was pushed,
-    then to the lowest (row, column). Its column is cleared with row
-    operations, then its row with column operations, both by floor
-    quotients. A surviving remainder is smaller than the pivot, so the
-    pivot is picked again. A pivot that does not divide every remaining
-    entry gets the first offending row added to its own row and is reduced
-    again. Hence each factor divides all later ones: they come out
-    positive and in divisibility order.
-
-    Keys are pushed only for the rows a step changed and checked when
-    popped, so an entry whose column shrank keeps its older, higher cost
-    until that key reaches the top. The pivot order, and with it U and V
-    below, depends on this; the factors do not.
+    index; it is never made dense. The pivot row is the row with the
+    smallest (smallest |entry| in the row, number of entries in the row,
+    row index). Within it the pivot column is, among the entries of that
+    smallest |entry|, the one whose column has the fewest entries, then
+    the lowest index. So every pivot is an entry of smallest absolute
+    value in the whole working matrix, and the pivot order depends only on
+    that matrix. The pivot's column is cleared with row operations, then
+    its row with column operations, both by floor quotients. A surviving
+    remainder is smaller than the pivot, so the pivot is picked again. A
+    pivot that does not divide every remaining entry gets the first
+    offending row added to its own row and is reduced again. Hence each
+    factor divides all later ones: they come out positive and in
+    divisibility order.
 
     With `track`, also returns unimodular U (rows x rows) and V
     (cols x cols) with U @ mat @ V equal to the factors on the leading
@@ -210,12 +210,11 @@ def _eliminate(
         cols.setdefault(c, set()).add(r)
     u = {i: {i: 1} for i in range(mat.rows)} if track else {}
     v = {j: {j: 1} for j in range(mat.cols)} if track else {}
-    # Pivot candidates keyed (|entry|, Markowitz cost, row, col). After each
-    # step only the entries of the rows it changed are pushed, so every
-    # entry has a key with its current |entry|. A popped key whose entry is
-    # gone is dropped; one that has moved since its push goes back with the
-    # current key; otherwise its entry is the pivot.
-    heap: list[tuple[int, int, int, int]] = []
+    # One `_pivot_key` per row. Each step pushes the current key of every
+    # row it changed, so every row's current key is in the heap. A popped
+    # key whose row is gone, or differs from the row's current key, is
+    # dropped for good; the first one that matches names the pivot row.
+    heap: list[tuple[int, int, int]] = []
     dirty = set(rows)
     pivots: list[tuple[int, int]] = []
     factors: list[int] = []
@@ -226,24 +225,18 @@ def _eliminate(
             if not row:
                 del rows[i]
                 continue
-            n = len(row) - 1
-            for j, x in row.items():
-                heappush(heap, (abs(x), n * (len(cols[j]) - 1), i, j))
+            heappush(heap, _pivot_key(i, row))
         dirty = set()
         if not rows:
             break
         while repick:
             key = heappop(heap)
-            _, _, r, c = key
-            row = rows.get(r)
-            if row is None or c not in row:
-                continue
-            fresh = (abs(row[c]), (len(row) - 1) * (len(cols[c]) - 1), r, c)
-            repick = fresh != key
-            if repick:
-                heappush(heap, fresh)
+            m, _, r = key
+            row_r = rows.get(r)
+            repick = row_r is None or key != _pivot_key(r, row_r)
+            if not repick:
+                c = min((j for j, x in row_r.items() if abs(x) == m), key=lambda j: (len(cols[j]), j))
         repick = True
-        row_r = rows[r]
         p = row_r[c]
 
         others = [i for i in cols[c] if i != r]

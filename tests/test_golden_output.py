@@ -25,6 +25,7 @@ GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 # A loop, a parallel pair, a merge with a bystander component and an isolated vertex.
 MIXED = {"vertices": 5, "edges": [[0, 1], [1, 2], [2, 0], [2, 2], [1, 2]]}
 K4 = {"vertices": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}
+K5 = {"vertices": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
 # Loopless, 12 edges: a hexagon, three doubled sides and the three long diagonals.
 MULTI12 = {
     "vertices": 6,
@@ -56,6 +57,9 @@ DIGESTS = {
     # the two graphs of the benchmark's coh-elim workload, in canonical edge order
     ("cycle8", "cohomology", "tutte"): "e7387613e89304606df7f9f8a59e3032060ba4ca7e39a7fdd0874197d398f78f",
     ("path6", "cohomology", "yamada"): "6647b3f44c377ed208be90d2157430827f1d497d5e10aa0639ca93259f563c32",
+    # two ladder rungs, pinned from the output before the pivot queue was keyed by row
+    ("K5", "cohomology", "tutte"): "547ba61364e2ff126fc7fe8246c9ef37f78eb5b99b634b678b5b9843a66c502b",
+    ("cycle8", "cohomology", "yamada"): "aede6df4aca3891570b369ef177bdcbc2a847d6440c8170477c557f2857d6ea6",
 }
 
 # `dump --height 0` of two vertices joined by seven parallel edges, yamada variant.
@@ -114,6 +118,7 @@ def _graph_path(name, tmp_path):
         "cycle8": to_json_dict(cycle_graph(8)),
         "path6": to_json_dict(tree_graph(6)),
         "K4": K4,
+        "K5": K5,
         "mixed": MIXED,
         "multi12": MULTI12,
         "multiedge7": to_json_dict(multiedge_graph(7)),

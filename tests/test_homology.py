@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhom.matrices as matrices
 from graphhom.cube import build_complex, graded_euler, phi_psi
 from graphhom.homology import (
     Summand,
@@ -171,6 +172,24 @@ def test_rank_mod_p_counts_factors_prime_to_p(corpus, complex_of):
                 divisible_by_2 += sum(1 for f in factors if f % 2 == 0)
     assert blocks
     assert divisible_by_2  # the corpus has Z/2 torsion
+
+
+def test_pivot_queue_pushes_fewer_keys_than_nonzeros(monkeypatch, complex_of):
+    # One heap key per changed row, not one per entry. On K5 tutte a queue keyed by
+    # entry pushed 196,506 keys for the 34,500 nonzeros of the blocks; keyed by row, 17,085.
+    cx = complex_of(Multigraph(5, tuple(itertools.combinations(range(5), 2))), "tutte")
+    nonzeros = sum(block.nnz() for level in cx.blocks for block in level.values())
+    pushes = 0
+    heappush = matrices.heappush
+
+    def counting_heappush(heap, key):
+        nonlocal pushes
+        pushes += 1
+        heappush(heap, key)
+
+    monkeypatch.setattr(matrices, "heappush", counting_heappush)
+    cohomology(cx)
+    assert 0 < pushes < nonzeros
 
 
 def test_verify_snf_catches_forgeries():
