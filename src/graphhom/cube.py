@@ -32,7 +32,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable
 
-from .laurent import BivariateLaurent
+from .laurent import ZERO, BivariateLaurent
 from .matrices import IntMatrix
 from .multigraph import Multigraph, state_components
 
@@ -119,11 +119,11 @@ def _edge_rule(
 
 @dataclass
 class BigradedComplex:
-    """Cochain complex with per-height bidegrees and per-bidegree blocks.
+    """Cochain complex with a per-height bidegree index and per-bidegree blocks.
 
-    `bidegrees[i][pos]` is the bidegree of basis element `pos` of C^i and
     `bidegree_index[i][(j,k)]` lists, in ascending order, the positions of
-    bidegree (j, k). `blocks[i]` holds one block for every bidegree present
+    the basis elements of C^i of bidegree (j, k); it is the only stored form
+    of the grading. `blocks[i]` holds one block for every bidegree present
     at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is the
     signed differential C^i -> C^(i+1) restricted to bidegree (j, k), row r
     and column c standing for positions `bidegree_index[i+1][(j,k)][r]` and
@@ -134,7 +134,6 @@ class BigradedComplex:
 
     variant: str
     graph: Multigraph
-    bidegrees: list[list[Bidegree]]
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
     bidegree_index: list[dict[Bidegree, list[int]]]
@@ -142,11 +141,11 @@ class BigradedComplex:
 
     @property
     def height_count(self) -> int:
-        return len(self.bidegrees)
+        return len(self.bidegree_index)
 
     def rank(self, i: int) -> int:
         if 0 <= i < self.height_count:
-            return len(self.bidegrees[i])
+            return sum(map(len, self.bidegree_index[i].values()))
         return 0
 
     @cached_property
@@ -184,10 +183,7 @@ class BigradedComplex:
 
     def qdim(self, i: int) -> BivariateLaurent:
         """Graded dimension of C^i, as a polynomial in (t, w)."""
-        out: dict[Bidegree, int] = {}
-        for jk in self.bidegrees[i]:
-            out[jk] = out.get(jk, 0) + 1
-        return BivariateLaurent(out)
+        return BivariateLaurent(self.dims_at(i))
 
     def blocks_json(self, height: int | None = None) -> list[dict]:
         """Per-height, per-bidegree matrices, entries sorted by (row, col)."""
@@ -355,7 +351,6 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     return BigradedComplex(
         variant=variant,
         graph=G,
-        bidegrees=bidegs,
         state_offsets=offsets,
         state_sizes=sizes,
         bidegree_index=bidegree_index,
@@ -365,25 +360,14 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
 
 def graded_euler(cx: BigradedComplex) -> BivariateLaurent:
     """Alternating sum of the graded dimensions of the chain groups."""
-    out: dict[Bidegree, int] = {}
-    for i, bidegs in enumerate(cx.bidegrees):
-        sign = -1 if i % 2 else 1
-        for jk in bidegs:
-            out[jk] = out.get(jk, 0) + sign
-    return BivariateLaurent(out)
+    return sum(((-1) ** i * cx.qdim(i) for i in range(cx.height_count)), ZERO)
 
 
-@dataclass
-class ProjectionMaps:
-    """Chain projection onto the complex of a spanning subgraph."""
-
-    source: BigradedComplex
-    target: BigradedComplex
-    matrices: list[IntMatrix]
-
-
-def projection_map(source: BigradedComplex, gamma: Iterable[int]) -> ProjectionMaps:
-    """Per-height matrices selecting the summands of `source` with S inside gamma.
+def projection_map(
+    source: BigradedComplex, gamma: Iterable[int]
+) -> tuple[BigradedComplex, list[IntMatrix]]:
+    """The target complex and the per-height matrices selecting the summands
+    of `source` with S inside gamma.
 
     The target complex lives on the subgraph with gamma's edges in their
     induced order (all vertices retained, so states and their chain
@@ -416,32 +400,25 @@ def projection_map(source: BigradedComplex, gamma: Iterable[int]) -> ProjectionM
                 for l in range(source.state_sizes[i][mask]):
                     entries[(dst_off + l, src_off + l)] = 1
         mats.append(IntMatrix(dst.rank(i), source.rank(i), entries))
-    return ProjectionMaps(source=source, target=dst, matrices=mats)
+    return dst, mats
 
 
-@dataclass
-class RetractionMaps:
-    """The chain maps between the tutte and yamada variants.
-
-    phi inserts the unit in every edge slot; psi evaluates the counit on
-    every edge slot. psi[i] @ phi[i] is the identity at every height.
-    """
-
-    tutte: BigradedComplex
-    yamada: BigradedComplex
-    phi: list[IntMatrix]
-    psi: list[IntMatrix]
-
-
-def phi_psi(tutte: BigradedComplex, yamada: BigradedComplex) -> RetractionMaps:
+def phi_psi(
+    tutte: BigradedComplex, yamada: BigradedComplex
+) -> tuple[list[IntMatrix], list[IntMatrix]]:
     """Per-height matrices of phi: C_T -> C_Y and psi: C_Y -> C_T, between
     the two variants' complexes of one graph.
 
+    phi inserts the unit in every edge slot; psi evaluates the counit on
+    every edge slot, so psi[i] @ phi[i] is the identity at every height.
     Edge slots are the low |S| bits of a yamada index, so phi sends a
     tutte index l to l << |S|, and psi keeps exactly the yamada indices
     whose edge bits are all 0 (the counit kills the generator) and
-    shifts them back.
+    shifts them back. Raises ValueError unless the complexes are the
+    tutte and the yamada complex of one graph, in that order.
     """
+    if tutte.graph != yamada.graph or (tutte.variant, yamada.variant) != ("tutte", "yamada"):
+        raise ValueError("phi_psi needs the tutte and the yamada complex of one graph")
     phi: list[IntMatrix] = []
     psi: list[IntMatrix] = []
     for i in range(yamada.height_count):
@@ -455,4 +432,4 @@ def phi_psi(tutte: BigradedComplex, yamada: BigradedComplex) -> RetractionMaps:
                 psi_entries[(t_off + l, y_off + (l << lam))] = 1
         phi.append(IntMatrix(yamada.rank(i), tutte.rank(i), phi_entries))
         psi.append(IntMatrix(tutte.rank(i), yamada.rank(i), psi_entries))
-    return RetractionMaps(tutte=tutte, yamada=yamada, phi=phi, psi=psi)
+    return phi, psi

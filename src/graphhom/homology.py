@@ -145,8 +145,7 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
 
     summands: dict[tuple[int, int, int], Summand] = {}
     for i in range(heights):
-        for jk, idx in cx.bidegree_index[i].items():
-            dim = len(idx)
+        for jk, dim in cx.dims_at(i).items():
             rank_out = block_data.get((i, jk), (0, ()))[0]
             rank_in, torsion = block_data.get((i - 1, jk), (0, ()))
             free = dim - rank_out - rank_in
@@ -157,6 +156,17 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     return CohomologyTable(variant=cx.variant, height_count=heights, summands=summands)
 
 
+def chain_map_defect(
+    src: BigradedComplex, dst: BigradedComplex, maps: list[IntMatrix]
+) -> int | None:
+    """The lowest height i at which maps[i + 1] @ d_src^i != d_dst^i @ maps[i],
+    or None when the maps commute with the differentials at every height."""
+    for i in range(src.height_count - 1):
+        if maps[i + 1] @ src.differential(i) != dst.differential(i) @ maps[i]:
+            return i
+    return None
+
+
 def induced_map_ranks(
     cx_src: BigradedComplex,
     cx_dst: BigradedComplex,
@@ -165,34 +175,35 @@ def induced_map_ranks(
     """Rank of the induced map on cohomology free parts, per (i, j, k).
 
     The given per-height matrices must commute with the differentials
-    and preserve the bidegree; cocycles are pushed forward and ranked
-    modulo the target coboundaries.
+    and preserve the bidegree, which holds exactly when the per-bidegree
+    blocks of each matrix hold all of its nonzeros; both are checked, in
+    that order, before any kernel is computed. Cocycles are pushed forward
+    and ranked modulo the target coboundaries.
     """
     heights = cx_src.height_count
     if cx_dst.height_count != heights or len(chain_maps) != heights:
         raise ValueError("chain map must provide one matrix per height")
+    f_blocks: dict[tuple[int, Bidegree], IntMatrix] = {}
     for i, mat in enumerate(chain_maps):
         if mat.shape != (cx_dst.rank(i), cx_src.rank(i)):
             raise ValueError(f"chain map at height {i} has shape {mat.shape}")
-        for r, c, _ in mat.sorted_entries():
-            if cx_dst.bidegrees[i][r] != cx_src.bidegrees[i][c]:
-                raise ValueError("chain map does not preserve the bidegree")
-    for i in range(heights - 1):
-        if chain_maps[i + 1] @ cx_src.differential(i) != cx_dst.differential(i) @ chain_maps[i]:
-            raise ValueError(f"not a chain map: square at height {i} does not commute")
+        for jk, src_idx in cx_src.bidegree_index[i].items():
+            f_blocks[(i, jk)] = mat.submatrix(cx_dst.bidegree_index[i].get(jk, []), src_idx)
+        if sum(f_blocks[(i, jk)].nnz() for jk in cx_src.bidegree_index[i]) != mat.nnz():
+            raise ValueError("chain map does not preserve the bidegree")
+    defect = chain_map_defect(cx_src, cx_dst, chain_maps)
+    if defect is not None:
+        raise ValueError(f"not a chain map: square at height {defect} does not commute")
 
     out: dict[tuple[int, int, int], int] = {}
-    for i in range(heights):
-        for jk, src_idx in cx_src.bidegree_index[i].items():
-            dst_idx = cx_dst.bidegree_index[i].get(jk, []) if i < cx_dst.height_count else []
-            f_block = chain_maps[i].submatrix(dst_idx, src_idx)
-            if i < heights - 1:
-                cocycles = kernel_basis(cx_src.block(i, jk))
-            else:
-                cocycles = IntMatrix.identity(len(src_idx))
-            pushed = f_block @ cocycles
-            boundaries = cx_dst.block(i - 1, jk) if i > 0 else IntMatrix.zeros(len(dst_idx), 0)
-            r = rank(pushed.hstack(boundaries)) - rank(boundaries)
-            if r:
-                out[(i, jk[0], jk[1])] = r
+    for (i, jk), f_block in f_blocks.items():
+        if i < heights - 1:
+            cocycles = kernel_basis(cx_src.block(i, jk))
+        else:
+            cocycles = IntMatrix.identity(f_block.cols)
+        pushed = f_block @ cocycles
+        boundaries = cx_dst.block(i - 1, jk) if i > 0 else IntMatrix.zeros(f_block.rows, 0)
+        r = rank(pushed.hstack(boundaries)) - rank(boundaries)
+        if r:
+            out[(i, jk[0], jk[1])] = r
     return out

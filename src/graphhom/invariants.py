@@ -68,16 +68,12 @@ def yamada_state_sum(G: Multigraph) -> BivariateLaurent:
 def g_polynomials(G: Multigraph) -> tuple[BivariateLaurent, BivariateLaurent]:
     """(g~, g): the (-x)^|E| rescaling of h, and its value at (1+t, 1+w).
 
-    g~ = sum over S of (-1)^|S| x^(|S|+b0) y^b1 has nonnegative exponents
-    by construction; that is asserted before shifting. Raises ValueError,
-    before shifting, when the x-degree of g~ is over `MAX_G_DEGREE`.
+    g~ = h * (-x)^|E| = sum over S of (-1)^|S| x^(|S|+b0) y^b1 has
+    nonnegative exponents by construction; that is asserted before
+    shifting. Raises ValueError, before shifting, when the x-degree of g~
+    is over `MAX_G_DEGREE`.
     """
-    V = G.vertex_count
-    out: dict[tuple[int, int], int] = {}
-    for (size, b0), count in state_histogram(G).items():
-        key = (size + b0, size - V + b0)
-        out[key] = out.get(key, 0) + (-count if size % 2 else count)
-    g_tilde = BivariateLaurent(out)
+    g_tilde = yamada_state_sum(G) * (-X) ** G.edge_count
     assert not g_tilde.has_negative_exponents()
     degree = max((a for a, _, _ in g_tilde.terms()), default=0)
     if degree > MAX_G_DEGREE:

@@ -153,6 +153,9 @@ class BivariateLaurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it must hash like it too.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- output ------------------------------------------------------------

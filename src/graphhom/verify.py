@@ -18,7 +18,7 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .cube import VARIANTS, BigradedComplex, build_complex, graded_euler, phi_psi, projection_map
-from .homology import CohomologyTable, cohomology, induced_map_ranks
+from .homology import CohomologyTable, chain_map_defect, cohomology, induced_map_ranks
 from .invariants import g_polynomials, yamada_state_sum
 from .laurent import X
 from .matrices import IntMatrix
@@ -102,16 +102,16 @@ def check_permutation_invariance(
 def check_retraction(G: Multigraph, complex_of: ComplexOf, table_of: TableOf) -> CheckReport:
     """phi and psi are chain maps, psi o phi is the identity, and the
     induced composition is the identity on the tutte-variant cohomology."""
-    maps = phi_psi(complex_of(G, "tutte"), complex_of(G, "yamada"))
-    cx_t, cx_y = maps.tutte, maps.yamada
-    for i in range(cx_y.height_count - 1):
-        if maps.phi[i + 1] @ cx_t.differential(i) != cx_y.differential(i) @ maps.phi[i]:
-            return CheckReport("retraction", False, f"phi fails to commute with d at height {i}")
-        if maps.psi[i + 1] @ cx_y.differential(i) != cx_t.differential(i) @ maps.psi[i]:
-            return CheckReport("retraction", False, f"psi fails to commute with d at height {i}")
+    cx_t, cx_y = complex_of(G, "tutte"), complex_of(G, "yamada")
+    phi, psi = phi_psi(cx_t, cx_y)
+    defects = {"phi": chain_map_defect(cx_t, cx_y, phi), "psi": chain_map_defect(cx_y, cx_t, psi)}
+    failing = [(h, name) for name, h in defects.items() if h is not None]
+    if failing:
+        h, name = min(failing)  # the lower height first, phi before psi on a tie
+        return CheckReport("retraction", False, f"{name} fails to commute with d at height {h}")
     composition = []
     for i in range(cx_y.height_count):
-        comp = maps.psi[i] @ maps.phi[i]
+        comp = psi[i] @ phi[i]
         if comp != IntMatrix.identity(cx_t.rank(i)):
             return CheckReport("retraction", False, f"psi o phi is not the identity at height {i}")
         composition.append(comp)
@@ -151,17 +151,15 @@ def check_projection(G: Multigraph, gamma: Iterable[int], complex_of: ComplexOf)
     """The subgraph projection commutes with both differentials."""
     gamma = tuple(gamma)
     for variant in VARIANTS:
-        pm = projection_map(complex_of(G, variant), gamma)
-        src, dst = pm.source, pm.target
-        for i in range(src.height_count - 1):
-            lhs = pm.matrices[i + 1] @ src.differential(i)
-            rhs = dst.differential(i) @ pm.matrices[i]
-            if lhs != rhs:
-                return CheckReport(
-                    "projection",
-                    False,
-                    f"{variant} projection fails to commute at height {i} for gamma={gamma}",
-                )
+        src = complex_of(G, variant)
+        dst, matrices = projection_map(src, gamma)
+        height = chain_map_defect(src, dst, matrices)
+        if height is not None:
+            return CheckReport(
+                "projection",
+                False,
+                f"{variant} projection fails to commute at height {height} for gamma={gamma}",
+            )
     return CheckReport("projection", True)
 
 

@@ -105,9 +105,13 @@ def test_criterion_04_d_squared_and_bidegrees(corpus, complex_of):
             for i in range(len(cx.differentials) - 1):
                 if not (cx.differentials[i + 1] @ cx.differentials[i]).is_zero():
                     failures.append((G, variant, i))
+            bidegree_of = [
+                {pos: jk for jk, idx in level.items() for pos in idx}
+                for level in cx.bidegree_index
+            ]
             for i, diff in enumerate(cx.differentials):
                 for r, c, _ in diff.sorted_entries():
-                    if cx.bidegrees[i + 1][r] != cx.bidegrees[i][c]:
+                    if bidegree_of[i + 1][r] != bidegree_of[i][c]:
                         failures.append((G, variant, i, r, c))
     _report(4, "d^2 = 0 and bidegree preservation, both variants", failures)
 
@@ -135,14 +139,14 @@ def test_criterion_06_retraction_on_corpus(corpus, complex_of, table_of):
     for G in corpus:
         cx_t = complex_of(G, "tutte")
         cx_y = complex_of(G, "yamada")
-        maps = phi_psi(cx_t, cx_y)
+        phi, psi = phi_psi(cx_t, cx_y)
         for i in range(cx_y.height_count - 1):
-            if maps.phi[i + 1] @ cx_t.differential(i) != cx_y.differential(i) @ maps.phi[i]:
+            if phi[i + 1] @ cx_t.differential(i) != cx_y.differential(i) @ phi[i]:
                 failures.append((G, "phi", i))
-            if maps.psi[i + 1] @ cx_y.differential(i) != cx_t.differential(i) @ maps.psi[i]:
+            if psi[i + 1] @ cx_y.differential(i) != cx_t.differential(i) @ psi[i]:
                 failures.append((G, "psi", i))
         for i in range(cx_y.height_count):
-            if maps.psi[i] @ maps.phi[i] != IntMatrix.identity(cx_t.rank(i)):
+            if psi[i] @ phi[i] != IntMatrix.identity(cx_t.rank(i)):
                 failures.append((G, "psi o phi", i))
         table_t = table_of(G, "tutte")
         table_y = table_of(G, "yamada")

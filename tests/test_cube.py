@@ -47,12 +47,13 @@ def test_chain_module_sizes():
 
 def test_chain_module_order_is_little_endian():
     # C^{e1} of the bigon: bit 0 is the edge slot, bit 1 the component slot
-    maps = phi_psi(build_complex(bigon(), "tutte"), build_complex(bigon(), "yamada"))
-    cx = maps.yamada
+    cx = build_complex(bigon(), "yamada")
+    psi = phi_psi(build_complex(bigon(), "tutte"), cx)[1]
     off = cx.state_offsets[1][0b01]
-    assert cx.bidegrees[1][off : off + 4] == [(0, 0), (1, 0), (1, 0), (2, 0)]
+    bidegree_of = {pos: jk for jk, idx in cx.bidegree_index[1].items() for pos in idx}
+    assert [bidegree_of[off + x] for x in range(4)] == [(0, 0), (1, 0), (1, 0), (2, 0)]
     # psi kills the generator in the edge slot and keeps the one in the component slot
-    kept = {c for _, c, _ in maps.psi[1].sorted_entries()}
+    kept = {c for _, c, _ in psi[1].sorted_entries()}
     assert off + 1 not in kept and off + 2 in kept
 
 
@@ -232,31 +233,32 @@ def test_unsigned_squares_commute():
 
 
 def test_projection_map_bigon():
-    pm = projection_map(build_complex(bigon(), "yamada"), [0])
-    assert pm.matrices[0] == IntMatrix.identity(4)
-    assert pm.matrices[1] == IntMatrix(4, 8, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
-    assert pm.matrices[2] == IntMatrix.zeros(0, 16)
+    _, matrices = projection_map(build_complex(bigon(), "yamada"), [0])
+    assert matrices[0] == IntMatrix.identity(4)
+    assert matrices[1] == IntMatrix(4, 8, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
+    assert matrices[2] == IntMatrix.zeros(0, 16)
 
 
 def test_projection_map_empty_and_full_gamma():
     source = build_complex(bigon(), "yamada")
-    pm_empty = projection_map(source, [])
-    assert pm_empty.matrices[0] == IntMatrix.identity(4)
-    assert pm_empty.matrices[1].is_zero() and pm_empty.matrices[1].rows == 0
-    pm_full = projection_map(source, [0, 1])
-    for i, mat in enumerate(pm_full.matrices):
-        assert mat == IntMatrix.identity(pm_full.source.rank(i))
+    _, empty = projection_map(source, [])
+    assert empty[0] == IntMatrix.identity(4)
+    assert empty[1].is_zero() and empty[1].rows == 0
+    _, full = projection_map(source, [0, 1])
+    for i, mat in enumerate(full):
+        assert mat == IntMatrix.identity(source.rank(i))
 
 
 def test_projection_map_is_chain_map(complex_of):
     for G in (bigon(), triangle()):
         for gamma in ([], [0], [0, 1]):
             for variant in ("yamada", "tutte"):
-                pm = projection_map(complex_of(G, variant), gamma)
-                assert pm.target.variant == variant
-                for i in range(pm.source.height_count - 1):
-                    lhs = pm.matrices[i + 1] @ pm.source.differential(i)
-                    rhs = pm.target.differential(i) @ pm.matrices[i]
+                source = complex_of(G, variant)
+                target, matrices = projection_map(source, gamma)
+                assert target.variant == variant
+                for i in range(source.height_count - 1):
+                    lhs = matrices[i + 1] @ source.differential(i)
+                    rhs = target.differential(i) @ matrices[i]
                     assert lhs == rhs
 
 
@@ -267,35 +269,44 @@ def test_projection_map_rejects_bad_gamma(complex_of):
 
 
 def test_phi_psi_bigon(complex_of):
-    maps = phi_psi(complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada"))
+    tutte = complex_of(bigon(), "tutte")
+    phi, psi = phi_psi(tutte, complex_of(bigon(), "yamada"))
     # height 0 carries no edge factors, so both maps are the identity
-    assert maps.phi[0] == IntMatrix.identity(4)
-    assert maps.psi[0] == IntMatrix.identity(4)
+    assert phi[0] == IntMatrix.identity(4)
+    assert psi[0] == IntMatrix.identity(4)
     # phi embeds each tutte basis vector with unit edge factors
-    assert maps.phi[1] == IntMatrix(8, 4, {(0, 0): 1, (2, 1): 1, (4, 2): 1, (6, 3): 1})
+    assert phi[1] == IntMatrix(8, 4, {(0, 0): 1, (2, 1): 1, (4, 2): 1, (6, 3): 1})
     # psi kills every vector with a generator in an edge slot
-    assert maps.psi[1] == IntMatrix(4, 8, {(0, 0): 1, (1, 2): 1, (2, 4): 1, (3, 6): 1})
+    assert psi[1] == IntMatrix(4, 8, {(0, 0): 1, (1, 2): 1, (2, 4): 1, (3, 6): 1})
     for i in range(3):
-        assert maps.psi[i] @ maps.phi[i] == IntMatrix.identity(maps.tutte.rank(i))
+        assert psi[i] @ phi[i] == IntMatrix.identity(tutte.rank(i))
+
+
+def test_phi_psi_refuses_mismatched_complexes(complex_of):
+    path, double_edge = build(3, [(0, 1), (1, 2)]), build(3, [(0, 1), (0, 1)])
+    with pytest.raises(ValueError, match="one graph"):
+        phi_psi(complex_of(path, "tutte"), complex_of(double_edge, "yamada"))
+    for first, second in (("yamada", "tutte"), ("tutte", "tutte"), ("yamada", "yamada")):
+        with pytest.raises(ValueError, match="one graph"):
+            phi_psi(complex_of(path, first), complex_of(path, second))
+    phi, psi = phi_psi(complex_of(path, "tutte"), complex_of(path, "yamada"))
+    assert len(phi) == len(psi) == 3
 
 
 def test_phi_psi_chain_maps_on_samples(complex_of):
     for G in (bigon(), triangle(), tree_graph(2), build(1, [])):
-        maps = phi_psi(complex_of(G, "tutte"), complex_of(G, "yamada"))
-        for i in range(maps.yamada.height_count - 1):
-            assert maps.phi[i + 1] @ maps.tutte.differential(i) == maps.yamada.differential(
-                i
-            ) @ maps.phi[i]
-            assert maps.psi[i + 1] @ maps.yamada.differential(i) == maps.tutte.differential(
-                i
-            ) @ maps.psi[i]
+        tutte, yamada = complex_of(G, "tutte"), complex_of(G, "yamada")
+        phi, psi = phi_psi(tutte, yamada)
+        for i in range(yamada.height_count - 1):
+            assert phi[i + 1] @ tutte.differential(i) == yamada.differential(i) @ phi[i]
+            assert psi[i + 1] @ yamada.differential(i) == tutte.differential(i) @ psi[i]
 
 
 def test_basis_vector_bidegree_counts_generators():
     # the top element of C^{e1,e2} sets both edge bits, the component bit and the cycle bit
     cx = build_complex(bigon(), "yamada")
     assert cx.state_offsets[2][0b11] + 0b1111 == cx.rank(2) - 1
-    assert cx.bidegrees[2][0b1111] == (3, 1)
+    assert 0b1111 in cx.bidegree_index[2][(3, 1)]
 
 
 def test_build_complex_refuses_oversized_chain_rank(monkeypatch):

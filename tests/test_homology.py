@@ -255,7 +255,6 @@ def test_torsion_reporting_on_synthetic_block():
     synthetic = type(cx)(
         variant=cx.variant,
         graph=cx.graph,
-        bidegrees=cx.bidegrees,
         state_offsets=cx.state_offsets,
         state_sizes=cx.state_sizes,
         bidegree_index=cx.bidegree_index,
@@ -282,16 +281,17 @@ def test_cohomology_table_json_schema():
 
 
 def test_induced_map_ranks_for_phi(complex_of):
-    maps = phi_psi(complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada"))
-    ranks = induced_map_ranks(maps.tutte, maps.yamada, maps.phi)
+    cx_t, cx_y = complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada")
+    ranks = induced_map_ranks(cx_t, cx_y, phi_psi(cx_t, cx_y)[0])
     assert ranks == {(0, 1, 0): 1, (0, 2, 0): 1, (2, 0, 1): 1, (2, 1, 1): 1}
 
 
 def test_induced_composition_is_identity_on_tutte(complex_of):
-    maps = phi_psi(complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada"))
-    comp = [psi @ phi for psi, phi in zip(maps.psi, maps.phi)]
-    ranks = induced_map_ranks(maps.tutte, maps.tutte, comp)
-    table = cohomology(maps.tutte)
+    cx_t = complex_of(bigon(), "tutte")
+    phi, psi = phi_psi(cx_t, complex_of(bigon(), "yamada"))
+    comp = [q @ p for q, p in zip(psi, phi)]
+    ranks = induced_map_ranks(cx_t, cx_t, comp)
+    table = cohomology(cx_t)
     assert ranks == {key: s.free_rank for key, s in table.summands.items() if s.free_rank}
 
 
@@ -310,3 +310,11 @@ def test_induced_map_ranks_rejects_non_chain_maps():
         induced_map_ranks(cx, cx, fake)
     with pytest.raises(ValueError):
         induced_map_ranks(cx, cx, fake[:2])
+
+
+def test_induced_map_ranks_rejects_a_map_that_moves_the_bidegree():
+    # one height holding bidegrees (0,0) and (1,0), no square to commute:
+    # only the bidegree check sees that the map sends (1,0) into (0,0)
+    cx = build_complex(build(1, []), "tutte")
+    with pytest.raises(ValueError, match="bidegree"):
+        induced_map_ranks(cx, cx, [IntMatrix(2, 2, {(0, 1): 1})])

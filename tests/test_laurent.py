@@ -134,6 +134,20 @@ def test_int_coercion_and_equality():
     assert 1 - X == -(X - 1)
 
 
+@pytest.mark.parametrize("c", [0, 1, -5])
+def test_constant_hashes_like_its_int(c):
+    p = P.from_int(c)
+    assert p == c and hash(p) == hash(c)
+    assert c in {p} and p in {c}
+    assert len({c, p}) == 1
+
+
+def test_non_constant_hash_matches_equality():
+    p = 1 + X
+    assert hash(p) == hash(X + 1)
+    assert p != 1 and len({p, 1}) == 2
+
+
 def test_unit_monomial_detection():
     assert X.is_unit_monomial()
     assert (-X.inverse()).is_unit_monomial()

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 import graphhom.cube
 import graphhom.verify
 from graphhom.cube import build_complex, projection_map
-from graphhom.homology import cohomology
+from graphhom.homology import Summand, cohomology
+from graphhom.matrices import IntMatrix
 from graphhom.multigraph import (
     Multigraph,
     bigon,
@@ -163,8 +166,128 @@ def test_projection_chain_map_full_corpus(corpus, complex_of):
     for G in corpus:
         gamma = default_gamma(G)
         for variant in ("yamada", "tutte"):
-            pm = projection_map(complex_of(G, variant), gamma)
-            for i in range(pm.source.height_count - 1):
-                lhs = pm.matrices[i + 1] @ pm.source.differential(i)
-                rhs = pm.target.differential(i) @ pm.matrices[i]
+            source = complex_of(G, variant)
+            target, matrices = projection_map(source, gamma)
+            for i in range(source.height_count - 1):
+                lhs = matrices[i + 1] @ source.differential(i)
+                rhs = target.differential(i) @ matrices[i]
                 assert lhs == rhs, (G, variant, i)
+
+
+# Failure paths: each checker is fed one corrupted input and must fail with
+# the witness naming the first counterexample.
+
+
+BIGON_G = "t^3*w + t^3 + 3*t^2*w + 2*t^2 + 3*t*w + t + w"
+
+
+def _drop_first_entry(mat):
+    return IntMatrix(mat.rows, mat.cols, {(r, c): v for r, c, v in mat.sorted_entries()[1:]})
+
+
+def _bump_summand(table, key):
+    """The table with the free rank at (i, j, k) = key raised by one."""
+    s = table.summands.get(key, Summand(0))
+    return dataclasses.replace(
+        table, summands={**table.summands, key: Summand(s.free_rank + 1, s.torsion)}
+    )
+
+
+def _corrupt_phi_psi(monkeypatch, drops):
+    """Make the checkers' phi_psi drop one entry of the named map at the given height."""
+    real = graphhom.verify.phi_psi
+
+    def corrupted(tutte, yamada):
+        maps = dict(zip(("phi", "psi"), real(tutte, yamada)))
+        for name, h in drops.items():
+            maps[name][h] = _drop_first_entry(maps[name][h])
+        return maps["phi"], maps["psi"]
+
+    monkeypatch.setattr(graphhom.verify, "phi_psi", corrupted)
+
+
+@pytest.mark.parametrize(
+    "drops, witness",
+    [
+        ({"phi": 2}, "phi fails to commute with d at height 1"),
+        ({"psi": 2}, "psi fails to commute with d at height 1"),
+        # the lower failing height is reported first, phi before psi on a tie
+        ({"phi": 2, "psi": 1}, "psi fails to commute with d at height 0"),
+        ({"phi": 1, "psi": 1}, "phi fails to commute with d at height 0"),
+    ],
+)
+def test_check_retraction_fails_on_a_non_chain_map(
+    monkeypatch, complex_of, table_of, drops, witness
+):
+    _corrupt_phi_psi(monkeypatch, drops)
+    report = check_retraction(bigon(), complex_of, table_of)
+    assert report.passed is False
+    assert report.witness == witness
+
+
+def test_check_retraction_fails_when_psi_phi_is_not_the_identity(
+    monkeypatch, complex_of, table_of
+):
+    # one height, so no square to commute: only psi o phi can catch the drop
+    _corrupt_phi_psi(monkeypatch, {"psi": 0})
+    report = check_retraction(build(1, []), complex_of, table_of)
+    assert report.passed is False
+    assert report.witness == "psi o phi is not the identity at height 0"
+
+
+def test_check_retraction_fails_on_a_wrong_tutte_table(complex_of, table_of):
+    def wrong_table(G, variant):
+        return _bump_summand(table_of(G, variant), (0, 1, 0))
+
+    report = check_retraction(bigon(), complex_of, wrong_table)
+    assert report.passed is False
+    assert report.witness.startswith("induced composition ranks {")
+
+
+@pytest.mark.parametrize("variant", ["yamada", "tutte"])
+def test_check_projection_fails_on_a_non_chain_map(monkeypatch, complex_of, variant):
+    real = graphhom.verify.projection_map
+
+    def corrupted(source, gamma):
+        target, matrices = real(source, gamma)
+        if source.variant == variant:
+            matrices[1] = _drop_first_entry(matrices[1])
+        return target, matrices
+
+    monkeypatch.setattr(graphhom.verify, "projection_map", corrupted)
+    report = check_projection(bigon(), [0], complex_of)
+    assert report.passed is False
+    assert report.witness == f"{variant} projection fails to commute at height 0 for gamma=(0,)"
+
+
+def test_check_euler_fails_on_a_wrong_g(monkeypatch, complex_of, table_of):
+    real = graphhom.verify.g_polynomials
+    monkeypatch.setattr(graphhom.verify, "g_polynomials", lambda G: (real(G)[0], real(G)[1] + 1))
+    report = check_euler(bigon(), complex_of, table_of)
+    assert report.passed is False
+    assert report.witness == f"chain euler {BIGON_G} differs from g = {BIGON_G} + 1"
+
+
+def test_check_euler_fails_on_a_wrong_table(complex_of, table_of):
+    def wrong_table(G, variant):
+        return _bump_summand(table_of(G, variant), (0, 1, 0))
+
+    report = check_euler(bigon(), complex_of, wrong_table)
+    assert report.passed is False
+    assert report.witness == (
+        "cohomology euler t^3*w + t^3 + 3*t^2*w + 2*t^2 + 3*t*w + 2*t + w"
+        f" differs from g = {BIGON_G}"
+    )
+
+
+@pytest.mark.parametrize("variant", ["yamada", "tutte"])
+def test_check_permutation_invariance_fails_on_a_changed_table(table_of, variant):
+    G = triangle()
+
+    def wrong_table(H, v):
+        table = table_of(H, v)
+        return _bump_summand(table, (1, 2, 0)) if H != G and v == variant else table
+
+    report = check_permutation_invariance(G, (1, 2, 0), wrong_table)
+    assert report.passed is False
+    assert report.witness == f"{variant} tables differ at (i,j,k)=(1, 2, 0) under sigma=(1, 2, 0)"
