@@ -7,10 +7,11 @@ Z[w]/(w^2), one per independent cycle. Corresponding cube edges carry
 per-edge maps (unit insertion, component multiplication, cycle-factor
 insertion); with the usual alternating signs these assemble into a
 differential that preserves the bidegree and squares to zero, which
-`build_complex` verifies on every run: the bidegree on every entry as
-it is written into its per-bidegree block, and d^2 = 0 one square face
-of the cube at a time. The blocks are the only stored form of the
-differential.
+`build_complex` verifies on every run: the bidegree on every entry of
+each distinct per-edge map when that map is first worked out, and
+d^2 = 0 one square face of the cube at a time. The per-bidegree blocks,
+each three flat arrays of row, column and sign (`TripletMatrix`), are
+the only stored form of the differential.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its
@@ -27,13 +28,14 @@ machines) produce identical artifacts.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Iterable
 
 from .laurent import ZERO, BivariateLaurent
-from .matrices import IntMatrix
+from .matrices import INDEX_TYPECODE, IntMatrix, TripletMatrix
 from .multigraph import Multigraph, state_components
 
 Bidegree = tuple[int, int]
@@ -125,11 +127,12 @@ class BigradedComplex:
     the basis elements of C^i of bidegree (j, k); it is the only stored form
     of the grading. `blocks[i]` holds one block for every bidegree present
     at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is the
-    signed differential C^i -> C^(i+1) restricted to bidegree (j, k), row r
-    and column c standing for positions `bidegree_index[i+1][(j,k)][r]` and
+    signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as a
+    `TripletMatrix` of +-1 entries, row r and column c standing for
+    positions `bidegree_index[i+1][(j,k)][r]` and
     `bidegree_index[i][(j,k)][c]`. The blocks are the only stored form of
-    the differential; `differentials` assembles the full maps from them on
-    request.
+    the differential; `block` and `differentials` make `IntMatrix` views of
+    them on request.
     """
 
     variant: str
@@ -137,7 +140,7 @@ class BigradedComplex:
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
     bidegree_index: list[dict[Bidegree, list[int]]]
-    blocks: list[dict[Bidegree, IntMatrix]]
+    blocks: list[dict[Bidegree, TripletMatrix]]
 
     @property
     def height_count(self) -> int:
@@ -158,9 +161,9 @@ class BigradedComplex:
             entries: dict[tuple[int, int], int] = {}
             for jk, block in level.items():
                 rows, cols = row_index.get(jk, []), col_index.get(jk, [])
-                for r, c, val in block.sorted_entries():
-                    entries[(rows[r], cols[c])] = val
-            out.append(IntMatrix(self.rank(i + 1), self.rank(i), entries))
+                at = zip(map(rows.__getitem__, block.row_of), map(cols.__getitem__, block.col_of))
+                entries.update(zip(at, block.val_of))
+            out.append(IntMatrix._adopt(self.rank(i + 1), self.rank(i), entries))
         return out
 
     def differential(self, i: int) -> IntMatrix:
@@ -174,12 +177,12 @@ class BigradedComplex:
         return {jk: len(idx) for jk, idx in self.bidegree_index[i].items()}
 
     def block(self, i: int, jk: Bidegree) -> IntMatrix:
-        """d^i restricted to bidegree jk (zero-sized when absent)."""
+        """d^i restricted to bidegree jk, as an `IntMatrix` view of the
+        stored block (zero, of shape dims of jk at i + 1 by dims at i, when
+        no block is stored)."""
         if 0 <= i < len(self.blocks) and jk in self.blocks[i]:
-            return self.blocks[i][jk]
-        rows = len(self.bidegree_index[i + 1].get(jk, [])) if i + 1 < self.height_count else 0
-        cols = len(self.bidegree_index[i].get(jk, [])) if 0 <= i < self.height_count else 0
-        return IntMatrix.zeros(rows, cols)
+            return self.blocks[i][jk].as_intmatrix()
+        return IntMatrix.zeros(self.dims_at(i + 1).get(jk, 0), self.dims_at(i).get(jk, 0))
 
     def qdim(self, i: int) -> BivariateLaurent:
         """Graded dimension of C^i, as a polynomial in (t, w)."""
@@ -242,12 +245,25 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     exceeds `MAX_CHAIN_RANK`: first by a lower bound before any state is
     looked at, then by the exact rank before any basis is built. The exact
     rank takes b0 of every state from `state_components`, which also gives
-    the component of each endpoint that the per-edge maps need. Heights are
-    assembled in order. Each entry is checked to preserve the bidegree as it
-    is written into its block, each per-edge map must be a partial function
-    (every coefficient is 1), and once height i is written, the faces from
-    height i - 1 to i + 1 are checked to anticommute (`_check_faces`). Any
-    failure raises RuntimeError.
+    the component of each endpoint that the per-edge maps need.
+
+    The map of edge e out of state S depends only on the inputs that
+    `_edge_rule` reads and on the slot counts of S and S+e, so it is worked
+    out once per distinct key (e, |S|, insert position in the yamada
+    variant, unordered pair of endpoint components or None for one
+    component, slots of S, slots of S+e) and kept for the call. The rule
+    reads e only through the insert position; e is in the key so that the
+    maps of two edges are worked out apart and the face check compares
+    them: a wrong map shared by both edges of a face would still
+    anticommute. When first worked out, each entry of a map is checked to
+    preserve the bidegree and the map to be a partial function (every
+    coefficient is 1). A map is kept as its target array and, per
+    bidegree, the positions of its entries counted from the first element
+    of that bidegree in S and in S+e. Every (S, e) then writes its block
+    entries with three bulk `extend`s per bidegree, from the positions of
+    S and S+e in that bidegree. Heights are assembled in order, and once
+    height i is written, the faces from height i - 1 to i + 1 are checked to
+    anticommute (`_check_faces`). Any failure raises RuntimeError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -272,76 +288,139 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
         masks_by_height[mask.bit_count()].append(mask)
     popcounts = [x.bit_count() for x in range(1 << max(max(j, k) for j, k in slots))]
 
-    bidegs: list[list[Bidegree]] = []
+    # Per slot counts: the bidegree of each index and its position among the
+    # indices of that bidegree; the bidegrees in order of their first index,
+    # each with its indices in ascending order; and the place of each
+    # bidegree in that order.
+    shapes: dict[tuple[int, int], tuple] = {}
+    for j_slots, k_slots in set(slots):
+        low = (1 << j_slots) - 1
+        size = 1 << j_slots + k_slots
+        bidegs = [(popcounts[x & low], popcounts[x >> j_slots]) for x in range(size)]
+        members: dict[Bidegree, list[int]] = {}
+        local_pos = []
+        for x, jk in enumerate(bidegs):
+            xs = members.setdefault(jk, [])
+            local_pos.append(len(xs))
+            xs.append(x)
+        place = {jk: t for t, jk in enumerate(members)}
+        shapes[(j_slots, k_slots)] = (bidegs, local_pos, list(members.items()), place)
+
     offsets: list[dict[int, int]] = []
     sizes: list[dict[int, int]] = []
     bidegree_index: list[dict[Bidegree, list[int]]] = []
-    block_pos: list[list[int]] = []  # position of each basis element inside its bidegree
+    # Per state, in the order of its shape's bidegrees: adds the position,
+    # among all the elements of that bidegree at the state's height, of the
+    # state's first element of that bidegree.
+    adders: list[list] = [[]] * (1 << n)
     for masks in masks_by_height:
-        bidegs_i: list[Bidegree] = []
         offset_map: dict[int, int] = {}
         size_map: dict[int, int] = {}
-        for mask in masks:
-            j_slots, k_slots = slots[mask]
-            offset_map[mask] = len(bidegs_i)
-            size_map[mask] = 1 << (j_slots + k_slots)
-            bidegs_i.extend(
-                (pj, pk) for pk in popcounts[: 1 << k_slots] for pj in popcounts[: 1 << j_slots]
-            )
         index: dict[Bidegree, list[int]] = {}
-        pos_i = []
-        for pos, jk in enumerate(bidegs_i):
-            members = index.setdefault(jk, [])
-            pos_i.append(len(members))
-            members.append(pos)
-        bidegs.append(bidegs_i)
+        offset = 0
+        for mask in masks:
+            offset_map[mask] = offset
+            size_map[mask] = 1 << sum(slots[mask])
+            add = adders[mask] = []
+            for jk, xs in shapes[slots[mask]][2]:
+                positions = index.setdefault(jk, [])
+                add.append(len(positions).__add__)
+                positions.extend(map(offset.__add__, xs))
+            offset += size_map[mask]
         offsets.append(offset_map)
         sizes.append(size_map)
         bidegree_index.append(index)
-        block_pos.append(pos_i)
 
-    blocks: list[dict[Bidegree, IntMatrix]] = []
+    edges = [(e, 1 << e, (1 << e) - 1, u, v) for e, (u, v) in enumerate(G.edges)]
+    # Runs of +1 and of -1 signs by length, made once and shared by the maps.
+    signs_of_length: dict[int, tuple[array, array]] = {}
+    empty = (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))  # shared by the empty blocks
+    # memo key -> (target of each source or -1 when it is killed, with an
+    # extra trailing -1 so that a composite looks up a killed element at
+    # index -1 and gets -1 back; one write per bidegree: the `extend`s of
+    # the block's three arrays, the bidegree's place in the shapes of S+e
+    # and of S, the target and the source positions, and their signs for an
+    # even and for an odd number of edges of S below e).
+    patterns: dict[tuple, tuple[list[int], list[tuple]]] = {}
+    blocks: list[dict[Bidegree, TripletMatrix]] = []
     below: dict[tuple[int, int], tuple[int, list[int]]] = {}
     for i in range(n):
-        row_bidegs, col_bidegs = bidegs[i + 1], bidegs[i]
-        row_pos, col_pos = block_pos[i + 1], block_pos[i]
-        block_entries: dict[Bidegree, dict[tuple[int, int], int]] = {
-            jk: {} for jk in set(bidegree_index[i]) | set(bidegree_index[i + 1])
-        }
-        # (mask, e) -> (sign, target of each source or -1 when it is killed).
-        # The extra trailing -1 lets a composite look up a killed element at
-        # index -1 and get -1 back.
+        cols_index, rows_index = bidegree_index[i], bidegree_index[i + 1]
+        # The three arrays of each block that has an entry, made on its first
+        # entry, and their `extend`s.
+        triplets: dict[Bidegree, tuple[array, array, array]] = {}
+        extends: dict[Bidegree, tuple] = {}
+        # (mask, e) -> (sign, target array of the pattern)
         maps: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for mask in masks_by_height[i]:
-            src_off, size = offsets[i][mask], sizes[i][mask]
             comp_of = components[mask][0]
-            for e in range(n):
-                if mask >> e & 1:
+            src_slots, src_add = slots[mask], adders[mask]
+            for e, bit, lower, u, v in edges:
+                if mask & bit:
                     continue
-                sign = -1 if (mask & ((1 << e) - 1)).bit_count() % 2 else 1
-                dst_off = offsets[i + 1][mask | 1 << e]
-                u, v = G.edges[e]
-                target = [-1] * (size + 1)
-                for x, y in _edge_rule(mask, e, comp_of[u], comp_of[v], size, yamada):
-                    r, c = dst_off + y, src_off + x
-                    jk = col_bidegs[c]
-                    if row_bidegs[r] != jk:
-                        raise RuntimeError(
-                            f"differential d^{i} does not preserve the bidegree at entry ({r},{c})"
+                insert = (mask & lower).bit_count()
+                dst = mask | bit
+                p, q = comp_of[u], comp_of[v]
+                pair = (p, q) if p < q else (q, p) if q < p else None
+                key = (e, i, insert if yamada else 0, pair, src_slots, slots[dst])
+                pattern = patterns.get(key)
+                if pattern is None:
+                    src_bidegs, src_pos, _, src_place = shapes[src_slots]
+                    dst_bidegs, dst_pos, _, dst_place = shapes[slots[dst]]
+                    size = sizes[i][mask]
+                    target = [-1] * (size + 1)
+                    groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
+                    for x, y in _edge_rule(mask, e, p, q, size, yamada):
+                        jk = src_bidegs[x]
+                        if dst_bidegs[y] != jk:
+                            r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
+                            raise RuntimeError(
+                                f"differential d^{i} does not preserve the bidegree"
+                                f" at entry ({r},{c})"
+                            )
+                        if target[x] >= 0:
+                            raise RuntimeError(
+                                f"the map of edge {e} out of state {mask:#b}"
+                                f" sends {x} to two targets"
+                            )
+                        target[x] = y
+                        group = groups.get(jk)
+                        if group is None:
+                            group = groups[jk] = ([], [])
+                        group[0].append(dst_pos[y])
+                        group[1].append(src_pos[x])
+                    writes = []
+                    for jk, (rows, cols) in groups.items():
+                        signs = signs_of_length.get(len(rows))
+                        if signs is None:
+                            signs = signs_of_length[len(rows)] = (
+                                array("b", [1]) * len(rows),
+                                array("b", [-1]) * len(rows),
+                            )
+                        if jk not in extends:
+                            t = triplets[jk] = (
+                                array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b")
+                            )
+                            extends[jk] = (t[0].extend, t[1].extend, t[2].extend)
+                        writes.append(
+                            (*extends[jk], dst_place[jk], src_place[jk], rows, cols, signs)
                         )
-                    if target[x] >= 0:
-                        raise RuntimeError(
-                            f"the map of edge {e} out of state {mask:#b} sends {x} to two targets"
-                        )
-                    target[x] = y
-                    block_entries[jk][(row_pos[r], col_pos[c])] = sign
-                maps[(mask, e)] = (sign, target)
+                    pattern = patterns[key] = (target, writes)
+                target, writes = pattern
+                dst_add, odd = adders[dst], insert & 1
+                for extend_rows, extend_cols, extend_vals, a, b, rows, cols, signs in writes:
+                    extend_rows(map(dst_add[a], rows))
+                    extend_cols(map(src_add[b], cols))
+                    extend_vals(signs[odd])
+                maps[(mask, e)] = (-1 if odd else 1, target)
         blocks.append(
             {
-                jk: IntMatrix(
-                    len(bidegree_index[i + 1].get(jk, [])), len(bidegree_index[i].get(jk, [])), ents
+                jk: TripletMatrix(
+                    len(rows_index.get(jk, ())),
+                    len(cols_index.get(jk, ())),
+                    *triplets.get(jk, empty),
                 )
-                for jk, ents in block_entries.items()
+                for jk in cols_index.keys() | rows_index.keys()
             }
         )
         if i > 0:

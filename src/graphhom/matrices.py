@@ -1,19 +1,28 @@
 """Exact integer matrices.
 
-Sparse storage keyed by (row, col); all arithmetic uses Python's
-arbitrary-precision integers, because entries in normal-form computations
-can grow far past any fixed width. `_eliminate` is the one elimination
-routine: it yields the invariant factors, and on request the transforms,
-behind `rank`, the per-block cohomology and `smith_normal_form`. Its pivot
-queue is a heap with one key per row, pushed when the row changes and
-checked against the row when popped. `det` (Bareiss) stays a separate
-dense routine so that `verify_snf` checks unimodularity independently of it.
+Two sparse forms. `IntMatrix` keys its entries by (row, col) and does the
+arithmetic, in Python's arbitrary-precision integers, because entries in
+normal-form computations can grow far past any fixed width. `TripletMatrix`
+holds its entries as three flat arrays (row, column, signed byte), the
+triplet form in which `cube.build_complex` writes the +-1 blocks of a
+differential; it converts to an `IntMatrix` only on request. `_eliminate`
+is the one elimination routine, and it starts from either form: it yields
+the invariant factors, and on request the transforms, behind `rank`, the
+per-block cohomology and `smith_normal_form`. Its pivot queue is a heap
+with one key per row, pushed when the row changes and checked against the
+row when popped. `det` (Bareiss) stays a separate dense routine so that
+`verify_snf` checks unimodularity independently of it.
 """
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+# Typecode of a triplet position: a C int of at least 32 bits, wide enough
+# for any position below the chain-rank limit of `cube.build_complex`.
+INDEX_TYPECODE = "i" if array("i").itemsize >= 4 else "l"
 
 
 class IntMatrix:
@@ -42,6 +51,16 @@ class IntMatrix:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntMatrix is immutable")
+
+    @classmethod
+    def _adopt(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
+        """An IntMatrix that takes `entries` as its own, unchecked: only for
+        entries that are nonzero and inside the shape by construction."""
+        mat = cls.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "_entries", entries)
+        return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -74,6 +93,9 @@ class IntMatrix:
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(r, c, v) for (r, c), v in sorted(self._entries.items())]
+
+    def triplets(self) -> Iterator[tuple[int, int, int]]:
+        return ((r, c, v) for (r, c), v in self._entries.items())
 
     def nnz(self) -> int:
         return len(self._entries)
@@ -146,6 +168,53 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self._entries)})"
 
 
+class TripletMatrix:
+    """Sparse matrix of small nonzero entries held as three flat arrays of
+    equal length: `row_of[t]`, `col_of[t]` and `val_of[t]` give entry t.
+
+    Each position occurs at most once. The arrays are adopted, not copied,
+    and must not change afterwards. A position outside the shape or a zero
+    value is refused, by min/max over the arrays rather than entry by entry.
+    """
+
+    __slots__ = ("rows", "cols", "row_of", "col_of", "val_of")
+
+    def __init__(self, rows: int, cols: int, row_of: array, col_of: array, val_of: array) -> None:
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix shape {rows}x{cols}")
+        if not len(row_of) == len(col_of) == len(val_of):
+            raise ValueError("triplet arrays of unequal length")
+        if val_of and (
+            min(row_of) < 0 or max(row_of) >= rows or min(col_of) < 0 or max(col_of) >= cols
+        ):
+            raise ValueError(f"entry outside shape {rows}x{cols}")
+        if 0 in val_of:
+            raise ValueError("zero entry in a triplet matrix")
+        self.rows, self.cols = rows, cols
+        self.row_of, self.col_of, self.val_of = row_of, col_of, val_of
+
+    def nnz(self) -> int:
+        return len(self.val_of)
+
+    def is_zero(self) -> bool:
+        return not self.val_of
+
+    def triplets(self) -> Iterator[tuple[int, int, int]]:
+        return zip(self.row_of, self.col_of, self.val_of)
+
+    def sorted_entries(self) -> list[tuple[int, int, int]]:
+        return sorted(self.triplets())
+
+    def as_intmatrix(self) -> IntMatrix:
+        """The same matrix as an `IntMatrix`, built on each call; the
+        positions and values were checked when the arrays were adopted."""
+        entries = dict(zip(zip(self.row_of, self.col_of), self.val_of))
+        return IntMatrix._adopt(self.rows, self.cols, entries)
+
+    def __repr__(self) -> str:
+        return f"TripletMatrix({self.rows}x{self.cols}, nnz={len(self.val_of)})"
+
+
 def _axpy(
     dst: dict[int, int],
     src: dict[int, int],
@@ -179,24 +248,24 @@ def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
 
 
 def _eliminate(
-    mat: IntMatrix, track: bool = False
+    mat: IntMatrix | TripletMatrix, track: bool = False
 ) -> tuple[list[int], IntMatrix | None, IntMatrix | None]:
     """Nonzero invariant factors of `mat`, by sparse integer elimination.
 
-    The working matrix is a dict of sparse rows plus a column -> rows
-    index; it is never made dense. The pivot row is the row with the
-    smallest (smallest |entry| in the row, number of entries in the row,
-    row index). Within it the pivot column is, among the entries of that
-    smallest |entry|, the one whose column has the fewest entries, then
-    the lowest index. So every pivot is an entry of smallest absolute
-    value in the whole working matrix, and the pivot order depends only on
-    that matrix. The pivot's column is cleared with row operations, then
-    its row with column operations, both by floor quotients. A surviving
-    remainder is smaller than the pivot, so the pivot is picked again. A
-    pivot that does not divide every remaining entry gets the first
-    offending row added to its own row and is reduced again. Hence each
-    factor divides all later ones: they come out positive and in
-    divisibility order.
+    The working matrix, read straight from the triplets of either form,
+    is a dict of sparse rows plus a column -> rows index; it is never made
+    dense. The pivot row is the row with the smallest (smallest |entry| in
+    the row, number of entries in the row, row index). Within it the pivot
+    column is, among the entries of that smallest |entry|, the one whose
+    column has the fewest entries, then the lowest index. So every pivot is
+    an entry of smallest absolute value in the whole working matrix, and
+    the pivot order depends only on that matrix. The pivot's column is
+    cleared with row operations, then its row with column operations, both
+    by floor quotients. A surviving remainder is smaller than the pivot, so
+    the pivot is picked again. A pivot that does not divide every remaining
+    entry gets the first offending row added to its own row and is reduced
+    again. Hence each factor divides all later ones: they come out positive
+    and in divisibility order.
 
     With `track`, also returns unimodular U (rows x rows) and V
     (cols x cols) with U @ mat @ V equal to the factors on the leading
@@ -205,7 +274,7 @@ def _eliminate(
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), x in mat._entries.items():
+    for r, c, x in mat.triplets():
         rows.setdefault(r, {})[c] = x
         cols.setdefault(c, set()).add(r)
     u = {i: {i: 1} for i in range(mat.rows)} if track else {}

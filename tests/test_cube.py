@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -345,3 +348,73 @@ def test_differential_view_matches_blocks_and_squares_to_zero(G, complex_of):
             assert d.submatrix(rows_of.get(jk, []), cols_of.get(jk, [])) == cx.block(i, jk)
         assert d.nnz() == sum(block.nnz() for block in cx.blocks[i].values())
         assert (cx.differential(i + 1) @ d).is_zero()
+
+
+def test_block_below_and_above_the_heights_has_the_shape_of_its_neighbours():
+    cx = build_complex(bigon(), "yamada")
+    # d^-2: C^-2 -> C^-1, both zero
+    assert cx.block(-2, (0, 0)).shape == (0, 0)
+    # d^-1: C^-1 -> C^0, zero columns and one row per element of bidegree (0, 0) at height 0
+    assert cx.block(-1, (0, 0)).shape == (len(cx.bidegree_index[0][(0, 0)]), 0)
+    # d^2 out of the top height: zero rows
+    top = cx.height_count - 1
+    assert cx.block(top, (0, 0)).shape == (0, len(cx.bidegree_index[top][(0, 0)]))
+    assert cx.block(top + 1, (0, 0)).shape == (0, 0)
+    assert cx.block(0, (9, 9)).shape == (0, 0)
+
+
+# A loop, a parallel pair, a merge with a bystander component and an isolated vertex.
+MIXED = Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 2), (1, 2)))
+
+
+def _differentials_from_the_rule(G, cx):
+    """Every d^i assembled entry by entry from `_edge_rule`, with the sign
+    (-1)^|S n [0, e)|, outside the per-build memo of `build_complex`."""
+    components = state_components(G)
+    out = []
+    for i in range(cx.height_count - 1):
+        entries = {}
+        for mask, src_off in cx.state_offsets[i].items():
+            labels = components[mask][0]
+            size = cx.state_sizes[i][mask]
+            for e, (u, v) in enumerate(G.edges):
+                if mask >> e & 1:
+                    continue
+                sign = -1 if (mask & ((1 << e) - 1)).bit_count() % 2 else 1
+                dst_off = cx.state_offsets[i + 1][mask | 1 << e]
+                pairs = cube._edge_rule(mask, e, labels[u], labels[v], size, cx.variant == "yamada")
+                for x, y in pairs:
+                    entries[(dst_off + y, src_off + x)] = sign
+        out.append(IntMatrix(cx.rank(i + 1), cx.rank(i), entries))
+    return out
+
+
+def test_memoised_edge_maps_match_the_rule_applied_to_every_state_and_edge(corpus, complex_of):
+    # an oracle for the memo key: a key that left out an input of the rule
+    # would reuse one state's map at another state whose map differs
+    graphs = list(corpus) + [K4, cycle_graph(6), MIXED]
+    for G in graphs:
+        for variant in ("yamada", "tutte"):
+            cx = complex_of(G, variant)
+            assert cx.differentials == _differentials_from_the_rule(G, cx), (G, variant)
+
+
+def test_blocks_keep_under_40_bytes_per_nonzero():
+    # Bytes only, no time: what the built complex of cycle8 (tutte, 26,248 block
+    # nonzeros) still holds after the build, per nonzero. With flat triplet
+    # arrays it is about 26; a {(row, col): sign} dict per block holds about 108.
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = build_complex(cycle_graph(8), "tutte")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    nonzeros = sum(block.nnz() for level in cx.blocks for block in level.values())
+    assert nonzeros == 26_248
+    assert retained / nonzeros < 40

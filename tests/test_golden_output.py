@@ -65,6 +65,13 @@ DIGESTS = {
 # `dump --height 0` of two vertices joined by seven parallel edges, yamada variant.
 MULTIEDGE7_HEIGHT0_DIGEST = "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0d9611ca7ede74"
 
+# `dump --height h` of the 10-cycle in canonical edge order, tutte variant: the
+# benchmark's dump-build graph (height 0) and its widest height.
+CYCLE10_HEIGHT_DIGESTS = {
+    0: "1d0301422ade780096515c413b0d11afe342302b0ad6d75e221fc762b16fcf22",
+    5: "75cac36b08c6bb3fa042b33d4d116de22809f01ad0986246c9b889b62eab70db",
+}
+
 POLY_DIGESTS = {
     ("bigon", "yamada"): "2e896845fbe61205c80242b9a62d34684af65f9d195273d6d5984919afd5255f",
     ("bigon", "g"): "fa0fc0144e1e3180df39261a7d0fadacf8ddf0e172d02ae129e2dbe3bd0f8127",
@@ -116,6 +123,7 @@ def _graph_path(name, tmp_path):
         "cycle5": to_json_dict(cycle_graph(5)),
         "cycle6": to_json_dict(cycle_graph(6)),
         "cycle8": to_json_dict(cycle_graph(8)),
+        "cycle10": to_json_dict(cycle_graph(10)),
         "path6": to_json_dict(tree_graph(6)),
         "K4": K4,
         "K5": K5,
@@ -143,6 +151,14 @@ def test_dump_height_digest(tmp_path, capsys):
     assert run(argv + ["--input", _graph_path("multiedge7", tmp_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == MULTIEDGE7_HEIGHT0_DIGEST
+
+
+@pytest.mark.parametrize("height", sorted(CYCLE10_HEIGHT_DIGESTS))
+def test_cycle10_dump_height_digest(height, tmp_path, capsys):
+    argv = ["dump", "--variant", "tutte", "--height", str(height)]
+    assert run(argv + ["--input", _graph_path("cycle10", tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CYCLE10_HEIGHT_DIGESTS[height]
 
 
 @pytest.mark.parametrize("name,which", sorted(POLY_DIGESTS))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from graphhom.homology import (
 )
 from graphhom.invariants import g_polynomials
 from graphhom.laurent import BivariateLaurent
-from graphhom.matrices import IntMatrix, _eliminate, rank
+from graphhom.matrices import IntMatrix, TripletMatrix, _eliminate, rank
 from graphhom.multigraph import Multigraph, bigon, build, cycle_graph, tree_graph, triangle
 
 P = BivariateLaurent
@@ -259,7 +260,13 @@ def test_torsion_reporting_on_synthetic_block():
         state_sizes=cx.state_sizes,
         bidegree_index=cx.bidegree_index,
         blocks=[
-            {jk: block + block for jk, block in level.items()} for level in cx.blocks
+            {
+                jk: TripletMatrix(
+                    b.rows, b.cols, b.row_of, b.col_of, array("b", [2 * v for v in b.val_of])
+                )
+                for jk, b in level.items()
+            }
+            for level in cx.blocks
         ],
     )
     table = cohomology(synthetic)

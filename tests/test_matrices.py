@@ -1,6 +1,8 @@
+from array import array
+
 import pytest
 
-from graphhom.matrices import IntMatrix, det, rank
+from graphhom.matrices import IntMatrix, TripletMatrix, _eliminate, det, rank
 
 
 def test_construction_drops_zeros_and_validates_bounds():
@@ -89,3 +91,25 @@ def test_immutability():
     a = IntMatrix.identity(2)
     with pytest.raises(AttributeError):
         a.rows = 3
+
+
+def test_triplet_matrix_reads_like_its_intmatrix_view_and_refuses_bad_entries():
+    def triplets(rows, cols, vals):
+        return array("i", rows), array("i", cols), array("b", vals)
+
+    m = TripletMatrix(2, 3, *triplets([1, 0, 1], [2, 0, 0], [-1, 1, 2]))
+    assert (m.nnz(), m.is_zero()) == (3, False)
+    assert m.sorted_entries() == [(0, 0, 1), (1, 0, 2), (1, 2, -1)]
+    assert m.as_intmatrix() == IntMatrix.from_rows([[1, 0, 0], [2, 0, -1]])
+    assert _eliminate(m)[0] == _eliminate(m.as_intmatrix())[0] == [1, 1]
+    assert TripletMatrix(0, 4, *triplets([], [], [])).is_zero()
+    for bad in (
+        triplets([2], [0], [1]),
+        triplets([-1], [0], [1]),
+        triplets([0], [3], [1]),
+        triplets([0], [-1], [1]),
+        triplets([0], [0], [0]),
+        triplets([0, 1], [0], [1]),
+    ):
+        with pytest.raises(ValueError):
+            TripletMatrix(2, 3, *bad)
