@@ -24,15 +24,20 @@ bidegree of an index is (number of set edge and component bits, number
 of set cycle bits). States inside one height sit in ascending bitmask
 order. These conventions pin every matrix entry, so two runs (or two
 machines) produce identical artifacts.
+
+The chain maps between complexes (`phi_psi` between the two variants,
+`projection_map` onto a subgraph) send every basis element to at most one
+basis element, with coefficient 1. So each is a list, one per height, of
+target arrays: entry l is the index of the image of element l, or -1 when
+the map kills it.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .laurent import ZERO, BivariateLaurent
 from .matrices import INDEX_TYPECODE, IntMatrix, TripletMatrix
@@ -131,8 +136,8 @@ class BigradedComplex:
     `TripletMatrix` of +-1 entries, row r and column c standing for
     positions `bidegree_index[i+1][(j,k)][r]` and
     `bidegree_index[i][(j,k)][c]`. The blocks are the only stored form of
-    the differential; `block` and `differentials` make `IntMatrix` views of
-    them on request.
+    the differential: `block` makes an `IntMatrix` view of one on request,
+    and `nonzeros` reads the entries of d^i in global positions from them.
     """
 
     variant: str
@@ -151,25 +156,20 @@ class BigradedComplex:
             return sum(map(len, self.bidegree_index[i].values()))
         return 0
 
-    @cached_property
-    def differentials(self) -> list[IntMatrix]:
-        """The full signed maps C^i -> C^(i+1) in the global basis order,
-        assembled from the blocks on first use and kept from then on."""
-        out = []
-        for i, level in enumerate(self.blocks):
-            row_index, col_index = self.bidegree_index[i + 1], self.bidegree_index[i]
-            entries: dict[tuple[int, int], int] = {}
-            for jk, block in level.items():
-                rows, cols = row_index.get(jk, []), col_index.get(jk, [])
-                at = zip(map(rows.__getitem__, block.row_of), map(cols.__getitem__, block.col_of))
-                entries.update(zip(at, block.val_of))
-            out.append(IntMatrix._adopt(self.rank(i + 1), self.rank(i), entries))
-        return out
-
-    def differential(self, i: int) -> IntMatrix:
-        if 0 <= i < len(self.blocks):
-            return self.differentials[i]
-        return IntMatrix.zeros(self.rank(i + 1), self.rank(i))
+    def nonzeros(self, i: int) -> Iterator[tuple[int, int, int]]:
+        """(row, col, value) of every nonzero of d^i: C^i -> C^(i+1) in the
+        global basis order, read from the stored blocks through
+        `bidegree_index`; nothing when i is outside the stored heights."""
+        if not 0 <= i < len(self.blocks):
+            return
+        row_index, col_index = self.bidegree_index[i + 1], self.bidegree_index[i]
+        for jk, block in self.blocks[i].items():
+            rows, cols = row_index.get(jk, []), col_index.get(jk, [])
+            yield from zip(
+                map(rows.__getitem__, block.row_of),
+                map(cols.__getitem__, block.col_of),
+                block.val_of,
+            )
 
     def dims_at(self, i: int) -> dict[Bidegree, int]:
         if not 0 <= i < self.height_count:
@@ -444,10 +444,13 @@ def graded_euler(cx: BigradedComplex) -> BivariateLaurent:
 
 def projection_map(
     source: BigradedComplex, gamma: Iterable[int]
-) -> tuple[BigradedComplex, list[IntMatrix]]:
-    """The target complex and the per-height matrices selecting the summands
-    of `source` with S inside gamma.
+) -> tuple[BigradedComplex, list[list[int]]]:
+    """The target complex and, per height, the target array of the
+    projection onto the summands of `source` with S inside gamma.
 
+    Entry l of the array at height i is the image of basis element l of
+    C^i, or -1 when it is killed: an element of a state inside gamma goes
+    to the same element of that state in the target, any other is killed.
     The target complex lives on the subgraph with gamma's edges in their
     induced order (all vertices retained, so states and their chain
     modules match verbatim), in the source's variant. Its chain rank is
@@ -459,56 +462,49 @@ def projection_map(
         raise ValueError("gamma is not a subset of the edge indices")
     sub = Multigraph(G.vertex_count, tuple(G.edges[e] for e in gamma_sorted))
     dst = build_complex(sub, source.variant)
-    pos = {e: i for i, e in enumerate(gamma_sorted)}
-    gamma_mask = 0
-    for e in gamma_sorted:
-        gamma_mask |= 1 << e
+    gamma_mask = sum(1 << e for e in gamma_sorted)
 
-    mats: list[IntMatrix] = []
+    maps: list[list[int]] = []
     for i in range(source.height_count):
-        entries: dict[tuple[int, int], int] = {}
-        if i < dst.height_count:
-            for mask, src_off in source.state_offsets[i].items():
-                if mask & ~gamma_mask:
-                    continue
-                dst_mask = 0
-                for e in range(G.edge_count):
-                    if mask >> e & 1:
-                        dst_mask |= 1 << pos[e]
-                dst_off = dst.state_offsets[i][dst_mask]
-                for l in range(source.state_sizes[i][mask]):
-                    entries[(dst_off + l, src_off + l)] = 1
-        mats.append(IntMatrix(dst.rank(i), source.rank(i), entries))
-    return dst, mats
+        targets = [-1] * source.rank(i)
+        for mask, src_off in source.state_offsets[i].items():
+            if mask & ~gamma_mask:
+                continue
+            dst_mask = sum(1 << t for t, e in enumerate(gamma_sorted) if mask >> e & 1)
+            dst_off = dst.state_offsets[i][dst_mask]
+            size = source.state_sizes[i][mask]
+            targets[src_off : src_off + size] = range(dst_off, dst_off + size)
+        maps.append(targets)
+    return dst, maps
 
 
 def phi_psi(
     tutte: BigradedComplex, yamada: BigradedComplex
-) -> tuple[list[IntMatrix], list[IntMatrix]]:
-    """Per-height matrices of phi: C_T -> C_Y and psi: C_Y -> C_T, between
-    the two variants' complexes of one graph.
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-height target arrays of phi: C_T -> C_Y and psi: C_Y -> C_T,
+    between the two variants' complexes of one graph.
 
-    phi inserts the unit in every edge slot; psi evaluates the counit on
-    every edge slot, so psi[i] @ phi[i] is the identity at every height.
-    Edge slots are the low |S| bits of a yamada index, so phi sends a
-    tutte index l to l << |S|, and psi keeps exactly the yamada indices
-    whose edge bits are all 0 (the counit kills the generator) and
-    shifts them back. Raises ValueError unless the complexes are the
-    tutte and the yamada complex of one graph, in that order.
+    Entry l of a map's array at height i is the image of basis element l,
+    or -1 when the map kills it. phi inserts the unit in every edge slot;
+    psi evaluates the counit on every edge slot, so psi[i][phi[i][l]] == l
+    at every height. Edge slots are the low |S| bits of a yamada index, so
+    phi sends a tutte index l to l << |S|, and psi keeps exactly the
+    yamada indices whose edge bits are all 0 (the counit kills the
+    generator) and shifts them back. Raises ValueError unless the
+    complexes are the tutte and the yamada complex of one graph, in that
+    order.
     """
     if tutte.graph != yamada.graph or (tutte.variant, yamada.variant) != ("tutte", "yamada"):
         raise ValueError("phi_psi needs the tutte and the yamada complex of one graph")
-    phi: list[IntMatrix] = []
-    psi: list[IntMatrix] = []
+    phi: list[list[int]] = []
+    psi: list[list[int]] = []
     for i in range(yamada.height_count):
-        phi_entries: dict[tuple[int, int], int] = {}
-        psi_entries: dict[tuple[int, int], int] = {}
+        phi_i, psi_i = [-1] * tutte.rank(i), [-1] * yamada.rank(i)
         for mask, y_off in yamada.state_offsets[i].items():
-            t_off = tutte.state_offsets[i][mask]
-            lam = mask.bit_count()
-            for l in range(tutte.state_sizes[i][mask]):
-                phi_entries[(y_off + (l << lam), t_off + l)] = 1
-                psi_entries[(t_off + l, y_off + (l << lam))] = 1
-        phi.append(IntMatrix(yamada.rank(i), tutte.rank(i), phi_entries))
-        psi.append(IntMatrix(tutte.rank(i), yamada.rank(i), psi_entries))
+            t_off, size = tutte.state_offsets[i][mask], tutte.state_sizes[i][mask]
+            step = 1 << mask.bit_count()
+            phi_i[t_off : t_off + size] = range(y_off, y_off + size * step, step)
+            psi_i[y_off : y_off + size * step : step] = range(t_off, t_off + size)
+        phi.append(phi_i)
+        psi.append(psi_i)
     return phi, psi

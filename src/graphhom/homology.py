@@ -1,20 +1,29 @@
-"""Integer cohomology of a bigraded complex.
+"""Integer cohomology of a bigraded complex, and checks on chain maps.
 
 The differential preserves the bidegree, so the complex splits into
 independent blocks and each block is handled by Smith normal form over
 the integers: free ranks come from rank counting, torsion from the
 invariant factors of the incoming differential. Both come from the
 sparse elimination in `matrices`, without transforms; `smith_normal_form`
-runs the same routine with them. All arithmetic is exact.
+runs the same routine with them, and `verify_snf` checks its result by
+matrix products. All arithmetic is exact.
+
+A chain map is a list of per-height target arrays (see `cube`), so
+`chain_map_defect` compares f o d with d o f by relabelling the nonzeros
+of the blocks through the arrays, with no matrix product.
+`summand_defect` compares two tables summand by summand, with torsion
+split into prime powers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .cube import Bidegree, BigradedComplex
 from .laurent import BivariateLaurent
-from .matrices import IntMatrix, _eliminate, det, rank
+from .matrices import IntMatrix, _eliminate, det
 
 
 @dataclass(frozen=True)
@@ -70,13 +79,6 @@ def verify_snf(mat: IntMatrix, res: SNFResult) -> None:
         raise ValueError("U is not unimodular")
     if abs(det(res.v)) != 1:
         raise ValueError("V is not unimodular")
-
-
-def kernel_basis(mat: IntMatrix) -> IntMatrix:
-    """Columns spanning ker(mat) over the rationals (integer vectors)."""
-    res = smith_normal_form(mat)
-    r = res.rank
-    return res.v.submatrix(range(mat.cols), range(r, mat.cols))
 
 
 @dataclass(frozen=True)
@@ -157,53 +159,74 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
 
 
 def chain_map_defect(
-    src: BigradedComplex, dst: BigradedComplex, maps: list[IntMatrix]
+    src: BigradedComplex, dst: BigradedComplex, maps: list[list[int]]
 ) -> int | None:
-    """The lowest height i at which maps[i + 1] @ d_src^i != d_dst^i @ maps[i],
-    or None when the maps commute with the differentials at every height."""
+    """The lowest height i at which f o d_src^i != d_dst^i o f, or None
+    when the map commutes with the differentials at every height.
+
+    `maps[i][l]` is the image of basis element l of C^i(src) in
+    C^i(dst), or -1 when l is killed. Entry (r, c) of f o d is the sum of
+    the nonzeros (r', c) of d_src with f sending r' to r; entry (r, c) of
+    d o f is the nonzero (r, f(c)) of d_dst. Both are summed exactly over
+    the block nonzeros, and compared with zeros dropped.
+    """
+    if len(maps) != src.height_count or any(
+        len(f) != src.rank(i) or max(f, default=-1) >= dst.rank(i) for i, f in enumerate(maps)
+    ):
+        raise ValueError("a chain map needs one target array per height of its source")
     for i in range(src.height_count - 1):
-        if maps[i + 1] @ src.differential(i) != dst.differential(i) @ maps[i]:
+        lower, upper = maps[i], maps[i + 1]
+        preimages: dict[int, list[int]] = {}
+        for c, t in enumerate(lower):
+            if t >= 0:
+                preimages.setdefault(t, []).append(c)
+        f_d = _exact_sum(((upper[r], c), v) for r, c, v in src.nonzeros(i) if upper[r] >= 0)
+        d_f = _exact_sum(((r, c), v) for r, t, v in dst.nonzeros(i) for c in preimages.get(t, ()))
+        if f_d != d_f:
             return i
     return None
 
 
-def induced_map_ranks(
-    cx_src: BigradedComplex,
-    cx_dst: BigradedComplex,
-    chain_maps: list[IntMatrix],
-) -> dict[tuple[int, int, int], int]:
-    """Rank of the induced map on cohomology free parts, per (i, j, k).
+def _exact_sum(terms: Iterable[tuple[tuple[int, int], int]]) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for key, v in terms:
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
-    The given per-height matrices must commute with the differentials
-    and preserve the bidegree, which holds exactly when the per-bidegree
-    blocks of each matrix hold all of its nonzeros; both are checked, in
-    that order, before any kernel is computed. Cocycles are pushed forward
-    and ranked modulo the target coboundaries.
-    """
-    heights = cx_src.height_count
-    if cx_dst.height_count != heights or len(chain_maps) != heights:
-        raise ValueError("chain map must provide one matrix per height")
-    f_blocks: dict[tuple[int, Bidegree], IntMatrix] = {}
-    for i, mat in enumerate(chain_maps):
-        if mat.shape != (cx_dst.rank(i), cx_src.rank(i)):
-            raise ValueError(f"chain map at height {i} has shape {mat.shape}")
-        for jk, src_idx in cx_src.bidegree_index[i].items():
-            f_blocks[(i, jk)] = mat.submatrix(cx_dst.bidegree_index[i].get(jk, []), src_idx)
-        if sum(f_blocks[(i, jk)].nnz() for jk in cx_src.bidegree_index[i]) != mat.nnz():
-            raise ValueError("chain map does not preserve the bidegree")
-    defect = chain_map_defect(cx_src, cx_dst, chain_maps)
-    if defect is not None:
-        raise ValueError(f"not a chain map: square at height {defect} does not commute")
 
-    out: dict[tuple[int, int, int], int] = {}
-    for (i, jk), f_block in f_blocks.items():
-        if i < heights - 1:
-            cocycles = kernel_basis(cx_src.block(i, jk))
-        else:
-            cocycles = IntMatrix.identity(f_block.cols)
-        pushed = f_block @ cocycles
-        boundaries = cx_dst.block(i - 1, jk) if i > 0 else IntMatrix.zeros(f_block.rows, 0)
-        r = rank(pushed.hstack(boundaries)) - rank(boundaries)
-        if r:
-            out[(i, jk[0], jk[1])] = r
+def prime_powers(factors: Iterable[int]) -> Counter[int]:
+    """The prime-power cyclic summands of the group Z/f_1 + Z/f_2 + ...,
+    as a multiset: Z/12 + Z/2 gives {4: 1, 3: 1, 2: 1}."""
+    out: Counter[int] = Counter()
+    for n in factors:
+        p = 2
+        while n > 1:
+            if p * p > n:
+                out[n] += 1
+                break
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                out[q] += 1
+            p += 1
     return out
+
+
+def summand_defect(
+    small: CohomologyTable, large: CohomologyTable
+) -> tuple[int, int, int] | None:
+    """The lowest (i, j, k) at which the group of `small` is not isomorphic
+    to a direct summand of the group of `large`, or None.
+
+    A finitely generated abelian group is a summand of another exactly when
+    its free rank is at most the other's and its torsion, split into
+    prime powers, is a sub-multiset of the other's.
+    """
+    for key, s in small.sorted_items():
+        other = large.summands.get(key, Summand(0))
+        missing = prime_powers(s.torsion) - prime_powers(other.torsion)
+        if s.free_rank > other.free_rank or missing:
+            return key
+    return None

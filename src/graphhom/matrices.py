@@ -1,17 +1,19 @@
 """Exact integer matrices.
 
-Two sparse forms. `IntMatrix` keys its entries by (row, col) and does the
-arithmetic, in Python's arbitrary-precision integers, because entries in
-normal-form computations can grow far past any fixed width. `TripletMatrix`
-holds its entries as three flat arrays (row, column, signed byte), the
-triplet form in which `cube.build_complex` writes the +-1 blocks of a
-differential; it converts to an `IntMatrix` only on request. `_eliminate`
-is the one elimination routine, and it starts from either form: it yields
-the invariant factors, and on request the transforms, behind `rank`, the
-per-block cohomology and `smith_normal_form`. Its pivot queue is a heap
-with one key per row, pushed when the row changes and checked against the
-row when popped. `det` (Bareiss) stays a separate dense routine so that
-`verify_snf` checks unimodularity independently of it.
+Two sparse forms. `IntMatrix` keys its entries by (row, col) and holds
+Python's arbitrary-precision integers, because entries in normal-form
+computations can grow far past any fixed width; its only arithmetic is
+the product that `verify_snf` checks a Smith normal form with.
+`TripletMatrix` holds its entries as three flat arrays (row, column,
+signed byte), the triplet form in which `cube.build_complex` writes the
++-1 blocks of a differential; it converts to an `IntMatrix` only on
+request. `_eliminate` is the one elimination routine, and it starts from
+either form: it yields the invariant factors, and on request the
+transforms, behind the per-block cohomology and `smith_normal_form`. Its
+pivot queue is a heap with one key per row, pushed when the row changes
+and checked against the row when popped. `det` (Bareiss) stays a separate
+dense routine so that `verify_snf` checks unimodularity independently of
+it.
 """
 
 from __future__ import annotations
@@ -109,20 +111,6 @@ class IntMatrix:
             dense[r][c] = v
         return dense
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, {k: -v for k, v in self._entries.items()})
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        out = dict(self._entries)
-        for key, v in other._entries.items():
-            out[key] = out.get(key, 0) + v
-        return IntMatrix(self.rows, self.cols, out)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
@@ -138,26 +126,6 @@ class IntMatrix:
                 key = (r, c)
                 out[key] = out.get(key, 0) + v * w
         return IntMatrix(self.rows, other.cols, out)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        out = dict(self._entries)
-        for (r, c), v in other._entries.items():
-            out[(r, c + self.cols)] = v
-        return IntMatrix(self.rows, self.cols + other.cols, out)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        """Restriction to the given rows/columns, in the given order."""
-        rpos = {r: i for i, r in enumerate(row_idx)}
-        cpos = {c: j for j, c in enumerate(col_idx)}
-        out: dict[tuple[int, int], int] = {}
-        for (r, c), v in self._entries.items():
-            i = rpos.get(r)
-            j = cpos.get(c)
-            if i is not None and j is not None:
-                out[(i, j)] = v
-        return IntMatrix(len(row_idx), len(col_idx), out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -363,11 +331,6 @@ def _eliminate(
     u_mat = {(t, k): x for t, i in enumerate(row_order) for k, x in u[i].items()}
     v_mat = {(k, t): x for t, j in enumerate(col_order) for k, x in v[j].items()}
     return factors, IntMatrix(mat.rows, mat.rows, u_mat), IntMatrix(mat.cols, mat.cols, v_mat)
-
-
-def rank(mat: IntMatrix) -> int:
-    """Rank over the rationals: the number of nonzero invariant factors."""
-    return len(_eliminate(mat)[0])
 
 
 def det(mat: IntMatrix) -> int:

@@ -8,19 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphhom.matrices as matrices
-from graphhom.cube import build_complex, graded_euler, phi_psi
+from graphhom.cube import VARIANTS, build_complex, graded_euler, phi_psi, projection_map
 from graphhom.homology import (
+    CohomologyTable,
     Summand,
+    chain_map_defect,
     cohomology,
-    induced_map_ranks,
-    kernel_basis,
+    prime_powers,
     smith_normal_form,
+    summand_defect,
     verify_snf,
 )
 from graphhom.invariants import g_polynomials
 from graphhom.laurent import BivariateLaurent
-from graphhom.matrices import IntMatrix, TripletMatrix, _eliminate, rank
+from graphhom.matrices import IntMatrix, TripletMatrix, _eliminate
 from graphhom.multigraph import Multigraph, bigon, build, cycle_graph, tree_graph, triangle
+from graphhom.verify import default_gamma
+
+import matrix_route
 
 P = BivariateLaurent
 
@@ -125,7 +130,7 @@ def test_snf_random_matrices_seeded():
         )
         res = smith_normal_form(mat)
         verify_snf(mat, res)
-        assert res.rank == rank(mat) == _rank_over_q(mat)
+        assert res.rank == len(_eliminate(mat)[0]) == _rank_over_q(mat)
 
 
 @st.composite
@@ -150,7 +155,7 @@ def test_snf_property_on_sparse_unit_heavy_matrices(mat):
     res = smith_normal_form(mat)
     verify_snf(mat, res)
     assert list(res.invariant_factors) == _eliminate(mat)[0]
-    assert rank(mat) == _rank_over_q(mat)
+    assert len(_eliminate(mat)[0]) == _rank_over_q(mat)
 
 
 def test_rank_mod_p_counts_factors_prime_to_p(corpus, complex_of):
@@ -201,23 +206,43 @@ def test_verify_snf_catches_forgeries():
         verify_snf(mat, bad)
 
 
+def _rank_and_kernel(mat):
+    """The rank of mat and the columns of V past it in a Smith normal form
+    of mat: they span ker(mat) over the rationals."""
+    res = smith_normal_form(mat)
+    r = res.rank
+    entries = {(row, c - r): v for row, c, v in res.v.sorted_entries() if c >= r}
+    return r, IntMatrix(mat.cols, mat.cols - r, entries)
+
+
 def test_kernel_basis():
-    cx = build_complex(bigon(), "yamada")
-    ker = kernel_basis(cx.differentials[0])
+    d = matrix_route.differential(build_complex(bigon(), "yamada"), 0)
+    _, ker = _rank_and_kernel(d)
     assert ker.cols == 2
-    assert (cx.differentials[0] @ ker).is_zero()
-    assert rank(ker) == 2
+    assert (d @ ker).is_zero()
+    assert len(_eliminate(ker)[0]) == 2
     # everything is a cocycle for a zero map
-    assert kernel_basis(IntMatrix.zeros(0, 3)).cols == 3
+    assert _rank_and_kernel(IntMatrix.zeros(0, 3))[1].cols == 3
 
 
-def test_rank_nullity_per_block():
-    for G in (bigon(), triangle()):
-        cx = build_complex(G, "yamada")
-        for i in range(cx.height_count - 1):
-            for jk, idx in cx.bidegree_index[i].items():
-                block = cx.block(i, jk)
-                assert len(idx) == rank(block) + kernel_basis(block).cols
+def test_rank_nullity_per_block(corpus, complex_of, table_of):
+    # Free ranks by two routes: the kernel of each block, read off the V of its
+    # Smith normal form, less the rank coming in, against the table's count
+    # from the invariant factors alone.
+    for G in corpus:
+        for variant in VARIANTS:
+            cx, table = complex_of(G, variant), table_of(G, variant)
+            rank_in = {}
+            for i in range(cx.height_count):
+                rank_out = {}
+                for jk, idx in cx.bidegree_index[i].items():
+                    block = cx.block(i, jk)
+                    rank_out[jk], kernel = _rank_and_kernel(block)
+                    assert (block @ kernel).is_zero()
+                    assert kernel.cols == len(idx) - rank_out[jk]
+                    free = kernel.cols - rank_in.get(jk, 0)
+                    assert table.free_rank(i, *jk) == free, (G, variant, i, jk)
+                rank_in = rank_out
 
 
 def test_bigon_yamada_golden_table():
@@ -287,41 +312,92 @@ def test_cohomology_table_json_schema():
     assert data["euler"]["terms"][0] == {"x": 2, "y": 0, "c": "1"}
 
 
-def test_induced_map_ranks_for_phi(complex_of):
-    cx_t, cx_y = complex_of(bigon(), "tutte"), complex_of(bigon(), "yamada")
-    ranks = induced_map_ranks(cx_t, cx_y, phi_psi(cx_t, cx_y)[0])
-    assert ranks == {(0, 1, 0): 1, (0, 2, 0): 1, (2, 0, 1): 1, (2, 1, 1): 1}
+def _chain_maps(G, complex_of):
+    """(name, source, target, per-height target arrays) of phi, psi and the
+    projection onto `default_gamma` in both variants."""
+    cx_t, cx_y = complex_of(G, "tutte"), complex_of(G, "yamada")
+    phi, psi = phi_psi(cx_t, cx_y)
+    out = [("phi", cx_t, cx_y, phi), ("psi", cx_y, cx_t, psi)]
+    for src in (cx_t, cx_y):
+        dst, maps = projection_map(src, default_gamma(G))
+        out.append((f"{src.variant} projection", src, dst, maps))
+    return out
 
 
-def test_induced_composition_is_identity_on_tutte(complex_of):
-    cx_t = complex_of(bigon(), "tutte")
-    phi, psi = phi_psi(cx_t, complex_of(bigon(), "yamada"))
-    comp = [q @ p for q, p in zip(psi, phi)]
-    ranks = induced_map_ranks(cx_t, cx_t, comp)
-    table = cohomology(cx_t)
-    assert ranks == {key: s.free_rank for key, s in table.summands.items() if s.free_rank}
+def test_chain_map_defect_agrees_with_the_matrix_route(corpus, complex_of):
+    # The reference multiplies IntMatrix forms of the maps and of the global
+    # differentials. Each map is also corrupted at every height where it is
+    # nonzero, by killing the image of the element whose image is the smallest.
+    K4 = Multigraph(4, tuple(itertools.combinations(range(4), 2)))
+    corrupted = failing = 0
+    for G in list(corpus) + [K4, cycle_graph(6)]:
+        for name, src, dst, maps in _chain_maps(G, complex_of):
+            heights = range(src.height_count - 1)
+            d_src = [matrix_route.differential(src, i) for i in heights]
+            d_dst = [matrix_route.differential(dst, i) for i in heights]
+
+            def reference(mats):
+                failing = (i for i in heights if mats[i + 1] @ d_src[i] != d_dst[i] @ mats[i])
+                return next(failing, None)
+
+            mats = [matrix_route.map_matrix(f, dst.rank(i)) for i, f in enumerate(maps)]
+            assert chain_map_defect(src, dst, maps) is None
+            assert reference(mats) is None, (G, name)
+            for h, f in enumerate(maps):
+                if max(f, default=-1) < 0:
+                    continue
+                # the map preserves the bidegree
+                src_jk = {pos: jk for jk, idx in src.bidegree_index[h].items() for pos in idx}
+                dst_jk = {pos: jk for jk, idx in dst.bidegree_index[h].items() for pos in idx}
+                assert all(src_jk[l] == dst_jk[t] for l, t in enumerate(f) if t >= 0)
+                _, l = min((t, l) for l, t in enumerate(f) if t >= 0)
+                bad = f[:l] + [-1] + f[l + 1 :]
+                height = chain_map_defect(src, dst, maps[:h] + [bad] + maps[h + 1 :])
+                bad_mats = mats[:h] + [matrix_route.map_matrix(bad, dst.rank(h))] + mats[h + 1 :]
+                assert height == reference(bad_mats), (G, name, h)
+                corrupted += 1
+                failing += height is not None
+    assert failing > 1000 and corrupted > failing
 
 
-def test_induced_map_ranks_zero_map():
-    cx = build_complex(bigon(), "tutte")
-    zero = [IntMatrix.zeros(cx.rank(i), cx.rank(i)) for i in range(cx.height_count)]
-    assert induced_map_ranks(cx, cx, zero) == {}
+def test_chain_map_defect_rejects_non_chain_maps(complex_of):
+    cx = complex_of(bigon(), "tutte")
+    identity = [list(range(cx.rank(i))) for i in range(cx.height_count)]
+    assert chain_map_defect(cx, cx, identity) is None
+    for bad in (identity[:2], identity[:2] + [identity[2][:-1]], identity[:2] + [[4] * 4]):
+        with pytest.raises(ValueError, match="one target array per height"):
+            chain_map_defect(cx, cx, bad)
+    # the identity at every height but one, where one element is kept: not a chain map
+    assert chain_map_defect(cx, cx, [identity[0], [0, -1, -1, -1], identity[2]]) == 0
 
 
-def test_induced_map_ranks_rejects_non_chain_maps():
-    cx = build_complex(bigon(), "tutte")
-    # identity matrices at every height do not commute with this differential
-    fake = [IntMatrix.identity(cx.rank(i)) for i in range(cx.height_count)]
-    fake[1] = IntMatrix(cx.rank(1), cx.rank(1), {(0, 0): 1})
-    with pytest.raises(ValueError):
-        induced_map_ranks(cx, cx, fake)
-    with pytest.raises(ValueError):
-        induced_map_ranks(cx, cx, fake[:2])
+def test_prime_powers():
+    assert prime_powers([12, 2]) == {4: 1, 3: 1, 2: 1}
+    assert prime_powers([360, 49, 97]) == {8: 1, 9: 1, 5: 1, 49: 1, 97: 1}
+    assert prime_powers([2, 2, 1]) == {2: 2}
+    assert prime_powers([]) == {}
 
 
-def test_induced_map_ranks_rejects_a_map_that_moves_the_bidegree():
-    # one height holding bidegrees (0,0) and (1,0), no square to commute:
-    # only the bidegree check sees that the map sends (1,0) into (0,0)
-    cx = build_complex(build(1, []), "tutte")
-    with pytest.raises(ValueError, match="bidegree"):
-        induced_map_ranks(cx, cx, [IntMatrix(2, 2, {(0, 1): 1})])
+@pytest.mark.parametrize(
+    "tutte, yamada, passes",
+    [
+        (Summand(0, (2,)), Summand(0, (6,)), True),
+        (Summand(0, (2, 3)), Summand(0, (6,)), True),
+        (Summand(0, (4,)), Summand(0, (2, 2)), False),
+        (Summand(0, (2, 2)), Summand(0, (4,)), False),
+        (Summand(0, (4, 2, 3)), Summand(0, (12, 2)), True),
+        (Summand(2, (2,)), Summand(1, (2,)), False),
+    ],
+    ids=["2_in_6", "2+3_in_6", "4_in_2+2", "2+2_in_4", "4+2+3_in_12+2", "free_rank"],
+)
+def test_summand_defect_splits_torsion_into_prime_powers(tutte, yamada, passes):
+    key = (1, 2, 0)
+    small = CohomologyTable("tutte", 3, {(0, 1, 0): Summand(1), key: tutte})
+    large = CohomologyTable("yamada", 3, {(0, 1, 0): Summand(1), key: yamada})
+    assert summand_defect(small, large) == (None if passes else key)
+
+
+def test_summand_defect_reports_the_lowest_key_and_reads_a_missing_summand_as_zero():
+    small = CohomologyTable("tutte", 3, {(2, 0, 1): Summand(1), (1, 2, 0): Summand(0, (3,))})
+    assert summand_defect(small, CohomologyTable("yamada", 3)) == (1, 2, 0)
+    assert summand_defect(CohomologyTable("tutte", 3), small) is None
