@@ -10,7 +10,7 @@ differential that preserves the bidegree and squares to zero, which
 `build_complex` verifies on every run: the bidegree on every entry of
 each distinct per-edge map when that map is first worked out, and
 d^2 = 0 one square face of the cube at a time. The per-bidegree blocks,
-each three flat arrays of row, column and sign (`TripletMatrix`), are
+each an `IntMatrix` over three flat arrays of row, column and sign, are
 the only stored form of the differential.
 
 A state S is its edge bitmask, and the components of [G:S] come from
@@ -40,7 +40,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .laurent import ZERO, BivariateLaurent
-from .matrices import INDEX_TYPECODE, IntMatrix, TripletMatrix
+from .matrices import INDEX_TYPECODE, IntMatrix
 from .multigraph import Multigraph, state_components
 
 Bidegree = tuple[int, int]
@@ -132,12 +132,11 @@ class BigradedComplex:
     the basis elements of C^i of bidegree (j, k); it is the only stored form
     of the grading. `blocks[i]` holds one block for every bidegree present
     at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is the
-    signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as a
-    `TripletMatrix` of +-1 entries, row r and column c standing for
-    positions `bidegree_index[i+1][(j,k)][r]` and
-    `bidegree_index[i][(j,k)][c]`. The blocks are the only stored form of
-    the differential: `block` makes an `IntMatrix` view of one on request,
-    and `nonzeros` reads the entries of d^i in global positions from them.
+    signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as an
+    `IntMatrix` of +-1 entries, row r and column c standing for positions
+    `bidegree_index[i+1][(j,k)][r]` and `bidegree_index[i][(j,k)][c]`. The
+    blocks are the only stored form of the differential; `nonzeros` reads
+    the entries of d^i in global positions from them.
     """
 
     variant: str
@@ -145,7 +144,7 @@ class BigradedComplex:
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
     bidegree_index: list[dict[Bidegree, list[int]]]
-    blocks: list[dict[Bidegree, TripletMatrix]]
+    blocks: list[dict[Bidegree, IntMatrix]]
 
     @property
     def height_count(self) -> int:
@@ -175,14 +174,6 @@ class BigradedComplex:
         if not 0 <= i < self.height_count:
             return {}
         return {jk: len(idx) for jk, idx in self.bidegree_index[i].items()}
-
-    def block(self, i: int, jk: Bidegree) -> IntMatrix:
-        """d^i restricted to bidegree jk, as an `IntMatrix` view of the
-        stored block (zero, of shape dims of jk at i + 1 by dims at i, when
-        no block is stored)."""
-        if 0 <= i < len(self.blocks) and jk in self.blocks[i]:
-            return self.blocks[i][jk].as_intmatrix()
-        return IntMatrix.zeros(self.dims_at(i + 1).get(jk, 0), self.dims_at(i).get(jk, 0))
 
     def qdim(self, i: int) -> BivariateLaurent:
         """Graded dimension of C^i, as a polynomial in (t, w)."""
@@ -247,23 +238,24 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     rank takes b0 of every state from `state_components`, which also gives
     the component of each endpoint that the per-edge maps need.
 
-    The map of edge e out of state S depends only on the inputs that
-    `_edge_rule` reads and on the slot counts of S and S+e, so it is worked
-    out once per distinct key (e, |S|, insert position in the yamada
-    variant, unordered pair of endpoint components or None for one
-    component, slots of S, slots of S+e) and kept for the call. The rule
-    reads e only through the insert position; e is in the key so that the
-    maps of two edges are worked out apart and the face check compares
-    them: a wrong map shared by both edges of a face would still
-    anticommute. When first worked out, each entry of a map is checked to
-    preserve the bidegree and the map to be a partial function (every
-    coefficient is 1). A map is kept as its target array and, per
-    bidegree, the positions of its entries counted from the first element
-    of that bidegree in S and in S+e. Every (S, e) then writes its block
-    entries with three bulk `extend`s per bidegree, from the positions of
-    S and S+e in that bidegree. Heights are assembled in order, and once
-    height i is written, the faces from height i - 1 to i + 1 are checked to
-    anticommute (`_check_faces`). Any failure raises RuntimeError.
+    The map of edge e out of state S is worked out once per distinct key
+    of exactly what `_edge_rule` reads, and kept for the call: |S| and the
+    insert position of e in the yamada variant (the rule reads e only
+    through the latter), the unordered pair of endpoint components or None
+    for one component, and the slots of S, which fix the rank of C^S. With
+    the variant, these also fix the slots of S+e. When first worked out,
+    each entry of a map is checked to preserve the bidegree and the map to
+    be a partial function (every coefficient is 1). A map is kept as its
+    target array and, per bidegree, the positions of its entries counted
+    from the first element of that bidegree in S and in S+e; at each
+    height where it is used, these are tied once to that height's block
+    arrays. Every (S, e) then writes its block entries with three bulk
+    `extend`s per bidegree, from the positions of S and S+e in that
+    bidegree. Heights are assembled in order, and once height i is
+    written, the faces from height i - 1 to i + 1 are checked to
+    anticommute (`_check_faces`). Edges with one key share one map, so
+    the face check tests the assembled differential rather than each
+    edge's map apart. Any failure raises RuntimeError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -334,22 +326,27 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     edges = [(e, 1 << e, (1 << e) - 1, u, v) for e, (u, v) in enumerate(G.edges)]
     # Runs of +1 and of -1 signs by length, made once and shared by the maps.
     signs_of_length: dict[int, tuple[array, array]] = {}
-    empty = (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))  # shared by the empty blocks
     # memo key -> (target of each source or -1 when it is killed, with an
     # extra trailing -1 so that a composite looks up a killed element at
-    # index -1 and gets -1 back; one write per bidegree: the `extend`s of
-    # the block's three arrays, the bidegree's place in the shapes of S+e
-    # and of S, the target and the source positions, and their signs for an
-    # even and for an odd number of edges of S below e).
-    patterns: dict[tuple, tuple[list[int], list[tuple]]] = {}
-    blocks: list[dict[Bidegree, TripletMatrix]] = []
+    # index -1 and gets -1 back; one group per bidegree: the bidegree, its
+    # place in the shapes of S+e and of S, the target and the source
+    # positions, and their signs for an even and for an odd number of edges
+    # of S below e).
+    rules: dict[tuple, tuple[list[int], list[tuple]]] = {}
+    blocks: list[dict[Bidegree, IntMatrix]] = []
     below: dict[tuple[int, int], tuple[int, list[int]]] = {}
     for i in range(n):
         cols_index, rows_index = bidegree_index[i], bidegree_index[i + 1]
-        # The three arrays of each block that has an entry, made on its first
-        # entry, and their `extend`s.
-        triplets: dict[Bidegree, tuple[array, array, array]] = {}
-        extends: dict[Bidegree, tuple] = {}
+        # The three arrays of each block, and their `extend`s.
+        triplets = {
+            jk: (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))
+            for jk in cols_index.keys() | rows_index.keys()
+        }
+        extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
+        # memo key -> (target array, one write per bidegree group of the rule:
+        # the `extend`s of the block's three arrays at this height, then the
+        # group past its bidegree)
+        patterns: dict[tuple, tuple[list[int], list[tuple]]] = {}
         # (mask, e) -> (sign, target array of the pattern)
         maps: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for mask in masks_by_height[i]:
@@ -362,49 +359,47 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
                 dst = mask | bit
                 p, q = comp_of[u], comp_of[v]
                 pair = (p, q) if p < q else (q, p) if q < p else None
-                key = (e, i, insert if yamada else 0, pair, src_slots, slots[dst])
+                key = (i, insert, pair, src_slots) if yamada else (pair, src_slots)
                 pattern = patterns.get(key)
                 if pattern is None:
-                    src_bidegs, src_pos, _, src_place = shapes[src_slots]
-                    dst_bidegs, dst_pos, _, dst_place = shapes[slots[dst]]
-                    size = sizes[i][mask]
-                    target = [-1] * (size + 1)
-                    groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
-                    for x, y in _edge_rule(mask, e, p, q, size, yamada):
-                        jk = src_bidegs[x]
-                        if dst_bidegs[y] != jk:
-                            r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
-                            raise RuntimeError(
-                                f"differential d^{i} does not preserve the bidegree"
-                                f" at entry ({r},{c})"
-                            )
-                        if target[x] >= 0:
-                            raise RuntimeError(
-                                f"the map of edge {e} out of state {mask:#b}"
-                                f" sends {x} to two targets"
-                            )
-                        target[x] = y
-                        group = groups.get(jk)
-                        if group is None:
-                            group = groups[jk] = ([], [])
-                        group[0].append(dst_pos[y])
-                        group[1].append(src_pos[x])
-                    writes = []
-                    for jk, (rows, cols) in groups.items():
-                        signs = signs_of_length.get(len(rows))
-                        if signs is None:
-                            signs = signs_of_length[len(rows)] = (
-                                array("b", [1]) * len(rows),
-                                array("b", [-1]) * len(rows),
-                            )
-                        if jk not in extends:
-                            t = triplets[jk] = (
-                                array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b")
-                            )
-                            extends[jk] = (t[0].extend, t[1].extend, t[2].extend)
-                        writes.append(
-                            (*extends[jk], dst_place[jk], src_place[jk], rows, cols, signs)
-                        )
+                    rule = rules.get(key)
+                    if rule is None:
+                        src_bidegs, src_pos, _, src_place = shapes[src_slots]
+                        dst_bidegs, dst_pos, _, dst_place = shapes[slots[dst]]
+                        size = sizes[i][mask]
+                        target = [-1] * (size + 1)
+                        groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
+                        for x, y in _edge_rule(mask, e, p, q, size, yamada):
+                            jk = src_bidegs[x]
+                            if dst_bidegs[y] != jk:
+                                r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
+                                raise RuntimeError(
+                                    f"differential d^{i} does not preserve the bidegree"
+                                    f" at entry ({r},{c})"
+                                )
+                            if target[x] >= 0:
+                                raise RuntimeError(
+                                    f"the map of edge {e} out of state {mask:#b}"
+                                    f" sends {x} to two targets"
+                                )
+                            target[x] = y
+                            group = groups.get(jk)
+                            if group is None:
+                                group = groups[jk] = ([], [])
+                            group[0].append(dst_pos[y])
+                            group[1].append(src_pos[x])
+                        placed = []
+                        for jk, (rows, cols) in groups.items():
+                            signs = signs_of_length.get(len(rows))
+                            if signs is None:
+                                signs = signs_of_length[len(rows)] = (
+                                    array("b", [1]) * len(rows),
+                                    array("b", [-1]) * len(rows),
+                                )
+                            placed.append((jk, dst_place[jk], src_place[jk], rows, cols, signs))
+                        rule = rules[key] = (target, placed)
+                    target, placed = rule
+                    writes = [(*extends[jk], *write) for jk, *write in placed]
                     pattern = patterns[key] = (target, writes)
                 target, writes = pattern
                 dst_add, odd = adders[dst], insert & 1
@@ -415,12 +410,10 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
                 maps[(mask, e)] = (-1 if odd else 1, target)
         blocks.append(
             {
-                jk: TripletMatrix(
-                    len(rows_index.get(jk, ())),
-                    len(cols_index.get(jk, ())),
-                    *triplets.get(jk, empty),
+                jk: IntMatrix.from_triplets(
+                    len(rows_index.get(jk, ())), len(cols_index.get(jk, ())), *t
                 )
-                for jk in cols_index.keys() | rows_index.keys()
+                for jk, t in triplets.items()
             }
         )
         if i > 0:

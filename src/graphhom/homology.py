@@ -40,12 +40,7 @@ class SNFResult:
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        out = []
-        for i in range(min(self.d.rows, self.d.cols)):
-            val = self.d.entry(i, i)
-            if val:
-                out.append(val)
-        return tuple(out)
+        return tuple(v for r, c, v in self.d.sorted_entries() if r == c)
 
     @property
     def rank(self) -> int:
@@ -63,16 +58,15 @@ def verify_snf(mat: IntMatrix, res: SNFResult) -> None:
     """Raise ValueError unless res is a valid Smith normal form of mat."""
     if res.u @ mat @ res.v != res.d:
         raise ValueError("U @ A @ V != D")
-    for r, c, _ in res.d.sorted_entries():
-        if r != c:
-            raise ValueError("D is not diagonal")
-    factors = [res.d.entry(i, i) for i in range(min(res.d.rows, res.d.cols))]
+    diagonal = res.d.sorted_entries()
+    if any(r != c for r, c, _ in diagonal):
+        raise ValueError("D is not diagonal")
+    factors = [f for _, _, f in diagonal]
     if any(f < 0 for f in factors):
         raise ValueError("D has a negative diagonal entry")
-    nonzero = [f for f in factors if f]
-    if any(f == 0 for f in factors[: len(nonzero)]):
+    if any(r != t for t, (r, _, _) in enumerate(diagonal)):
         raise ValueError("zero diagonal entry before a nonzero one")
-    for first, second in zip(nonzero, nonzero[1:]):
+    for first, second in zip(factors, factors[1:]):
         if second % first:
             raise ValueError(f"divisibility chain broken: {first} does not divide {second}")
     if abs(det(res.u)) != 1:
@@ -171,7 +165,8 @@ def chain_map_defect(
     the block nonzeros, and compared with zeros dropped.
     """
     if len(maps) != src.height_count or any(
-        len(f) != src.rank(i) or max(f, default=-1) >= dst.rank(i) for i, f in enumerate(maps)
+        len(f) != src.rank(i) or min(f, default=-1) < -1 or max(f, default=-1) >= dst.rank(i)
+        for i, f in enumerate(maps)
     ):
         raise ValueError("a chain map needs one target array per height of its source")
     for i in range(src.height_count - 1):

@@ -1,14 +1,14 @@
 """Exact integer matrices.
 
-Two sparse forms. `IntMatrix` keys its entries by (row, col) and holds
-Python's arbitrary-precision integers, because entries in normal-form
-computations can grow far past any fixed width; its only arithmetic is
-the product that `verify_snf` checks a Smith normal form with.
-`TripletMatrix` holds its entries as three flat arrays (row, column,
-signed byte), the triplet form in which `cube.build_complex` writes the
-+-1 blocks of a differential; it converts to an `IntMatrix` only on
-request. `_eliminate` is the one elimination routine, and it starts from
-either form: it yields the invariant factors, and on request the
+One sparse form, `IntMatrix`: three flat sequences of equal length
+(row, column, value), one entry each. `cube.build_complex` hands over
+the +-1 blocks of a differential as `array`s of positions and signed
+bytes (`from_triplets`), adopted as they are; built from a
+{(row, col): value} dict, the values are Python's arbitrary-precision
+integers, because entries in normal-form computations can grow far past
+any fixed width. The only arithmetic is the product that `verify_snf`
+checks a Smith normal form with. `_eliminate` is the one elimination
+routine: it yields the invariant factors, and on request the
 transforms, behind the per-block cohomology and `smith_normal_form`. Its
 pivot queue is a heap with one key per row, pushed when the row changes
 and checked against the row when popped. `det` (Bareiss) stays a separate
@@ -25,12 +25,17 @@ from typing import Iterator, Mapping, Sequence
 # Typecode of a triplet position: a C int of at least 32 bits, wide enough
 # for any position below the chain-rank limit of `cube.build_complex`.
 INDEX_TYPECODE = "i" if array("i").itemsize >= 4 else "l"
+Ints = Sequence[int]
 
 
 class IntMatrix:
-    """Immutable sparse matrix over the integers with an explicit shape."""
+    """Immutable sparse matrix over the integers with an explicit shape.
 
-    __slots__ = ("rows", "cols", "_entries")
+    Entry t is `val_of[t]` at (`row_of[t]`, `col_of[t]`). Each position
+    occurs at most once and no value is zero.
+    """
+
+    __slots__ = ("rows", "cols", "row_of", "col_of", "val_of")
 
     def __init__(
         self,
@@ -38,31 +43,45 @@ class IntMatrix:
         cols: int,
         entries: Mapping[tuple[int, int], int] | None = None,
     ) -> None:
+        """The matrix of a {(row, col): value} dict, zero values dropped."""
+        keys = [key for key, v in entries.items() if v] if entries else []
+        self._set(rows, cols, [r for r, _ in keys], [c for _, c in keys], [entries[k] for k in keys])
+
+    @classmethod
+    def from_triplets(
+        cls, rows: int, cols: int, row_of: Ints, col_of: Ints, val_of: Ints
+    ) -> "IntMatrix":
+        """The matrix with entries `val_of[t]` at (`row_of[t]`, `col_of[t]`).
+
+        The sequences are adopted, not copied, and must not change
+        afterwards; each position must occur at most once.
+        """
+        mat = cls.__new__(cls)
+        mat._set(rows, cols, row_of, col_of, val_of)
+        return mat
+
+    def _set(self, rows: int, cols: int, row_of: Ints, col_of: Ints, val_of: Ints) -> None:
+        """Set the fields, refusing a position outside the shape or a zero
+        value by min/max over the sequences rather than entry by entry."""
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        cleaned: dict[tuple[int, int], int] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) outside shape {rows}x{cols}")
-                if v:
-                    cleaned[(r, c)] = v
-        object.__setattr__(self, "_entries", cleaned)
+        if not len(row_of) == len(col_of) == len(val_of):
+            raise ValueError("triplet sequences of unequal length")
+        if val_of and (
+            min(row_of) < 0 or max(row_of) >= rows or min(col_of) < 0 or max(col_of) >= cols
+        ):
+            raise ValueError(f"entry outside shape {rows}x{cols}")
+        if 0 in val_of:
+            raise ValueError("zero entry in an IntMatrix")
+        set_field = object.__setattr__
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "row_of", row_of)
+        set_field(self, "col_of", col_of)
+        set_field(self, "val_of", val_of)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def _adopt(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
-        """An IntMatrix that takes `entries` as its own, unchecked: only for
-        entries that are nonzero and inside the shape by construction."""
-        mat = cls.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "cols", cols)
-        object.__setattr__(mat, "_entries", entries)
-        return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -90,76 +109,11 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def entry(self, r: int, c: int) -> int:
-        return self._entries.get((r, c), 0)
+    def triplets(self) -> Iterator[tuple[int, int, int]]:
+        return zip(self.row_of, self.col_of, self.val_of)
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
-        return [(r, c, v) for (r, c), v in sorted(self._entries.items())]
-
-    def triplets(self) -> Iterator[tuple[int, int, int]]:
-        return ((r, c, v) for (r, c), v in self._entries.items())
-
-    def nnz(self) -> int:
-        return len(self._entries)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def to_rows(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._entries.items():
-            dense[r][c] = v
-        return dense
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        rows_of_other: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in other._entries.items():
-            rows_of_other.setdefault(r, []).append((c, v))
-        out: dict[tuple[int, int], int] = {}
-        for (r, k), v in self._entries.items():
-            hits = rows_of_other.get(k)
-            if not hits:
-                continue
-            for c, w in hits:
-                key = (r, c)
-                out[key] = out.get(key, 0) + v * w
-        return IntMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self._entries)})"
-
-
-class TripletMatrix:
-    """Sparse matrix of small nonzero entries held as three flat arrays of
-    equal length: `row_of[t]`, `col_of[t]` and `val_of[t]` give entry t.
-
-    Each position occurs at most once. The arrays are adopted, not copied,
-    and must not change afterwards. A position outside the shape or a zero
-    value is refused, by min/max over the arrays rather than entry by entry.
-    """
-
-    __slots__ = ("rows", "cols", "row_of", "col_of", "val_of")
-
-    def __init__(self, rows: int, cols: int, row_of: array, col_of: array, val_of: array) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative matrix shape {rows}x{cols}")
-        if not len(row_of) == len(col_of) == len(val_of):
-            raise ValueError("triplet arrays of unequal length")
-        if val_of and (
-            min(row_of) < 0 or max(row_of) >= rows or min(col_of) < 0 or max(col_of) >= cols
-        ):
-            raise ValueError(f"entry outside shape {rows}x{cols}")
-        if 0 in val_of:
-            raise ValueError("zero entry in a triplet matrix")
-        self.rows, self.cols = rows, cols
-        self.row_of, self.col_of, self.val_of = row_of, col_of, val_of
+        return sorted(self.triplets())
 
     def nnz(self) -> int:
         return len(self.val_of)
@@ -167,20 +121,32 @@ class TripletMatrix:
     def is_zero(self) -> bool:
         return not self.val_of
 
-    def triplets(self) -> Iterator[tuple[int, int, int]]:
-        return zip(self.row_of, self.col_of, self.val_of)
+    def to_rows(self) -> list[list[int]]:
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for r, c, v in self.triplets():
+            dense[r][c] = v
+        return dense
 
-    def sorted_entries(self) -> list[tuple[int, int, int]]:
-        return sorted(self.triplets())
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        rows_of_other: dict[int, list[tuple[int, int]]] = {}
+        for r, c, v in other.triplets():
+            rows_of_other.setdefault(r, []).append((c, v))
+        out: dict[tuple[int, int], int] = {}
+        for r, k, v in self.triplets():
+            for c, w in rows_of_other.get(k, ()):
+                key = (r, c)
+                out[key] = out.get(key, 0) + v * w
+        return IntMatrix(self.rows, other.cols, out)
 
-    def as_intmatrix(self) -> IntMatrix:
-        """The same matrix as an `IntMatrix`, built on each call; the
-        positions and values were checked when the arrays were adopted."""
-        entries = dict(zip(zip(self.row_of, self.col_of), self.val_of))
-        return IntMatrix._adopt(self.rows, self.cols, entries)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self.sorted_entries() == other.sorted_entries()
 
     def __repr__(self) -> str:
-        return f"TripletMatrix({self.rows}x{self.cols}, nnz={len(self.val_of)})"
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self.val_of)})"
 
 
 def _axpy(
@@ -216,12 +182,12 @@ def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
 
 
 def _eliminate(
-    mat: IntMatrix | TripletMatrix, track: bool = False
+    mat: IntMatrix, track: bool = False
 ) -> tuple[list[int], IntMatrix | None, IntMatrix | None]:
     """Nonzero invariant factors of `mat`, by sparse integer elimination.
 
-    The working matrix, read straight from the triplets of either form,
-    is a dict of sparse rows plus a column -> rows index; it is never made
+    The working matrix, read straight from the triplets of `mat`, is a
+    dict of sparse rows plus a column -> rows index; it is never made
     dense. The pivot row is the row with the smallest (smallest |entry| in
     the row, number of entries in the row, row index). Within it the pivot
     column is, among the entries of that smallest |entry|, the one whose

@@ -362,22 +362,9 @@ def test_differential_view_matches_blocks_and_squares_to_zero(G, complex_of):
             restricted.setdefault(jk, {})[(local_r, local_c)] = v
         for jk in set(rows_of) | set(cols_of):
             shape = (len(rows_of.get(jk, [])), len(cols_of.get(jk, [])))
-            assert IntMatrix(*shape, restricted.get(jk)) == cx.block(i, jk)
+            assert IntMatrix(*shape, restricted.get(jk)) == cx.blocks[i][jk]
         assert d.nnz() == sum(block.nnz() for block in cx.blocks[i].values())
         assert (differential(cx, i + 1) @ d).is_zero()
-
-
-def test_block_below_and_above_the_heights_has_the_shape_of_its_neighbours():
-    cx = build_complex(bigon(), "yamada")
-    # d^-2: C^-2 -> C^-1, both zero
-    assert cx.block(-2, (0, 0)).shape == (0, 0)
-    # d^-1: C^-1 -> C^0, zero columns and one row per element of bidegree (0, 0) at height 0
-    assert cx.block(-1, (0, 0)).shape == (len(cx.bidegree_index[0][(0, 0)]), 0)
-    # d^2 out of the top height: zero rows
-    top = cx.height_count - 1
-    assert cx.block(top, (0, 0)).shape == (0, len(cx.bidegree_index[top][(0, 0)]))
-    assert cx.block(top + 1, (0, 0)).shape == (0, 0)
-    assert cx.block(0, (9, 9)).shape == (0, 0)
 
 
 # A loop, a parallel pair, a merge with a bystander component and an isolated vertex.
@@ -415,6 +402,24 @@ def test_memoised_edge_maps_match_the_rule_applied_to_every_state_and_edge(corpu
             cx = complex_of(G, variant)
             assembled = [differential(cx, i) for i in range(cx.height_count - 1)]
             assert assembled == _differentials_from_the_rule(G, cx), (G, variant)
+
+
+@pytest.mark.parametrize("G,calls", [(K4, 15), (bouquet_graph(4), 4)], ids=["K4", "bouquet4"])
+def test_each_distinct_edge_map_is_worked_out_once(monkeypatch, G, calls):
+    # The memo key holds exactly what `_edge_rule` reads. In the tutte variant
+    # that is the component pair and the slots of S, not the edge or |S|: a
+    # key with either would work out the same map again at other edges or
+    # heights.
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return rule(*args)
+
+    rule = cube._edge_rule
+    monkeypatch.setattr(cube, "_edge_rule", counted)
+    build_complex(G, "tutte")
+    assert len(seen) == calls
 
 
 def test_blocks_keep_under_40_bytes_per_nonzero():

@@ -177,15 +177,16 @@ def test_corpus_tables_digest(corpus, table_of):
     assert digest.hexdigest() == CORPUS_TABLES_DIGEST
 
 
-def _corrupt_first_edge_map(monkeypatch, add=None, drop=None):
-    """Add the entry `add` to, or drop the entry `drop` from, the first
-    per-edge map that `build_complex` asks for (the bigon's S = {}, e = 0)."""
+def _corrupt_first_edge_map(monkeypatch, add=None, drop=None, at=None):
+    """Add the entry `add` to, or drop the entry `drop` from, the map of edge
+    e out of state S with (S, e) == `at`, or else the first per-edge map that
+    `build_complex` asks for (the bigon's S = {}, e = 0)."""
     original = cube._edge_rule
     seen = []
 
-    def corrupted(*args, **kwargs):
-        pairs = original(*args, **kwargs)
-        if seen:
+    def corrupted(mask, e, *args):
+        pairs = original(mask, e, *args)
+        if seen or at not in (None, (mask, e)):
             return pairs
         seen.append(True)
         entries = {(r, c) for c, r in pairs}
@@ -208,8 +209,12 @@ def test_corrupted_map_breaking_bidegree_is_caught(monkeypatch):
 
 
 def test_corrupted_map_breaking_d_squared_is_caught(monkeypatch):
-    # dropping 1 (x) 1 -> 1 keeps every bidegree but the square through {0} stops commuting
-    seen = _corrupt_first_edge_map(monkeypatch, drop=(0, 0))
+    # Dropping 1 (x) 1 -> 1 from the map of edge 1 out of {0} keeps every
+    # bidegree, but the face {} -> {0, 1} stops commuting: the map of edge 0
+    # out of {1} inserts its unit at another position, so it has another key
+    # and stays whole. (Both edges out of {} share one map, so corrupting
+    # that one would leave a complex.)
+    seen = _corrupt_first_edge_map(monkeypatch, drop=(0, 0), at=(0b1, 1))
     with pytest.raises(RuntimeError, match="d\\^2"):
         cube.build_complex(bigon(), "yamada")
     assert seen

@@ -2,7 +2,9 @@ from array import array
 
 import pytest
 
-from graphhom.matrices import IntMatrix, TripletMatrix, _eliminate, det
+from graphhom.cube import build_complex
+from graphhom.matrices import IntMatrix, _eliminate, det
+from graphhom.multigraph import bigon
 
 
 def test_construction_drops_zeros_and_validates_bounds():
@@ -77,16 +79,23 @@ def test_immutability():
         a.rows = 3
 
 
-def test_triplet_matrix_reads_like_its_intmatrix_view_and_refuses_bad_entries():
+def test_from_triplets_reads_like_the_dict_form_and_refuses_bad_entries():
     def triplets(rows, cols, vals):
         return array("i", rows), array("i", cols), array("b", vals)
 
-    m = TripletMatrix(2, 3, *triplets([1, 0, 1], [2, 0, 0], [-1, 1, 2]))
+    m = IntMatrix.from_triplets(2, 3, *triplets([1, 0, 1], [2, 0, 0], [-1, 1, 2]))
     assert (m.nnz(), m.is_zero()) == (3, False)
     assert m.sorted_entries() == [(0, 0, 1), (1, 0, 2), (1, 2, -1)]
-    assert m.as_intmatrix() == IntMatrix.from_rows([[1, 0, 0], [2, 0, -1]])
-    assert _eliminate(m)[0] == _eliminate(m.as_intmatrix())[0] == [1, 1]
-    assert TripletMatrix(0, 4, *triplets([], [], [])).is_zero()
+    assert m.to_rows() == [[1, 0, 0], [2, 0, -1]]
+    assert m == IntMatrix.from_rows([[1, 0, 0], [2, 0, -1]])
+    assert _eliminate(m)[0] == _eliminate(IntMatrix.from_rows(m.to_rows()))[0] == [1, 1]
+    assert IntMatrix.from_triplets(0, 4, *triplets([], [], [])).is_zero()
+    with pytest.raises(AttributeError):
+        m.val_of = array("b")
+    # every block of a built complex equals the dict-built matrix of its entries
+    for level in build_complex(bigon(), "yamada").blocks:
+        for b in level.values():
+            assert b == IntMatrix(b.rows, b.cols, {(r, c): v for r, c, v in b.triplets()})
     for bad in (
         triplets([2], [0], [1]),
         triplets([-1], [0], [1]),
@@ -96,4 +105,4 @@ def test_triplet_matrix_reads_like_its_intmatrix_view_and_refuses_bad_entries():
         triplets([0, 1], [0], [1]),
     ):
         with pytest.raises(ValueError):
-            TripletMatrix(2, 3, *bad)
+            IntMatrix.from_triplets(2, 3, *bad)
