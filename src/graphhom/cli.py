@@ -15,7 +15,7 @@ import sys
 from functools import cache
 
 from .cube import build_complex
-from .homology import cohomology
+from .homology import cohomology, yamada_cohomology
 from .invariants import eval_del_con, g_polynomials, specialization, yamada_state_sum
 from .multigraph import Multigraph, from_json_dict
 from .verify import CHECK_NAMES, run_checks
@@ -104,8 +104,10 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     G = _load_graph(args.input, args.max_edges)
-    cx = build_complex(G, args.variant)
-    table = cohomology(cx)
+    if args.variant == "yamada":
+        table = yamada_cohomology(G)
+    else:
+        table = cohomology(build_complex(G, args.variant))
     if args.json:
         print(json.dumps(table.to_json_dict(), indent=2))
         return 0

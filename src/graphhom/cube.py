@@ -88,6 +88,33 @@ def _refuse_by_floor(vertex_count: int, edge_count: int, yamada: bool) -> None:
     )
 
 
+def state_slots(
+    G: Multigraph, variant: str
+) -> tuple[list[tuple[list[int], int]], list[tuple[int, int]]]:
+    """The components of every state, from `state_components`, and its slot
+    counts (edge and component slots, cycle slots), after refusing a complex
+    whose total chain rank exceeds `MAX_CHAIN_RANK`.
+
+    The refusal comes first by the lower bound of `_refuse_by_floor`, before
+    any state is looked at, then by the exact rank, the sum over all states
+    of 2^(slots), before anything else is built. Every route to a complex
+    or its cohomology refuses here, so they all refuse alike.
+    """
+    yamada = variant == "yamada"
+    _refuse_by_floor(G.vertex_count, G.edge_count, yamada)
+    components = state_components(G)
+    slots = []
+    for mask, (_, b0) in enumerate(components):
+        size = mask.bit_count()
+        slots.append(((size if yamada else 0) + b0, size - G.vertex_count + b0))
+    chain_rank = sum(1 << (j + k) for j, k in slots)
+    if chain_rank > MAX_CHAIN_RANK:
+        raise ValueError(
+            f"chain complex has rank {chain_rank}, over the limit of {MAX_CHAIN_RANK}"
+        )
+    return components, slots
+
+
 def _edge_rule(
     mask: int, e: int, p: int, q: int, size: int, yamada: bool
 ) -> list[tuple[int, int]]:
@@ -213,7 +240,13 @@ def _check_faces(
     element, with the product of its signs. So the piece is zero exactly
     when both paths send every x to the same element (or both kill it)
     and, unless every x is killed, the two sign products are opposite.
+
+    Faces share target arrays (one per distinct map, kept alive by the
+    build's rule memo), so whether a face's paths agree, and whether some x
+    survives them, is worked out once per four arrays, keyed by their
+    identity; the signs are compared per face.
     """
+    survives: dict[tuple[int, int, int, int], bool] = {}
     for mask in masks:
         free = [e for e in range(n) if not mask >> e & 1]
         for t, e in enumerate(free):
@@ -222,10 +255,14 @@ def _check_faces(
                 sign_b, b = above[(mask | 1 << e, f)]
                 sign_c, c = below[(mask, f)]
                 sign_d, d = above[(mask | 1 << f, e)]
-                ab = list(map(b.__getitem__, a))
-                if ab != list(map(d.__getitem__, c)) or (
-                    sign_a * sign_b == sign_c * sign_d and max(ab) >= 0
-                ):
+                key = (id(a), id(b), id(c), id(d))
+                some = survives.get(key)
+                if some is None:
+                    ab = list(map(b.__getitem__, a))
+                    if ab != list(map(d.__getitem__, c)):
+                        raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
+                    some = survives[key] = max(ab) >= 0
+                if some and sign_a * sign_b == sign_c * sign_d:
                     raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
 
 
@@ -233,10 +270,11 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     """Assemble the complex into per-bidegree blocks and verify it.
 
     Refuses, before building anything, complexes whose total chain rank
-    exceeds `MAX_CHAIN_RANK`: first by a lower bound before any state is
-    looked at, then by the exact rank before any basis is built. The exact
-    rank takes b0 of every state from `state_components`, which also gives
-    the component of each endpoint that the per-edge maps need.
+    exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
+    any state is looked at, then by the exact rank before any basis is
+    built. The exact rank takes b0 of every state from `state_components`,
+    which also gives the component of each endpoint that the per-edge maps
+    need.
 
     The map of edge e out of state S is worked out once per distinct key
     of exactly what `_edge_rule` reads, and kept for the call: |S| and the
@@ -261,19 +299,8 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = G.edge_count
     yamada = variant == "yamada"
-    _refuse_by_floor(G.vertex_count, n, yamada)
-
     # Per state: the component of each vertex, and (edge + component slots, cycle slots).
-    components = state_components(G)
-    slots = []
-    for mask, (_, b0) in enumerate(components):
-        size = mask.bit_count()
-        slots.append(((size if yamada else 0) + b0, size - G.vertex_count + b0))
-    chain_rank = sum(1 << (j + k) for j, k in slots)
-    if chain_rank > MAX_CHAIN_RANK:
-        raise ValueError(
-            f"chain complex has rank {chain_rank}, over the limit of {MAX_CHAIN_RANK}"
-        )
+    components, slots = state_slots(G, variant)
 
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):

@@ -13,17 +13,28 @@ A chain map is a list of per-height target arrays (see `cube`), so
 of the blocks through the arrays, with no matrix product.
 `summand_defect` compares two tables summand by summand, with torsion
 split into prime powers.
+
+`yamada_cohomology` gets the yamada table without eliminating the yamada
+complex: the complex is a direct sum, over the edge subsets A, of shifted
+copies of the tutte complexes of the contractions G/A, so the table is a
+sum of the tutte tables of the minors, each worked out once per call.
+Torsion is added as prime powers and turned back into invariant factors
+(`prime_powers`, `invariant_factors`). `cohomology(build_complex(G,
+"yamada"))` stays the whole-complex route, which `check` and the tests
+take.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from math import comb, isqrt
+from typing import Iterable, Mapping
 
-from .cube import Bidegree, BigradedComplex
+from .cube import Bidegree, BigradedComplex, build_complex, state_slots
 from .laurent import BivariateLaurent
 from .matrices import IntMatrix, _eliminate, det
+from .multigraph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,64 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     return CohomologyTable(variant=cx.variant, height_count=heights, summands=summands)
 
 
+def yamada_cohomology(G: Multigraph) -> CohomologyTable:
+    """The cohomology of the yamada complex of G, as a sum over the edge
+    subsets A of shifted copies of the tutte cohomology of G/A:
+
+        H^i_(j,k)(yamada, G) = sum over A and m of
+            C(b1(A), m) * H^(i-|A|)_(j-|A|, k-m)(tutte, G/A).
+
+    The yamada basis elements whose edge generators sit exactly on A span
+    a subcomplex, since every per-edge map puts a unit in the new edge slot
+    and leaves the other edge bits alone. It lives on the states S with
+    A inside S, whose components and cycles are those of S - A in G/A, plus
+    b1(A) cycle slots that no map touches; its signs differ from those of
+    G/A by a fixed sign per edge. So it is the tutte complex of G/A, shifted
+    by |A| in height and in j, tensored with b1(A) free cycle factors.
+
+    Refuses exactly as `build_complex(G, "yamada")` does (`state_slots`),
+    before any minor is built. G/A has one vertex per component of [G:A]
+    and the edges outside A, relabelled through the components. Cohomology
+    does not depend on the edge order, so each minor's table is worked out
+    once per call, for the minor with its edges oriented (min, max) and
+    sorted. Free ranks add as integers, torsion as prime powers, so the sum
+    is exact whatever the torsion.
+    """
+    components, _ = state_slots(G, "yamada")
+    # minor -> its summands as ((i, j, k), free rank, torsion as prime powers)
+    minors: dict[Multigraph, list[tuple[tuple[int, int, int], int, Counter[int]]]] = {}
+    free: Counter[tuple[int, int, int]] = Counter()
+    torsion: dict[tuple[int, int, int], Counter[int]] = {}
+    for mask, (labels, b0) in enumerate(components):
+        size = mask.bit_count()
+        b1 = size - G.vertex_count + b0
+        ends = ((labels[u], labels[v]) for e, (u, v) in enumerate(G.edges) if not mask >> e & 1)
+        minor = Multigraph(b0, tuple(sorted((p, q) if p <= q else (q, p) for p, q in ends)))
+        summands = minors.get(minor)
+        if summands is None:
+            table = cohomology(build_complex(minor, "tutte"))
+            summands = minors[minor] = [
+                (key, s.free_rank, prime_powers(s.torsion)) for key, s in table.summands.items()
+            ]
+        for (i, j, k), rank, powers in summands:
+            for m in range(b1 + 1):
+                copies = comb(b1, m)
+                key = (i + size, j + size, k + m)
+                free[key] += copies * rank
+                if powers:
+                    acc = torsion.setdefault(key, Counter())
+                    for q, mult in powers.items():
+                        acc[q] += copies * mult
+    return CohomologyTable(
+        variant="yamada",
+        height_count=G.edge_count + 1,
+        summands={
+            key: Summand(free[key], invariant_factors(torsion.get(key, Counter())))
+            for key in sorted(free)
+        },
+    )
+
+
 def chain_map_defect(
     src: BigradedComplex, dst: BigradedComplex, maps: list[list[int]]
 ) -> int | None:
@@ -207,6 +276,25 @@ def prime_powers(factors: Iterable[int]) -> Counter[int]:
                 out[q] += 1
             p += 1
     return out
+
+
+def invariant_factors(powers: Mapping[int, int]) -> tuple[int, ...]:
+    """The invariant factors, in divisibility order, of the group whose
+    prime-power cyclic summands are the multiset `powers`: the inverse of
+    `prime_powers`, so {4: 1, 3: 1, 2: 1} gives (2, 12).
+
+    The largest factor is the product of the largest power of every prime,
+    the next one that of the next largest powers, and so on.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for q in sorted(powers, reverse=True):
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        by_prime.setdefault(p, []).extend([q] * powers[q])
+    factors = [1] * max(map(len, by_prime.values()), default=0)
+    for qs in by_prime.values():
+        for t, q in enumerate(qs):
+            factors[t] *= q
+    return tuple(reversed(factors))
 
 
 def summand_defect(

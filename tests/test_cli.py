@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphhom.cli
+import graphhom.homology
 import graphhom.verify
 from graphhom.cli import POLY_CHOICES, run
 from graphhom.laurent import X, BivariateLaurent
@@ -205,6 +206,60 @@ def test_oversized_complex_is_exit_1(tmp_path, capsys):
             assert run([command, "--variant", "yamada", "--input", str(path)]) == 1
             err = capsys.readouterr().err
             assert f"rank at least {rank}," in err
+
+
+# `cohomology --variant yamada` refuses these exactly as `build_complex`
+# refuses the whole yamada complex: the first three by the lower bound, the
+# last, whose bound passes, by the exact rank.
+YAMADA_REFUSALS = {
+    "cycle10": (
+        {"vertices": 10, "edges": [[i, (i + 1) % 10] for i in range(10)]},
+        "rank at least 1051648",
+    ),
+    "K5": (
+        {"vertices": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]},
+        "rank at least 1225280",
+    ),
+    "bouquet12": ({"vertices": 1, "edges": [[0, 0]] * 12}, "rank at least 488281250"),
+    "triangle_with_a_sevenfold_edge": (
+        {"vertices": 3, "edges": [[0, 2], [1, 2]] + [[0, 1]] * 7},
+        "rank 1093768",
+    ),
+}
+
+
+def _never_build(*args, **kwargs):
+    raise AssertionError("the command must not build this complex")
+
+
+@pytest.mark.parametrize("name", sorted(YAMADA_REFUSALS))
+def test_yamada_cohomology_refuses_before_building_any_minor(name, tmp_path, monkeypatch, capsys):
+    data, rank = YAMADA_REFUSALS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(graphhom.homology, "build_complex", _never_build)
+    monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
+    for extra in ([], ["--json"]):
+        assert run(["cohomology", "--variant", "yamada", "--input", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chain complex has {rank}, over the limit of 1048576\n"
+
+
+def test_cohomology_yamada_builds_only_tutte_minors(bigon_path, monkeypatch, capsys):
+    built = []
+    real = graphhom.homology.build_complex
+
+    def recording_build(G, variant):
+        built.append((G.vertex_count, G.edges, variant))
+        return real(G, variant)
+
+    monkeypatch.setattr(graphhom.homology, "build_complex", recording_build)
+    monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
+    assert run(["cohomology", "--variant", "yamada", "--input", bigon_path]) == 0
+    assert "H^0 (1,0): free rank 1" in capsys.readouterr().out
+    # the bigon itself, the loop left by contracting either edge, the point
+    assert built == [(2, ((0, 1), (0, 1)), "tutte"), (1, ((0, 0),), "tutte"), (1, (), "tutte")]
 
 
 @pytest.mark.parametrize("vertices", [10**6, 10**12])

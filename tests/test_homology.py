@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhom.homology as homology
 import graphhom.matrices as matrices
 from graphhom.cube import VARIANTS, build_complex, graded_euler, phi_psi, projection_map
 from graphhom.homology import (
@@ -14,15 +15,27 @@ from graphhom.homology import (
     Summand,
     chain_map_defect,
     cohomology,
+    invariant_factors,
     prime_powers,
     smith_normal_form,
     summand_defect,
     verify_snf,
+    yamada_cohomology,
 )
 from graphhom.invariants import g_polynomials
 from graphhom.laurent import BivariateLaurent
 from graphhom.matrices import IntMatrix, _eliminate
-from graphhom.multigraph import Multigraph, bigon, build, cycle_graph, tree_graph, triangle
+from graphhom.multigraph import (
+    Multigraph,
+    bigon,
+    build,
+    cycle_graph,
+    multiedge_graph,
+    permute_edges,
+    reduce,
+    tree_graph,
+    triangle,
+)
 from graphhom.verify import default_gamma
 
 import matrix_route
@@ -408,3 +421,118 @@ def test_summand_defect_reports_the_lowest_key_and_reads_a_missing_summand_as_ze
     small = CohomologyTable("tutte", 3, {(2, 0, 1): Summand(1), (1, 2, 0): Summand(0, (3,))})
     assert summand_defect(small, CohomologyTable("yamada", 3)) == (1, 2, 0)
     assert summand_defect(CohomologyTable("tutte", 3), small) is None
+
+
+def test_invariant_factors():
+    assert invariant_factors(prime_powers([4, 2, 3])) == (2, 12)
+    assert invariant_factors({4: 1, 2: 1, 3: 1}) == (2, 12)
+    assert invariant_factors({2: 3}) == (2, 2, 2)
+    assert invariant_factors({}) == ()
+    assert invariant_factors({8: 1, 9: 2, 5: 1, 49: 1, 97: 1}) == (9, 8 * 9 * 5 * 49 * 97)
+    rng = random.Random(1414)
+    for _ in range(200):
+        # a random divisibility chain of factors above 1
+        factors = [rng.choice([2, 3, 4, 5, 6, 9, 12, 25, 97])]
+        for _ in range(rng.randrange(5)):
+            factors.append(factors[-1] * rng.choice([1, 1, 2, 3, 5, 7]))
+        assert invariant_factors(prime_powers(factors)) == tuple(factors)
+        assert prime_powers(invariant_factors(prime_powers(factors))) == prime_powers(factors)
+
+
+# The routes of yamada cohomology are compared on these graphs and on two
+# seeded edge shuffles of each: a loop, a parallel pair, a merge with a
+# bystander component and an isolated vertex in MIXED.
+ROUTE_GRAPHS = {
+    "K4": Multigraph(4, tuple(itertools.combinations(range(4), 2))),
+    "cycle6": cycle_graph(6),
+    "cycle8": cycle_graph(8),
+    "path6": tree_graph(6),
+    "multiedge7": multiedge_graph(7),
+    "mixed": Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 2), (1, 2))),
+}
+
+
+def _shuffled(G, seed):
+    sigma = list(range(G.edge_count))
+    random.Random(seed).shuffle(sigma)
+    return permute_edges(G, sigma)
+
+
+def _same_table(fast, direct):
+    assert fast.height_count == direct.height_count
+    assert fast.to_json_dict() == direct.to_json_dict()
+    assert fast == direct
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_yamada_cohomology_matches_the_whole_complex(name, table_of):
+    G = ROUTE_GRAPHS[name]
+    for H in (G, _shuffled(G, 1), _shuffled(G, 2)):
+        _same_table(yamada_cohomology(H), table_of(H, "yamada"))
+
+
+def test_yamada_cohomology_matches_the_whole_complex_on_the_corpus(corpus, table_of):
+    for G in corpus:
+        for H in (G, _shuffled(G, 1), _shuffled(G, 2)):
+            _same_table(yamada_cohomology(H), table_of(H, "yamada"))
+
+
+def _contraction(G, mask):
+    """G/A for the edges A of `mask`, by `multigraph.reduce`: each edge of A,
+    from the highest index down, is contracted, or deleted once it is a loop.
+    The edges outside A keep their order."""
+    for e in reversed(range(G.edge_count)):
+        if mask >> e & 1:
+            u, v = G.edges[e]
+            G = reduce(G, e, "delete" if u == v else "contract")
+    return G
+
+
+@pytest.mark.parametrize("name, minors", [("K4", 12), ("cycle6", 7), ("path6", 7), ("mixed", 12)])
+def test_every_memo_hit_equals_the_table_of_its_own_minor(name, minors, monkeypatch, table_of):
+    G = ROUTE_GRAPHS[name]
+    memo = {}
+
+    def recording_cohomology(cx):
+        memo[cx.graph] = cohomology(cx)
+        return memo[cx.graph]
+
+    monkeypatch.setattr(homology, "cohomology", recording_cohomology)
+    yamada_cohomology(G)
+    keys = []
+    for mask in range(1 << G.edge_count):
+        minor = _contraction(G, mask)
+        key = Multigraph(
+            minor.vertex_count, tuple(sorted(tuple(sorted(edge)) for edge in minor.edges))
+        )
+        keys.append(key)
+        assert table_of(minor, "tutte") == memo[key]
+    # one table per distinct key, worked out when the key is first met
+    assert list(memo) == list(dict.fromkeys(keys))
+    assert len(memo) == minors < len(keys)
+
+
+def test_yamada_cohomology_euler_is_the_g_polynomial(corpus):
+    prism = Multigraph(
+        6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5))
+    )
+    for G in list(corpus) + [prism]:
+        assert yamada_cohomology(G).euler() == g_polynomials(G)[1]
+
+
+def test_yamada_cohomology_adds_torsion_as_prime_powers(monkeypatch):
+    # Synthetic minor tables for the bigon: the loop G/{e} (twice, for
+    # A = {0} and {1}) has Z/4 + Z/12 at (1, 1, 0), and the point G/{0, 1},
+    # with b1 = 1, has Z/2 at (0, 0, 0). Shifted by |A| they meet at (2, 2, 0).
+    tables = {
+        2: CohomologyTable("tutte", 3),
+        1: CohomologyTable("tutte", 2, {(1, 1, 0): Summand(1, (4, 12))}),
+        0: CohomologyTable("tutte", 1, {(0, 0, 0): Summand(0, (2,))}),
+    }
+    monkeypatch.setattr(homology, "cohomology", lambda cx: tables[cx.graph.edge_count])
+    table = yamada_cohomology(bigon())
+    assert table.height_count == 3
+    assert table.summands == {
+        (2, 2, 0): Summand(2, (2, 4, 4, 12, 12)),
+        (2, 2, 1): Summand(0, (2,)),
+    }
