@@ -47,38 +47,37 @@ def _build_parser() -> _Parser:
     p_poly.add_argument("--input", required=True, help="graph JSON file")
     p_poly.add_argument("--json", action="store_true", help="emit polynomial JSON")
     p_poly.add_argument("--negami-t", type=int, default=1, help="integer value pinned for t")
-    p_poly.add_argument("--max-edges", type=int, default=12)
+    p_poly.add_argument("--max-edges", type=int, default=12, help="refuse graphs with more edges")
 
     p_coh = sub.add_parser("cohomology", help="integer cohomology table")
     p_coh.add_argument("--variant", required=True, choices=("yamada", "tutte"))
     p_coh.add_argument("--input", required=True)
     p_coh.add_argument("--json", action="store_true")
-    p_coh.add_argument("--max-edges", type=int, default=12)
 
     p_check = sub.add_parser("check", help="run structural checks")
     group = p_check.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--only", help="comma-separated check names")
     p_check.add_argument("--input", required=True)
-    p_check.add_argument("--max-edges", type=int, default=12)
+    p_check.add_argument("--max-edges", type=int, default=12, help="refuse graphs with more edges")
 
     p_dump = sub.add_parser("dump", help="differential matrices as JSON")
     p_dump.add_argument("--input", required=True)
     p_dump.add_argument("--variant", required=True, choices=("yamada", "tutte"))
     p_dump.add_argument("--height", type=int, default=None)
-    p_dump.add_argument("--max-edges", type=int, default=12)
 
     return parser
 
 
-def _load_graph(path: str, max_edges: int) -> Multigraph:
+def _load_graph(path: str, max_edges: int | None = None) -> Multigraph:
+    # the complex commands pass no `max_edges`: `cube.state_slots` bounds them by chain rank
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise _CliError(f"{path}: invalid JSON ({exc})") from exc
     G = from_json_dict(data)
-    if G.edge_count > max_edges:
+    if max_edges is not None and G.edge_count > max_edges:
         raise _CliError(
             f"{path}: graph has {G.edge_count} edges, over the --max-edges limit of {max_edges}"
         )
@@ -103,7 +102,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
-    G = _load_graph(args.input, args.max_edges)
+    G = _load_graph(args.input)
     if args.variant == "yamada":
         table = yamada_cohomology(G)
     else:
@@ -133,7 +132,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    G = _load_graph(args.input, args.max_edges)
+    G = _load_graph(args.input)
     if args.height is not None and not 0 <= args.height < max(G.edge_count, 1):
         raise _CliError(f"height {args.height} out of range")
     cx = build_complex(G, args.variant)

@@ -155,22 +155,22 @@ def _edge_rule(
 class BigradedComplex:
     """Cochain complex with a per-height bidegree index and per-bidegree blocks.
 
-    `bidegree_index[i][(j,k)]` lists, in ascending order, the positions of
-    the basis elements of C^i of bidegree (j, k); it is the only stored form
-    of the grading. `blocks[i]` holds one block for every bidegree present
-    at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is the
-    signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as an
-    `IntMatrix` of +-1 entries, row r and column c standing for positions
+    `bidegree_index[i][(j,k)]` holds, in an ascending `array`, the positions
+    of the basis elements of C^i of bidegree (j, k); it is the only stored
+    form of the grading. `blocks[i]` holds one block for every bidegree
+    present at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is
+    the signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as
+    an `IntMatrix` of +-1 entries, row r and column c standing for positions
     `bidegree_index[i+1][(j,k)][r]` and `bidegree_index[i][(j,k)][c]`. The
-    blocks are the only stored form of the differential; `nonzeros` reads
-    the entries of d^i in global positions from them.
+    blocks are the only stored form of the differential; `nonzeros` reads the
+    entries of d^i in global positions from them.
     """
 
     variant: str
     graph: Multigraph
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
-    bidegree_index: list[dict[Bidegree, list[int]]]
+    bidegree_index: list[dict[Bidegree, array]]
     blocks: list[dict[Bidegree, IntMatrix]]
 
     @property
@@ -184,13 +184,14 @@ class BigradedComplex:
 
     def nonzeros(self, i: int) -> Iterator[tuple[int, int, int]]:
         """(row, col, value) of every nonzero of d^i: C^i -> C^(i+1) in the
-        global basis order, read from the stored blocks through
-        `bidegree_index`; nothing when i is outside the stored heights."""
+        global basis order, from the blocks through `bidegree_index` (copied
+        to lists per block: reading an array makes an int per nonzero);
+        nothing when i is outside the stored heights."""
         if not 0 <= i < len(self.blocks):
             return
         row_index, col_index = self.bidegree_index[i + 1], self.bidegree_index[i]
         for jk, block in self.blocks[i].items():
-            rows, cols = row_index.get(jk, []), col_index.get(jk, [])
+            rows, cols = list(row_index.get(jk, ())), list(col_index.get(jk, ()))
             yield from zip(
                 map(rows.__getitem__, block.row_of),
                 map(cols.__getitem__, block.col_of),
@@ -327,7 +328,7 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
 
     offsets: list[dict[int, int]] = []
     sizes: list[dict[int, int]] = []
-    bidegree_index: list[dict[Bidegree, list[int]]] = []
+    bidegree_index: list[dict[Bidegree, array]] = []
     # Per state, in the order of its shape's bidegrees: adds the position,
     # among all the elements of that bidegree at the state's height, of the
     # state's first element of that bidegree.
@@ -335,14 +336,14 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     for masks in masks_by_height:
         offset_map: dict[int, int] = {}
         size_map: dict[int, int] = {}
-        index: dict[Bidegree, list[int]] = {}
+        index: dict[Bidegree, array] = {}
         offset = 0
         for mask in masks:
             offset_map[mask] = offset
             size_map[mask] = 1 << sum(slots[mask])
             add = adders[mask] = []
             for jk, xs in shapes[slots[mask]][2]:
-                positions = index.setdefault(jk, [])
+                positions = index.setdefault(jk, array(INDEX_TYPECODE))
                 add.append(len(positions).__add__)
                 positions.extend(map(offset.__add__, xs))
             offset += size_map[mask]

@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphhom.cli
+import graphhom.cube
 import graphhom.homology
 import graphhom.verify
 from graphhom.cli import POLY_CHOICES, run
+from graphhom.cube import build_complex
 from graphhom.laurent import X, BivariateLaurent
+from graphhom.multigraph import build
 from graphhom.verify import CHECK_NAMES, CheckReport
 
 
@@ -196,16 +199,28 @@ def test_dump_height_checked_before_building(bigon_path, monkeypatch, capsys):
         assert "out of range" in capsys.readouterr().err
 
 
-def test_oversized_complex_is_exit_1(tmp_path, capsys):
-    isolated = tmp_path / "isolated.json"
-    isolated.write_text(json.dumps({"vertices": 64, "edges": []}))
-    bouquet = tmp_path / "bouquet12.json"
-    bouquet.write_text(json.dumps({"vertices": 1, "edges": [[0, 0]] * 12}))
-    for path, rank in ((isolated, 2**64), (bouquet, 2 * 5**12)):
+def test_oversized_complex_is_exit_1(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized complex must be refused before any state is labelled")
+
+    monkeypatch.setattr(graphhom.cube, "state_components", never)
+    # wheel8 with a doubled spoke has 17 edges on 9 vertices, the vertex count
+    # with the least tutte floor at 17 edges
+    wheel8 = [[i, i % 8 + 1] for i in range(1, 9)] + [[0, i] for i in range(1, 9)] + [[0, 1]]
+    cases = [
+        ({"vertices": 64, "edges": []}, "yamada", 2**64),
+        ({"vertices": 1, "edges": [[0, 0]] * 12}, "yamada", 2 * 5**12),
+        ({"vertices": 9, "edges": wheel8}, "tutte", 1399140),
+        ({"vertices": 9, "edges": wheel8}, "yamada", 5978632192),
+    ]
+    for n, (data, variant, rank) in enumerate(cases):
+        path = tmp_path / f"oversized{n}.json"
+        path.write_text(json.dumps(data))
         for command in ("cohomology", "dump"):
-            assert run([command, "--variant", "yamada", "--input", str(path)]) == 1
-            err = capsys.readouterr().err
-            assert f"rank at least {rank}," in err
+            assert run([command, "--variant", variant, "--input", str(path)]) == 1
+            assert capsys.readouterr() == (
+                "", f"error: chain complex has rank at least {rank}, over the limit of 1048576\n"
+            )
 
 
 # `cohomology --variant yamada` refuses these exactly as `build_complex`
@@ -298,17 +313,38 @@ def test_invalid_graph_is_exit_1(tmp_path, capsys):
 
 
 def test_max_edges_guard(tmp_path, capsys):
+    # `poly` and `check` refuse by edge count; the complex commands by chain rank
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0]] * 13}))
-    assert run(["poly", "--which", "yamada", "--input", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "max-edges" in err
+    limit = f"error: {path}: graph has 13 edges, over the --max-edges limit of 12\n"
+    for argv in (["poly", "--which", "yamada"], ["check", "--all"]):
+        assert run([*argv, "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", limit)
     assert run(["cohomology", "--variant", "yamada", "--input", str(path)]) == 1
+    assert "rank at least" in capsys.readouterr().err
+    assert run(["cohomology", "--variant", "tutte", "--input", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: chain complex has rank at least 3188646, over the limit of 1048576\n"
+    )
+
+
+def test_dump_answers_a_13_edge_complex_under_the_rank_limit(tmp_path, capsys):
+    # wheel6 with a doubled spoke: 7 vertices, tutte chain rank 113,676
+    edges = [[i, i % 6 + 1] for i in range(1, 7)] + [[0, i] for i in range(1, 7)] + [[0, 1]]
+    path = tmp_path / "wheel6_doubled_spoke.json"
+    path.write_text(json.dumps({"vertices": 7, "edges": edges}))
+    assert run(["dump", "--variant", "tutte", "--height", "0", "--input", str(path)]) == 0
+    cx = build_complex(build(7, edges), "tutte")
+    assert capsys.readouterr() == (json.dumps(cx.blocks_json(0), indent=2) + "\n", "")
 
 
 def test_unknown_flag_is_exit_1(bigon_path, capsys):
     assert run(["poly", "--what", "yamada", "--input", bigon_path]) == 1
     assert "error:" in capsys.readouterr().err
+    # the complex commands are bounded by chain rank alone
+    for command in ("cohomology", "dump"):
+        assert run([command, "--variant", "tutte", "--input", bigon_path, "--max-edges", "5"]) == 1
+        assert "unrecognized arguments: --max-edges 5" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(bigon_path, capsys):
@@ -358,7 +394,8 @@ def test_python_dash_m_runs_the_cli(bigon_path, capsys):
 # Graph JSON for the CLI fuzz test: objects with at most 4 edges whose fields may
 # be missing, of the wrong type, negative, out of range or huge, other JSON values,
 # malformed text, arrays nested past the parser's recursion limit, and an integer
-# too long to read. `--max-edges` stays at its default throughout.
+# too long to read. `poly` and `check` keep the default `--max-edges`, which these
+# small graphs never reach; `cohomology` and `dump` are bounded by chain rank alone.
 _ENDPOINT = st.one_of(st.integers(-2, 6), st.just(10**6), st.booleans(), st.floats(), st.none())
 _EDGE = st.one_of(st.lists(_ENDPOINT, max_size=3), _ENDPOINT)
 _GRAPH = st.fixed_dictionaries(

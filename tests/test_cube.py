@@ -345,6 +345,30 @@ def test_build_complex_refuses_before_enumerating_states(monkeypatch):
         build_complex(cycle_graph(18), "tutte")
 
 
+@pytest.mark.parametrize(
+    "yamada,refused,passing",
+    [(False, 17, [8, 9, 10]), (True, 11, [6, 7, 8, 9])],
+    ids=["tutte", "yamada"],
+)
+def test_floor_refuses_every_graph_over_the_edge_counts(yamada, refused, passing):
+    """The floor alone refuses every tutte complex with more than 16 edges and
+    every yamada complex with more than 10, whatever the vertex count, so
+    no such graph reaches state enumeration; with one edge fewer, the floor
+    passes for the vertex counts in `passing` and no others."""
+    for vertex_count in range(1, 65):
+        for edge_count in range(refused, 41):
+            with pytest.raises(ValueError, match="rank at least"):
+                cube._refuse_by_floor(vertex_count, edge_count, yamada)
+    passes = []
+    for vertex_count in range(1, 65):
+        try:
+            cube._refuse_by_floor(vertex_count, refused - 1, yamada)
+        except ValueError:
+            continue
+        passes.append(vertex_count)
+    assert passes == passing
+
+
 @pytest.mark.parametrize("G", [K4, cycle_graph(6)], ids=["K4", "cycle6"])
 def test_differential_view_matches_blocks_and_squares_to_zero(G, complex_of):
     # a global oracle for the face-by-face d^2 check, beyond the corpus
