@@ -4,17 +4,17 @@ An integer-arithmetic engine that evaluates the two-variable state-sum
 invariant of a multigraph (with the Tutte, chromatic, flow and Negami
 specializations), builds the bigraded hypercube cochain complex whose
 graded Euler characteristic recovers the rescaled invariant, computes
-integer cohomology (free ranks and torsion per bidegree) through Smith
-normal form, and machine-checks the structural identities relating all
-of these.
+integer cohomology (free ranks and torsion per bidegree) from the
+invariant factors of each bidegree block, and machine-checks the
+structural identities relating all of these.
 
 The package exports the README quick start, the independent oracles
-(`closed_form`, `chromatic_count`, `verify_snf`, `corpus_graphs`) and
-the types they return; everything else is imported from its submodule.
+(`closed_form`, `chromatic_count`, `corpus_graphs`) and the types they
+return; everything else is imported from its submodule.
 """
 
 from .cube import BigradedComplex, build_complex, graded_euler
-from .homology import CohomologyTable, cohomology, verify_snf
+from .homology import CohomologyTable, cohomology
 from .invariants import (
     InvariantParams,
     chromatic_count,
@@ -46,6 +46,5 @@ __all__ = [
     "g_polynomials",
     "graded_euler",
     "specialization",
-    "verify_snf",
     "yamada_state_sum",
 ]

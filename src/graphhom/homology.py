@@ -1,12 +1,11 @@
 """Integer cohomology of a bigraded complex, and checks on chain maps.
 
 The differential preserves the bidegree, so the complex splits into
-independent blocks and each block is handled by Smith normal form over
+independent blocks, and each block needs only its invariant factors over
 the integers: free ranks come from rank counting, torsion from the
 invariant factors of the incoming differential. Both come from the
-sparse elimination in `matrices`, without transforms; `smith_normal_form`
-runs the same routine with them, and `verify_snf` checks its result by
-matrix products. All arithmetic is exact.
+sparse elimination in `matrices`, which computes the factors and no
+transforms. All arithmetic is exact.
 
 A chain map is a list of per-height target arrays (see `cube`), so
 `chain_map_defect` compares f o d with d o f by relabelling the nonzeros
@@ -33,57 +32,8 @@ from typing import Iterable, Mapping
 
 from .cube import Bidegree, BigradedComplex, build_complex, state_slots
 from .laurent import BivariateLaurent
-from .matrices import IntMatrix, _eliminate, det
+from .matrices import _eliminate
 from .multigraph import Multigraph
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Diagonalization u @ a @ v = d with unimodular u, v.
-
-    The diagonal of d is nonnegative and each entry divides the next
-    (the invariant factors).
-    """
-
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(v for r, c, v in self.d.sorted_entries() if r == c)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-
-def smith_normal_form(mat: IntMatrix) -> SNFResult:
-    """Exact Smith normal form with transform tracking; empty matrices are fine."""
-    factors, u, v = _eliminate(mat, track=True)
-    d = IntMatrix(mat.rows, mat.cols, {(t, t): f for t, f in enumerate(factors)})
-    return SNFResult(d=d, u=u, v=v)
-
-
-def verify_snf(mat: IntMatrix, res: SNFResult) -> None:
-    """Raise ValueError unless res is a valid Smith normal form of mat."""
-    if res.u @ mat @ res.v != res.d:
-        raise ValueError("U @ A @ V != D")
-    diagonal = res.d.sorted_entries()
-    if any(r != c for r, c, _ in diagonal):
-        raise ValueError("D is not diagonal")
-    factors = [f for _, _, f in diagonal]
-    if any(f < 0 for f in factors):
-        raise ValueError("D has a negative diagonal entry")
-    if any(r != t for t, (r, _, _) in enumerate(diagonal)):
-        raise ValueError("zero diagonal entry before a nonzero one")
-    for first, second in zip(factors, factors[1:]):
-        if second % first:
-            raise ValueError(f"divisibility chain broken: {first} does not divide {second}")
-    if abs(det(res.u)) != 1:
-        raise ValueError("U is not unimodular")
-    if abs(det(res.v)) != 1:
-        raise ValueError("V is not unimodular")
 
 
 @dataclass(frozen=True)
@@ -146,7 +96,7 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     block_data: dict[tuple[int, Bidegree], tuple[int, tuple[int, ...]]] = {}
     for i, level in enumerate(cx.blocks):
         for jk, block in level.items():
-            factors = _eliminate(block)[0]
+            factors = _eliminate(block)
             torsion = tuple(f for f in factors if f > 1)
             block_data[(i, jk)] = (len(factors), torsion)
 

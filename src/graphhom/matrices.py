@@ -5,15 +5,12 @@ One sparse form, `IntMatrix`: three flat sequences of equal length
 the +-1 blocks of a differential as `array`s of positions and signed
 bytes (`from_triplets`), adopted as they are; built from a
 {(row, col): value} dict, the values are Python's arbitrary-precision
-integers, because entries in normal-form computations can grow far past
-any fixed width. The only arithmetic is the product that `verify_snf`
-checks a Smith normal form with. `_eliminate` is the one elimination
-routine: it yields the invariant factors, and on request the
-transforms, behind the per-block cohomology and `smith_normal_form`. Its
-pivot queue is a heap with one key per row, pushed when the row changes
-and checked against the row when popped. `det` (Bareiss) stays a separate
-dense routine so that `verify_snf` checks unimodularity independently of
-it.
+integers. `_eliminate` is the one elimination routine: it yields the
+nonzero invariant factors behind the per-block cohomology, and nothing
+else. Its working rows hold Python ints, because entries can grow far
+past any fixed width during elimination. Its pivot queue is a heap with
+one key per row, pushed when the row changes and checked against the row
+when popped.
 """
 
 from __future__ import annotations
@@ -87,24 +84,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, dense: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        nrows = len(dense)
-        if cols is None:
-            cols = len(dense[0]) if nrows else 0
-        entries: dict[tuple[int, int], int] = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, cols, entries)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -121,25 +100,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not self.val_of
 
-    def to_rows(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.triplets():
-            dense[r][c] = v
-        return dense
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        rows_of_other: dict[int, list[tuple[int, int]]] = {}
-        for r, c, v in other.triplets():
-            rows_of_other.setdefault(r, []).append((c, v))
-        out: dict[tuple[int, int], int] = {}
-        for r, k, v in self.triplets():
-            for c, w in rows_of_other.get(k, ()):
-                key = (r, c)
-                out[key] = out.get(key, 0) + v * w
-        return IntMatrix(self.rows, other.cols, out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -150,30 +110,22 @@ class IntMatrix:
 
 
 def _axpy(
-    dst: dict[int, int],
-    src: dict[int, int],
-    q: int,
-    index: dict[int, set[int]] | None = None,
-    key: int = 0,
+    dst: dict[int, int], src: dict[int, int], q: int, index: dict[int, set[int]], key: int
 ) -> None:
-    """dst += q * src on sparse vectors.
-
-    With `index` (column -> rows holding an entry there), `dst` is row
-    `key` of the working matrix and the index follows every entry the
-    update creates or cancels.
-    """
+    """dst += q * src on sparse vectors, where `dst` is row `key` of the
+    working matrix and `index` (column -> rows holding an entry there)
+    follows every entry the update creates or cancels."""
     if not q:
         return
     for j, x in src.items():
         y = dst.get(j, 0) + q * x
         if y:
-            if index is not None and j not in dst:
+            if j not in dst:
                 index[j].add(key)
             dst[j] = y
         else:
             del dst[j]
-            if index is not None:
-                index[j].discard(key)
+            index[j].discard(key)
 
 
 def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
@@ -181,9 +133,7 @@ def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
     return min(map(abs, row.values())), len(row), i
 
 
-def _eliminate(
-    mat: IntMatrix, track: bool = False
-) -> tuple[list[int], IntMatrix | None, IntMatrix | None]:
+def _eliminate(mat: IntMatrix) -> list[int]:
     """Nonzero invariant factors of `mat`, by sparse integer elimination.
 
     The working matrix, read straight from the triplets of `mat`, is a
@@ -200,26 +150,18 @@ def _eliminate(
     entry gets the first offending row added to its own row and is reduced
     again. Hence each factor divides all later ones: they come out positive
     and in divisibility order.
-
-    With `track`, also returns unimodular U (rows x rows) and V
-    (cols x cols) with U @ mat @ V equal to the factors on the leading
-    diagonal and zero elsewhere; the columns of V past the factors span
-    the kernel. Without it the second and third results are None.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, x in mat.triplets():
         rows.setdefault(r, {})[c] = x
         cols.setdefault(c, set()).add(r)
-    u = {i: {i: 1} for i in range(mat.rows)} if track else {}
-    v = {j: {j: 1} for j in range(mat.cols)} if track else {}
     # One `_pivot_key` per row. Each step pushes the current key of every
     # row it changed, so every row's current key is in the heap. A popped
     # key whose row is gone, or differs from the row's current key, is
     # dropped for good; the first one that matches names the pivot row.
     heap: list[tuple[int, int, int]] = []
     dirty = set(rows)
-    pivots: list[tuple[int, int]] = []
     factors: list[int] = []
     repick = True
     while True:
@@ -244,10 +186,7 @@ def _eliminate(
 
         others = [i for i in cols[c] if i != r]
         for i in others:
-            q = rows[i][c] // p
-            _axpy(rows[i], row_r, -q, cols, i)
-            if track:
-                _axpy(u[i], u[r], -q)
+            _axpy(rows[i], row_r, -(rows[i][c] // p), cols, i)
         dirty.update(others)
         dirty.add(r)
         if len(cols[c]) > 1:
@@ -255,11 +194,9 @@ def _eliminate(
 
         for j, x in list(row_r.items()):
             if j != c:
-                q = x // p
-                if track:
-                    _axpy(v[j], v[c], -q)
-                if x - q * p:
-                    row_r[j] = x - q * p
+                y = x % p
+                if y:
+                    row_r[j] = y
                 else:
                     del row_r[j]
                     cols[j].discard(r)
@@ -273,8 +210,6 @@ def _eliminate(
             )
             if offender is not None:
                 _axpy(row_r, rows[offender], 1, cols, r)
-                if track:
-                    _axpy(u[r], u[offender], 1)
                 # Keep this pivot: its row now holds a non-multiple of p,
                 # which the row pass reduces to a remainder below |p|.
                 repick = False
@@ -282,43 +217,5 @@ def _eliminate(
 
         del rows[r]
         cols[c].discard(r)
-        if track and p < 0:
-            u[r] = {k: -x for k, x in u[r].items()}
-        pivots.append((r, c))
         factors.append(abs(p))
-
-    if not track:
-        return factors, None, None
-    row_order = [r for r, _ in pivots]
-    col_order = [c for _, c in pivots]
-    done_rows, done_cols = set(row_order), set(col_order)
-    row_order += [i for i in range(mat.rows) if i not in done_rows]
-    col_order += [j for j in range(mat.cols) if j not in done_cols]
-    u_mat = {(t, k): x for t, i in enumerate(row_order) for k, x in u[i].items()}
-    v_mat = {(k, t): x for t, j in enumerate(col_order) for k, x in v[j].items()}
-    return factors, IntMatrix(mat.rows, mat.rows, u_mat), IntMatrix(mat.cols, mat.cols, v_mat)
-
-
-def det(mat: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if mat.rows != mat.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return 1
-    a = mat.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return factors

@@ -7,7 +7,7 @@ on failure); run the whole file with `pytest tests/test_acceptance.py -v`.
 import random
 
 from graphhom.cube import graded_euler, phi_psi
-from graphhom.homology import Summand, smith_normal_form, verify_snf
+from graphhom.homology import Summand
 from graphhom.invariants import (
     chromatic_count,
     closed_form,
@@ -17,7 +17,7 @@ from graphhom.invariants import (
     yamada_state_sum,
 )
 from graphhom.laurent import X, Y, BivariateLaurent, evaluate
-from graphhom.matrices import IntMatrix
+from graphhom.matrices import _eliminate
 from graphhom.multigraph import (
     bigon,
     bouquet_graph,
@@ -31,7 +31,14 @@ from graphhom.multigraph import (
 )
 from graphhom.verify import check_deletion_contraction
 
-from matrix_route import differential, map_matrix
+from matrix_route import (
+    determinantal_factors,
+    differential,
+    from_rows,
+    identity,
+    map_matrix,
+    matmul,
+)
 
 P = BivariateLaurent
 
@@ -106,7 +113,7 @@ def test_criterion_04_d_squared_and_bidegrees(corpus, complex_of):
             cx = complex_of(G, variant)
             differentials = [differential(cx, i) for i in range(cx.height_count - 1)]
             for i in range(len(differentials) - 1):
-                if not (differentials[i + 1] @ differentials[i]).is_zero():
+                if not matmul(differentials[i + 1], differentials[i]).is_zero():
                     failures.append((G, variant, i))
             bidegree_of = [
                 {pos: jk for jk, idx in level.items() for pos in idx}
@@ -147,12 +154,12 @@ def test_criterion_06_retraction_on_corpus(corpus, complex_of, table_of):
         psi = [map_matrix(f, cx_t.rank(i)) for i, f in enumerate(psi)]
         for i in range(cx_y.height_count - 1):
             d_t, d_y = differential(cx_t, i), differential(cx_y, i)
-            if phi[i + 1] @ d_t != d_y @ phi[i]:
+            if matmul(phi[i + 1], d_t) != matmul(d_y, phi[i]):
                 failures.append((G, "phi", i))
-            if psi[i + 1] @ d_y != d_t @ psi[i]:
+            if matmul(psi[i + 1], d_y) != matmul(d_t, psi[i]):
                 failures.append((G, "psi", i))
         for i in range(cx_y.height_count):
-            if psi[i] @ phi[i] != IntMatrix.identity(cx_t.rank(i)):
+            if matmul(psi[i], phi[i]) != identity(cx_t.rank(i)):
                 failures.append((G, "psi o phi", i))
         table_t = table_of(G, "tutte")
         table_y = table_of(G, "yamada")
@@ -206,15 +213,10 @@ def test_criterion_09_snf_self_check():
     for trial in range(100):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
-        mat = IntMatrix.from_rows(
-            [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)], n
-        )
-        res = smith_normal_form(mat)
-        try:
-            verify_snf(mat, res)
-        except ValueError as exc:
-            failures.append((trial, str(exc)))
-    _report(9, "UAV = D, unimodularity and divisibility on 100 random matrices", failures)
+        mat = from_rows([[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)], n)
+        if _eliminate(mat) != determinantal_factors(mat):
+            failures.append(trial)
+    _report(9, "factors equal determinantal divisor quotients, 100 random matrices", failures)
 
 
 def test_criterion_10_deletion_contraction_relation(corpus):

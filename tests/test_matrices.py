@@ -3,8 +3,10 @@ from array import array
 import pytest
 
 from graphhom.cube import build_complex
-from graphhom.matrices import IntMatrix, _eliminate, det
+from graphhom.matrices import IntMatrix, _eliminate
 from graphhom.multigraph import bigon
+
+from matrix_route import det, from_rows, identity, matmul, to_rows
 
 
 def test_construction_drops_zeros_and_validates_bounds():
@@ -17,22 +19,22 @@ def test_construction_drops_zeros_and_validates_bounds():
 
 
 def test_equality_and_identity():
-    assert IntMatrix.identity(3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert identity(3) == from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert IntMatrix.zeros(2, 2) != IntMatrix.zeros(2, 3)
 
 
 def test_matmul():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntMatrix.from_rows([[5, 6], [7, 8]])
-    assert (a @ b).to_rows() == [[19, 22], [43, 50]]
+    a = from_rows([[1, 2], [3, 4]])
+    b = from_rows([[5, 6], [7, 8]])
+    assert to_rows(matmul(a, b)) == [[19, 22], [43, 50]]
     with pytest.raises(ValueError):
-        a @ IntMatrix.zeros(3, 1)
+        matmul(a, IntMatrix.zeros(3, 1))
 
 
 def test_matmul_with_empty_shapes():
     a = IntMatrix.zeros(0, 3)
     b = IntMatrix.zeros(3, 2)
-    assert (a @ b).shape == (0, 2)
+    assert matmul(a, b).shape == (0, 2)
 
 
 @pytest.mark.parametrize(
@@ -46,12 +48,12 @@ def test_matmul_with_empty_shapes():
 )
 def test_rank(rows, expected):
     # the rank over Q is the number of nonzero invariant factors
-    assert len(_eliminate(IntMatrix.from_rows(rows))[0]) == expected
+    assert len(_eliminate(from_rows(rows))) == expected
 
 
 def test_rank_empty():
-    assert _eliminate(IntMatrix.zeros(0, 5))[0] == []
-    assert _eliminate(IntMatrix.zeros(5, 0))[0] == []
+    assert _eliminate(IntMatrix.zeros(0, 5)) == []
+    assert _eliminate(IntMatrix.zeros(5, 0)) == []
 
 
 @pytest.mark.parametrize(
@@ -64,7 +66,7 @@ def test_rank_empty():
     ],
 )
 def test_det(rows, expected):
-    assert det(IntMatrix.from_rows(rows)) == expected
+    assert det(from_rows(rows)) == expected
 
 
 def test_det_empty_and_nonsquare():
@@ -74,7 +76,7 @@ def test_det_empty_and_nonsquare():
 
 
 def test_immutability():
-    a = IntMatrix.identity(2)
+    a = identity(2)
     with pytest.raises(AttributeError):
         a.rows = 3
 
@@ -86,9 +88,9 @@ def test_from_triplets_reads_like_the_dict_form_and_refuses_bad_entries():
     m = IntMatrix.from_triplets(2, 3, *triplets([1, 0, 1], [2, 0, 0], [-1, 1, 2]))
     assert (m.nnz(), m.is_zero()) == (3, False)
     assert m.sorted_entries() == [(0, 0, 1), (1, 0, 2), (1, 2, -1)]
-    assert m.to_rows() == [[1, 0, 0], [2, 0, -1]]
-    assert m == IntMatrix.from_rows([[1, 0, 0], [2, 0, -1]])
-    assert _eliminate(m)[0] == _eliminate(IntMatrix.from_rows(m.to_rows()))[0] == [1, 1]
+    assert to_rows(m) == [[1, 0, 0], [2, 0, -1]]
+    assert m == from_rows([[1, 0, 0], [2, 0, -1]])
+    assert _eliminate(m) == _eliminate(from_rows(to_rows(m))) == [1, 1]
     assert IntMatrix.from_triplets(0, 4, *triplets([], [], [])).is_zero()
     with pytest.raises(AttributeError):
         m.val_of = array("b")

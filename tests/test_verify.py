@@ -30,7 +30,7 @@ from graphhom.verify import (
     run_checks,
 )
 
-from matrix_route import differential, map_matrix
+from matrix_route import differential, map_matrix, matmul
 
 SAMPLES = [
     build(0, []),
@@ -171,8 +171,8 @@ def test_projection_chain_map_full_corpus(corpus, complex_of):
             target, maps = projection_map(source, gamma)
             matrices = [map_matrix(f, target.rank(i)) for i, f in enumerate(maps)]
             for i in range(source.height_count - 1):
-                lhs = matrices[i + 1] @ differential(source, i)
-                rhs = differential(target, i) @ matrices[i]
+                lhs = matmul(matrices[i + 1], differential(source, i))
+                rhs = matmul(differential(target, i), matrices[i])
                 assert lhs == rhs, (G, variant, i)
 
 
