@@ -5,7 +5,11 @@ independent blocks, and each block needs only its invariant factors over
 the integers: free ranks come from rank counting, torsion from the
 invariant factors of the incoming differential. Both come from the
 sparse elimination in `matrices`, which computes the factors and no
-transforms. All arithmetic is exact.
+transforms. Each bidegree is walked upward in height, and the basis
+elements that the leading unit pivots of one block cancel are left out
+of the next block up, which keeps its factors (Gaussian elimination,
+Bar-Natan, "Fast Khovanov homology computations", 2007). All arithmetic
+is exact.
 
 A chain map is a list of per-height target arrays (see `cube`), so
 `chain_map_defect` compares f o d with d o f by relabelling the nonzeros
@@ -91,12 +95,23 @@ class CohomologyTable:
 
 
 def cohomology(cx: BigradedComplex) -> CohomologyTable:
-    """Integer cohomology of the complex, blockwise per bidegree."""
+    """Integer cohomology of the complex, blockwise per bidegree.
+
+    Each bidegree is walked upward in height. The rows of the leading unit
+    pivots of block (i, jk) (see `_eliminate`) are basis elements of
+    C^(i+1) in bidegree jk, and block (i+1, jk) is eliminated without them
+    as columns: they are integer combinations of its other columns, so its
+    invariant factors do not change.
+    """
     heights = cx.height_count
     block_data: dict[tuple[int, Bidegree], tuple[int, tuple[int, ...]]] = {}
+    # bidegree -> unit pivot rows of its block one height down
+    cancelled: dict[Bidegree, frozenset[int]] = {}
     for i, level in enumerate(cx.blocks):
+        below, cancelled = cancelled, {}
         for jk, block in level.items():
-            factors = _eliminate(block)
+            factors, unit_rows = _eliminate(block, below.get(jk, frozenset()))
+            cancelled[jk] = frozenset(unit_rows)
             torsion = tuple(f for f in factors if f > 1)
             block_data[(i, jk)] = (len(factors), torsion)
 

@@ -1,23 +1,23 @@
 """Exact integer matrices.
 
 One sparse form, `IntMatrix`: three flat sequences of equal length
-(row, column, value), one entry each. `cube.build_complex` hands over
-the +-1 blocks of a differential as `array`s of positions and signed
-bytes (`from_triplets`), adopted as they are; built from a
-{(row, col): value} dict, the values are Python's arbitrary-precision
-integers. `_eliminate` is the one elimination routine: it yields the
-nonzero invariant factors behind the per-block cohomology, and nothing
-else. Its working rows hold Python ints, because entries can grow far
-past any fixed width during elimination. Its pivot queue is a heap with
-one key per row, pushed when the row changes and checked against the row
-when popped.
+(row, column, value), one entry each, adopted as they are by
+`from_triplets`. `cube.build_complex` hands over the +-1 blocks of a
+differential as `array`s of positions and signed bytes. `_eliminate` is
+the one elimination routine: it yields the nonzero invariant factors
+behind the per-block cohomology, with a set of columns left out, and the
+rows of the leading unit pivots, which `homology.cohomology` leaves out
+as columns one height up. Its working rows hold Python ints, because
+entries can grow far past any fixed width during elimination. Its pivot
+queue is a heap with one key per row, pushed when the row changes and
+checked against the row when popped.
 """
 
 from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from typing import Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 # Typecode of a triplet position: a C int of at least 32 bits, wide enough
 # for any position below the chain-rank limit of `cube.build_complex`.
@@ -34,16 +34,6 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "row_of", "col_of", "val_of")
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        entries: Mapping[tuple[int, int], int] | None = None,
-    ) -> None:
-        """The matrix of a {(row, col): value} dict, zero values dropped."""
-        keys = [key for key, v in entries.items() if v] if entries else []
-        self._set(rows, cols, [r for r, _ in keys], [c for _, c in keys], [entries[k] for k in keys])
-
     @classmethod
     def from_triplets(
         cls, rows: int, cols: int, row_of: Ints, col_of: Ints, val_of: Ints
@@ -51,15 +41,10 @@ class IntMatrix:
         """The matrix with entries `val_of[t]` at (`row_of[t]`, `col_of[t]`).
 
         The sequences are adopted, not copied, and must not change
-        afterwards; each position must occur at most once.
+        afterwards; each position must occur at most once. A position
+        outside the shape or a zero value is refused by min/max over the
+        sequences rather than entry by entry.
         """
-        mat = cls.__new__(cls)
-        mat._set(rows, cols, row_of, col_of, val_of)
-        return mat
-
-    def _set(self, rows: int, cols: int, row_of: Ints, col_of: Ints, val_of: Ints) -> None:
-        """Set the fields, refusing a position outside the shape or a zero
-        value by min/max over the sequences rather than entry by entry."""
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         if not len(row_of) == len(col_of) == len(val_of):
@@ -70,23 +55,13 @@ class IntMatrix:
             raise ValueError(f"entry outside shape {rows}x{cols}")
         if 0 in val_of:
             raise ValueError("zero entry in an IntMatrix")
-        set_field = object.__setattr__
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
-        set_field(self, "row_of", row_of)
-        set_field(self, "col_of", col_of)
-        set_field(self, "val_of", val_of)
+        mat = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (rows, cols, row_of, col_of, val_of)):
+            object.__setattr__(mat, name, value)
+        return mat
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
 
     def triplets(self) -> Iterator[tuple[int, int, int]]:
         return zip(self.row_of, self.col_of, self.val_of)
@@ -99,14 +74,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not self.val_of
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.sorted_entries() == other.sorted_entries()
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self.val_of)})"
 
 
 def _axpy(
@@ -133,8 +100,12 @@ def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
     return min(map(abs, row.values())), len(row), i
 
 
-def _eliminate(mat: IntMatrix) -> list[int]:
-    """Nonzero invariant factors of `mat`, by sparse integer elimination.
+def _eliminate(
+    mat: IntMatrix, skip: AbstractSet[int] = frozenset()
+) -> tuple[list[int], list[int]]:
+    """Nonzero invariant factors of `mat` with the columns in `skip` left
+    out, by sparse integer elimination; and the rows of its leading unit
+    pivots.
 
     The working matrix, read straight from the triplets of `mat`, is a
     dict of sparse rows plus a column -> rows index; it is never made
@@ -150,10 +121,22 @@ def _eliminate(mat: IntMatrix) -> list[int]:
     entry gets the first offending row added to its own row and is reduced
     again. Hence each factor divides all later ones: they come out positive
     and in divisibility order.
+
+    The second list holds, in order, the rows of the unit pivots finalised
+    before the first pick of an entry of absolute value 2 or more; it stops
+    at that pick, not when its pivot is finalised. Until then every row
+    operation adds a multiple of one of these rows and every column
+    operation a multiple of one of their pivot columns, so `mat` restricted
+    to these rows and columns is unimodular. A later unit pivot may stand
+    on a remainder of a non-unit one (3 mod 2 in the column (0, 3, 2)) and
+    is not reported. `homology.cohomology` skips these rows of d^i as
+    columns of d^(i+1).
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, x in mat.triplets():
+        if c in skip:
+            continue
         rows.setdefault(r, {})[c] = x
         cols.setdefault(c, set()).add(r)
     # One `_pivot_key` per row. Each step pushes the current key of every
@@ -163,6 +146,8 @@ def _eliminate(mat: IntMatrix) -> list[int]:
     heap: list[tuple[int, int, int]] = []
     dirty = set(rows)
     factors: list[int] = []
+    unit_rows: list[int] = []
+    units_only = True
     repick = True
     while True:
         for i in dirty & rows.keys():
@@ -181,6 +166,7 @@ def _eliminate(mat: IntMatrix) -> list[int]:
             repick = row_r is None or key != _pivot_key(r, row_r)
             if not repick:
                 c = min((j for j, x in row_r.items() if abs(x) == m), key=lambda j: (len(cols[j]), j))
+                units_only = units_only and m == 1
         repick = True
         p = row_r[c]
 
@@ -218,4 +204,6 @@ def _eliminate(mat: IntMatrix) -> list[int]:
         del rows[r]
         cols[c].discard(r)
         factors.append(abs(p))
-    return factors
+        if units_only:
+            unit_rows.append(r)
+    return factors, unit_rows

@@ -1,6 +1,9 @@
 """Matrix references kept in the tests.
 
-The matrix-product route: global differentials and chain maps as
+Matrix forms only the tests build: `int_matrix` from a {(row, col):
+value} dict with Python-int values, `zeros`, `shape`, and `contents`,
+the explicit equality key (an `IntMatrix` compares by identity). The
+matrix-product route: global differentials and chain maps as
 `IntMatrix`es, the reference for the target-array chain maps, so that
 their oracles stay matrix products. And the references for elimination:
 dense helpers, Bareiss determinants, one Gauss-Jordan reduction over
@@ -15,20 +18,43 @@ from math import gcd, lcm
 from graphhom.matrices import IntMatrix
 
 
+def int_matrix(rows, cols, entries=None):
+    """The matrix of a {(row, col): value} dict, zero values dropped; its
+    values stay Python ints."""
+    keys = [key for key, v in entries.items() if v] if entries else []
+    return IntMatrix.from_triplets(
+        rows, cols, [r for r, _ in keys], [c for _, c in keys], [entries[k] for k in keys]
+    )
+
+
+def zeros(rows, cols):
+    return int_matrix(rows, cols)
+
+
+def shape(mat):
+    return (mat.rows, mat.cols)
+
+
+def contents(mat):
+    """Shape and sorted entries: two matrices are equal exactly when their
+    contents are, and a failed comparison prints both."""
+    return (mat.rows, mat.cols, mat.sorted_entries())
+
+
 def differential(cx, i):
     """d^i: C^i -> C^(i+1) of `cx` in the global basis order, assembled from
     `BigradedComplex.nonzeros` (zero outside the stored heights)."""
-    return IntMatrix(cx.rank(i + 1), cx.rank(i), {(r, c): v for r, c, v in cx.nonzeros(i)})
+    return int_matrix(cx.rank(i + 1), cx.rank(i), {(r, c): v for r, c, v in cx.nonzeros(i)})
 
 
 def map_matrix(targets, rows):
     """The 0/1 matrix with `rows` rows of a target array: column l holds a 1
     in row targets[l], or nothing when targets[l] is -1."""
-    return IntMatrix(rows, len(targets), {(t, l): 1 for l, t in enumerate(targets) if t >= 0})
+    return int_matrix(rows, len(targets), {(t, l): 1 for l, t in enumerate(targets) if t >= 0})
 
 
 def identity(n):
-    return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
+    return int_matrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def from_rows(dense, cols=None):
@@ -38,7 +64,7 @@ def from_rows(dense, cols=None):
     if any(len(row) != cols for row in dense):
         raise ValueError("ragged rows")
     entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)}
-    return IntMatrix(nrows, cols, entries)
+    return int_matrix(nrows, cols, entries)
 
 
 def to_rows(mat):
@@ -50,7 +76,7 @@ def to_rows(mat):
 
 def matmul(a, b):
     if a.cols != b.rows:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
     rows_of_b = {}
     for r, c, v in b.triplets():
         rows_of_b.setdefault(r, []).append((c, v))
@@ -58,7 +84,7 @@ def matmul(a, b):
     for r, k, v in a.triplets():
         for c, w in rows_of_b.get(k, ()):
             out[(r, c)] = out.get((r, c), 0) + v * w
-    return IntMatrix(a.rows, b.cols, out)
+    return int_matrix(a.rows, b.cols, out)
 
 
 def det(mat):
@@ -120,7 +146,7 @@ def rank_and_kernel(mat):
         vector = {c: 1, **{p: -row[c] for p, row in reduced.items() if c in row}}
         scale = lcm(*(x.denominator for x in vector.values()))
         kernel.update({(r, t): int(x * scale) for r, x in vector.items()})
-    return len(reduced), IntMatrix(mat.cols, len(free), kernel)
+    return len(reduced), int_matrix(mat.cols, len(free), kernel)
 
 
 def _subtract(row, f, pivot_row):
