@@ -8,8 +8,11 @@ specializations (Tutte, chromatic, flow, Negami, and the state sum
 itself), and a brute-force proper-coloring oracle.
 
 The state sums read only how many states have each (|S|, b0), taken from
-`multigraph.state_histogram`, with b1 = |S| - |V| + b0. The recursion
-memoizes the minors it meets, for the length of one call.
+`multigraph.state_histogram`, with b1 = |S| - |V| + b0. That count is a
+frontier transfer over the edges, whose cost grows with the frontier
+width of the edge order rather than with 2^|E|. The recursion stays
+exponential in |E|; it memoizes the minors it meets, for the length of
+one call.
 """
 
 from __future__ import annotations

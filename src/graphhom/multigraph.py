@@ -8,8 +8,9 @@ position. Two graphs with permuted edge lists are different values.
 A state S is an edge subset, kept as a bitmask of width |E| (bit i set
 means edge i is in S). Two views of the state cube: `state_components`
 labels the components of every state, which the complex builder needs
-for its tensor slots; `state_histogram` counts all states by (|S|, b0)
-in one sweep, which is all that the state sums need.
+for its tensor slots; `state_histogram` counts all states by (|S|, b0),
+which is all that the state sums need, by a frontier transfer over the
+edges that never visits the states one by one.
 """
 
 from __future__ import annotations
@@ -76,52 +77,71 @@ def state_components(G: Multigraph) -> list[tuple[list[int], int]]:
 def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:
     """How many states S of G have each value of (|S|, b0([G:S])).
 
-    One depth-first pass over the edges in order, each edge first left
-    out and then put in, visits all 2^|E| states. The components live in
-    a union-find (union by size, no path compression) whose unions are
-    undone on the way back, so a state costs O(log V) on top of its
-    parent. Only edge endpoints enter the union-find; every other vertex
-    is its own component in every state and adds a constant to b0.
+    A frontier transfer over the edges in order (Sekine, Imai and Tani,
+    ISAAC 1995), not a visit to each of the 2^|E| states. The frontier
+    is the endpoints already met whose last edge is still ahead, in the
+    order they were met. After each edge the states are grouped by how
+    their components partition the frontier, written as the first
+    frontier position of each vertex's block, so that one partition has
+    one key. A group keeps the counts of its states by (|S|, components
+    already closed) packed in one int, a field of |E| + 1 bits per pair
+    (no count reaches 2^(|E| + 1)): putting the edge in is a shift by one
+    row of fields, closing a component a shift by one field, and two
+    states that reach one partition merge by one addition. A vertex
+    leaves the frontier after its last edge, closing its component if
+    no frontier vertex is left in it. After i edges there are at most
+    min(2^i, Bell(frontier width)) groups. Vertices on no edge never
+    enter; each adds 1 to b0 in every state.
     """
-    ends = sorted({w for edge in G.edges for w in edge})
-    index = {w: i for i, w in enumerate(ends)}
-    edges = [(index[u], index[v]) for u, v in G.edges]
-    n = len(edges)
-    parent = list(range(len(ends)))
-    weight = [1] * len(ends)
-    counts = [[0] * (len(ends) + 1) for _ in range(n + 1)]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def sweep(i: int, size: int, b0: int) -> None:
-        if i == n:
-            counts[size][b0] += 1
-            return
-        sweep(i + 1, size, b0)
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            sweep(i + 1, size + 1, b0)
-            return
-        if weight[ru] < weight[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        weight[ru] += weight[rv]
-        sweep(i + 1, size + 1, b0 - 1)
-        weight[ru] -= weight[rv]
-        parent[rv] = rv
-
-    sweep(0, 0, len(ends))
-    isolated = G.vertex_count - len(ends)
-    return {
-        (size, b0 + isolated): c
-        for size, row in enumerate(counts)
-        for b0, c in enumerate(row)
-        if c
-    }
+    n = G.edge_count
+    last = {w: i for i, edge in enumerate(G.edges) for w in edge}
+    width = n + 1
+    fields = len(last) + 1
+    stride = width * fields
+    front: list[int] = []
+    groups = {(): 1}
+    for i, (u, v) in enumerate(G.edges):
+        ends = (u,) if u == v else (u, v)
+        # a vertex met here is a block of its own, labelled by its position
+        fresh = [w for w in ends if w not in front]
+        grown = tuple(range(len(front), len(front) + len(fresh)))
+        front += fresh
+        pu, pv = front.index(u), front.index(v)
+        # only an endpoint of edge i can have edge i as its last edge
+        drop = [front.index(w) for w in ends if last[w] == i]
+        keep = [j for j in range(len(front)) if j not in drop]
+        front = [front[j] for j in keep]
+        slots = range(len(keep))
+        moved: dict[tuple[int, ...], int] = {}
+        for part, counts in groups.items():
+            part += grown
+            a, b = part[pu], part[pv]
+            if a == b:
+                branches = ((part, counts + (counts << stride)),)
+            else:
+                # the joined block starts where the earlier of the two did
+                lo, hi = (a, b) if a < b else (b, a)
+                merged = tuple(map({hi: lo}.get, part, part))
+                branches = ((part, counts), (merged, counts << stride))
+            for labels, packed in branches:
+                if drop:
+                    kept = [labels[j] for j in keep]
+                    packed <<= width * len({labels[j] for j in drop}.difference(kept))
+                    # the positions moved: label each block by its first one again
+                    labels = tuple(map({}.setdefault, kept, slots))
+                moved[labels] = moved.get(labels, 0) + packed
+        groups = moved
+    (counts,) = groups.values()
+    mask = (1 << width) - 1
+    isolated = G.vertex_count - len(last)
+    out = {}
+    while counts:  # the nonzero fields, lowest (|S|, b0) first
+        k = ((counts & -counts).bit_length() - 1) // width
+        c = counts >> k * width & mask
+        counts ^= c << k * width
+        size, b0 = divmod(k, fields)
+        out[size, b0 + isolated] = c
+    return out
 
 
 def classify_edge(G: Multigraph, e: int) -> EdgeKind:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,3 +275,44 @@ def test_deletion_contraction_axiom_for_state_sum():
             contracted = yamada_state_sum(reduce(G, e, "contract"))
             deleted = yamada_state_sum(reduce(G, e, "delete"))
             assert h == contracted - X.inverse() * deleted
+
+
+def _ladder(rungs):
+    """Ladder graph, each rung followed by the two rails to the next one."""
+    edges = []
+    for i in range(rungs):
+        edges.append((2 * i, 2 * i + 1))
+        if i + 1 < rungs:
+            edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3)]
+    return build(2 * rungs, edges)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY))
+def test_state_sum_matches_closed_form_at_40_edges(kind):
+    # 2^40 states: the state sum counts them by frontier, not one by one
+    assert yamada_state_sum(FAMILY[kind](40)) == closed_form(kind, 40, ROWS["yamada"])
+
+
+def test_state_sum_deletion_contraction_on_a_40_edge_ladder():
+    G = _ladder(14)
+    assert G.edge_count == 40
+    h = yamada_state_sum(G)
+    for e in range(G.edge_count):
+        assert classify_edge(G, e) == "ordinary"
+        contracted = yamada_state_sum(reduce(G, e, "contract"))
+        deleted = yamada_state_sum(reduce(G, e, "delete"))
+        assert h == contracted - X.inverse() * deleted
+
+
+def test_state_sum_matches_recursion_on_random_loopless_multigraphs():
+    """A cycle through every vertex in random order plus random chords,
+    parallel ones allowed: no loop and no isthmus."""
+    rng = random.Random(1801)
+    for _ in range(4):
+        vertices, edge_count = rng.randint(5, 10), rng.randint(12, 14)
+        order = rng.sample(range(vertices), vertices)
+        edges = [(order[i], order[(i + 1) % vertices]) for i in range(vertices)]
+        while len(edges) < edge_count:
+            edges.append(tuple(rng.sample(range(vertices), 2)))
+        G = build(vertices, edges)
+        assert eval_del_con(G, ROWS["yamada"]) == yamada_state_sum(G)

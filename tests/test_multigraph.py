@@ -1,3 +1,6 @@
+import itertools
+import random
+import timeit
 from collections import Counter
 
 import pytest
@@ -147,6 +150,70 @@ def test_state_histogram_examples():
     assert state_histogram(bouquet_graph(2)) == {(0, 1): 1, (1, 1): 2, (2, 1): 1}
     # the endpoints sit far apart in the labels; the other vertices only add to b0
     assert state_histogram(build(1000, [(999, 3)])) == {(0, 1000): 1, (1, 999): 1}
+
+
+def _histogram_by_masks(G):
+    """(|S|, b0) counted over every state mask, in ascending key order."""
+    counts = Counter(
+        (mask.bit_count(), b0) for mask, (_, b0) in enumerate(state_components(G))
+    )
+    return dict(sorted(counts.items()))
+
+
+def _random_multigraph(rng):
+    """Up to 12 edges with loops, parallel edges and isolated vertices;
+    sometimes no vertices at all."""
+    vertices = rng.choice([0, 1, 2, 3, 5, 7, 9])
+    edge_count = rng.randint(0, 12) if vertices else 0
+    ends = rng.sample(range(vertices), k=min(vertices, rng.randint(1, 4) + vertices // 2))
+    return build(vertices, [(rng.choice(ends), rng.choice(ends)) for _ in range(edge_count)])
+
+
+def _frontier_holding_order():
+    """Two 4-cycles met first, then the matching that joins them: all eight
+    vertices stay on the frontier until the last four edges."""
+    evens = [(0, 2), (2, 4), (4, 6), (6, 0)]
+    odds = [(1, 3), (3, 5), (5, 7), (7, 1)]
+    return build(8, evens + odds + [(0, 1), (2, 3), (4, 5), (6, 7)])
+
+
+def test_state_histogram_matches_masks_under_shuffles():
+    rng = random.Random(20061)
+    graphs = [_random_multigraph(rng) for _ in range(60)]
+    assert any(G.vertex_count == 0 for G in graphs)
+    assert max(G.edge_count for G in graphs) == 12
+    assert any(u == v for G in graphs for u, v in G.edges)
+    assert any(len(set(G.edges)) < G.edge_count for G in graphs)
+    assert any(G.vertex_count > len({w for e in G.edges for w in e}) for G in graphs)
+    for G in graphs:
+        for _ in range(2):
+            H = permute_edges(G, rng.sample(range(G.edge_count), G.edge_count))
+            expected = _histogram_by_masks(H)
+            got = state_histogram(H)
+            assert got == expected
+            assert list(got) == list(expected)
+
+
+def test_state_histogram_on_adversarial_orders():
+    K6 = build(6, itertools.combinations(range(6), 2))
+    for G in (K6, _frontier_holding_order()):
+        assert state_histogram(G) == _histogram_by_masks(G)
+
+
+def test_state_histogram_leaves_isolated_vertices_out():
+    big = build(10**6, [(999_999, 3), (3, 5), (5, 999_999)])
+    assert state_histogram(big) == {
+        (0, 10**6): 1,
+        (1, 999_999): 3,
+        (2, 999_998): 3,
+        (3, 999_998): 1,
+    }
+
+    def best(G):
+        return min(timeit.repeat(lambda: state_histogram(G), number=1, repeat=20))
+
+    # the same three edges on three vertices: the million vertices cost nothing
+    assert best(big) < 3 * best(triangle()) + 1e-3
 
 
 @settings(max_examples=150, deadline=None)
