@@ -2,17 +2,16 @@
 
 Implements the two-variable state sum h(G; x, y) over spanning subgraphs,
 its nonnegative rescaling g~ and the shifted polynomial g(t, w), the
-five-coefficient recursion determined by (A, B, C, D, E), closed forms
+five-coefficient invariant determined by (A, B, C, D, E), closed forms
 for trees, bouquets, multi-edges and cycles, the classical
 specializations (Tutte, chromatic, flow, Negami, and the state sum
 itself), and a brute-force proper-coloring oracle.
 
-The state sums read only how many states have each (|S|, b0), taken from
-`multigraph.state_histogram`, with b1 = |S| - |V| + b0. That count is a
-frontier transfer over the edges, whose cost grows with the frontier
-width of the edge order rather than with 2^|E|. The recursion stays
-exponential in |E|; it memoizes the minors it meets, for the length of
-one call.
+The state sums and `eval_del_con` read only how many states have each
+(|S|, b0), taken from `multigraph.state_histogram`, with b1 = |S| - |V|
++ b0. That count is a frontier transfer over the edges, whose cost grows
+with the frontier width of the edge order rather than with 2^|E|; each
+invariant is then one division-free sum over it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .laurent import ONE, X, Y, ZERO, BivariateLaurent, geometric_sum, substitute_shift
-from .multigraph import Multigraph, classify_edge, reduce, state_histogram
+from .multigraph import Multigraph, state_histogram
 
 FamilyKind = Literal["tree", "bouquet", "multiedge", "cycle"]
 SpecializationName = Literal["tutte", "chromatic", "flow", "negami", "yamada"]
@@ -85,39 +84,58 @@ def g_polynomials(G: Multigraph) -> tuple[BivariateLaurent, BivariateLaurent]:
 
 
 def eval_del_con(G: Multigraph, params: InvariantParams) -> BivariateLaurent:
-    """Recursive deletion-contraction value of G under the given coefficients.
+    """Deletion-contraction value of G under the given coefficients.
 
-    Ordinary edge: a*f(G/e) + b*f(G-e). A loop splits off as c*e*f(G-e),
-    an isthmus as c*d*f(G/e). A graph with no edges is worth c^(-|V|):
-    the single vertex must be c^(-1) for consistency with the one-edge
-    base cases, and the value is multiplicative over disjoint unions.
+    The value f is fixed by its recursion on any edge e: a*f(G/e) +
+    b*f(G-e) for an ordinary edge, c*e*f(G-e) for a loop, c*d*f(G/e) for
+    an isthmus, and c^(-|V|) for a graph with no edges (a single vertex
+    must be c^(-1) for consistency with the one-edge base cases, and f is
+    multiplicative over disjoint unions). It is one sum over the states
+    (Brylawski, Trans. AMS 1972; Oxley and Welsh, 1979):
 
-    The recursion always reduces edge 0, so its value is a function of
-    the exact Multigraph; minors reached along several branches are
-    evaluated once, from a memo that lives for this call only.
+        f(G) = c^(-k) * sum over S of a^r(S) (cd - a)^(r(E) - r(S))
+               * b^(|E| - |S| - r(E) + r(S)) (ce - b)^(|S| - r(S))
+
+    with r(S) = |V| - b0([G:S]) and k = b0(G). Since r(E) - r(S) <=
+    |E| - |S|, no exponent is negative and only c is inverted. Proof:
+    split the sum on whether S holds e. For a loop, r does not see e, and
+    the halves are (ce - b) and b times the sum for G - e, together ce
+    times it. For an isthmus the halves are a and (cd - a) times the sum
+    for G/e, together cd times it. For an ordinary edge they are a times
+    the sum for G/e and b times the sum for G - e. With no edges only
+    S = {} is left, worth c^(-|V|).
+
+    The summand depends on S only through i = b0 - k and j = b1, so the
+    sum is taken over `state_histogram`, grouped by i:
+    sum_i a^(r-i) (cd - a)^i * sum_j R_ij b^(nu-j) (ce - b)^j, where
+    r = |V| - k, nu = |E| - r, and R_ij counts the states.
     """
-    memo: dict[Multigraph, BivariateLaurent] = {}
+    hist = state_histogram(G)
+    k = min(b0 for _, b0 in hist)  # b0 is least at S = E
+    r = G.vertex_count - k
+    nu = G.edge_count - r
+    counts = [[0] * (nu + 1) for _ in range(r + 1)]
+    for (size, b0), count in hist.items():
+        counts[b0 - k][size - G.vertex_count + b0] = count
+    a, b, c, d, e = params.a, params.b, params.c, params.d, params.e
+    a_pows = _powers(a, r)
+    bridge_pows = _powers(c * d - a, r)
+    b_pows = _powers(b, nu)
+    loop_pows = _powers(c * e - b, nu)
+    by_nullity = [b_pows[nu - j] * loop_pows[j] for j in range(nu + 1)]
+    total = ZERO
+    for i, row in enumerate(counts):
+        inner = sum((count * by_nullity[j] for j, count in enumerate(row) if count), ZERO)
+        total += a_pows[r - i] * bridge_pows[i] * inner
+    return params.c_inverse ** k * total
 
-    def value(H: Multigraph) -> BivariateLaurent:
-        cached = memo.get(H)
-        if cached is not None:
-            return cached
-        if H.edge_count == 0:
-            result = params.c_inverse ** H.vertex_count
-        else:
-            kind = classify_edge(H, 0)
-            if kind == "loop":
-                result = params.c * params.e * value(reduce(H, 0, "delete"))
-            elif kind == "isthmus":
-                result = params.c * params.d * value(reduce(H, 0, "contract"))
-            else:
-                result = params.a * value(reduce(H, 0, "contract")) + params.b * value(
-                    reduce(H, 0, "delete")
-                )
-        memo[H] = result
-        return result
 
-    return value(G)
+def _powers(p: BivariateLaurent, n: int) -> list[BivariateLaurent]:
+    """[p^0, p^1, ..., p^n]."""
+    out = [ONE]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
 
 
 def closed_form(kind: FamilyKind, n: int, params: InvariantParams) -> BivariateLaurent:

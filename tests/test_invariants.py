@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -110,18 +111,22 @@ def test_eval_del_con_matches_state_sum_on_samples():
         assert eval_del_con(G, yam) == yamada_state_sum(G)
 
 
-def _eval_del_con_uncached(G, params):
-    """The deletion-contraction recursion with no memo, as a reference."""
-    if G.edge_count == 0:
-        return params.c_inverse ** G.vertex_count
-    kind = classify_edge(G, 0)
-    if kind == "loop":
-        return params.c * params.e * _eval_del_con_uncached(reduce(G, 0, "delete"), params)
-    if kind == "isthmus":
-        return params.c * params.d * _eval_del_con_uncached(reduce(G, 0, "contract"), params)
-    return params.a * _eval_del_con_uncached(
-        reduce(G, 0, "contract"), params
-    ) + params.b * _eval_del_con_uncached(reduce(G, 0, "delete"), params)
+def _eval_del_con_recursive(G, params):
+    """The deletion-contraction recursion on edge 0, as a reference for
+    `eval_del_con`; minors met along several branches are evaluated once."""
+
+    @functools.cache
+    def value(H):
+        if H.edge_count == 0:
+            return params.c_inverse ** H.vertex_count
+        kind = classify_edge(H, 0)
+        if kind == "loop":
+            return params.c * params.e * value(reduce(H, 0, "delete"))
+        if kind == "isthmus":
+            return params.c * params.d * value(reduce(H, 0, "contract"))
+        return params.a * value(reduce(H, 0, "contract")) + params.b * value(reduce(H, 0, "delete"))
+
+    return value(G)
 
 
 @st.composite
@@ -135,11 +140,19 @@ def multigraphs(draw, max_vertices=5, max_edges=8):
     return Multigraph(v, tuple((draw(endpoint), draw(endpoint)) for _ in range(m)))
 
 
+exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+laurents = st.dictionaries(exponents, st.integers(-3, 3), max_size=3).map(P)
+units = st.builds(lambda sign, exps: P({exps: sign}), st.sampled_from((1, -1)), exponents)
+coefficient_rows = st.builds(InvariantParams, laurents, laurents, units, laurents, laurents)
+
+
 @settings(max_examples=100, deadline=None)
-@given(multigraphs())
-def test_memoized_eval_del_con_matches_uncached_recursion(G):
-    for row in ROWS.values():
-        assert eval_del_con(G, row) == _eval_del_con_uncached(G, row)
+@given(multigraphs(), coefficient_rows)
+def test_eval_del_con_matches_recursion(G, drawn):
+    """The identity is polynomial in (a, b, c, d, e): the named rows and
+    random coefficients, non-units and zero among them."""
+    for row in (*ROWS.values(), drawn):
+        assert eval_del_con(G, row) == _eval_del_con_recursive(G, row)
 
 
 def test_chromatic_row_known_values():
@@ -289,8 +302,11 @@ def _ladder(rungs):
 
 @pytest.mark.parametrize("kind", sorted(FAMILY))
 def test_state_sum_matches_closed_form_at_40_edges(kind):
-    # 2^40 states: the state sum counts them by frontier, not one by one
-    assert yamada_state_sum(FAMILY[kind](40)) == closed_form(kind, 40, ROWS["yamada"])
+    # 2^40 states: the state sums count them by frontier, not one by one
+    G = FAMILY[kind](40)
+    assert yamada_state_sum(G) == closed_form(kind, 40, ROWS["yamada"])
+    for row in ROWS.values():
+        assert eval_del_con(G, row) == closed_form(kind, 40, row)
 
 
 def test_state_sum_deletion_contraction_on_a_40_edge_ladder():
@@ -304,6 +320,13 @@ def test_state_sum_deletion_contraction_on_a_40_edge_ladder():
         assert h == contracted - X.inverse() * deleted
 
 
+def test_eval_del_con_closed_forms_on_a_40_edge_ladder():
+    G = _ladder(14)
+    assert eval_del_con(G, ROWS["chromatic"]) == X * (X - 1) * (X * X - 3 * X + 3) ** 13
+    # spanning trees of the n-rung ladder: t_n = 4 t_(n-1) - t_(n-2), t_1 = 1, t_2 = 4
+    assert evaluate(eval_del_con(G, ROWS["tutte"]), 1, 1) == 29_354_524
+
+
 def test_state_sum_matches_recursion_on_random_loopless_multigraphs():
     """A cycle through every vertex in random order plus random chords,
     parallel ones allowed: no loop and no isthmus."""
@@ -315,4 +338,5 @@ def test_state_sum_matches_recursion_on_random_loopless_multigraphs():
         while len(edges) < edge_count:
             edges.append(tuple(rng.sample(range(vertices), 2)))
         G = build(vertices, edges)
-        assert eval_del_con(G, ROWS["yamada"]) == yamada_state_sum(G)
+        for row in ROWS.values():
+            assert eval_del_con(G, row) == _eval_del_con_recursive(G, row)
