@@ -14,7 +14,7 @@ import json
 import sys
 from functools import cache
 
-from .cube import build_complex
+from .cube import BigradedComplex, build_complex
 from .homology import cohomology, yamada_cohomology
 from .invariants import eval_del_con, g_polynomials, specialization, yamada_state_sum
 from .multigraph import Multigraph, from_json_dict
@@ -63,8 +63,16 @@ def _build_parser() -> _Parser:
 
     p_dump = sub.add_parser("dump", help="differential matrices as JSON")
     p_dump.add_argument("--input", required=True)
-    p_dump.add_argument("--variant", required=True, choices=("yamada", "tutte"))
-    p_dump.add_argument("--height", type=int, default=None)
+    p_dump.add_argument(
+        "--variant", required=True, choices=("yamada", "tutte"), help="which complex to build"
+    )
+    p_dump.add_argument(
+        "--height",
+        type=int,
+        default=None,
+        help="print only the blocks of the differential out of this height (default:"
+        " every height); every height is still verified, only this one is written",
+    )
 
     return parser
 
@@ -136,8 +144,30 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     if args.height is not None and not 0 <= args.height < max(G.edge_count, 1):
         raise _CliError(f"height {args.height} out of range")
     cx = build_complex(G, args.variant)
-    print(json.dumps(cx.blocks_json(args.height), indent=2))
+    heights = [i for i in range(len(cx.blocks)) if args.height in (None, i)]
+    print(_blocks_text(cx, heights))
     return 0
+
+
+# One entry [row, col, value] of a block, indented as `json.dumps(..., indent=2)` indents it.
+_ENTRY = "      [\n        %d,\n        %d,\n        %d\n      ]"
+
+
+def _blocks_text(cx: BigradedComplex, heights: list[int]) -> str:
+    """The JSON list of the blocks of d^i for i in `heights`, one object per
+    bidegree in order, with "i", "bidegree", "rows", "cols" and the entries
+    sorted by (row, col), byte for byte as `json.dumps(..., indent=2)` writes
+    it: only the blocks of those heights are read."""
+    items = []
+    for i in heights:
+        for (j, k), block in sorted(cx.blocks[i].items()):
+            entries = ",\n".join([_ENTRY % entry for entry in block.sorted_entries()])
+            items.append(
+                f'  {{\n    "i": {i},\n    "bidegree": [\n      {j},\n      {k}\n    ],\n'
+                f'    "rows": {block.rows},\n    "cols": {block.cols},\n    "entries": '
+                + (f"[\n{entries}\n    ]\n  }}" if entries else "[]\n  }")
+            )
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
 
 
 _COMMANDS = {

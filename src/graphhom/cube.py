@@ -7,11 +7,16 @@ Z[w]/(w^2), one per independent cycle. Corresponding cube edges carry
 per-edge maps (unit insertion, component multiplication, cycle-factor
 insertion); with the usual alternating signs these assemble into a
 differential that preserves the bidegree and squares to zero, which
-`build_complex` verifies on every run: the bidegree on every entry of
-each distinct per-edge map when that map is first worked out, and
-d^2 = 0 one square face of the cube at a time. The per-bidegree blocks,
-each an `IntMatrix` over three flat arrays of row, column and sign, are
-the only stored form of the differential.
+`build_complex` verifies at every height on every run: the bidegree on
+every entry of each distinct per-edge map when that map is first worked
+out, and d^2 = 0 one square face of the cube at a time. The
+per-bidegree blocks, each an `IntMatrix` over three flat arrays of row,
+column and sign, are the only stored form of the differential. They are
+stored per height and written the first time that height is read: the
+build records, for every pair of a state and an edge, which map it
+writes and where, and `BigradedComplex.blocks` replays one height's
+records into its blocks on first read. So `dump --height i` verifies
+the whole cube but writes only the blocks of height i.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its
@@ -37,7 +42,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .laurent import ZERO, BivariateLaurent
 from .matrices import INDEX_TYPECODE, IntMatrix
@@ -163,7 +168,9 @@ class BigradedComplex:
     an `IntMatrix` of +-1 entries, row r and column c standing for positions
     `bidegree_index[i+1][(j,k)][r]` and `bidegree_index[i][(j,k)][c]`. The
     blocks are the only stored form of the differential; `nonzeros` reads the
-    entries of d^i in global positions from them.
+    entries of d^i in global positions from them. `build_complex` hands over
+    a `HeightBlocks`, which writes the blocks of a height when that height is
+    first read; any sequence of such dicts, one per height, will do.
     """
 
     variant: str
@@ -171,7 +178,7 @@ class BigradedComplex:
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
     bidegree_index: list[dict[Bidegree, array]]
-    blocks: list[dict[Bidegree, IntMatrix]]
+    blocks: Sequence[dict[Bidegree, IntMatrix]]
 
     @property
     def height_count(self) -> int:
@@ -206,24 +213,6 @@ class BigradedComplex:
     def qdim(self, i: int) -> BivariateLaurent:
         """Graded dimension of C^i, as a polynomial in (t, w)."""
         return BivariateLaurent(self.dims_at(i))
-
-    def blocks_json(self, height: int | None = None) -> list[dict]:
-        """Per-height, per-bidegree matrices, entries sorted by (row, col)."""
-        out = []
-        for i in range(len(self.blocks)):
-            if height is not None and i != height:
-                continue
-            for jk, block in sorted(self.blocks[i].items()):
-                out.append(
-                    {
-                        "i": i,
-                        "bidegree": [jk[0], jk[1]],
-                        "rows": block.rows,
-                        "cols": block.cols,
-                        "entries": [[r, c, v] for r, c, v in block.sorted_entries()],
-                    }
-                )
-        return out
 
 
 def _check_faces(
@@ -267,8 +256,67 @@ def _check_faces(
                     raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
 
 
+# The recorded writes of one (S, e): the groups of its map (see `rules` in
+# `build_complex`), the adders of S+e and of S, and the parity of the
+# number of edges of S below e.
+_Write = tuple[list[tuple], list, list, int]
+
+
+def _write_blocks(
+    rows_index: dict[Bidegree, array], cols_index: dict[Bidegree, array], writes: list[_Write]
+) -> dict[Bidegree, IntMatrix]:
+    """The blocks of one height from its recorded writes: every (S, e)
+    extends the three arrays of a block per bidegree of its map, from the
+    positions of S and S+e in that bidegree, and `IntMatrix.from_triplets`
+    checks and adopts them."""
+    triplets = {
+        jk: (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))
+        for jk in cols_index.keys() | rows_index.keys()
+    }
+    extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
+    for groups, dst_add, src_add, odd in writes:
+        for jk, a, b, rows, cols, signs in groups:
+            extend_rows, extend_cols, extend_vals = extends[jk]
+            extend_rows(map(dst_add[a], rows))
+            extend_cols(map(src_add[b], cols))
+            extend_vals(signs[odd])
+    return {
+        jk: IntMatrix.from_triplets(len(rows_index.get(jk, ())), len(cols_index.get(jk, ())), *t)
+        for jk, t in triplets.items()
+    }
+
+
+class HeightBlocks(Sequence):
+    """The blocks of a complex, one dict per height, each written by
+    `_write_blocks` from the height's recorded writes the first time the
+    height is read, then kept; the records of a height are dropped once
+    its blocks are written. Compares equal to a list of the same dicts."""
+
+    def __init__(self, pending: list[tuple]) -> None:
+        self._levels: list[dict[Bidegree, IntMatrix] | None] = [None] * len(pending)
+        self._pending: list[tuple | None] = pending
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[t] for t in range(len(self))[i]]
+        level = self._levels[i]
+        if level is None:
+            level = self._levels[i] = _write_blocks(*self._pending[i])
+            self._pending[i] = None
+        return level
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, HeightBlocks)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
-    """Assemble the complex into per-bidegree blocks and verify it.
+    """Verify the complex at every height, and return it with per-bidegree
+    blocks that are written per height on first read.
 
     Refuses, before building anything, complexes whose total chain rank
     exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
@@ -286,15 +334,20 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     each entry of a map is checked to preserve the bidegree and the map to
     be a partial function (every coefficient is 1). A map is kept as its
     target array and, per bidegree, the positions of its entries counted
-    from the first element of that bidegree in S and in S+e; at each
-    height where it is used, these are tied once to that height's block
-    arrays. Every (S, e) then writes its block entries with three bulk
-    `extend`s per bidegree, from the positions of S and S+e in that
-    bidegree. Heights are assembled in order, and once height i is
-    written, the faces from height i - 1 to i + 1 are checked to
-    anticommute (`_check_faces`). Edges with one key share one map, so
-    the face check tests the assembled differential rather than each
-    edge's map apart. Any failure raises RuntimeError.
+    from the first element of that bidegree in S and in S+e. Heights are
+    walked in order. Every (S, e) records its map's groups, the positions
+    of S and S+e per bidegree and its sign, and its signed target array;
+    once height i is walked, the faces from height i - 1 to i + 1 are
+    checked to anticommute (`_check_faces`). Edges with one key share one
+    map, so the face check tests the differential as the blocks will hold
+    it rather than each edge's map apart. Any failure raises RuntimeError,
+    whichever heights are read later.
+
+    The blocks of height i are written only when `blocks[i]` is first read
+    (`HeightBlocks`): `_write_blocks` replays the records of the height,
+    three bulk `extend`s per bidegree of each (S, e), and
+    `IntMatrix.from_triplets` checks and adopts the arrays. Reading every
+    height writes exactly the blocks that an eager build would.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -361,21 +414,13 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     # positions, and their signs for an even and for an odd number of edges
     # of S below e).
     rules: dict[tuple, tuple[list[int], list[tuple]]] = {}
-    blocks: list[dict[Bidegree, IntMatrix]] = []
+    # per height: the bidegree index of the rows and of the columns, and the
+    # writes of every (S, e) out of that height, for `_write_blocks`
+    pending: list[tuple] = []
     below: dict[tuple[int, int], tuple[int, list[int]]] = {}
     for i in range(n):
-        cols_index, rows_index = bidegree_index[i], bidegree_index[i + 1]
-        # The three arrays of each block, and their `extend`s.
-        triplets = {
-            jk: (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))
-            for jk in cols_index.keys() | rows_index.keys()
-        }
-        extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
-        # memo key -> (target array, one write per bidegree group of the rule:
-        # the `extend`s of the block's three arrays at this height, then the
-        # group past its bidegree)
-        patterns: dict[tuple, tuple[list[int], list[tuple]]] = {}
-        # (mask, e) -> (sign, target array of the pattern)
+        writes: list[_Write] = []
+        # (mask, e) -> (sign, target array of the rule)
         maps: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for mask in masks_by_height[i]:
             comp_of = components[mask][0]
@@ -388,62 +433,47 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
                 p, q = comp_of[u], comp_of[v]
                 pair = (p, q) if p < q else (q, p) if q < p else None
                 key = (i, insert, pair, src_slots) if yamada else (pair, src_slots)
-                pattern = patterns.get(key)
-                if pattern is None:
-                    rule = rules.get(key)
-                    if rule is None:
-                        src_bidegs, src_pos, _, src_place = shapes[src_slots]
-                        dst_bidegs, dst_pos, _, dst_place = shapes[slots[dst]]
-                        size = sizes[i][mask]
-                        target = [-1] * (size + 1)
-                        groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
-                        for x, y in _edge_rule(mask, e, p, q, size, yamada):
-                            jk = src_bidegs[x]
-                            if dst_bidegs[y] != jk:
-                                r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
-                                raise RuntimeError(
-                                    f"differential d^{i} does not preserve the bidegree"
-                                    f" at entry ({r},{c})"
-                                )
-                            if target[x] >= 0:
-                                raise RuntimeError(
-                                    f"the map of edge {e} out of state {mask:#b}"
-                                    f" sends {x} to two targets"
-                                )
-                            target[x] = y
-                            group = groups.get(jk)
-                            if group is None:
-                                group = groups[jk] = ([], [])
-                            group[0].append(dst_pos[y])
-                            group[1].append(src_pos[x])
-                        placed = []
-                        for jk, (rows, cols) in groups.items():
-                            signs = signs_of_length.get(len(rows))
-                            if signs is None:
-                                signs = signs_of_length[len(rows)] = (
-                                    array("b", [1]) * len(rows),
-                                    array("b", [-1]) * len(rows),
-                                )
-                            placed.append((jk, dst_place[jk], src_place[jk], rows, cols, signs))
-                        rule = rules[key] = (target, placed)
-                    target, placed = rule
-                    writes = [(*extends[jk], *write) for jk, *write in placed]
-                    pattern = patterns[key] = (target, writes)
-                target, writes = pattern
-                dst_add, odd = adders[dst], insert & 1
-                for extend_rows, extend_cols, extend_vals, a, b, rows, cols, signs in writes:
-                    extend_rows(map(dst_add[a], rows))
-                    extend_cols(map(src_add[b], cols))
-                    extend_vals(signs[odd])
+                rule = rules.get(key)
+                if rule is None:
+                    src_bidegs, src_pos, _, src_place = shapes[src_slots]
+                    dst_bidegs, dst_pos, _, dst_place = shapes[slots[dst]]
+                    size = sizes[i][mask]
+                    target = [-1] * (size + 1)
+                    groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
+                    for x, y in _edge_rule(mask, e, p, q, size, yamada):
+                        jk = src_bidegs[x]
+                        if dst_bidegs[y] != jk:
+                            r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
+                            raise RuntimeError(
+                                f"differential d^{i} does not preserve the bidegree"
+                                f" at entry ({r},{c})"
+                            )
+                        if target[x] >= 0:
+                            raise RuntimeError(
+                                f"the map of edge {e} out of state {mask:#b}"
+                                f" sends {x} to two targets"
+                            )
+                        target[x] = y
+                        group = groups.get(jk)
+                        if group is None:
+                            group = groups[jk] = ([], [])
+                        group[0].append(dst_pos[y])
+                        group[1].append(src_pos[x])
+                    placed = []
+                    for jk, (rows, cols) in groups.items():
+                        signs = signs_of_length.get(len(rows))
+                        if signs is None:
+                            signs = signs_of_length[len(rows)] = (
+                                array("b", [1]) * len(rows),
+                                array("b", [-1]) * len(rows),
+                            )
+                        placed.append((jk, dst_place[jk], src_place[jk], rows, cols, signs))
+                    rule = rules[key] = (target, placed)
+                target, placed = rule
+                odd = insert & 1
+                writes.append((placed, adders[dst], src_add, odd))
                 maps[(mask, e)] = (-1 if odd else 1, target)
-        blocks.append(
-            {
-                jk: IntMatrix.from_triplets(
-                    len(rows_index.get(jk, ())), len(cols_index.get(jk, ())), *t
-                )
-                for jk, t in triplets.items()
-            }
-        )
+        pending.append((bidegree_index[i + 1], bidegree_index[i], writes))
         if i > 0:
             _check_faces(masks_by_height[i - 1], n, below, maps, i)
         below = maps
@@ -454,7 +484,7 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
         state_offsets=offsets,
         state_sizes=sizes,
         bidegree_index=bidegree_index,
-        blocks=blocks,
+        blocks=HeightBlocks(pending),
     )
 
 

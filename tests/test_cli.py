@@ -17,7 +17,7 @@ import graphhom.verify
 from graphhom.cli import POLY_CHOICES, run
 from graphhom.cube import build_complex
 from graphhom.laurent import X, BivariateLaurent
-from graphhom.multigraph import build
+from graphhom.multigraph import build, to_json_dict
 from graphhom.verify import CHECK_NAMES, CheckReport
 
 
@@ -335,7 +335,62 @@ def test_dump_answers_a_13_edge_complex_under_the_rank_limit(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": 7, "edges": edges}))
     assert run(["dump", "--variant", "tutte", "--height", "0", "--input", str(path)]) == 0
     cx = build_complex(build(7, edges), "tutte")
-    assert capsys.readouterr() == (json.dumps(cx.blocks_json(0), indent=2) + "\n", "")
+    assert capsys.readouterr() == (_dump_oracle(cx, 0), "")
+
+
+def _dump_oracle(cx, height=None):
+    """What `dump` printed when it went through `json.dumps(..., indent=2)`: per
+    height (all, or only `height`), one object per bidegree in order, with the
+    entries sorted by (row, col)."""
+    blocks = [
+        {
+            "i": i,
+            "bidegree": [j, k],
+            "rows": block.rows,
+            "cols": block.cols,
+            "entries": [[r, c, v] for r, c, v in block.sorted_entries()],
+        }
+        for i, level in enumerate(cx.blocks)
+        if height in (None, i)
+        for (j, k), block in sorted(level.items())
+    ]
+    return json.dumps(blocks, indent=2) + "\n"
+
+
+def test_dump_writer_matches_json_dumps_on_the_corpus(corpus, complex_of, tmp_path, capsys):
+    # every height and no --height, both variants; the corpus holds 0-edge graphs
+    # and blocks with no rows or no columns
+    shapeless = 0
+    for t, G in enumerate(corpus):
+        path = tmp_path / f"graph{t}.json"
+        path.write_text(json.dumps(to_json_dict(G)))
+        for variant in ("yamada", "tutte"):
+            cx = complex_of(G, variant)
+            for height in (None, *range(max(G.edge_count, 1))):
+                argv = ["dump", "--variant", variant, "--input", str(path)]
+                assert run(argv + ([] if height is None else ["--height", str(height)])) == 0
+                assert capsys.readouterr() == (_dump_oracle(cx, height), ""), (G, variant, height)
+            shapeless += sum(not (b.rows and b.cols) for level in cx.blocks for b in level.values())
+    assert shapeless
+
+
+def test_dump_of_a_graph_without_edges_is_an_empty_list(tmp_path, capsys):
+    path = tmp_path / "two_points.json"
+    path.write_text(json.dumps({"vertices": 2, "edges": []}))
+    for height in ([], ["--height", "0"]):
+        assert run(["dump", "--variant", "yamada", "--input", str(path), *height]) == 0
+        assert capsys.readouterr() == (json.dumps([], indent=2) + "\n", "") == ("[]\n", "")
+
+
+def test_dump_writes_blocks_without_rows_or_columns(tmp_path, capsys):
+    # one loop, tutte: C^1 has cycle slots that C^0 lacks, so the blocks of
+    # bidegrees (0, 1) and (1, 1) are 1 x 0
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0]]}))
+    assert run(["dump", "--variant", "tutte", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == _dump_oracle(build_complex(build(1, [(0, 0)]), "tutte"))
+    assert out.count('"rows": 1,\n    "cols": 0,\n    "entries": []\n  }') == 2
 
 
 def test_unknown_flag_is_exit_1(bigon_path, capsys):

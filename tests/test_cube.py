@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphhom.cube as cube
+from graphhom.cli import run
 from graphhom.cube import (
     MAX_CHAIN_RANK,
     build_complex,
@@ -13,8 +15,10 @@ from graphhom.cube import (
     phi_psi,
     projection_map,
 )
+from graphhom.homology import cohomology
 from graphhom.invariants import g_polynomials
 from graphhom.laurent import BivariateLaurent
+from graphhom.matrices import IntMatrix
 from graphhom.multigraph import (
     Multigraph,
     bigon,
@@ -22,6 +26,7 @@ from graphhom.multigraph import (
     build,
     cycle_graph,
     state_components,
+    to_json_dict,
     tree_graph,
     triangle,
 )
@@ -459,11 +464,52 @@ def test_blocks_keep_under_40_bytes_per_nonzero():
     try:
         before = tracemalloc.get_traced_memory()[0]
         cx = build_complex(cycle_graph(8), "tutte")
+        blocks = list(cx.blocks)  # written on first read
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    nonzeros = sum(block.nnz() for level in cx.blocks for block in level.values())
+    nonzeros = sum(block.nnz() for level in blocks for block in level.values())
     assert nonzeros == 26_248
     assert retained / nonzeros < 40
+
+
+def _count_from_triplets(monkeypatch):
+    """The shapes of the matrices `IntMatrix.from_triplets` makes from now on."""
+    made = []
+    original = IntMatrix.from_triplets.__func__
+
+    def counted(cls, rows, cols, *triplets):
+        made.append((rows, cols))
+        return original(cls, rows, cols, *triplets)
+
+    monkeypatch.setattr(IntMatrix, "from_triplets", classmethod(counted))
+    return made
+
+
+def test_dump_of_height_0_writes_only_the_blocks_of_height_0(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "cycle10.json"
+    path.write_text(json.dumps(to_json_dict(cycle_graph(10))))
+    made = _count_from_triplets(monkeypatch)
+    assert run(["dump", "--variant", "tutte", "--height", "0", "--input", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert {b["i"] for b in printed} == {0}
+    assert sorted(made) == sorted((b["rows"], b["cols"]) for b in printed)
+
+
+def test_blocks_are_written_once_per_height_and_their_records_dropped(monkeypatch):
+    cx = build_complex(cycle_graph(6), "yamada")
+    made = _count_from_triplets(monkeypatch)
+    pending = cx.blocks._pending
+    assert len(cx.blocks) == 6 and not made and None not in pending
+    level = cx.blocks[2]
+    assert cx.blocks[2] is level and cx.blocks[-4] is level
+    assert len(made) == len(level)
+    assert [height is None for height in pending] == [False, False, True, False, False, False]
+    cohomology(cx)
+    assert len(made) == sum(map(len, cx.blocks)) and pending == [None] * 6
+    cohomology(cx)
+    assert len(made) == sum(map(len, cx.blocks))
+    assert cx.blocks == list(cx.blocks) == cx.blocks[:] and cx.blocks != []
+    assert [cx.blocks[i] is level for i, level in enumerate(cx.blocks)] == [True] * 6

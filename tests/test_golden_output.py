@@ -227,3 +227,39 @@ def test_corrupted_map_with_two_targets_is_caught(monkeypatch):
     with pytest.raises(RuntimeError, match="two targets"):
         cube.build_complex(bigon(), "yamada")
     assert seen
+
+
+def _corrupt_maps_out_of_height_2_and_up(monkeypatch, fault):
+    """Break the first per-edge map that `build_complex` asks for out of a
+    state with |S| >= 2 (in the yamada variant each height has maps of its
+    own): "bidegree" adds 0 -> 1, the unit to an edge generator, and "face"
+    drops the map's first entry."""
+    original = cube._edge_rule
+    seen = []
+
+    def corrupted(mask, *args):
+        pairs = original(mask, *args)
+        if seen or mask.bit_count() < 2:
+            return pairs
+        seen.append(mask)
+        return [(0, 1), *pairs] if fault == "bidegree" else pairs[1:]
+
+    monkeypatch.setattr(cube, "_edge_rule", corrupted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ("bidegree", "error: differential d^2 does not preserve the bidegree at entry (1,0)\n"),
+        ("face", "error: d^2 != 0 between heights 1 and 3\n"),
+    ],
+)
+def test_dump_of_height_0_still_verifies_every_height(fault, message, monkeypatch, tmp_path, capsys):
+    # The fault sits only in maps out of heights 2 and up, whose blocks
+    # `dump --height 0` never writes; the build must refuse the complex anyway.
+    seen = _corrupt_maps_out_of_height_2_and_up(monkeypatch, fault)
+    argv = ["dump", "--variant", "yamada", "--height", "0"]
+    assert run(argv + ["--input", _graph_path("cycle5", tmp_path)]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert seen
