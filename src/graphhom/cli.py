@@ -43,26 +43,33 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("poly", help="evaluate a graph polynomial")
-    p_poly.add_argument("--which", required=True, choices=POLY_CHOICES)
+    p_poly.add_argument(
+        "--which", required=True, choices=POLY_CHOICES, help="which polynomial to evaluate"
+    )
     p_poly.add_argument("--input", required=True, help="graph JSON file")
     p_poly.add_argument("--json", action="store_true", help="emit polynomial JSON")
     p_poly.add_argument("--negami-t", type=int, default=1, help="integer value pinned for t")
     p_poly.add_argument("--max-edges", type=int, default=12, help="refuse graphs with more edges")
 
     p_coh = sub.add_parser("cohomology", help="integer cohomology table")
-    p_coh.add_argument("--variant", required=True, choices=("yamada", "tutte"))
-    p_coh.add_argument("--input", required=True)
-    p_coh.add_argument("--json", action="store_true")
+    p_coh.add_argument(
+        "--variant",
+        required=True,
+        choices=("yamada", "tutte"),
+        help="which complex's cohomology to compute",
+    )
+    p_coh.add_argument("--input", required=True, help="graph JSON file")
+    p_coh.add_argument("--json", action="store_true", help="emit the table as JSON")
 
     p_check = sub.add_parser("check", help="run structural checks")
     group = p_check.add_mutually_exclusive_group(required=True)
-    group.add_argument("--all", action="store_true")
+    group.add_argument("--all", action="store_true", help="run every check")
     group.add_argument("--only", help="comma-separated check names")
-    p_check.add_argument("--input", required=True)
+    p_check.add_argument("--input", required=True, help="graph JSON file")
     p_check.add_argument("--max-edges", type=int, default=12, help="refuse graphs with more edges")
 
     p_dump = sub.add_parser("dump", help="differential matrices as JSON")
-    p_dump.add_argument("--input", required=True)
+    p_dump.add_argument("--input", required=True, help="graph JSON file")
     p_dump.add_argument(
         "--variant", required=True, choices=("yamada", "tutte"), help="which complex to build"
     )

@@ -10,13 +10,13 @@ differential that preserves the bidegree and squares to zero, which
 `build_complex` verifies at every height on every run: the bidegree on
 every entry of each distinct per-edge map when that map is first worked
 out, and d^2 = 0 one square face of the cube at a time. The
-per-bidegree blocks, each an `IntMatrix` over three flat arrays of row,
-column and sign, are the only stored form of the differential. They are
-stored per height and written the first time that height is read: the
-build records, for every pair of a state and an edge, which map it
-writes and where, and `BigradedComplex.blocks` replays one height's
-records into its blocks on first read. So `dump --height i` verifies
-the whole cube but writes only the blocks of height i.
+per-bidegree blocks are each an `IntMatrix` over three flat arrays of
+row, column and sign. They are not stored: the complex keeps the states,
+their slots and one map per distinct rule key, which fix the
+differential, and `BigradedComplex.blocks` writes the blocks of a height
+from that rule memo each time the height is read. So `dump --height i`
+verifies the whole cube but writes only the blocks of height i, and a
+reader that walks the heights upward holds one height's blocks at a time.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its
@@ -40,9 +40,10 @@ the map kills it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .laurent import ZERO, BivariateLaurent
 from .matrices import INDEX_TYPECODE, IntMatrix
@@ -166,11 +167,13 @@ class BigradedComplex:
     present at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is
     the signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as
     an `IntMatrix` of +-1 entries, row r and column c standing for positions
-    `bidegree_index[i+1][(j,k)][r]` and `bidegree_index[i][(j,k)][c]`. The
-    blocks are the only stored form of the differential; `nonzeros` reads the
-    entries of d^i in global positions from them. `build_complex` hands over
-    a `HeightBlocks`, which writes the blocks of a height when that height is
-    first read; any sequence of such dicts, one per height, will do.
+    `bidegree_index[i+1][(j,k)][r]` and `bidegree_index[i][(j,k)][c]`.
+    `nonzeros` reads the entries of d^i in global positions from them.
+    `build_complex` hands over a `HeightBlocks`, which writes the blocks of
+    a height from the build's rule memo each time that height is read; any
+    sequence of such dicts, one per height, will do, so a reader that reads
+    the heights more than once can keep them with
+    `dataclasses.replace(cx, blocks=list(cx.blocks))`.
     """
 
     variant: str
@@ -216,7 +219,7 @@ class BigradedComplex:
 
 
 def _check_faces(
-    masks: list[int],
+    masks: Iterable[int],
     n: int,
     below: dict[tuple[int, int], tuple[int, list[int]]],
     above: dict[tuple[int, int], tuple[int, list[int]]],
@@ -232,9 +235,9 @@ def _check_faces(
     and, unless every x is killed, the two sign products are opposite.
 
     Faces share target arrays (one per distinct map, kept alive by the
-    build's rule memo), so whether a face's paths agree, and whether some x
-    survives them, is worked out once per four arrays, keyed by their
-    identity; the signs are compared per face.
+    build until its last face check), so whether a face's paths agree, and
+    whether some x survives them, is worked out once per four arrays, keyed
+    by their identity; the signs are compared per face.
     """
     survives: dict[tuple[int, int, int, int], bool] = {}
     for mask in masks:
@@ -256,67 +259,26 @@ def _check_faces(
                     raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
 
 
-# The recorded writes of one (S, e): the groups of its map (see `rules` in
-# `build_complex`), the adders of S+e and of S, and the parity of the
-# number of edges of S below e.
-_Write = tuple[list[tuple], list, list, int]
-
-
-def _write_blocks(
-    rows_index: dict[Bidegree, array], cols_index: dict[Bidegree, array], writes: list[_Write]
-) -> dict[Bidegree, IntMatrix]:
-    """The blocks of one height from its recorded writes: every (S, e)
-    extends the three arrays of a block per bidegree of its map, from the
-    positions of S and S+e in that bidegree, and `IntMatrix.from_triplets`
-    checks and adopts them."""
-    triplets = {
-        jk: (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))
-        for jk in cols_index.keys() | rows_index.keys()
-    }
-    extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
-    for groups, dst_add, src_add, odd in writes:
-        for jk, a, b, rows, cols, signs in groups:
-            extend_rows, extend_cols, extend_vals = extends[jk]
-            extend_rows(map(dst_add[a], rows))
-            extend_cols(map(src_add[b], cols))
-            extend_vals(signs[odd])
-    return {
-        jk: IntMatrix.from_triplets(len(rows_index.get(jk, ())), len(cols_index.get(jk, ())), *t)
-        for jk, t in triplets.items()
-    }
-
-
 class HeightBlocks(Sequence):
-    """The blocks of a complex, one dict per height, each written by
-    `_write_blocks` from the height's recorded writes the first time the
-    height is read, then kept; the records of a height are dropped once
-    its blocks are written. Compares equal to a list of the same dicts."""
+    """The blocks of a complex, one dict per height, written by `write(i)`
+    from the build's rule memo each time height i is read and not kept: a
+    reader that reads a height more than once keeps what it read."""
 
-    def __init__(self, pending: list[tuple]) -> None:
-        self._levels: list[dict[Bidegree, IntMatrix] | None] = [None] * len(pending)
-        self._pending: list[tuple | None] = pending
+    def __init__(self, write: Callable[[int], dict[Bidegree, IntMatrix]], count: int) -> None:
+        self._write, self._count = write, count
 
     def __len__(self) -> int:
-        return len(self._levels)
+        return self._count
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[t] for t in range(len(self))[i]]
-        level = self._levels[i]
-        if level is None:
-            level = self._levels[i] = _write_blocks(*self._pending[i])
-            self._pending[i] = None
-        return level
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, HeightBlocks)):
-            return list(self) == list(other)
-        return NotImplemented
+    def __getitem__(self, i: int) -> dict[Bidegree, IntMatrix]:
+        # range indexing takes negative indices and raises IndexError past
+        # the end, where iteration stops
+        return self._write(range(self._count)[i])
 
 
 def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     """Verify the complex at every height, and return it with per-bidegree
-    blocks that are written per height on first read.
+    blocks that are written from the rule memo each time a height is read.
 
     Refuses, before building anything, complexes whose total chain rank
     exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
@@ -326,28 +288,29 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     need.
 
     The map of edge e out of state S is worked out once per distinct key
-    of exactly what `_edge_rule` reads, and kept for the call: |S| and the
-    insert position of e in the yamada variant (the rule reads e only
-    through the latter), the unordered pair of endpoint components or None
-    for one component, and the slots of S, which fix the rank of C^S. With
-    the variant, these also fix the slots of S+e. When first worked out,
-    each entry of a map is checked to preserve the bidegree and the map to
-    be a partial function (every coefficient is 1). A map is kept as its
-    target array and, per bidegree, the positions of its entries counted
-    from the first element of that bidegree in S and in S+e. Heights are
-    walked in order. Every (S, e) records its map's groups, the positions
-    of S and S+e per bidegree and its sign, and its signed target array;
-    once height i is walked, the faces from height i - 1 to i + 1 are
-    checked to anticommute (`_check_faces`). Edges with one key share one
-    map, so the face check tests the differential as the blocks will hold
-    it rather than each edge's map apart. Any failure raises RuntimeError,
-    whichever heights are read later.
+    of exactly what `_edge_rule` reads, and kept for the life of the
+    complex: |S| and the insert position of e in the yamada variant (the
+    rule reads e only through the latter), the unordered pair of endpoint
+    components or None for one component, and the slots of S, which fix
+    the rank of C^S. With the variant, these also fix the slots of S+e.
+    When first worked out, each entry of a map is checked to preserve the
+    bidegree and the map to be a partial function (every coefficient is
+    1). A map is kept as, per bidegree, the positions of its entries
+    counted from the first element of that bidegree in S and in S+e, and,
+    until the build returns, as its target array. Heights are walked in
+    order; once height i is walked, the faces from height i - 1 to i + 1
+    are checked to anticommute (`_check_faces`) on the signed target
+    arrays. Edges with one key share one map, so the face check tests the
+    differential as the blocks will hold it rather than each edge's map
+    apart. Any failure raises RuntimeError, whichever heights are read
+    later.
 
-    The blocks of height i are written only when `blocks[i]` is first read
-    (`HeightBlocks`): `_write_blocks` replays the records of the height,
-    three bulk `extend`s per bidegree of each (S, e), and
-    `IntMatrix.from_triplets` checks and adopts the arrays. Reading every
-    height writes exactly the blocks that an eager build would.
+    Reading `blocks[i]` (`HeightBlocks`) walks height i again: every
+    (S, e) extends, per bidegree of its map, three arrays with the map's
+    positions shifted by the first positions of that bidegree in S and in
+    S+e, found once per state and read by bisection in `bidegree_index`,
+    and `IntMatrix.from_triplets` checks and adopts them. Each read writes
+    exactly the blocks that an eager build would.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -362,9 +325,8 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     popcounts = [x.bit_count() for x in range(1 << max(max(j, k) for j, k in slots))]
 
     # Per slot counts: the bidegree of each index and its position among the
-    # indices of that bidegree; the bidegrees in order of their first index,
-    # each with its indices in ascending order; and the place of each
-    # bidegree in that order.
+    # indices of that bidegree, and the bidegrees in order of their first
+    # index, each with its indices in ascending order.
     shapes: dict[tuple[int, int], tuple] = {}
     for j_slots, k_slots in set(slots):
         low = (1 << j_slots) - 1
@@ -376,16 +338,11 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
             xs = members.setdefault(jk, [])
             local_pos.append(len(xs))
             xs.append(x)
-        place = {jk: t for t, jk in enumerate(members)}
-        shapes[(j_slots, k_slots)] = (bidegs, local_pos, list(members.items()), place)
+        shapes[(j_slots, k_slots)] = (bidegs, local_pos, list(members.items()))
 
     offsets: list[dict[int, int]] = []
     sizes: list[dict[int, int]] = []
     bidegree_index: list[dict[Bidegree, array]] = []
-    # Per state, in the order of its shape's bidegrees: adds the position,
-    # among all the elements of that bidegree at the state's height, of the
-    # state's first element of that bidegree.
-    adders: list[list] = [[]] * (1 << n)
     for masks in masks_by_height:
         offset_map: dict[int, int] = {}
         size_map: dict[int, int] = {}
@@ -394,11 +351,8 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
         for mask in masks:
             offset_map[mask] = offset
             size_map[mask] = 1 << sum(slots[mask])
-            add = adders[mask] = []
             for jk, xs in shapes[slots[mask]][2]:
-                positions = index.setdefault(jk, array(INDEX_TYPECODE))
-                add.append(len(positions).__add__)
-                positions.extend(map(offset.__add__, xs))
+                index.setdefault(jk, array(INDEX_TYPECODE)).extend(map(offset.__add__, xs))
             offset += size_map[mask]
         offsets.append(offset_map)
         sizes.append(size_map)
@@ -407,36 +361,33 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     edges = [(e, 1 << e, (1 << e) - 1, u, v) for e, (u, v) in enumerate(G.edges)]
     # Runs of +1 and of -1 signs by length, made once and shared by the maps.
     signs_of_length: dict[int, tuple[array, array]] = {}
-    # memo key -> (target of each source or -1 when it is killed, with an
+    # rule key -> one group per bidegree of its map: the bidegree, the target
+    # and the source positions, and their signs for an even and for an odd
+    # number of edges of S below e
+    rules: dict[tuple, list[tuple]] = {}
+    # rule key -> target of each source or -1 when it is killed, with an
     # extra trailing -1 so that a composite looks up a killed element at
-    # index -1 and gets -1 back; one group per bidegree: the bidegree, its
-    # place in the shapes of S+e and of S, the target and the source
-    # positions, and their signs for an even and for an odd number of edges
-    # of S below e).
-    rules: dict[tuple, tuple[list[int], list[tuple]]] = {}
-    # per height: the bidegree index of the rows and of the columns, and the
-    # writes of every (S, e) out of that height, for `_write_blocks`
-    pending: list[tuple] = []
-    below: dict[tuple[int, int], tuple[int, list[int]]] = {}
-    for i in range(n):
-        writes: list[_Write] = []
-        # (mask, e) -> (sign, target array of the rule)
-        maps: dict[tuple[int, int], tuple[int, list[int]]] = {}
-        for mask in masks_by_height[i]:
+    # index -1 and gets -1 back; for the face checks only
+    targets: dict[tuple, list[int]] = {}
+
+    def walk(i: int) -> Iterator[tuple[int, int, int, tuple]]:
+        """S, e, the parity of the number of edges of S below e and the rule
+        key of every (S, e) out of height i, working out and checking the
+        map of a key the first time it is seen."""
+        for mask in offsets[i]:
             comp_of = components[mask][0]
-            src_slots, src_add = slots[mask], adders[mask]
+            src_slots = slots[mask]
             for e, bit, lower, u, v in edges:
                 if mask & bit:
                     continue
                 insert = (mask & lower).bit_count()
-                dst = mask | bit
                 p, q = comp_of[u], comp_of[v]
                 pair = (p, q) if p < q else (q, p) if q < p else None
                 key = (i, insert, pair, src_slots) if yamada else (pair, src_slots)
-                rule = rules.get(key)
-                if rule is None:
-                    src_bidegs, src_pos, _, src_place = shapes[src_slots]
-                    dst_bidegs, dst_pos, _, dst_place = shapes[slots[dst]]
+                if key not in rules:
+                    dst = mask | bit
+                    src_bidegs, src_pos, _ = shapes[src_slots]
+                    dst_bidegs, dst_pos, _ = shapes[slots[dst]]
                     size = sizes[i][mask]
                     target = [-1] * (size + 1)
                     groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
@@ -459,7 +410,7 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
                             group = groups[jk] = ([], [])
                         group[0].append(dst_pos[y])
                         group[1].append(src_pos[x])
-                    placed = []
+                    rule = []
                     for jk, (rows, cols) in groups.items():
                         signs = signs_of_length.get(len(rows))
                         if signs is None:
@@ -467,16 +418,51 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
                                 array("b", [1]) * len(rows),
                                 array("b", [-1]) * len(rows),
                             )
-                        placed.append((jk, dst_place[jk], src_place[jk], rows, cols, signs))
-                    rule = rules[key] = (target, placed)
-                target, placed = rule
-                odd = insert & 1
-                writes.append((placed, adders[dst], src_add, odd))
-                maps[(mask, e)] = (-1 if odd else 1, target)
-        pending.append((bidegree_index[i + 1], bidegree_index[i], writes))
+                        rule.append((jk, rows, cols, signs))
+                    rules[key], targets[key] = rule, target
+                yield mask, e, insert & 1, key
+
+    def shifts(h: int) -> dict[int, dict[Bidegree, Callable[[int], int]]]:
+        """Per state of height h and per bidegree of its shape: adds the
+        position, among the elements of that bidegree at height h, of the
+        state's first element of that bidegree, found by bisection."""
+        index = bidegree_index[h]
+        return {
+            mask: {jk: bisect_left(index[jk], at).__add__ for jk, _ in shapes[slots[mask]][2]}
+            for mask, at in offsets[h].items()
+        }
+
+    def write(i: int) -> dict[Bidegree, IntMatrix]:
+        rows_index, cols_index = bidegree_index[i + 1], bidegree_index[i]
+        triplets = {
+            jk: (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))
+            for jk in cols_index.keys() | rows_index.keys()
+        }
+        extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
+        dst_shifts, src_shifts = shifts(i + 1), shifts(i)
+        for mask, e, odd, key in walk(i):
+            dst_shift, src_shift = dst_shifts[mask | 1 << e], src_shifts[mask]
+            for jk, rows, cols, signs in rules[key]:
+                extend_rows, extend_cols, extend_vals = extends[jk]
+                extend_rows(map(dst_shift[jk], rows))
+                extend_cols(map(src_shift[jk], cols))
+                extend_vals(signs[odd])
+        return {
+            jk: IntMatrix.from_triplets(
+                len(rows_index.get(jk, ())), len(cols_index.get(jk, ())), *t
+            )
+            for jk, t in triplets.items()
+        }
+
+    below: dict[tuple[int, int], tuple[int, list[int]]] = {}
+    for i in range(n):
+        # (mask, e) -> (sign, target array of the rule)
+        maps = {(mask, e): (-1 if odd else 1, targets[key]) for mask, e, odd, key in walk(i)}
         if i > 0:
-            _check_faces(masks_by_height[i - 1], n, below, maps, i)
+            _check_faces(offsets[i - 1], n, below, maps, i)
         below = maps
+    # Every face is checked and every map worked out: no read needs the arrays.
+    targets.clear()
 
     return BigradedComplex(
         variant=variant,
@@ -484,7 +470,7 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
         state_offsets=offsets,
         state_sizes=sizes,
         bidegree_index=bidegree_index,
-        blocks=HeightBlocks(pending),
+        blocks=HeightBlocks(write, n),
     )
 
 

@@ -7,13 +7,16 @@ there are no tolerances anywhere.
 
 Checkers read complexes and tables through `complex_of(graph, variant)`
 and `table_of(graph, variant)`; `run_checks` memoizes both for one run,
-so each distinct (graph, variant) is built and eliminated once.
+so each distinct (graph, variant) is built and eliminated once. A built
+complex writes a height's blocks each time it is read, and the checkers
+read a complex more than once, so the memo keeps the blocks it read and
+each height is written once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
@@ -186,7 +189,9 @@ def run_checks(G: Multigraph, names: Iterable[str] = CHECK_NAMES) -> list[CheckR
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     if not names:
         raise ValueError("no checks named")
-    complex_of = cache(build_complex)
+    complex_of = cache(
+        lambda H, variant: replace(cx := build_complex(H, variant), blocks=list(cx.blocks))
+    )
     table_of = cache(lambda H, variant: cohomology(complex_of(H, variant)))
     runners = {
         "deletion_contraction": lambda: check_deletion_contraction(G),

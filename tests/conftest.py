@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +14,11 @@ def corpus():
 @pytest.fixture(scope="session")
 def complex_of():
     """Session-wide memo of built complexes, keyed by (graph, variant) like
-    the one `verify.run_checks` holds for a single check run."""
-    return functools.cache(lambda graph, variant: build_complex(graph, variant))
+    the one `verify.run_checks` holds for a single check run: it keeps the
+    blocks it read, so each height is written once."""
+    return functools.cache(
+        lambda graph, variant: replace(cx := build_complex(graph, variant), blocks=list(cx.blocks))
+    )
 
 
 @pytest.fixture(scope="session")

@@ -30,11 +30,13 @@ from graphhom.multigraph import (
     tree_graph,
     triangle,
 )
+from graphhom.verify import CHECK_NAMES, run_checks
 
 from matrix_route import contents, differential, identity, int_matrix, map_matrix, matmul
 
 P = BivariateLaurent
 K4 = Multigraph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+K5 = Multigraph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
 
 
 @st.composite
@@ -137,7 +139,7 @@ def test_build_complex_single_vertex():
     cx = build_complex(build(1, []), "yamada")
     assert cx.height_count == 1
     assert cx.rank(0) == 2
-    assert cx.blocks == [] and list(cx.nonzeros(0)) == []
+    assert len(cx.blocks) == 0 and list(cx.nonzeros(0)) == []
 
 
 def test_build_complex_unknown_variant():
@@ -453,26 +455,54 @@ def test_each_distinct_edge_map_is_worked_out_once(monkeypatch, G, calls):
     assert len(seen) == calls
 
 
-def test_blocks_keep_under_40_bytes_per_nonzero():
-    # Bytes only, no time: what the built complex of cycle8 (tutte, 26,248 block
-    # nonzeros) still holds after the build, per nonzero. With flat triplet
-    # arrays it is about 26; a {(row, col): sign} dict per block holds about 108.
+def _retained(make):
+    """make() and the bytes that what it allocated still holds once it has
+    returned, with its result alive (tracemalloc, so bytes only, no time)."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cx = build_complex(cycle_graph(8), "tutte")
-        blocks = list(cx.blocks)  # written on first read
+        made = make()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return made, tracemalloc.get_traced_memory()[0] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_blocks_keep_under_40_bytes_per_nonzero():
+    # What the built complex of cycle8 (tutte, 26,248 block nonzeros) and its
+    # blocks hold, per nonzero. With flat triplet arrays and the rule memo
+    # it is about 21; a {(row, col): sign} dict per block holds about 108.
+    (_, blocks), retained = _retained(
+        lambda: (cx := build_complex(cycle_graph(8), "tutte"), list(cx.blocks))
+    )
     nonzeros = sum(block.nnz() for level in blocks for block in level.values())
     assert nonzeros == 26_248
     assert retained / nonzeros < 40
+
+
+def test_a_built_complex_holds_under_128_bytes_per_state_and_edge():
+    # Before any height is read, K5 (tutte, 1,024 states, 5,120 pairs (S, e))
+    # holds its states, their bidegree index and one map per rule key: about
+    # 95 bytes per pair. A record per pair and an adder per state and
+    # bidegree held about 206.
+    cx, retained = _retained(lambda: build_complex(K5, "tutte"))
+    pairs = sum(len(offsets) * (10 - i) for i, offsets in enumerate(cx.state_offsets))
+    assert pairs == 5_120
+    assert retained / pairs < 128
+
+
+def test_cohomology_does_not_grow_what_the_complex_holds():
+    # cycle7 (yamada) holds about 459 KiB once built. Its cohomology reads
+    # every height; a complex that kept the blocks it wrote, and dropped a
+    # record per (S, e) for each, went from 471 to 512 KiB.
+    cx, held = _retained(lambda: build_complex(cycle_graph(7), "yamada"))
+    _, grown = _retained(lambda: cohomology(cx) and None)  # the table is not counted
+    assert held > 400_000
+    assert grown < held / 50
 
 
 def _count_from_triplets(monkeypatch):
@@ -498,18 +528,47 @@ def test_dump_of_height_0_writes_only_the_blocks_of_height_0(monkeypatch, tmp_pa
     assert sorted(made) == sorted((b["rows"], b["cols"]) for b in printed)
 
 
-def test_blocks_are_written_once_per_height_and_their_records_dropped(monkeypatch):
+def test_each_read_writes_exactly_the_blocks_of_its_height(monkeypatch):
     cx = build_complex(cycle_graph(6), "yamada")
     made = _count_from_triplets(monkeypatch)
-    pending = cx.blocks._pending
-    assert len(cx.blocks) == 6 and not made and None not in pending
-    level = cx.blocks[2]
-    assert cx.blocks[2] is level and cx.blocks[-4] is level
-    assert len(made) == len(level)
-    assert [height is None for height in pending] == [False, False, True, False, False, False]
-    cohomology(cx)
-    assert len(made) == sum(map(len, cx.blocks)) and pending == [None] * 6
-    cohomology(cx)
-    assert len(made) == sum(map(len, cx.blocks))
-    assert cx.blocks == list(cx.blocks) == cx.blocks[:] and cx.blocks != []
-    assert [cx.blocks[i] is level for i, level in enumerate(cx.blocks)] == [True] * 6
+    assert len(cx.blocks) == 6 and not made
+    for i in [2, 0, 5, 2, -1, -6]:
+        made.clear()
+        level = cx.blocks[i]
+        h = i % 6
+        assert level.keys() == cx.bidegree_index[h].keys() | cx.bidegree_index[h + 1].keys()
+        assert sorted(made) == sorted((b.rows, b.cols) for b in level.values())
+    made.clear()
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            cx.blocks[i]
+    assert not made
+
+
+def test_a_second_read_gives_equal_blocks_and_negative_indices_work():
+    cx = build_complex(cycle_graph(6), "yamada")
+    first = [{jk: contents(b) for jk, b in level.items()} for level in cx.blocks]
+    again = [{jk: contents(b) for jk, b in cx.blocks[i].items()} for i in range(-6, 0)]
+    assert len(first) == 6 and first == again
+
+
+def test_run_checks_writes_each_height_of_each_complex_once(monkeypatch):
+    built, reads, written = [], [], []
+
+    class Counted(cube.HeightBlocks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+        def __getitem__(self, i):
+            level = super().__getitem__(i)
+            reads.append((id(self), range(len(self))[i]))
+            written.append(len(level))
+            return level
+
+    monkeypatch.setattr(cube, "HeightBlocks", Counted)
+    made = _count_from_triplets(monkeypatch)
+    assert all(report.passed for report in run_checks(K4, CHECK_NAMES))
+    assert len(built) > 2
+    assert sorted(reads) == sorted((id(b), i) for b in built for i in range(len(b)))
+    assert len(made) == sum(written)
