@@ -22,7 +22,8 @@ complex: the complex is a direct sum, over the edge subsets A, of shifted
 copies of the tutte complexes of the contractions G/A, so the table is a
 sum of the tutte tables of the minors, each worked out once per call.
 Torsion is added as prime powers and turned back into invariant factors
-(`prime_powers`, `invariant_factors`). `cohomology(build_complex(G,
+by `prime_powers` and `invariant_factors`, which live in `matrices`
+beside the elimination that uses them too. `cohomology(build_complex(G,
 "yamada"))` stays the whole-complex route, which `check` and the tests
 take.
 """
@@ -31,12 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, isqrt
-from typing import Iterable, Mapping
+from math import comb
+from typing import Iterable
 
 from .cube import Bidegree, BigradedComplex, build_complex, state_slots
 from .laurent import BivariateLaurent
-from .matrices import _eliminate
+from .matrices import _eliminate, invariant_factors, prime_powers
 from .multigraph import Multigraph
 
 
@@ -221,45 +222,6 @@ def _exact_sum(terms: Iterable[tuple[tuple[int, int], int]]) -> dict[tuple[int, 
     for key, v in terms:
         out[key] = out.get(key, 0) + v
     return {key: v for key, v in out.items() if v}
-
-
-def prime_powers(factors: Iterable[int]) -> Counter[int]:
-    """The prime-power cyclic summands of the group Z/f_1 + Z/f_2 + ...,
-    as a multiset: Z/12 + Z/2 gives {4: 1, 3: 1, 2: 1}."""
-    out: Counter[int] = Counter()
-    for n in factors:
-        p = 2
-        while n > 1:
-            if p * p > n:
-                out[n] += 1
-                break
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            if q > 1:
-                out[q] += 1
-            p += 1
-    return out
-
-
-def invariant_factors(powers: Mapping[int, int]) -> tuple[int, ...]:
-    """The invariant factors, in divisibility order, of the group whose
-    prime-power cyclic summands are the multiset `powers`: the inverse of
-    `prime_powers`, so {4: 1, 3: 1, 2: 1} gives (2, 12).
-
-    The largest factor is the product of the largest power of every prime,
-    the next one that of the next largest powers, and so on.
-    """
-    by_prime: dict[int, list[int]] = {}
-    for q in sorted(powers, reverse=True):
-        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-        by_prime.setdefault(p, []).extend([q] * powers[q])
-    factors = [1] * max(map(len, by_prime.values()), default=0)
-    for qs in by_prime.values():
-        for t, q in enumerate(qs):
-            factors[t] *= q
-    return tuple(reversed(factors))
 
 
 def summand_defect(

@@ -11,13 +11,21 @@ as columns one height up. Its working rows hold Python ints, because
 entries can grow far past any fixed width during elimination. Its pivot
 queue is a heap with one key per row, pushed when the row changes and
 checked against the row when popped.
+
+The one invariant-factor normal form of a finite abelian group lives
+here too: `prime_powers` splits cyclic orders into prime powers and
+`invariant_factors` turns prime powers back into factors in
+divisibility order. `_eliminate` normalises its diagonal of pivots with
+them, and `homology` adds and compares torsion with them.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from heapq import heappop, heappush
-from typing import AbstractSet, Iterator, Sequence
+from math import isqrt
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 # Typecode of a triplet position: a C int of at least 32 bits, wide enough
 # for any position below the chain-rank limit of `cube.build_complex`.
@@ -76,6 +84,45 @@ class IntMatrix:
         return not self.val_of
 
 
+def prime_powers(factors: Iterable[int]) -> Counter[int]:
+    """The prime-power cyclic summands of the group Z/f_1 + Z/f_2 + ...,
+    as a multiset: Z/12 + Z/2 gives {4: 1, 3: 1, 2: 1}."""
+    out: Counter[int] = Counter()
+    for n in factors:
+        p = 2
+        while n > 1:
+            if p * p > n:
+                out[n] += 1
+                break
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                out[q] += 1
+            p += 1
+    return out
+
+
+def invariant_factors(powers: Mapping[int, int]) -> tuple[int, ...]:
+    """The invariant factors, in divisibility order, of the group whose
+    prime-power cyclic summands are the multiset `powers`: the inverse of
+    `prime_powers`, so {4: 1, 3: 1, 2: 1} gives (2, 12).
+
+    The largest factor is the product of the largest power of every prime,
+    the next one that of the next largest powers, and so on.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for q in sorted(powers, reverse=True):
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        by_prime.setdefault(p, []).extend([q] * powers[q])
+    factors = [1] * max(map(len, by_prime.values()), default=0)
+    for qs in by_prime.values():
+        for t, q in enumerate(qs):
+            factors[t] *= q
+    return tuple(reversed(factors))
+
+
 def _axpy(
     dst: dict[int, int], src: dict[int, int], q: int, index: dict[int, set[int]], key: int
 ) -> None:
@@ -117,10 +164,15 @@ def _eliminate(
     the pivot order depends only on that matrix. The pivot's column is
     cleared with row operations, then its row with column operations, both
     by floor quotients. A surviving remainder is smaller than the pivot, so
-    the pivot is picked again. A pivot that does not divide every remaining
-    entry gets the first offending row added to its own row and is reduced
-    again. Hence each factor divides all later ones: they come out positive
-    and in divisibility order.
+    the pivot is picked again. A pivot is finalised once its row and column
+    are clear, whatever its value, so the finalised pivots form a diagonal
+    matrix equivalent to `mat` without the columns in `skip`. Its invariant
+    factors, positive and in divisibility order, are its unit pivots as 1s
+    followed by `invariant_factors(prime_powers(...))` of its other pivots
+    (Newman, "Integral Matrices", 1972). That step runs only when some
+    pivot is not a unit. It takes at most sqrt(|p|) trial divisions per
+    such pivot p, and these pivots multiply to the order of the torsion of
+    the cokernel, the group `homology.yamada_cohomology` factors as well.
 
     The second list holds, in order, the rows of the unit pivots finalised
     before the first pick of an entry of absolute value 2 or more; it stops
@@ -145,10 +197,10 @@ def _eliminate(
     # dropped for good; the first one that matches names the pivot row.
     heap: list[tuple[int, int, int]] = []
     dirty = set(rows)
-    factors: list[int] = []
+    units = 0
+    non_units: list[int] = []
     unit_rows: list[int] = []
     units_only = True
-    repick = True
     while True:
         for i in dirty & rows.keys():
             row = rows[i]
@@ -159,15 +211,13 @@ def _eliminate(
         dirty = set()
         if not rows:
             break
-        while repick:
-            key = heappop(heap)
-            m, _, r = key
+        while True:
+            m, _, r = key = heappop(heap)
             row_r = rows.get(r)
-            repick = row_r is None or key != _pivot_key(r, row_r)
-            if not repick:
-                c = min((j for j, x in row_r.items() if abs(x) == m), key=lambda j: (len(cols[j]), j))
-                units_only = units_only and m == 1
-        repick = True
+            if row_r is not None and key == _pivot_key(r, row_r):
+                break
+        c = min((j for j, x in row_r.items() if abs(x) == m), key=lambda j: (len(cols[j]), j))
+        units_only = units_only and m == 1
         p = row_r[c]
 
         others = [i for i in cols[c] if i != r]
@@ -189,21 +239,13 @@ def _eliminate(
         if len(row_r) > 1:
             continue
 
-        if p not in (1, -1):
-            offender = next(
-                (i for i, row in rows.items() if i != r and any(x % p for x in row.values())),
-                None,
-            )
-            if offender is not None:
-                _axpy(row_r, rows[offender], 1, cols, r)
-                # Keep this pivot: its row now holds a non-multiple of p,
-                # which the row pass reduces to a remainder below |p|.
-                repick = False
-                continue
-
         del rows[r]
         cols[c].discard(r)
-        factors.append(abs(p))
-        if units_only:
-            unit_rows.append(r)
-    return factors, unit_rows
+        if m == 1:
+            units += 1
+            if units_only:
+                unit_rows.append(r)
+        else:
+            non_units.append(m)
+    torsion = invariant_factors(prime_powers(non_units)) if non_units else ()
+    return [1] * (units + len(non_units) - len(torsion)) + list(torsion), unit_rows

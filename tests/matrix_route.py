@@ -12,7 +12,7 @@ definition by determinantal divisors, independent of any pivot order.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from graphhom.matrices import IntMatrix
@@ -122,20 +122,7 @@ def rank_and_kernel(mat):
     reduction of its rows: each non-pivot column c gives the kernel vector
     with 1 at c and minus column c of the reduced rows at their leading
     columns, cleared of denominators."""
-    rows = {}
-    for r, c, v in mat.triplets():
-        rows.setdefault(r, {})[c] = v
-    # leading column -> reduced row, scaled to a leading 1; the entries stay
-    # ints until a leading entry other than 1 turns them into Fractions
-    reduced = {}
-    for row in rows.values():
-        while row and min(row) in reduced:
-            lead = min(row)
-            _subtract(row, row[lead], reduced[lead])
-        if row:
-            lead = min(row)
-            f = row[lead]
-            reduced[lead] = row if f == 1 else {c: Fraction(x, f) for c, x in row.items()}
+    reduced, _ = _reduce_rows(mat)
     for lead in sorted(reduced, reverse=True):
         for other in reduced.values():
             if other is not reduced[lead] and lead in other:
@@ -147,6 +134,33 @@ def rank_and_kernel(mat):
         scale = lcm(*(x.denominator for x in vector.values()))
         kernel.update({(r, t): int(x * scale) for r, x in vector.items()})
     return len(reduced), int_matrix(mat.cols, len(free), kernel)
+
+
+def _reduce_rows(mat):
+    """The forward reduction over the rationals of the rows of `mat`, taken
+    in order: {leading column: reduced row, scaled to a leading 1}, and the
+    (row, leading column) of each row it keeps, in order. The entries stay
+    ints until a leading entry other than 1 turns them into Fractions. For
+    every k, the minor on the first k kept rows and their leading columns
+    is nonzero: the reduction subtracts multiples of earlier kept rows,
+    which leaves that minor as it is, and the reduced rows are triangular
+    on the leading columns."""
+    rows = {}
+    for r, c, v in mat.triplets():
+        rows.setdefault(r, {})[c] = v
+    reduced = {}
+    kept = []
+    for r in sorted(rows):
+        row = rows[r]
+        while row and min(row) in reduced:
+            lead = min(row)
+            _subtract(row, row[lead], reduced[lead])
+        if row:
+            lead = min(row)
+            f = row[lead]
+            reduced[lead] = row if f == 1 else {c: Fraction(x, f) for c, x in row.items()}
+            kept.append((r, lead))
+    return reduced, kept
 
 
 def _subtract(row, f, pivot_row):
@@ -164,22 +178,26 @@ def determinantal_factors(mat):
     k-th determinantal divisor D_k is the gcd of all k x k minors, and the
     k-th factor is D_k / D_(k-1), for k up to the rank. Every k x k minor
     is a multiple of D_(k-1), so the scan for D_k stops once the gcd
-    reaches D_(k-1)."""
+    reaches D_(k-1). It starts at a minor known to be nonzero (see
+    `_reduce_rows`), then goes through all k x k minors in lexicographic
+    order."""
     dense = to_rows(mat)
+    kept = _reduce_rows(mat)[1]
     # a minor through a zero row or column vanishes
     nonzero_rows = sorted(set(mat.row_of))
     nonzero_cols = sorted(set(mat.col_of))
     factors = []
     previous = 1
-    for k in range(1, rank_and_kernel(mat)[0] + 1):
-        minors = (
-            _bareiss([[dense[r][c] for c in cols] for r in rows])
+    for k in range(1, len(kept) + 1):
+        first = (sorted(r for r, _ in kept[:k]), sorted(c for _, c in kept[:k]))
+        scan = (
+            (rows, cols)
             for rows in combinations(nonzero_rows, k)
             for cols in combinations(nonzero_cols, k)
         )
         divisor = 0
-        for minor in minors:
-            divisor = gcd(divisor, minor)
+        for rows, cols in chain([first], scan):
+            divisor = gcd(divisor, _bareiss([[dense[r][c] for c in cols] for r in rows]))
             if divisor == previous:
                 break
         factors.append(divisor // previous)
