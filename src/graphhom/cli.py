@@ -17,6 +17,7 @@ from functools import cache
 from .cube import BigradedComplex, build_complex
 from .homology import cohomology, yamada_cohomology
 from .invariants import eval_del_con, g_polynomials, specialization, yamada_state_sum
+from .laurent import BivariateLaurent
 from .multigraph import Multigraph, from_json_dict
 from .verify import CHECK_NAMES, run_checks
 
@@ -110,7 +111,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     else:
         poly = eval_del_con(G, specialization(args.which, negami_t=args.negami_t))
     if args.json:
-        print(json.dumps(poly.to_json_dict(), indent=2))
+        print(_poly_text(poly))
     else:
         print(poly.to_string(*names))
     return 0
@@ -175,6 +176,18 @@ def _blocks_text(cx: BigradedComplex, heights: list[int]) -> str:
                 + (f"[\n{entries}\n    ]\n  }}" if entries else "[]\n  }")
             )
     return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
+
+# One term {"x", "y", "c"} of a polynomial, indented as `json.dumps(..., indent=2)` indents it.
+_TERM = '    {\n      "x": %d,\n      "y": %d,\n      "c": "%d"\n    }'
+
+
+def _poly_text(poly: BivariateLaurent) -> str:
+    """`poly.to_json_dict()`, its terms in canonical order with each
+    coefficient as a decimal string, byte for byte as
+    `json.dumps(..., indent=2)` writes it."""
+    terms = ",\n".join([_TERM % term for term in poly.terms()])
+    return '{\n  "terms": ' + (f"[\n{terms}\n  ]" if terms else "[]") + "\n}"
 
 
 _COMMANDS = {

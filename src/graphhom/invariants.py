@@ -9,9 +9,10 @@ itself), and a brute-force proper-coloring oracle.
 
 The state sums and `eval_del_con` read only how many states have each
 (|S|, b0), taken from `multigraph.state_histogram`, with b1 = |S| - |V|
-+ b0. That count is a frontier transfer over the edges, whose cost grows
-with the frontier width of the edge order rather than with 2^|E|; each
-invariant is then one division-free sum over it.
++ b0. That count is a frontier transfer over the edges in an order of
+its own choosing, since the counts do not depend on the order; its cost
+grows with the frontier width of that order rather than with 2^|E|, and
+each invariant is then one division-free sum over it.
 """
 
 from __future__ import annotations

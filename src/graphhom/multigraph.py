@@ -10,7 +10,10 @@ means edge i is in S). Two views of the state cube: `state_components`
 labels the components of every state, which the complex builder needs
 for its tensor slots; `state_histogram` counts all states by (|S|, b0),
 which is all that the state sums need, by a frontier transfer over the
-edges that never visits the states one by one.
+edges that never visits the states one by one. Those counts are the
+same for every edge order, so the transfer walks an order of its own
+that keeps its frontier narrow; everything that indexes states by edge
+position keeps the given order.
 """
 
 from __future__ import annotations
@@ -74,13 +77,51 @@ def state_components(G: Multigraph) -> list[tuple[list[int], int]]:
     return out
 
 
+def _narrow_order(G: Multigraph) -> list[Edge]:
+    """The edges of G in an order that keeps the transfer's frontier narrow.
+
+    The endpoints are numbered breadth-first, each component from an
+    endpoint of least degree, and the edges sorted by the number of their
+    later endpoint, then of their earlier one: a vertex enters the
+    frontier with its first edge and, as its neighbours are numbered
+    close to it, leaves soon after. A path then holds 2 vertices at a
+    time and a cycle 3, where an arbitrary order can hold most of them.
+    """
+    neighbours: dict[int, list[int]] = {}
+    for u, v in G.edges:
+        neighbours.setdefault(u, []).append(v)
+        neighbours.setdefault(v, []).append(u)
+    pos: dict[int, int] = {}
+    for root in sorted(neighbours, key=lambda w: len(neighbours[w])):
+        if root in pos:
+            continue
+        pos[root] = len(pos)
+        queue = [root]
+        for w in queue:  # grows while it is read: breadth first
+            for x in neighbours[w]:
+                if x not in pos:
+                    pos[x] = len(pos)
+                    queue.append(x)
+
+    def key(edge: Edge) -> tuple[int, int]:
+        a, b = pos[edge[0]], pos[edge[1]]
+        return (a, b) if a > b else (b, a)
+
+    return sorted(G.edges, key=key)
+
+
 def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:
     """How many states S of G have each value of (|S|, b0([G:S])).
 
-    A frontier transfer over the edges in order (Sekine, Imai and Tani,
-    ISAAC 1995), not a visit to each of the 2^|E| states. The frontier
-    is the endpoints already met whose last edge is still ahead, in the
-    order they were met. After each edge the states are grouped by how
+    A frontier transfer over the edges (Sekine, Imai and Tani, ISAAC
+    1995), not a visit to each of the 2^|E| states. The counts do not
+    depend on the order the edges are walked in, since a state is a set
+    of edges and its components are those of the set, so the transfer
+    walks the order of `_narrow_order`, not the one G was given in: its
+    cost grows with Bell of the frontier width, which that order keeps
+    small on paths, cycles, trees and ladders. The frontier is the
+    endpoints already met whose last edge is still ahead, in the order
+    they were met. After each edge the states are grouped by how
     their components partition the frontier, written as the first
     frontier position of each vertex's block, so that one partition has
     one key. A group keeps the counts of its states by (|S|, components
@@ -93,14 +134,14 @@ def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:
     min(2^i, Bell(frontier width)) groups. Vertices on no edge never
     enter; each adds 1 to b0 in every state.
     """
-    n = G.edge_count
-    last = {w: i for i, edge in enumerate(G.edges) for w in edge}
-    width = n + 1
+    edges = _narrow_order(G)
+    last = {w: i for i, edge in enumerate(edges) for w in edge}
+    width = G.edge_count + 1
     fields = len(last) + 1
     stride = width * fields
     front: list[int] = []
     groups = {(): 1}
-    for i, (u, v) in enumerate(G.edges):
+    for i, (u, v) in enumerate(edges):
         ends = (u,) if u == v else (u, v)
         # a vertex met here is a block of its own, labelled by its position
         fresh = [w for w in ends if w not in front]

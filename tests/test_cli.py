@@ -16,8 +16,9 @@ import graphhom.homology
 import graphhom.verify
 from graphhom.cli import POLY_CHOICES, run
 from graphhom.cube import build_complex
+from graphhom.invariants import eval_del_con, g_polynomials, specialization, yamada_state_sum
 from graphhom.laurent import X, BivariateLaurent
-from graphhom.multigraph import build, to_json_dict
+from graphhom.multigraph import bouquet_graph, build, to_json_dict
 from graphhom.verify import CHECK_NAMES, CheckReport
 
 
@@ -372,6 +373,35 @@ def test_dump_writer_matches_json_dumps_on_the_corpus(corpus, complex_of, tmp_pa
                 assert capsys.readouterr() == (_dump_oracle(cx, height), ""), (G, variant, height)
             shapeless += sum(not (b.rows and b.cols) for level in cx.blocks for b in level.values())
     assert shapeless
+
+
+def _poly_oracle(G, which):
+    """What `poly --json` printed when it went through `json.dumps(..., indent=2)`."""
+    if which == "yamada":
+        poly = yamada_state_sum(G)
+    elif which == "g":
+        poly = g_polynomials(G)[1]
+    else:
+        poly = eval_del_con(G, specialization(which))
+    return json.dumps(poly.to_json_dict(), indent=2) + "\n"
+
+
+def test_poly_writer_matches_json_dumps_on_the_corpus(corpus, tmp_path, capsys):
+    # the corpus holds zero polynomials (chromatic of a graph with a loop) and
+    # negative exponents; g of 48 loops at one vertex has coefficients over 2^64
+    zero = negative = wide = False
+    for t, G in enumerate([*corpus, bouquet_graph(48)]):
+        path = tmp_path / f"graph{t}.json"
+        path.write_text(json.dumps(to_json_dict(G)))
+        for which in POLY_CHOICES:
+            argv = ["poly", "--which", which, "--json", "--max-edges", "48", "--input", str(path)]
+            assert run(argv) == 0
+            assert capsys.readouterr() == (out := _poly_oracle(G, which), ""), (G, which)
+            terms = json.loads(out)["terms"]
+            zero |= not terms
+            negative |= any(term["x"] < 0 or term["y"] < 0 for term in terms)
+            wide |= any(abs(int(term["c"])) >= 2**64 for term in terms)
+    assert zero and negative and wide
 
 
 def test_dump_of_a_graph_without_edges_is_an_empty_list(tmp_path, capsys):

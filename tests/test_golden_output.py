@@ -12,12 +12,13 @@ face-by-face d^2 check would not be exact.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import graphhom.cube as cube
-from graphhom.cli import run
+from graphhom.cli import POLY_CHOICES, run
 from graphhom.multigraph import bigon, cycle_graph, multiedge_graph, to_json_dict, tree_graph
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
@@ -166,6 +167,23 @@ def test_poly_digest(name, which, tmp_path, capsys):
     assert run(["poly", "--which", which, "--input", _graph_path(name, tmp_path), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == POLY_DIGESTS[(name, which)]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in POLY_DIGESTS}))
+def test_poly_output_does_not_depend_on_edge_order(name, tmp_path, capsys):
+    # every row is an invariant of the graph, not of its edge order
+    data = json.loads(Path(_graph_path(name, tmp_path)).read_text())
+    rng = random.Random(2308)
+    orders = [data["edges"]] + [rng.sample(data["edges"], len(data["edges"])) for _ in range(2)]
+    assert len({json.dumps(edges) for edges in orders}) == (1 if name == "bigon" else 3)
+    for which in POLY_CHOICES:
+        outs = []
+        for k, edges in enumerate(orders):
+            path = tmp_path / f"{name}-order{k}.json"
+            path.write_text(json.dumps({"vertices": data["vertices"], "edges": edges}))
+            assert run(["poly", "--which", which, "--input", str(path), "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1:] == outs[:1] * 2, which
 
 
 def test_corpus_tables_digest(corpus, table_of):

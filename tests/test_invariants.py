@@ -24,6 +24,7 @@ from graphhom.multigraph import (
     classify_edge,
     cycle_graph,
     multiedge_graph,
+    permute_edges,
     reduce,
     tree_graph,
     triangle,
@@ -300,18 +301,36 @@ def _ladder(rungs):
     return build(2 * rungs, edges)
 
 
-@pytest.mark.parametrize("kind", sorted(FAMILY))
-def test_state_sum_matches_closed_form_at_40_edges(kind):
-    # 2^40 states: the state sums count them by frontier, not one by one
+def _shuffled(G, seed):
+    """G with its edges in a seeded random order."""
+    return permute_edges(G, random.Random(seed).sample(range(G.edge_count), G.edge_count))
+
+
+@pytest.mark.parametrize(
+    "kind,seed",
+    [
+        pytest.param(kind, seed, id=kind + ("-shuffled" if seed else ""))
+        for kind in sorted(FAMILY)
+        for seed in (None, 2306)
+    ],
+)
+def test_state_sum_matches_closed_form_at_40_edges(kind, seed):
+    # 2^40 states: the state sums count them by frontier, not one by one, in
+    # an order of their own, whatever order the edges came in
     G = FAMILY[kind](40)
+    if seed:
+        G = _shuffled(G, seed)
     assert yamada_state_sum(G) == closed_form(kind, 40, ROWS["yamada"])
     for row in ROWS.values():
         assert eval_del_con(G, row) == closed_form(kind, 40, row)
 
 
-def test_state_sum_deletion_contraction_on_a_40_edge_ladder():
+@pytest.mark.parametrize("seed", [None, 2307], ids=["built", "shuffled"])
+def test_state_sum_deletion_contraction_on_a_40_edge_ladder(seed):
     G = _ladder(14)
     assert G.edge_count == 40
+    if seed:
+        G = _shuffled(G, seed)
     h = yamada_state_sum(G)
     for e in range(G.edge_count):
         assert classify_edge(G, e) == "ordinary"

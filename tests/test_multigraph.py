@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphhom.multigraph import (
     Multigraph,
+    _narrow_order,
     bigon,
     bouquet_graph,
     build,
@@ -170,8 +171,10 @@ def _random_multigraph(rng):
 
 
 def _frontier_holding_order():
-    """Two 4-cycles met first, then the matching that joins them: all eight
-    vertices stay on the frontier until the last four edges."""
+    """Two 4-cycles given first, then the matching that joins them: walked in
+    this order, all eight vertices would stay on the frontier until the last
+    four edges. The transfer picks its own order, so this is now one more
+    shuffled input; K6 beside it keeps a width-6 frontier in every order."""
     evens = [(0, 2), (2, 4), (4, 6), (6, 0)]
     odds = [(1, 3), (3, 5), (5, 7), (7, 1)]
     return build(8, evens + odds + [(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -198,6 +201,44 @@ def test_state_histogram_on_adversarial_orders():
     K6 = build(6, itertools.combinations(range(6), 2))
     for G in (K6, _frontier_holding_order()):
         assert state_histogram(G) == _histogram_by_masks(G)
+
+
+def _frontier_width(edges):
+    """The most vertices the transfer holds on its frontier while it takes an
+    edge, walking `edges` in order: those met whose last edge is not behind."""
+    last = {w: i for i, edge in enumerate(edges) for w in edge}
+    front, width = set(), 0
+    for i, edge in enumerate(edges):
+        front.update(edge)
+        width = max(width, len(front))
+        front = {w for w in front if last[w] > i}
+    return width
+
+
+def _ladder(rungs):
+    return build(
+        2 * rungs,
+        [(2 * i, 2 * i + 1) for i in range(rungs)]
+        + [(i, i + 2) for i in range(2 * rungs - 2)],
+    )
+
+
+def test_narrow_order_is_a_narrow_permutation():
+    rng = random.Random(2303)
+    # the widest frontier the order leaves over five shuffles of each graph;
+    # any order would do for the counts, so these pin the order, not the counts
+    families = ((cycle_graph(40), 3), (tree_graph(40), 2), (bouquet_graph(40), 1), (_ladder(14), 4))
+    for G, most in families:
+        assert G.edge_count == 40
+        widths = []
+        for _ in range(5):
+            H = permute_edges(G, rng.sample(range(G.edge_count), G.edge_count))
+            order = _narrow_order(H)
+            assert sorted(order) == sorted(G.edges)
+            widths.append(_frontier_width(order))
+        assert max(widths) == most, widths
+    for G in [_random_multigraph(rng) for _ in range(40)] + [_frontier_holding_order()]:
+        assert Counter(_narrow_order(G)) == Counter(G.edges)
 
 
 def test_state_histogram_leaves_isolated_vertices_out():
