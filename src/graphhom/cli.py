@@ -15,7 +15,7 @@ import sys
 from functools import cache
 
 from .cube import BigradedComplex, build_complex
-from .homology import cohomology, yamada_cohomology
+from .homology import tutte_cohomology, yamada_cohomology
 from .invariants import eval_del_con, g_polynomials, specialization, yamada_state_sum
 from .laurent import BivariateLaurent
 from .multigraph import Multigraph, from_json_dict
@@ -119,10 +119,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
-    if args.variant == "yamada":
-        table = yamada_cohomology(G)
-    else:
-        table = cohomology(build_complex(G, args.variant))
+    table = yamada_cohomology(G) if args.variant == "yamada" else tutte_cohomology(G)
     if args.json:
         print(json.dumps(table.to_json_dict(), indent=2))
         return 0

@@ -17,6 +17,8 @@ differential, and `BigradedComplex.blocks` writes the blocks of a height
 from that rule memo each time the height is read. So `dump --height i`
 verifies the whole cube but writes only the blocks of height i, and a
 reader that walks the heights upward holds one height's blocks at a time.
+The same builder, with `min_cycles`, builds a cycle summand D_L of the
+tutte complex instead, which `homology.tutte_cohomology` eliminates.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its
@@ -276,9 +278,22 @@ class HeightBlocks(Sequence):
         return self._write(range(self._count)[i])
 
 
-def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
+def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) -> BigradedComplex:
     """Verify the complex at every height, and return it with per-bidegree
     blocks that are written from the rule memo each time a height is read.
+
+    With `min_cycles` L (tutte variant only) it builds instead the cycle
+    summand D_L: the chromatic complex of G, one Z[t]/(t^2) per component
+    and no cycle slots (slots (b0, 0)), on the states with b1 >= L. The
+    per-edge maps of the tutte complex keep the cycle bits, read as an
+    integer c (a merge leaves them alone, and a new cycle slot is the
+    highest and holds the unit), so the tutte complex is the direct sum
+    over c of the elements with cycle bits c. Those live on the states
+    with b1 at least the bit length L of c, and there the maps act on the
+    component bits alone, with the tutte signs: the summand is D_L,
+    shifted by popcount(c) in k. b1 never falls as edges are added, so
+    the states of D_L are an up-set and every face out of one of them
+    stays in it; D_L is refused as the whole tutte complex is.
 
     Refuses, before building anything, complexes whose total chain rank
     exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
@@ -314,21 +329,28 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if min_cycles is not None and variant != "tutte":
+        raise ValueError("only the tutte complex splits into cycle summands")
     n = G.edge_count
     yamada = variant == "yamada"
     # Per state: the component of each vertex, and (edge + component slots, cycle slots).
     components, slots = state_slots(G, variant)
+    if min_cycles is not None:
+        # None for a state outside D_L
+        slots = [(j, 0) if k >= min_cycles else None for j, k in slots]
 
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
-        masks_by_height[mask.bit_count()].append(mask)
-    popcounts = [x.bit_count() for x in range(1 << max(max(j, k) for j, k in slots))]
+        if slots[mask] is not None:
+            masks_by_height[mask.bit_count()].append(mask)
+    present = {jk for jk in slots if jk is not None}
+    popcounts = [x.bit_count() for x in range(1 << max(map(max, present), default=0))]
 
     # Per slot counts: the bidegree of each index and its position among the
     # indices of that bidegree, and the bidegrees in order of their first
     # index, each with its indices in ascending order.
     shapes: dict[tuple[int, int], tuple] = {}
-    for j_slots, k_slots in set(slots):
+    for j_slots, k_slots in present:
         low = (1 << j_slots) - 1
         size = 1 << j_slots + k_slots
         bidegs = [(popcounts[x & low], popcounts[x >> j_slots]) for x in range(size)]

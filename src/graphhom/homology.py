@@ -17,15 +17,21 @@ of the blocks through the arrays, with no matrix product.
 `summand_defect` compares two tables summand by summand, with torsion
 split into prime powers.
 
-`yamada_cohomology` gets the yamada table without eliminating the yamada
-complex: the complex is a direct sum, over the edge subsets A, of shifted
-copies of the tutte complexes of the contractions G/A, so the table is a
-sum of the tutte tables of the minors, each worked out once per call.
-Torsion is added as prime powers and turned back into invariant factors
-by `prime_powers` and `invariant_factors`, which live in `matrices`
-beside the elimination that uses them too. `cohomology(build_complex(G,
-"yamada"))` stays the whole-complex route, which `check` and the tests
-take.
+`tutte_cohomology` gets the tutte table without eliminating the tutte
+complex: the complex splits by cycle bits into shifted copies of the
+cycle summands D_L, the chromatic complex on the states with b1 >= L.
+H(D_0) is a closed form in the chromatic polynomials of the components
+(`chromatic_cohomology`: knight moves, then the Kunneth formula), and
+only D_1, D_2, ... are built and eliminated. `yamada_cohomology` gets the
+yamada table without eliminating the yamada complex: the complex is a
+direct sum, over the edge subsets A, of shifted copies of the tutte
+complexes of the contractions G/A, so the table is a sum of the tutte
+tables of the minors, each worked out once per call by
+`tutte_cohomology`. Torsion is added as prime powers and turned back
+into invariant factors by `prime_powers` and `invariant_factors`, which
+live in `matrices` beside the elimination that uses them too.
+`cohomology(build_complex(G, variant))` stays the whole-complex route,
+which `check` and the tests take.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Iterable
 from .cube import Bidegree, BigradedComplex, build_complex, state_slots
 from .laurent import BivariateLaurent
 from .matrices import _eliminate, invariant_factors, prime_powers
-from .multigraph import Multigraph
+from .multigraph import Multigraph, connected_components, state_histogram
 
 
 @dataclass(frozen=True)
@@ -76,23 +82,44 @@ class CohomologyTable:
         return BivariateLaurent(out)
 
     def to_json_dict(self) -> dict:
-        groups = []
-        for i in range(self.height_count):
-            summands = [
-                {
-                    "bidegree": [j, k],
-                    "free_rank": s.free_rank,
-                    "torsion": list(s.torsion),
-                }
-                for (h, j, k), s in self.sorted_items()
-                if h == i
-            ]
-            groups.append({"i": i, "summands": summands})
+        by_height: dict[int, list[dict]] = {i: [] for i in range(self.height_count)}
+        for (i, j, k), s in self.sorted_items():
+            by_height[i].append(
+                {"bidegree": [j, k], "free_rank": s.free_rank, "torsion": list(s.torsion)}
+            )
         return {
             "variant": self.variant,
-            "groups": groups,
+            "groups": [{"i": i, "summands": summands} for i, summands in by_height.items()],
             "euler": self.euler().to_json_dict(),
         }
+
+
+class _Tally:
+    """A sum of summands, exact whatever the torsion: free ranks add as
+    integers and torsion as prime powers, turned back into invariant
+    factors at the end."""
+
+    def __init__(self) -> None:
+        self.free: Counter[tuple[int, int, int]] = Counter()
+        self.torsion: dict[tuple[int, int, int], Counter[int]] = {}
+
+    def add(self, key: tuple[int, int, int], copies: int, rank: int, powers: Counter[int]) -> None:
+        self.free[key] += copies * rank
+        if powers:
+            acc = self.torsion.setdefault(key, Counter())
+            for q, mult in powers.items():
+                acc[q] += copies * mult
+
+    def table(self, variant: str, height_count: int) -> CohomologyTable:
+        empty: Counter[int] = Counter()
+        return CohomologyTable(
+            variant=variant,
+            height_count=height_count,
+            summands={
+                key: Summand(self.free[key], invariant_factors(self.torsion.get(key, empty)))
+                for key in sorted(self.free)
+            },
+        )
 
 
 def cohomology(cx: BigradedComplex) -> CohomologyTable:
@@ -129,6 +156,114 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     return CohomologyTable(variant=cx.variant, height_count=heights, summands=summands)
 
 
+def _knight_moves(G: Multigraph) -> dict[tuple[int, int], tuple[int, int]]:
+    """H^i_j(D_0) of a connected G (V >= 1, loops allowed) from its
+    chromatic polynomial, as (i, j) -> (free rank, number of Z/2).
+
+    Let c_j be the coefficient of t^j in P_G(1+t), which the state
+    histogram gives as sum over S of (-1)^|S| (1+t)^b0(S). If P_G(2) != 0
+    (G is bipartite) there is a pair, Z at (0, V-1) and at (0, V), and
+    v0 = 1; otherwise v0 = 0. The rest is knight moves: KM(m) of them at
+    m, each Z at (m, V-m), Z/2 at (m+1, V-m-1) and Z at (m+1, V-m-2), with
+    KM(0) = c_V - v0, KM(1) = v0 - c_(V-1) and KM(m) = KM(m-2) +
+    (-1)^m c_(V-m). A loop makes P_G = 0 and the table empty.
+
+    Over Q this is the knight move of chromatic homology (Chmutov,
+    Chmutov and Rong, "Knight move in chromatic cohomology", European J.
+    Combin. 2008); over Z, chromatic homology with Z[t]/(t^2) has only Z/2
+    torsion and is determined by P_G (Lowrance and Sazdanovic, "Chromatic
+    homology, Khovanov homology, and torsion", Topology Appl. 2017). The
+    recipe is those results in this package's grading, and the tests hold
+    it to the eliminated k = 0 part of the tutte table. Counts that are
+    not a table (a negative one, or a knight move left at the top) raise
+    RuntimeError.
+    """
+    V = G.vertex_count
+    c = [0] * (V + 1)
+    for (size, b0), count in state_histogram(G).items():
+        for j in range(b0 + 1):
+            c[j] += (-1) ** size * count * comb(b0, j)
+    v0 = 1 if sum(c) else 0
+    moves = [c[V] - v0, v0 - c[V - 1]]
+    for m in range(2, V + 1):
+        moves.append(moves[m - 2] + (-1) ** m * c[V - m])
+    if min(moves) < 0 or any(moves[V - 1 :]):
+        raise RuntimeError(f"knight-move counts {moves} of a component are not a table")
+    out = {(0, V - 1): (1, 0), (0, V): (1, 0)} if v0 else {}
+    for m, count in enumerate(moves):
+        if count:
+            for key, free, z2 in (
+                ((m, V - m), count, 0),
+                ((m + 1, V - m - 1), 0, count),
+                ((m + 1, V - m - 2), count, 0),
+            ):
+                had_free, had_z2 = out.get(key, (0, 0))
+                out[key] = (had_free + free, had_z2 + z2)
+    return out
+
+
+def chromatic_cohomology(G: Multigraph) -> dict[tuple[int, int], Summand]:
+    """H^i_j(D_0), the k = 0 part of the tutte table of G, as (i, j) ->
+    summand, from the state histograms of its components alone.
+
+    D_0 is the chromatic complex (one Z[t]/(t^2) per component, no cycle
+    slots; Helme-Guizon and Rong, AGT 2005), and the complex of G is the
+    tensor product of those of its connected components, bidegrees adding.
+    Each component's table comes from `_knight_moves`, and the Kunneth
+    formula combines them: H^n is the sum over p + q = n of H^p (x) H^q
+    plus the sum over p + q = n + 1 of Tor(H^p, H^q). Every torsion
+    summand is Z/2, and Z/2 (x) Z/2 = Tor(Z/2, Z/2) = Z/2. The graph with
+    no vertex has Z at (0, 0).
+    """
+    table = {(0, 0): (1, 0)}  # (i, j) -> (free rank, number of Z/2)
+    for H in connected_components(G):
+        factor = _knight_moves(H)
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (p, j1), (f1, t1) in table.items():
+            for (q, j2), (f2, t2) in factor.items():
+                free, z2 = out.get((p + q, j1 + j2), (0, 0))
+                out[(p + q, j1 + j2)] = (free + f1 * f2, z2 + f1 * t2 + t1 * f2 + t1 * t2)
+                if t1 and t2:
+                    free, z2 = out.get((p + q - 1, j1 + j2), (0, 0))
+                    out[(p + q - 1, j1 + j2)] = (free, z2 + t1 * t2)
+        table = {key: counts for key, counts in out.items() if counts != (0, 0)}
+    return {key: Summand(free, (2,) * z2) for key, (free, z2) in sorted(table.items())}
+
+
+def tutte_cohomology(G: Multigraph) -> CohomologyTable:
+    """The cohomology of the tutte complex of G, eliminating only its
+    cycle summands D_L for L >= 1:
+
+        H^i_(j,k)(tutte, G) = [k = 0] H^i_j(D_0)
+            + sum over L >= 1 of C(L-1, k-1) * H^i_j(D_L).
+
+    The per-edge maps keep the cycle bits of a basis element, read as an
+    integer c, so the complex is the direct sum over c of the elements
+    with cycle bits c, and that summand is D_L shifted by popcount(c) in
+    k, L the bit length of c (`build_complex` with `min_cycles`, which
+    gives the proof). c = 0 gives D_0, and the C(L-1, k-1) integers with
+    bit length L >= 1 and k bits set give the copies of D_L. H(D_0) comes
+    from the chromatic polynomials of the components of G
+    (`chromatic_cohomology`) and is never eliminated; each D_L is built,
+    verified (bidegrees, partial functions, d^2 = 0) and eliminated by
+    `cohomology`. L runs up to the largest b1 of a state, that of G.
+
+    Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),
+    before any histogram is made or any D_L built. Free ranks add as
+    integers, torsion as prime powers.
+    """
+    _, slots = state_slots(G, "tutte")
+    tally = _Tally()
+    for (i, j), s in chromatic_cohomology(G).items():
+        tally.add((i, j, 0), 1, s.free_rank, prime_powers(s.torsion))
+    for L in range(1, max(k for _, k in slots) + 1):
+        for (i, j, _), s in cohomology(build_complex(G, "tutte", min_cycles=L)).summands.items():
+            powers = prime_powers(s.torsion)
+            for k in range(1, L + 1):
+                tally.add((i, j, k), comb(L - 1, k - 1), s.free_rank, powers)
+    return tally.table("tutte", G.edge_count + 1)
+
+
 def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     """The cohomology of the yamada complex of G, as a sum over the edge
     subsets A of shifted copies of the tutte cohomology of G/A:
@@ -148,15 +283,14 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     before any minor is built. G/A has one vertex per component of [G:A]
     and the edges outside A, relabelled through the components. Cohomology
     does not depend on the edge order, so each minor's table is worked out
-    once per call, for the minor with its edges oriented (min, max) and
-    sorted. Free ranks add as integers, torsion as prime powers, so the sum
-    is exact whatever the torsion.
+    once per call by `tutte_cohomology`, for the minor with its edges
+    oriented (min, max) and sorted. Free ranks add as integers, torsion as
+    prime powers, so the sum is exact whatever the torsion.
     """
     components, _ = state_slots(G, "yamada")
     # minor -> its summands as ((i, j, k), free rank, torsion as prime powers)
     minors: dict[Multigraph, list[tuple[tuple[int, int, int], int, Counter[int]]]] = {}
-    free: Counter[tuple[int, int, int]] = Counter()
-    torsion: dict[tuple[int, int, int], Counter[int]] = {}
+    tally = _Tally()
     for mask, (labels, b0) in enumerate(components):
         size = mask.bit_count()
         b1 = size - G.vertex_count + b0
@@ -164,27 +298,14 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
         minor = Multigraph(b0, tuple(sorted((p, q) if p <= q else (q, p) for p, q in ends)))
         summands = minors.get(minor)
         if summands is None:
-            table = cohomology(build_complex(minor, "tutte"))
+            table = tutte_cohomology(minor)
             summands = minors[minor] = [
                 (key, s.free_rank, prime_powers(s.torsion)) for key, s in table.summands.items()
             ]
         for (i, j, k), rank, powers in summands:
             for m in range(b1 + 1):
-                copies = comb(b1, m)
-                key = (i + size, j + size, k + m)
-                free[key] += copies * rank
-                if powers:
-                    acc = torsion.setdefault(key, Counter())
-                    for q, mult in powers.items():
-                        acc[q] += copies * mult
-    return CohomologyTable(
-        variant="yamada",
-        height_count=G.edge_count + 1,
-        summands={
-            key: Summand(free[key], invariant_factors(torsion.get(key, Counter())))
-            for key in sorted(free)
-        },
-    )
+                tally.add((i + size, j + size, k + m), comb(b1, m), rank, powers)
+    return tally.table("yamada", G.edge_count + 1)
 
 
 def chain_map_defect(

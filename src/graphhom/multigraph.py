@@ -77,6 +77,35 @@ def state_components(G: Multigraph) -> list[tuple[list[int], int]]:
     return out
 
 
+def connected_components(G: Multigraph) -> list[Multigraph]:
+    """The connected components of G, an isolated vertex included, in order
+    of their least vertex; each keeps its vertices and its edges in
+    ascending order, renumbered from 0."""
+    root = list(range(G.vertex_count))
+
+    def find(w: int) -> int:
+        while root[w] != w:
+            root[w] = w = root[root[w]]
+        return w
+
+    for u, v in G.edges:
+        a, b = find(u), find(v)
+        root[max(a, b)] = min(a, b)
+    members: dict[int, list[int]] = {}
+    for w in range(G.vertex_count):
+        members.setdefault(find(w), []).append(w)
+    edges_of: dict[int, list[Edge]] = {}
+    for u, v in G.edges:
+        edges_of.setdefault(find(u), []).append((u, v))
+    out = []
+    for r, ws in members.items():
+        number = {w: t for t, w in enumerate(ws)}
+        out.append(
+            Multigraph(len(ws), tuple((number[u], number[v]) for u, v in edges_of.get(r, ())))
+        )
+    return out
+
+
 def _narrow_order(G: Multigraph) -> list[Edge]:
     """The edges of G in an order that keeps the transfer's frontier narrow.
 

@@ -262,20 +262,51 @@ def test_yamada_cohomology_refuses_before_building_any_minor(name, tmp_path, mon
         assert captured.err == f"error: chain complex has {rank}, over the limit of 1048576\n"
 
 
+# `cohomology --variant tutte` refuses these exactly as `build_complex`
+# refuses the whole tutte complex, all by the lower bound: the tutte case of
+# `test_oversized_complex_is_exit_1` and a bouquet of 13 loops, 2 * 3^13.
+_WHEEL8_WITH_A_DOUBLED_SPOKE = (
+    [[i, i % 8 + 1] for i in range(1, 9)] + [[0, i] for i in range(1, 9)] + [[0, 1]]
+)
+TUTTE_REFUSALS = {
+    "wheel8_with_a_doubled_spoke": (
+        {"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE},
+        "rank at least 1399140",
+    ),
+    "bouquet13": ({"vertices": 1, "edges": [[0, 0]] * 13}, "rank at least 3188646"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUTTE_REFUSALS))
+def test_tutte_cohomology_refuses_before_building_anything(name, tmp_path, monkeypatch, capsys):
+    data, rank = TUTTE_REFUSALS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    for module in (graphhom.homology, graphhom.cli):
+        monkeypatch.setattr(module, "build_complex", _never_build)
+    monkeypatch.setattr(graphhom.homology, "state_histogram", _never_build)
+    monkeypatch.setattr(graphhom.cube, "state_components", _never_build)
+    for extra in ([], ["--json"]):
+        assert run(["cohomology", "--variant", "tutte", "--input", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chain complex has {rank}, over the limit of 1048576\n"
+
+
 def test_cohomology_yamada_builds_only_tutte_minors(bigon_path, monkeypatch, capsys):
-    built = []
-    real = graphhom.homology.build_complex
+    minors = []
+    real = graphhom.homology.tutte_cohomology
 
-    def recording_build(G, variant):
-        built.append((G.vertex_count, G.edges, variant))
-        return real(G, variant)
+    def recording_tutte_cohomology(G):
+        minors.append((G.vertex_count, G.edges))
+        return real(G)
 
-    monkeypatch.setattr(graphhom.homology, "build_complex", recording_build)
+    monkeypatch.setattr(graphhom.homology, "tutte_cohomology", recording_tutte_cohomology)
     monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
     assert run(["cohomology", "--variant", "yamada", "--input", bigon_path]) == 0
     assert "H^0 (1,0): free rank 1" in capsys.readouterr().out
     # the bigon itself, the loop left by contracting either edge, the point
-    assert built == [(2, ((0, 1), (0, 1)), "tutte"), (1, ((0, 0),), "tutte"), (1, (), "tutte")]
+    assert minors == [(2, ((0, 1), (0, 1))), (1, ((0, 0),)), (1, ())]
 
 
 @pytest.mark.parametrize("vertices", [10**6, 10**12])

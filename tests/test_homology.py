@@ -13,8 +13,10 @@ from graphhom.homology import (
     CohomologyTable,
     Summand,
     chain_map_defect,
+    chromatic_cohomology,
     cohomology,
     summand_defect,
+    tutte_cohomology,
     yamada_cohomology,
 )
 from graphhom.invariants import g_polynomials
@@ -23,7 +25,9 @@ from graphhom.matrices import IntMatrix, _eliminate, invariant_factors, prime_po
 from graphhom.multigraph import (
     Multigraph,
     bigon,
+    bouquet_graph,
     build,
+    connected_components,
     cycle_graph,
     multiedge_graph,
     permute_edges,
@@ -533,9 +537,11 @@ def test_invariant_factors():
         assert prime_powers(invariant_factors(prime_powers(factors))) == prime_powers(factors)
 
 
-# The routes of yamada cohomology are compared on these graphs and on two
-# seeded edge shuffles of each: a loop, a parallel pair, a merge with a
-# bystander component and an isolated vertex in MIXED.
+# The routes of yamada and of tutte cohomology are compared on these graphs
+# and on two seeded edge shuffles of each: a loop, a parallel pair, a merge
+# with a bystander component and an isolated vertex in MIXED; no vertex; a
+# bouquet, whose D_0 is 0, so that its whole tutte table comes from the D_L;
+# two components with Z/2 in D_0 each, which meet in the Kunneth Tor term.
 ROUTE_GRAPHS = {
     "K4": Multigraph(4, tuple(itertools.combinations(range(4), 2))),
     "cycle6": cycle_graph(6),
@@ -543,6 +549,12 @@ ROUTE_GRAPHS = {
     "path6": tree_graph(6),
     "multiedge7": multiedge_graph(7),
     "mixed": Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 2), (1, 2))),
+    "empty": Multigraph(0, ()),
+    "point": Multigraph(1, ()),
+    "bouquet4": bouquet_graph(4),
+    "two_triangles": Multigraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))),
+    "triangle_and_two_points": Multigraph(5, ((0, 1), (1, 2), (2, 0))),
+    "cycle5_with_a_loop": Multigraph(5, cycle_graph(5).edges + ((3, 3),)),
 }
 
 
@@ -571,6 +583,119 @@ def test_yamada_cohomology_matches_the_whole_complex_on_the_corpus(corpus, table
             _same_table(yamada_cohomology(H), table_of(H, "yamada"))
 
 
+def _eliminated(G):
+    """The L and the table of each D_L that `tutte_cohomology(G)`
+    eliminates, in order."""
+    eliminated, levels = [], []
+    build, whole = homology.build_complex, homology.cohomology
+
+    def recording_build(H, variant, min_cycles=None):
+        levels.append(min_cycles)
+        return build(H, variant, min_cycles)
+
+    def recording_cohomology(cx):
+        eliminated.append((levels[-1], whole(cx)))
+        return eliminated[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "build_complex", recording_build)
+        patch.setattr(homology, "cohomology", recording_cohomology)
+        tutte_cohomology(G)
+    return eliminated
+
+
+def _same_tutte_table(H, direct):
+    """The recipe and Kunneth table of H against the k = 0 part of `direct`,
+    the whole tutte table of H, then the route's whole table against it."""
+    k0 = {(i, j): s for (i, j, k), s in direct.summands.items() if k == 0}
+    assert chromatic_cohomology(H) == k0, H
+    _same_table(tutte_cohomology(H), direct)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_tutte_cohomology_matches_the_whole_complex(name, table_of):
+    G = ROUTE_GRAPHS[name]
+    for H in (G, _shuffled(G, 1), _shuffled(G, 2)):
+        _same_tutte_table(H, table_of(H, "tutte"))
+
+
+def test_tutte_cohomology_matches_the_whole_complex_on_the_corpus(corpus, table_of):
+    for G in corpus:
+        for H in (G, _shuffled(G, 1), _shuffled(G, 2)):
+            _same_tutte_table(H, table_of(H, "tutte"))
+
+
+def _random_multigraphs(count, seed):
+    """Seeded multigraphs with 1 to 7 vertices and at most 9 edges, each
+    endpoint drawn uniformly: loops, parallel edges, isolated vertices and
+    several components all occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        V, E = rng.randint(1, 7), rng.randint(0, 9)
+        out.append(Multigraph(V, tuple((rng.randrange(V), rng.randrange(V)) for _ in range(E))))
+    return out
+
+
+RANDOM_ROUTE_GRAPHS = _random_multigraphs(300, 2424)
+
+
+def test_tutte_cohomology_matches_the_whole_complex_on_seeded_random_multigraphs():
+    # The whole table is eliminated once per graph, for its first shuffle; the
+    # table does not depend on the edge order (check_permutation_invariance).
+    kinds = {"loop": 0, "disconnected": 0}
+    for G in RANDOM_ROUTE_GRAPHS:
+        shuffles = (_shuffled(G, 1), _shuffled(G, 2))
+        direct = cohomology(build_complex(shuffles[0], "tutte"))
+        for H in shuffles:
+            _same_tutte_table(H, direct)
+        kinds["loop"] += any(u == v for u, v in G.edges)
+        kinds["disconnected"] += len(connected_components(G)) > 1
+    assert kinds == {"loop": 191, "disconnected": 155}
+
+
+def _thin_split(G, L, table):
+    """Assert that H(D_L) of the connected graph G is thin and return its
+    (pairs, knight moves): on the diagonals i + j = V-1+L (lower) and V+L
+    (upper), only Z/2 torsion, all of it upper, and free ranks that split
+    into pairs Z(i,j) + Z(i,j+1) and knight moves Z(i,j) + Z/2(i+1,j-1) +
+    Z(i+1,j-2), with the Z/2 of each height those of the knight moves one
+    height down. Working up from i = 0 the free ranks force the split: the
+    lower free rank of height i is the knight moves ending there plus the
+    pairs, and its upper one the pairs plus the knight moves starting."""
+    lower, upper = G.vertex_count - 1 + L, G.vertex_count + L
+    for (i, j, k), s in table.summands.items():
+        assert k == 0 and i + j in (lower, upper), (G, L, i, j)
+        assert set(s.torsion) <= {2} and (not s.torsion or i + j == upper), (G, L, i, j)
+    pairs = moves = ending = 0
+    for i in range(table.height_count + 1):
+        assert len(table.torsion(i, upper - i, 0)) == ending, (G, L, i)
+        paired = table.free_rank(i, lower - i, 0) - ending
+        ending = table.free_rank(i, upper - i, 0) - paired
+        assert paired >= 0 and ending >= 0, (G, L, i)
+        pairs += paired
+        moves += ending
+    assert ending == 0, (G, L)
+    return pairs, moves
+
+
+def test_every_cycle_summand_the_route_eliminates_is_thin(corpus):
+    # Each D_L that `tutte_cohomology` builds and eliminates on a connected graph of
+    # the corpus, ROUTE_GRAPHS or the seeded random multigraphs. The route builds
+    # exactly D_1 ... D_b1(G), and never D_0.
+    totals = [0, 0, 0]  # tables, pairs, knight moves
+    graphs = list(corpus) + list(ROUTE_GRAPHS.values()) + RANDOM_ROUTE_GRAPHS
+    for G in graphs:
+        eliminated, b0 = _eliminated(G), len(connected_components(G))
+        assert [L for L, _ in eliminated] == list(range(1, G.edge_count - G.vertex_count + b0 + 1))
+        if b0 != 1:
+            continue
+        for L, summand_table in eliminated:
+            pairs, moves = _thin_split(G, L, summand_table)
+            totals = [totals[0] + 1, totals[1] + pairs, totals[2] + moves]
+    assert totals == [781, 6553, 192]
+
+
 def _contraction(G, mask):
     """G/A for the edges A of `mask`, by `multigraph.reduce`: each edge of A,
     from the highest index down, is contracted, or deleted once it is a loop.
@@ -587,11 +712,11 @@ def test_every_memo_hit_equals_the_table_of_its_own_minor(name, minors, monkeypa
     G = ROUTE_GRAPHS[name]
     memo = {}
 
-    def recording_cohomology(cx):
-        memo[cx.graph] = cohomology(cx)
-        return memo[cx.graph]
+    def recording_tutte_cohomology(minor):
+        memo[minor] = tutte_cohomology(minor)
+        return memo[minor]
 
-    monkeypatch.setattr(homology, "cohomology", recording_cohomology)
+    monkeypatch.setattr(homology, "tutte_cohomology", recording_tutte_cohomology)
     yamada_cohomology(G)
     keys = []
     for mask in range(1 << G.edge_count):
@@ -623,7 +748,7 @@ def test_yamada_cohomology_adds_torsion_as_prime_powers(monkeypatch):
         1: CohomologyTable("tutte", 2, {(1, 1, 0): Summand(1, (4, 12))}),
         0: CohomologyTable("tutte", 1, {(0, 0, 0): Summand(0, (2,))}),
     }
-    monkeypatch.setattr(homology, "cohomology", lambda cx: tables[cx.graph.edge_count])
+    monkeypatch.setattr(homology, "tutte_cohomology", lambda minor: tables[minor.edge_count])
     table = yamada_cohomology(bigon())
     assert table.height_count == 3
     assert table.summands == {
