@@ -30,7 +30,12 @@ component factors by ascending minimal vertex, then cycle factors. The
 bidegree of an index is (number of set edge and component bits, number
 of set cycle bits). States inside one height sit in ascending bitmask
 order. These conventions pin every matrix entry, so two runs (or two
-machines) produce identical artifacts.
+machines) produce identical artifacts. The build counts how many basis
+elements of each bidegree every height has, from the slot counts of its
+states; the positions of those elements (`bidegree_index`), one array
+per bidegree, are written for a height the first time it is read and
+then kept, so `dump` and `cohomology`, which read only counts and
+blocks, write none.
 
 The chain maps between complexes (`phi_psi` between the two variants,
 `projection_map` onto a subgraph) send every basis element to at most one
@@ -42,8 +47,9 @@ the map kills it.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -159,22 +165,37 @@ def _edge_rule(
     return pairs
 
 
+def _members(slots: tuple[int, int]) -> list[tuple[Bidegree, list[int]]]:
+    """The bidegrees of a chain module with `slots` (edge and component
+    slots, cycle slots) in order of their first index, each with its
+    indices in ascending order."""
+    j_slots, k_slots = slots
+    low = (1 << j_slots) - 1
+    members: dict[Bidegree, list[int]] = {}
+    for x in range(1 << j_slots + k_slots):
+        members.setdefault(((x & low).bit_count(), (x >> j_slots).bit_count()), []).append(x)
+    return list(members.items())
+
+
 @dataclass
 class BigradedComplex:
-    """Cochain complex with a per-height bidegree index and per-bidegree blocks.
+    """Cochain complex with per-height bidegree counts and index, and
+    per-bidegree blocks.
 
-    `bidegree_index[i][(j,k)]` holds, in an ascending `array`, the positions
-    of the basis elements of C^i of bidegree (j, k); it is the only stored
-    form of the grading. `blocks[i]` holds one block for every bidegree
-    present at height i or i + 1, empty ones included: `blocks[i][(j,k)]` is
-    the signed differential C^i -> C^(i+1) restricted to bidegree (j, k), as
-    an `IntMatrix` of +-1 entries, row r and column c standing for positions
+    `dims[i][(j,k)]` is the number of basis elements of C^i of bidegree
+    (j, k), for every bidegree present at height i. `bidegree_index[i][(j,k)]`
+    holds, in an ascending `array`, their positions in C^i. `blocks[i]`
+    holds one block for every bidegree present at height i or i + 1, empty
+    ones included: `blocks[i][(j,k)]` is the signed differential
+    C^i -> C^(i+1) restricted to bidegree (j, k), as an `IntMatrix` of +-1
+    entries, row r and column c standing for positions
     `bidegree_index[i+1][(j,k)][r]` and `bidegree_index[i][(j,k)][c]`.
     `nonzeros` reads the entries of d^i in global positions from them.
-    `build_complex` hands over a `HeightBlocks`, which writes the blocks of
-    a height from the build's rule memo each time that height is read; any
-    sequence of such dicts, one per height, will do, so a reader that reads
-    the heights more than once can keep them with
+    `build_complex` hands over two `HeightBlocks`: the index writes a
+    height the first time it is read and keeps it, the blocks write a
+    height from the build's rule memo each time it is read. Any sequence
+    of such dicts, one per height, will do, so a reader that reads the
+    blocks more than once can keep them with
     `dataclasses.replace(cx, blocks=list(cx.blocks))`.
     """
 
@@ -182,22 +203,24 @@ class BigradedComplex:
     graph: Multigraph
     state_offsets: list[dict[int, int]]
     state_sizes: list[dict[int, int]]
-    bidegree_index: list[dict[Bidegree, array]]
+    dims: list[dict[Bidegree, int]]
+    bidegree_index: Sequence[dict[Bidegree, array]]
     blocks: Sequence[dict[Bidegree, IntMatrix]]
 
     @property
     def height_count(self) -> int:
-        return len(self.bidegree_index)
+        return len(self.dims)
 
     def rank(self, i: int) -> int:
         if 0 <= i < self.height_count:
-            return sum(map(len, self.bidegree_index[i].values()))
+            return sum(self.dims[i].values())
         return 0
 
     def nonzeros(self, i: int) -> Iterator[tuple[int, int, int]]:
         """(row, col, value) of every nonzero of d^i: C^i -> C^(i+1) in the
         global basis order, from the blocks through `bidegree_index` (copied
-        to lists per block: reading an array makes an int per nonzero);
+        to lists per block: reading an array makes an int per nonzero), so
+        heights i and i + 1 of the index are written if they were not yet;
         nothing when i is outside the stored heights."""
         if not 0 <= i < len(self.blocks):
             return
@@ -213,7 +236,7 @@ class BigradedComplex:
     def dims_at(self, i: int) -> dict[Bidegree, int]:
         if not 0 <= i < self.height_count:
             return {}
-        return {jk: len(idx) for jk, idx in self.bidegree_index[i].items()}
+        return dict(self.dims[i])
 
     def qdim(self, i: int) -> BivariateLaurent:
         """Graded dimension of C^i, as a polynomial in (t, w)."""
@@ -262,23 +285,29 @@ def _check_faces(
 
 
 class HeightBlocks(Sequence):
-    """The blocks of a complex, one dict per height, written by `write(i)`
-    from the build's rule memo each time height i is read and not kept: a
-    reader that reads a height more than once keeps what it read."""
+    """One dict per height of a complex, written by `write(i)` each time
+    height i is read. The blocks' writer keeps nothing, so a reader that
+    reads a height more than once keeps what it read; the index's writer
+    is cached, so each height is written once, on its first read."""
 
-    def __init__(self, write: Callable[[int], dict[Bidegree, IntMatrix]], count: int) -> None:
+    def __init__(self, write: Callable[[int], dict], count: int) -> None:
         self._write, self._count = write, count
 
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i: int) -> dict[Bidegree, IntMatrix]:
+    def __getitem__(self, i: int) -> dict:
         # range indexing takes negative indices and raises IndexError past
         # the end, where iteration stops
         return self._write(range(self._count)[i])
 
 
-def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) -> BigradedComplex:
+def build_complex(
+    G: Multigraph,
+    variant: str,
+    min_cycles: int | None = None,
+    states: tuple[list[tuple[list[int], int]], list[tuple[int, int]]] | None = None,
+) -> BigradedComplex:
     """Verify the complex at every height, and return it with per-bidegree
     blocks that are written from the rule memo each time a height is read.
 
@@ -300,7 +329,17 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
     any state is looked at, then by the exact rank before any basis is
     built. The exact rank takes b0 of every state from `state_components`,
     which also gives the component of each endpoint that the per-edge maps
-    need.
+    need. A caller that has already called `state_slots(G, variant)`, and
+    so refused or passed G, may hand its result over as `states`, and the
+    build makes no state pass of its own; `homology.tutte_cohomology`
+    builds every D_L from one.
+
+    The build counts the basis elements of each bidegree at each height
+    (`dims`) from the slot counts of its states, one small dict per
+    height. The positions of those elements, `bidegree_index[i]`, are
+    written the first time height i is read (`HeightBlocks` over a cached
+    writer) and kept; only `nonzeros` and direct readers read them, so
+    `dump`, `cohomology` and every D_L build write none.
 
     The map of edge e out of state S is worked out once per distinct key
     of exactly what `_edge_rule` reads, and kept for the life of the
@@ -323,9 +362,9 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
     Reading `blocks[i]` (`HeightBlocks`) walks height i again: every
     (S, e) extends, per bidegree of its map, three arrays with the map's
     positions shifted by the first positions of that bidegree in S and in
-    S+e, found once per state and read by bisection in `bidegree_index`,
-    and `IntMatrix.from_triplets` checks and adopts them. Each read writes
-    exactly the blocks that an eager build would.
+    S+e, found once per state by running counts over the states of each
+    height in mask order, and `IntMatrix.from_triplets` checks and adopts
+    them. Each read writes exactly the blocks that an eager build would.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -334,7 +373,7 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
     n = G.edge_count
     yamada = variant == "yamada"
     # Per state: the component of each vertex, and (edge + component slots, cycle slots).
-    components, slots = state_slots(G, variant)
+    components, slots = state_slots(G, variant) if states is None else states
     if min_cycles is not None:
         # None for a state outside D_L
         slots = [(j, 0) if k >= min_cycles else None for j, k in slots]
@@ -343,42 +382,52 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
     for mask in range(1 << n):
         if slots[mask] is not None:
             masks_by_height[mask.bit_count()].append(mask)
-    present = {jk for jk in slots if jk is not None}
-    popcounts = [x.bit_count() for x in range(1 << max(map(max, present), default=0))]
 
     # Per slot counts: the bidegree of each index and its position among the
     # indices of that bidegree, and the bidegrees in order of their first
-    # index, each with its indices in ascending order.
+    # index, each with its indices in ascending order (`_members`).
     shapes: dict[tuple[int, int], tuple] = {}
-    for j_slots, k_slots in present:
-        low = (1 << j_slots) - 1
-        size = 1 << j_slots + k_slots
-        bidegs = [(popcounts[x & low], popcounts[x >> j_slots]) for x in range(size)]
-        members: dict[Bidegree, list[int]] = {}
-        local_pos = []
-        for x, jk in enumerate(bidegs):
-            xs = members.setdefault(jk, [])
-            local_pos.append(len(xs))
-            xs.append(x)
-        shapes[(j_slots, k_slots)] = (bidegs, local_pos, list(members.items()))
+    for shape in {jk for jk in slots if jk is not None}:
+        members = _members(shape)
+        bidegs: list[Bidegree] = [(0, 0)] * (1 << sum(shape))
+        local_pos = [0] * len(bidegs)
+        for jk, xs in members:
+            for pos, x in enumerate(xs):
+                bidegs[x], local_pos[x] = jk, pos
+        shapes[shape] = (bidegs, local_pos, members)
 
     offsets: list[dict[int, int]] = []
     sizes: list[dict[int, int]] = []
-    bidegree_index: list[dict[Bidegree, array]] = []
+    dims: list[dict[Bidegree, int]] = []
     for masks in masks_by_height:
         offset_map: dict[int, int] = {}
         size_map: dict[int, int] = {}
-        index: dict[Bidegree, array] = {}
         offset = 0
         for mask in masks:
             offset_map[mask] = offset
-            size_map[mask] = 1 << sum(slots[mask])
-            for jk, xs in shapes[slots[mask]][2]:
-                index.setdefault(jk, array(INDEX_TYPECODE)).extend(map(offset.__add__, xs))
-            offset += size_map[mask]
+            size_map[mask] = size = 1 << sum(slots[mask])
+            offset += size
+        # Shapes in order of their first state, so the bidegrees come in the
+        # order of their first element, as in the index.
+        counts: dict[Bidegree, int] = {}
+        for shape, count in Counter(map(slots.__getitem__, masks)).items():
+            for jk, xs in shapes[shape][2]:
+                counts[jk] = counts.get(jk, 0) + count * len(xs)
         offsets.append(offset_map)
         sizes.append(size_map)
-        bidegree_index.append(index)
+        dims.append(counts)
+
+    @cache
+    def index_at(h: int) -> dict[Bidegree, array]:
+        # The members of each shape are worked out again, not read from
+        # `shapes`: a reader that keeps the blocks it read drops the rule
+        # memo and `shapes` with it, and keeps the index.
+        members_of = cache(_members)
+        index: dict[Bidegree, array] = {}
+        for mask, offset in offsets[h].items():
+            for jk, xs in members_of(slots[mask]):
+                index.setdefault(jk, array(INDEX_TYPECODE)).extend(map(offset.__add__, xs))
+        return index
 
     edges = [(e, 1 << e, (1 << e) - 1, u, v) for e, (u, v) in enumerate(G.edges)]
     # Runs of +1 and of -1 signs by length, made once and shared by the maps.
@@ -447,18 +496,22 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
     def shifts(h: int) -> dict[int, dict[Bidegree, Callable[[int], int]]]:
         """Per state of height h and per bidegree of its shape: adds the
         position, among the elements of that bidegree at height h, of the
-        state's first element of that bidegree, found by bisection."""
-        index = bidegree_index[h]
-        return {
-            mask: {jk: bisect_left(index[jk], at).__add__ for jk, _ in shapes[slots[mask]][2]}
-            for mask, at in offsets[h].items()
-        }
+        state's first element of that bidegree, which is the number of
+        such elements in the states before it."""
+        seen = dict.fromkeys(dims[h], 0)
+        out = {}
+        for mask in offsets[h]:
+            members = shapes[slots[mask]][2]
+            out[mask] = {jk: seen[jk].__add__ for jk, _ in members}
+            for jk, xs in members:
+                seen[jk] += len(xs)
+        return out
 
     def write(i: int) -> dict[Bidegree, IntMatrix]:
-        rows_index, cols_index = bidegree_index[i + 1], bidegree_index[i]
+        rows_dims, cols_dims = dims[i + 1], dims[i]
         triplets = {
             jk: (array(INDEX_TYPECODE), array(INDEX_TYPECODE), array("b"))
-            for jk in cols_index.keys() | rows_index.keys()
+            for jk in cols_dims.keys() | rows_dims.keys()
         }
         extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
         dst_shifts, src_shifts = shifts(i + 1), shifts(i)
@@ -470,9 +523,7 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
                 extend_cols(map(src_shift[jk], cols))
                 extend_vals(signs[odd])
         return {
-            jk: IntMatrix.from_triplets(
-                len(rows_index.get(jk, ())), len(cols_index.get(jk, ())), *t
-            )
+            jk: IntMatrix.from_triplets(rows_dims.get(jk, 0), cols_dims.get(jk, 0), *t)
             for jk, t in triplets.items()
         }
 
@@ -491,7 +542,8 @@ def build_complex(G: Multigraph, variant: str, min_cycles: int | None = None) ->
         graph=G,
         state_offsets=offsets,
         state_sizes=sizes,
-        bidegree_index=bidegree_index,
+        dims=dims,
+        bidegree_index=HeightBlocks(index_at, n + 1),
         blocks=HeightBlocks(write, n),
     )
 

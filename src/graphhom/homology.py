@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable
 
-from .cube import Bidegree, BigradedComplex, build_complex, state_slots
+from .cube import Bidegree, BigradedComplex, _refuse_by_floor, build_complex, state_slots
 from .laurent import BivariateLaurent
 from .matrices import _eliminate, invariant_factors, prime_powers
 from .multigraph import Multigraph, connected_components, state_histogram
@@ -246,18 +246,30 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     from the chromatic polynomials of the components of G
     (`chromatic_cohomology`) and is never eliminated; each D_L is built,
     verified (bidegrees, partial functions, d^2 = 0) and eliminated by
-    `cohomology`. L runs up to the largest b1 of a state, that of G.
+    `cohomology`. L runs up to the largest b1 of a state, that of G, which
+    is |E| - V + b0(G).
 
     Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),
-    before any histogram is made or any D_L built. Free ranks add as
-    integers, torsion as prime powers.
+    before any histogram is made or any D_L built: by the lower bound of
+    `_refuse_by_floor` first, then by the exact rank, from one pass over
+    the states whose result every D_L build takes. A forest (b1(G) = 0)
+    has no D_L and gets no pass, as the floor is its exact rank: each
+    edge of a forest joins two components, so every state S has b1 = 0
+    and b0 = V - |S| >= 1 (or V = 0 and no edge), which is the b0 of the
+    floor's bound; the floor refuses exactly the forests that the exact
+    sum would, and with the same message, since `state_slots` applies the
+    floor first. Free ranks add as integers, torsion as prime powers.
     """
-    _, slots = state_slots(G, "tutte")
+    # the floor first: it bounds V before `connected_components` allocates per vertex
+    _refuse_by_floor(G.vertex_count, G.edge_count, False)
+    b1 = G.edge_count - G.vertex_count + len(connected_components(G))
+    states = state_slots(G, "tutte") if b1 else None
     tally = _Tally()
     for (i, j), s in chromatic_cohomology(G).items():
         tally.add((i, j, 0), 1, s.free_rank, prime_powers(s.torsion))
-    for L in range(1, max(k for _, k in slots) + 1):
-        for (i, j, _), s in cohomology(build_complex(G, "tutte", min_cycles=L)).summands.items():
+    for L in range(1, b1 + 1):
+        cx = build_complex(G, "tutte", min_cycles=L, states=states)
+        for (i, j, _), s in cohomology(cx).summands.items():
             powers = prime_powers(s.torsion)
             for k in range(1, L + 1):
                 tally.add((i, j, k), comb(L - 1, k - 1), s.free_rank, powers)

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhom.cli
 import graphhom.cube as cube
+import graphhom.homology as homology
+import graphhom.verify as verify
 from graphhom.cli import run
 from graphhom.cube import (
     MAX_CHAIN_RANK,
+    VARIANTS,
     build_complex,
     graded_euler,
     phi_psi,
     projection_map,
 )
-from graphhom.homology import cohomology
+from graphhom.homology import cohomology, tutte_cohomology
 from graphhom.invariants import g_polynomials
 from graphhom.laurent import BivariateLaurent
 from graphhom.matrices import IntMatrix
@@ -25,12 +29,13 @@ from graphhom.multigraph import (
     bouquet_graph,
     build,
     cycle_graph,
+    permute_edges,
     state_components,
     to_json_dict,
     tree_graph,
     triangle,
 )
-from graphhom.verify import CHECK_NAMES, run_checks
+from graphhom.verify import CHECK_NAMES, default_sigma, run_checks
 
 from matrix_route import contents, differential, identity, int_matrix, map_matrix, matmul
 
@@ -486,9 +491,9 @@ def test_blocks_keep_under_40_bytes_per_nonzero():
 
 def test_a_built_complex_holds_under_128_bytes_per_state_and_edge():
     # Before any height is read, K5 (tutte, 1,024 states, 5,120 pairs (S, e))
-    # holds its states, their bidegree index and one map per rule key: about
-    # 95 bytes per pair. A record per pair and an adder per state and
-    # bidegree held about 206.
+    # holds its states, their bidegree counts and one map per rule key: about
+    # 83 bytes per pair, 95 when the build wrote its bidegree index up front.
+    # A record per pair and an adder per state and bidegree held about 206.
     cx, retained = _retained(lambda: build_complex(K5, "tutte"))
     pairs = sum(len(offsets) * (10 - i) for i, offsets in enumerate(cx.state_offsets))
     assert pairs == 5_120
@@ -496,12 +501,14 @@ def test_a_built_complex_holds_under_128_bytes_per_state_and_edge():
 
 
 def test_cohomology_does_not_grow_what_the_complex_holds():
-    # cycle7 (yamada) holds about 459 KiB once built. Its cohomology reads
-    # every height; a complex that kept the blocks it wrote, and dropped a
-    # record per (S, e) for each, went from 471 to 512 KiB.
+    # cycle7 (yamada) holds about 360 KiB once built (459 KiB when the build
+    # wrote its bidegree index up front). Its cohomology reads every height
+    # of the blocks and none of the index; a complex that kept the blocks it
+    # wrote, and dropped a record per (S, e) for each, went from 471 to
+    # 512 KiB.
     cx, held = _retained(lambda: build_complex(cycle_graph(7), "yamada"))
     _, grown = _retained(lambda: cohomology(cx) and None)  # the table is not counted
-    assert held > 400_000
+    assert held > 340_000
     assert grown < held / 50
 
 
@@ -518,14 +525,66 @@ def _count_from_triplets(monkeypatch):
     return made
 
 
+def _count_reads(monkeypatch):
+    """(id, height, dict length) of every read, from now on, of a
+    `HeightBlocks`: the blocks or the bidegree index of a complex built
+    after this call."""
+    reads = []
+
+    class Counted(cube.HeightBlocks):
+        def __getitem__(self, i):
+            level = super().__getitem__(i)
+            reads.append((id(self), range(len(self))[i], len(level)))
+            return level
+
+    monkeypatch.setattr(cube, "HeightBlocks", Counted)
+    return reads
+
+
+def _recorded_builds(monkeypatch, *modules):
+    """Every complex built from now on by `build_complex` as looked up in
+    `modules`, kept alive so that the ids of its sequences stay its own."""
+    built = []
+    build = cube.build_complex
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_complex", recording)
+    return built
+
+
 def test_dump_of_height_0_writes_only_the_blocks_of_height_0(monkeypatch, tmp_path, capsys):
     path = tmp_path / "cycle10.json"
     path.write_text(json.dumps(to_json_dict(cycle_graph(10))))
     made = _count_from_triplets(monkeypatch)
+    reads = _count_reads(monkeypatch)
+    built = _recorded_builds(monkeypatch, graphhom.cli)
     assert run(["dump", "--variant", "tutte", "--height", "0", "--input", str(path)]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert {b["i"] for b in printed} == {0}
     assert sorted(made) == sorted((b["rows"], b["cols"]) for b in printed)
+    # one read, of the blocks of height 0: no height of the index is written
+    (cx,) = built
+    assert [read[:2] for read in reads] == [(id(cx.blocks), 0)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cohomology_writes_no_height_of_the_index(monkeypatch, variant):
+    reads = _count_reads(monkeypatch)
+    cx = build_complex(cycle_graph(6), variant)
+    cohomology(cx)
+    assert [read[:2] for read in reads] == [(id(cx.blocks), i) for i in range(6)]
+    # nor does the tutte route, in any D_L it builds and eliminates
+    reads.clear()
+    built = _recorded_builds(monkeypatch, homology)
+    tutte_cohomology(K4)
+    assert len(built) == 3
+    assert sorted(read[:2] for read in reads) == sorted(
+        (id(cx.blocks), i) for cx in built for i in range(len(cx.blocks))
+    )
 
 
 def test_each_read_writes_exactly_the_blocks_of_its_height(monkeypatch):
@@ -553,22 +612,23 @@ def test_a_second_read_gives_equal_blocks_and_negative_indices_work():
 
 
 def test_run_checks_writes_each_height_of_each_complex_once(monkeypatch):
-    built, reads, written = [], [], []
-
-    class Counted(cube.HeightBlocks):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-        def __getitem__(self, i):
-            level = super().__getitem__(i)
-            reads.append((id(self), range(len(self))[i]))
-            written.append(len(level))
-            return level
-
-    monkeypatch.setattr(cube, "HeightBlocks", Counted)
+    # Each height of the blocks of every complex is read, and so written,
+    # once. The index is read only by the chain-map checks, on the complexes
+    # of K4 and of its subgraph, and each of its heights is written on its
+    # first read and kept; the complexes of the reversed K4 are eliminated
+    # and never indexed.
+    reads = _count_reads(monkeypatch)
     made = _count_from_triplets(monkeypatch)
+    built = _recorded_builds(monkeypatch, cube, verify)
     assert all(report.passed for report in run_checks(K4, CHECK_NAMES))
-    assert len(built) > 2
-    assert sorted(reads) == sorted((id(b), i) for b in built for i in range(len(b)))
-    assert len(made) == sum(written)
+    assert len(built) == 6
+    blocks = {id(cx.blocks) for cx in built}
+    block_reads = [read for read in reads if read[0] in blocks]
+    assert sorted(read[:2] for read in block_reads) == sorted(
+        (id(cx.blocks), i) for cx in built for i in range(len(cx.blocks))
+    )
+    assert len(made) == sum(read[2] for read in block_reads)
+    reversed_k4 = permute_edges(K4, default_sigma(K4))
+    assert {read[0] for read in reads} - blocks == {
+        id(cx.bidegree_index) for cx in built if cx.graph != reversed_k4
+    }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhom.cube as cube
 import graphhom.homology as homology
 import graphhom.matrices as matrices
 from graphhom.cube import VARIANTS, build_complex, graded_euler, phi_psi, projection_map
@@ -32,6 +33,7 @@ from graphhom.multigraph import (
     multiedge_graph,
     permute_edges,
     reduce,
+    state_components,
     tree_graph,
     triangle,
 )
@@ -391,6 +393,7 @@ def test_torsion_reporting_on_synthetic_block():
         graph=cx.graph,
         state_offsets=cx.state_offsets,
         state_sizes=cx.state_sizes,
+        dims=cx.dims,
         bidegree_index=cx.bidegree_index,
         blocks=[
             {
@@ -589,9 +592,9 @@ def _eliminated(G):
     eliminated, levels = [], []
     build, whole = homology.build_complex, homology.cohomology
 
-    def recording_build(H, variant, min_cycles=None):
+    def recording_build(H, variant, min_cycles=None, states=None):
         levels.append(min_cycles)
-        return build(H, variant, min_cycles)
+        return build(H, variant, min_cycles, states)
 
     def recording_cohomology(cx):
         eliminated.append((levels[-1], whole(cx)))
@@ -602,6 +605,85 @@ def _eliminated(G):
         patch.setattr(homology, "cohomology", recording_cohomology)
         tutte_cohomology(G)
     return eliminated
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_the_tutte_route_makes_at_most_one_state_pass(name, monkeypatch):
+    # One pass serves the refusal and every D_L; a forest has no D_L, and the
+    # floor alone is its exact refusal, so it gets none.
+    G = ROUTE_GRAPHS[name]
+    passes = []
+    monkeypatch.setattr(cube, "state_components", lambda H: passes.append(H) or state_components(H))
+    tutte_cohomology(G)
+    forest = G.edge_count - G.vertex_count + len(connected_components(G)) == 0
+    assert passes == ([] if forest else [G])
+    assert forest == (name in ("empty", "path6", "point"))
+
+
+def _index_from_scratch(cx, min_cycles=None):
+    """Per height, the positions of the basis elements of each bidegree, as
+    lists: the states of each height in ascending order, back to back from
+    position 0, each of rank 2^(j + k) with its slots from the components
+    of its spanning subgraph (`connected_components`), and the bidegree of
+    an element the bit counts of its low j bits and of the rest. Asserts on
+    the way that the complex has exactly these states, offsets and sizes."""
+    G = cx.graph
+    out = [{} for _ in range(G.edge_count + 1)]
+    at, states = [0] * (G.edge_count + 1), [0] * (G.edge_count + 1)
+    for mask in sorted(range(1 << G.edge_count), key=lambda m: (m.bit_count(), m)):
+        i = mask.bit_count()
+        chosen = tuple(edge for e, edge in enumerate(G.edges) if mask >> e & 1)
+        b0 = len(connected_components(Multigraph(G.vertex_count, chosen)))
+        b1 = i - G.vertex_count + b0
+        if min_cycles is not None and b1 < min_cycles:
+            assert mask not in cx.state_offsets[i]
+            continue
+        j, k = (b0, 0) if min_cycles is not None else (b0 + i * (cx.variant == "yamada"), b1)
+        assert cx.state_offsets[i][mask] == at[i]
+        assert cx.state_sizes[i][mask] == 1 << j + k
+        for x in range(1 << j + k):
+            jk = ((x & (1 << j) - 1).bit_count(), (x >> j).bit_count())
+            out[i].setdefault(jk, []).append(at[i] + x)
+        at[i] += 1 << j + k
+        states[i] += 1
+    assert [len(offsets) for offsets in cx.state_offsets] == states
+    return out
+
+
+def _assert_index_from_scratch(cx, min_cycles=None):
+    expected = _index_from_scratch(cx, min_cycles)
+    assert cx.height_count == len(expected)
+    for i, index in enumerate(expected):
+        level = cx.bidegree_index[i]
+        assert all(a.typecode == matrices.INDEX_TYPECODE for a in level.values())
+        assert {jk: list(a) for jk, a in level.items()} == index, (cx.graph, i)
+        assert list(cx.dims_at(i).items()) == [(jk, len(a)) for jk, a in level.items()]
+        assert cx.rank(i) == sum(map(len, index.values()))
+        assert cx.bidegree_index[i] is level  # written once, then kept
+        assert cx.bidegree_index[i - cx.height_count] is level
+
+
+def test_the_index_written_on_read_matches_one_worked_out_from_scratch(corpus, complex_of):
+    # Whole complexes of the corpus and ROUTE_GRAPHS in both variants, and of
+    # K5 in the tutte one, and every D_L that the tutte route builds for them.
+    K5 = Multigraph(5, tuple(itertools.combinations(range(5), 2)))
+    pairs = [(G, v) for G in list(corpus) + list(ROUTE_GRAPHS.values()) for v in VARIANTS]
+    summands = []
+    build = homology.build_complex
+
+    def recording_build(H, variant, min_cycles=None, states=None):
+        summands.append((build(H, variant, min_cycles, states), min_cycles))
+        return summands[-1][0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "build_complex", recording_build)
+        for G, variant in pairs + [(K5, "tutte")]:
+            _assert_index_from_scratch(complex_of(G, variant))
+            if variant == "tutte":
+                tutte_cohomology(G)
+    assert len(summands) > 100
+    for cx, min_cycles in summands:
+        _assert_index_from_scratch(cx, min_cycles)
 
 
 def _same_tutte_table(H, direct):
