@@ -9,8 +9,13 @@ behind the per-block cohomology, with a set of columns left out, and the
 rows of the leading unit pivots, which `homology.cohomology` leaves out
 as columns one height up. Its working rows hold Python ints, because
 entries can grow far past any fixed width during elimination. Its pivot
-queue is a heap with one key per row, pushed when the row changes and
-checked against the row when popped.
+queue is a heap with one key per row, built by one `heapify`, pushed
+again when a step changes the row and checked against the row when
+popped. Almost every pivot is +-1, and such a unit pivot takes a step of
+its own: exact row operations, then its row and column are dropped. The
+other pivots take the general step of floor-quotient row and column
+operations. Both steps leave the same working matrix after a unit, so
+the pivot order is that of the general step alone.
 
 The one invariant-factor normal form of a finite abelian group lives
 here too: `prime_powers` splits cyclic orders into prime powers and
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -142,11 +147,6 @@ def _axpy(
             index[j].discard(key)
 
 
-def _pivot_key(i: int, row: dict[int, int]) -> tuple[int, int, int]:
-    """Heap key of row `i`: (smallest |entry|, number of entries, row)."""
-    return min(map(abs, row.values())), len(row), i
-
-
 def _eliminate(
     mat: IntMatrix, skip: AbstractSet[int] = frozenset()
 ) -> tuple[list[int], list[int]]:
@@ -161,15 +161,24 @@ def _eliminate(
     column is, among the entries of that smallest |entry|, the one whose
     column has the fewest entries, then the lowest index. So every pivot is
     an entry of smallest absolute value in the whole working matrix, and
-    the pivot order depends only on that matrix. The pivot's column is
-    cleared with row operations, then its row with column operations, both
-    by floor quotients. A surviving remainder is smaller than the pivot, so
-    the pivot is picked again. A pivot is finalised once its row and column
-    are clear, whatever its value, so the finalised pivots form a diagonal
-    matrix equivalent to `mat` without the columns in `skip`. Its invariant
-    factors, positive and in divisibility order, are its unit pivots as 1s
-    followed by `invariant_factors(prime_powers(...))` of its other pivots
-    (Newman, "Integral Matrices", 1972). That step runs only when some
+    the pivot order depends only on that matrix.
+
+    A unit pivot p = +-1 at (r, c) takes a step of its own. Each other row
+    i of column c gets row r times the exact quotient -row_i[c] * p, which
+    clears its entry in column c. Column c then holds only the pivot, so
+    the column operations that would clear row r leave no remainder and
+    touch no other row: the step skips them and drops row r and column c
+    at once. That is the working matrix the general step leaves after a
+    unit, so the unit step keeps the pivot order. In the general step any
+    other pivot p is cleared from its column with row operations, then
+    from its row with column operations, both by floor quotients. A
+    surviving remainder is smaller than |p|, so the pivot is picked again.
+    A pivot is finalised once its row and column are clear, whatever its
+    value, so the finalised pivots form a diagonal matrix equivalent to
+    `mat` without the columns in `skip`. Its invariant factors, positive
+    and in divisibility order, are its unit pivots as 1s followed by
+    `invariant_factors(prime_powers(...))` of its other pivots (Newman,
+    "Integral Matrices", 1972). That normalisation runs only when some
     pivot is not a unit. It takes at most sqrt(|p|) trial divisions per
     such pivot p, and these pivots multiply to the order of the torsion of
     the cokernel, the group `homology.yamada_cohomology` factors as well.
@@ -191,61 +200,64 @@ def _eliminate(
             continue
         rows.setdefault(r, {})[c] = x
         cols.setdefault(c, set()).add(r)
-    # One `_pivot_key` per row. Each step pushes the current key of every
-    # row it changed, so every row's current key is in the heap. A popped
-    # key whose row is gone, or differs from the row's current key, is
-    # dropped for good; the first one that matches names the pivot row.
-    heap: list[tuple[int, int, int]] = []
-    dirty = set(rows)
+    # The heap holds the key (smallest |entry|, number of entries, row) of
+    # every row: a step pushes the new key of each row in `changed`, the
+    # rows it updated and a pivot row it keeps. A popped key whose row is
+    # gone or now has another key is dropped for good; the first one that
+    # matches its row names the pivot row.
+    heap = [(min(map(abs, row.values())), len(row), i) for i, row in rows.items()]
+    heapify(heap)
     units = 0
     non_units: list[int] = []
     unit_rows: list[int] = []
     units_only = True
-    while True:
-        for i in dirty & rows.keys():
-            row = rows[i]
-            if not row:
-                del rows[i]
-                continue
-            heappush(heap, _pivot_key(i, row))
-        dirty = set()
-        if not rows:
-            break
+    while rows:
         while True:
-            m, _, r = key = heappop(heap)
+            m, n, r = heappop(heap)
             row_r = rows.get(r)
-            if row_r is not None and key == _pivot_key(r, row_r):
+            if row_r is not None and n == len(row_r) and m == min(map(abs, row_r.values())):
                 break
-        c = min((j for j, x in row_r.items() if abs(x) == m), key=lambda j: (len(cols[j]), j))
-        units_only = units_only and m == 1
-        p = row_r[c]
+        c = min((len(cols[j]), j) for j, x in row_r.items() if abs(x) == m)[1]
 
-        others = [i for i in cols[c] if i != r]
-        for i in others:
-            _axpy(rows[i], row_r, -(rows[i][c] // p), cols, i)
-        dirty.update(others)
-        dirty.add(r)
-        if len(cols[c]) > 1:
-            continue
-
-        for j, x in list(row_r.items()):
-            if j != c:
-                y = x % p
-                if y:
-                    row_r[j] = y
-                else:
-                    del row_r[j]
-                    cols[j].discard(r)
-        if len(row_r) > 1:
-            continue
-
-        del rows[r]
-        cols[c].discard(r)
         if m == 1:
+            p = row_r.pop(c)
+            del rows[r]
+            for j in row_r:
+                cols[j].discard(r)
+            changed = cols.pop(c)
+            changed.discard(r)
+            for i in changed:
+                row_i = rows[i]
+                _axpy(row_i, row_r, -row_i.pop(c) * p, cols, i)
             units += 1
             if units_only:
                 unit_rows.append(r)
         else:
-            non_units.append(m)
+            units_only = False
+            p = row_r[c]
+            changed = [i for i in cols[c] if i != r]
+            for i in changed:
+                row_i = rows[i]
+                _axpy(row_i, row_r, -(row_i[c] // p), cols, i)
+            if len(cols[c]) == 1:
+                for j, x in list(row_r.items()):
+                    if j != c:
+                        y = x % p
+                        if y:
+                            row_r[j] = y
+                        else:
+                            del row_r[j]
+                            cols[j].discard(r)
+            if len(row_r) == len(cols[c]) == 1:
+                del rows[r], cols[c]
+                non_units.append(m)
+            else:
+                changed.append(r)
+        for i in changed:
+            row_i = rows[i]
+            if row_i:
+                heappush(heap, (min(map(abs, row_i.values())), len(row_i), i))
+            else:
+                del rows[i]
     torsion = invariant_factors(prime_powers(non_units)) if non_units else ()
     return [1] * (units + len(non_units) - len(torsion)) + list(torsion), unit_rows

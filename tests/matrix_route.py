@@ -7,10 +7,13 @@ matrix-product route: global differentials and chain maps as
 `IntMatrix`es, the reference for the target-array chain maps, so that
 their oracles stay matrix products. And the references for elimination:
 dense helpers, Bareiss determinants, one Gauss-Jordan reduction over
-the rationals for rank and kernel, and the invariant factors from their
-definition by determinantal divisors, independent of any pivot order.
+the rationals for rank and kernel, the invariant factors from their
+definition by determinantal divisors, independent of any pivot order,
+and the pivot rule of the elimination replayed by a scan of the whole
+working matrix per pick.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
@@ -161,6 +164,40 @@ def _reduce_rows(mat):
             reduced[lead] = row if f == 1 else {c: Fraction(x, f) for c, x in row.items()}
             kept.append((r, lead))
     return reduced, kept
+
+
+def pivot_picks(mat):
+    """The picks of the pivot rule of `matrices._eliminate` on `mat`, in
+    order, as (value, row, filled), where `filled` says the entry was zero
+    in `mat`. Each pick scans the whole working matrix for the row with the
+    smallest (smallest |entry|, number of entries, row index), and within
+    it, among the entries of that |entry|, for the column with the fewest
+    entries, then the lowest index. Every pivot p, a unit too, is cleared
+    by floor quotients: its column with row operations, then, once the
+    column is clear, its row with column operations; it leaves the matrix
+    once both are clear."""
+    rows = {}
+    for r, c, x in mat.triplets():
+        rows.setdefault(r, {})[c] = x
+    original = {(r, c) for r, c, _ in mat.triplets()}
+    picks = []
+    while rows:
+        col_len = Counter(j for row in rows.values() for j in row)
+        m, _, r = min((abs(x), len(row), i) for i, row in rows.items() for x in row.values())
+        row_r = rows[r]
+        c = min((col_len[j], j) for j, x in row_r.items() if abs(x) == m)[1]
+        p = row_r[c]
+        picks.append((p, r, (r, c) not in original))
+        for i, row in rows.items():
+            if i != r and c in row:
+                _subtract(row, row[c] // p, row_r)
+        rows = {i: row for i, row in rows.items() if row}
+        if any(c in row for i, row in rows.items() if i != r):
+            continue
+        rows[r] = {j: x if j == c else x % p for j, x in row_r.items() if j == c or x % p}
+        if len(rows[r]) == 1:
+            del rows[r]
+    return picks
 
 
 def _subtract(row, f, pivot_row):

@@ -46,6 +46,7 @@ from matrix_route import (
     from_rows,
     int_matrix,
     matmul,
+    pivot_picks,
     rank_and_kernel,
     to_rows,
     zeros,
@@ -227,6 +228,34 @@ def test_unit_rows_stop_at_the_first_non_unit_pick():
     assert _eliminate(d1, frozenset({1}))[0] == [1, 3]
 
 
+def test_unit_steps_keep_the_pivot_order_seeded():
+    # Sparse blocks up to 8 x 8, entries in {+-1, +-2, +-3}; every third one draws from
+    # {+-2, +-3} only, so its first pick is not a unit and later units stand on
+    # remainders, as in the column (0, 3, 2). The reported unit rows are the rows of
+    # the leading unit picks of the pivot rule replayed on the whole matrix
+    # (`pivot_picks`), and the factors are the determinantal divisor quotients.
+    rng = random.Random(2626)
+    filled = late = non_unit_first = 0
+    for t in range(600):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        values = [2, -2, 3, -3] if t % 3 == 0 else [1, -1, 2, -2, 3, -3]
+        entries = {(r, c): rng.choice(values) for r in range(m) for c in range(n)}
+        mat = int_matrix(m, n, {pos: x for pos, x in entries.items() if rng.random() < 0.35})
+        picks = pivot_picks(mat)
+        leading = list(itertools.takewhile(lambda pick: abs(pick[0]) == 1, picks))
+        factors, unit_rows = _eliminate(mat)
+        assert factors == determinantal_factors(mat), to_rows(mat)
+        assert unit_rows == [r for _, r, _ in leading], to_rows(mat)
+        if picks and not leading:
+            assert unit_rows == []
+            non_unit_first += 1
+        # a unit pick on an entry that earlier steps filled in
+        filled += sum(abs(p) == 1 and was_zero for p, _, was_zero in picks)
+        # a unit pick after the first non-unit pick
+        late += sum(abs(p) == 1 for p, _, _ in picks[len(leading) :])
+    assert (filled, late, non_unit_first) == (64, 480, 261)
+
+
 def test_unit_rows_can_be_skipped_in_the_next_differential_seeded():
     # Random pairs with d^1 d^0 = 0, the rows of d^1 integer combinations of a basis
     # of the left kernel of d^0. Leaving out, as columns of d^1, every row on which
@@ -307,20 +336,33 @@ def test_carried_skips_cut_the_nonzeros_that_enter_elimination(monkeypatch, comp
 def test_pivot_queue_pushes_fewer_keys_than_nonzeros(monkeypatch, complex_of):
     # One heap key per changed row, not one per entry. On K5 tutte a queue keyed by
     # entry pushed 196,506 keys for the 34,500 nonzeros of the blocks; keyed by row,
-    # with the columns carried across heights left out, 16,386.
+    # with the columns carried across heights left out, 16,386: 6,618 initial keys
+    # put in by one heapify and 9,768 pushes. A unit step pushes one key per row it
+    # changes, as the general step does, so the pops, which follow the pivot order,
+    # are those of the general step alone: 10,877.
     cx = complex_of(Multigraph(5, tuple(itertools.combinations(range(5), 2))), "tutte")
     nonzeros = sum(block.nnz() for level in cx.blocks for block in level.values())
-    pushes = 0
-    heappush = matrices.heappush
+    counts = {"heapify": 0, "heappush": 0, "heappop": 0}
+    heapify, heappush, heappop = matrices.heapify, matrices.heappush, matrices.heappop
+
+    def counting_heapify(heap):
+        counts["heapify"] += len(heap)
+        heapify(heap)
 
     def counting_heappush(heap, key):
-        nonlocal pushes
-        pushes += 1
+        counts["heappush"] += 1
         heappush(heap, key)
 
+    def counting_heappop(heap):
+        counts["heappop"] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(matrices, "heapify", counting_heapify)
     monkeypatch.setattr(matrices, "heappush", counting_heappush)
+    monkeypatch.setattr(matrices, "heappop", counting_heappop)
     cohomology(cx)
-    assert 0 < pushes < nonzeros
+    assert counts == {"heapify": 6618, "heappush": 9768, "heappop": 10877}
+    assert counts["heapify"] + counts["heappush"] < nonzeros
 
 
 def test_kernel_basis():
