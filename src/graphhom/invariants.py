@@ -12,7 +12,12 @@ The state sums and `eval_del_con` read only how many states have each
 + b0. That count is a frontier transfer over the edges in an order of
 its own choosing, since the counts do not depend on the order; its cost
 grows with the frontier width of that order rather than with 2^|E|, and
-each invariant is then one division-free sum over it.
+each invariant is then one division-free sum over it. h and g~ are read
+off the histogram term by term. `eval_del_con` sums on plain
+`{(xexp, yexp): coeff}` dicts: each count scales the terms of one power
+table entry by integer multiply-adds, there is one polynomial product
+(`laurent._product`) per rank row or nullity column, and one
+`BivariateLaurent` is built at the end.
 """
 
 from __future__ import annotations
@@ -21,7 +26,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal
 
-from .laurent import ONE, X, Y, ZERO, BivariateLaurent, geometric_sum, substitute_shift
+from .laurent import (
+    ONE,
+    X,
+    Y,
+    ZERO,
+    BivariateLaurent,
+    _product,
+    geometric_sum,
+    substitute_shift,
+)
 from .multigraph import Multigraph, state_histogram
 
 FamilyKind = Literal["tree", "bouquet", "multiedge", "cycle"]
@@ -60,28 +74,34 @@ class InvariantParams:
 
 def yamada_state_sum(G: Multigraph) -> BivariateLaurent:
     """h(G; x, y): sum over S of (-x)^(|S|-|E|) x^b0([G:S]) y^b1([G:S])."""
-    n, V = G.edge_count, G.vertex_count
-    out: dict[tuple[int, int], int] = {}
-    for (size, b0), count in state_histogram(G).items():
-        key = (size - n + b0, size - V + b0)
-        out[key] = out.get(key, 0) + (-count if (n - size) % 2 else count)
-    return BivariateLaurent(out)
+    return _signed_state_sum(G, G.edge_count)
 
 
 def g_polynomials(G: Multigraph) -> tuple[BivariateLaurent, BivariateLaurent]:
     """(g~, g): the (-x)^|E| rescaling of h, and its value at (1+t, 1+w).
 
     g~ = h * (-x)^|E| = sum over S of (-1)^|S| x^(|S|+b0) y^b1 has
-    nonnegative exponents by construction; that is asserted before
-    shifting. Raises ValueError, before shifting, when the x-degree of g~
-    is over `MAX_G_DEGREE`.
+    nonnegative exponents by construction; a histogram that breaks this
+    raises RuntimeError. Raises ValueError, before shifting, when the
+    x-degree of g~ is over `MAX_G_DEGREE`.
     """
-    g_tilde = yamada_state_sum(G) * (-X) ** G.edge_count
-    assert not g_tilde.has_negative_exponents()
+    g_tilde = _signed_state_sum(G, 0)
+    if g_tilde.has_negative_exponents():
+        raise RuntimeError("g~ has a negative exponent: the state histogram is inconsistent")
     degree = max((a for a, _, _ in g_tilde.terms()), default=0)
     if degree > MAX_G_DEGREE:
         raise ValueError(f"g~ has x-degree {degree}, over the limit of {MAX_G_DEGREE}")
     return g_tilde, substitute_shift(g_tilde)
+
+
+def _signed_state_sum(G: Multigraph, m: int) -> BivariateLaurent:
+    """Sum over S of (-x)^(|S|-m) x^b0 y^b1: h for m = |E|, g~ for m = 0."""
+    V = G.vertex_count
+    out: dict[tuple[int, int], int] = {}
+    for (size, b0), count in state_histogram(G).items():
+        key = (size - m + b0, size - V + b0)
+        out[key] = out.get(key, 0) + (-count if (size - m) % 2 else count)
+    return BivariateLaurent._adopt(out)
 
 
 def eval_del_con(G: Multigraph, params: InvariantParams) -> BivariateLaurent:
@@ -107,9 +127,12 @@ def eval_del_con(G: Multigraph, params: InvariantParams) -> BivariateLaurent:
     S = {} is left, worth c^(-|V|).
 
     The summand depends on S only through i = b0 - k and j = b1, so the
-    sum is taken over `state_histogram`, grouped by i:
+    sum is taken over `state_histogram`:
     sum_i a^(r-i) (cd - a)^i * sum_j R_ij b^(nu-j) (ce - b)^j, where
-    r = |V| - k, nu = |E| - r, and R_ij counts the states.
+    r = |V| - k, nu = |E| - r, and R_ij counts the states. Both power
+    tables are built once, the counts go into the inner sums as integer
+    multiply-adds, and there is one polynomial product per row i, or per
+    column j (summing over i inside) when there are fewer columns.
     """
     hist = state_histogram(G)
     k = min(b0 for _, b0 in hist)  # b0 is least at S = E
@@ -119,24 +142,31 @@ def eval_del_con(G: Multigraph, params: InvariantParams) -> BivariateLaurent:
     for (size, b0), count in hist.items():
         counts[b0 - k][size - G.vertex_count + b0] = count
     a, b, c, d, e = params.a, params.b, params.c, params.d, params.e
-    a_pows = _powers(a, r)
-    bridge_pows = _powers(c * d - a, r)
-    b_pows = _powers(b, nu)
-    loop_pows = _powers(c * e - b, nu)
-    by_nullity = [b_pows[nu - j] * loop_pows[j] for j in range(nu + 1)]
-    total = ZERO
-    for i, row in enumerate(counts):
-        inner = sum((count * by_nullity[j] for j, count in enumerate(row) if count), ZERO)
-        total += a_pows[r - i] * bridge_pows[i] * inner
-    return params.c_inverse ** k * total
+    outer = _power_products(a, c * d - a, r)
+    inner = _power_products(b, c * e - b, nu)
+    if nu < r:
+        counts = list(zip(*counts))
+        outer, inner = inner, outer
+    total: dict[tuple[int, int], int] = {}
+    for row, factor in zip(counts, outer):
+        part: dict[tuple[int, int], int] = {}
+        for count, terms in zip(row, inner):
+            if count:
+                for key, coeff in terms.items():
+                    part[key] = part.get(key, 0) + count * coeff
+        for key, coeff in _product(factor, part).items():
+            total[key] = total.get(key, 0) + coeff
+    return BivariateLaurent._adopt(_product((params.c_inverse ** k)._terms, total))
 
 
-def _powers(p: BivariateLaurent, n: int) -> list[BivariateLaurent]:
-    """[p^0, p^1, ..., p^n]."""
-    out = [ONE]
+def _power_products(p: BivariateLaurent, q: BivariateLaurent, n: int) -> list[dict]:
+    """Term dicts of p^(n-i) q^i for i = 0, ..., n."""
+    p_pows = [{(0, 0): 1}]
+    q_pows = [{(0, 0): 1}]
     for _ in range(n):
-        out.append(out[-1] * p)
-    return out
+        p_pows.append(_product(p_pows[-1], p._terms))
+        q_pows.append(_product(q_pows[-1], q._terms))
+    return [_product(p_pows[n - i], q_pows[i]) for i in range(n + 1)]
 
 
 def closed_form(kind: FamilyKind, n: int, params: InvariantParams) -> BivariateLaurent:

@@ -9,6 +9,13 @@ as (t, w) after the shift of variables, depending on context.
 Canonical form: no zero coefficients, one entry per exponent pair, and
 serialization in descending lexicographic order of (x-exponent,
 y-exponent), leading term first.
+
+The public constructor `BivariateLaurent(terms)` cleans what it is given:
+it casts every exponent and coefficient to int and drops zeros. The ring
+operations (`+`, unary `-`, `*` and so `**`) already hold int keys and
+values, so they build their results through the private `_adopt`, which
+only drops zeros. `_product` is the one term-product loop, on plain
+`{(xexp, yexp): coeff}` dicts; `*` and `invariants.eval_del_con` share it.
 """
 
 from __future__ import annotations
@@ -54,6 +61,14 @@ class BivariateLaurent:
     def monomial(cls, coeff: int, xexp: int, yexp: int) -> "BivariateLaurent":
         return cls({(xexp, yexp): coeff})
 
+    @classmethod
+    def _adopt(cls, terms: dict[tuple[int, int], int]) -> "BivariateLaurent":
+        """The polynomial with the given terms, whose exponents and
+        coefficients are already ints; only zero coefficients are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", {key: c for key, c in terms.items() if c})
+        return p
+
     # -- ring structure ----------------------------------------------------
 
     @staticmethod
@@ -71,12 +86,12 @@ class BivariateLaurent:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return BivariateLaurent(out)
+        return BivariateLaurent._adopt(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariateLaurent":
-        return BivariateLaurent({key: -c for key, c in self._terms.items()})
+        return BivariateLaurent._adopt({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "BivariateLaurent":
         other = self._coerce(other)
@@ -91,12 +106,7 @@ class BivariateLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivariateLaurent(out)
+        return BivariateLaurent._adopt(_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -202,6 +212,18 @@ class BivariateLaurent:
             a, b, c = item["x"], item["y"], item["c"]
             out[(int(a), int(b))] = out.get((int(a), int(b)), 0) + int(c)
         return cls(out)
+
+
+def _product(
+    p: Mapping[tuple[int, int], int], q: Mapping[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """Terms of the product of two term dicts; cancelled terms stay as zeros."""
+    out: dict[tuple[int, int], int] = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 X = BivariateLaurent.monomial(1, 1, 0)

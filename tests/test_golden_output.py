@@ -112,6 +112,38 @@ POLY_DIGESTS = {
     ("multi12", "negami"): "667f50a80cf4c4f39d75e6905017a0e1b1b71d31b28cb83a43b2801f6fdab34e",
 }
 
+
+def _cycle_plus_chords(seed, vertices, edge_count):
+    """Loopless multigraph: a cycle through every vertex in seeded random
+    order plus seeded random chords, parallel ones allowed."""
+    rng = random.Random(seed)
+    order = rng.sample(range(vertices), vertices)
+    edges = [[order[i], order[(i + 1) % vertices]] for i in range(vertices)]
+    while len(edges) < edge_count:
+        edges.append(rng.sample(range(vertices), 2))
+    return {"vertices": vertices, "edges": edges}
+
+
+# (seed, vertices, edges) of two graphs the size of the largest inputs of the
+# poly-statesum benchmark workload; the digests are of the output of the
+# previous, per-cell polynomial arithmetic of the deletion-contraction rows.
+CHORD_GRAPHS = {"chords14": (2714, 8, 14), "chords15": (2715, 9, 15)}
+
+CHORD_POLY_DIGESTS = {
+    ("chords14", "yamada"): "a14e769fa151d81ae2cae1892a913108f7cb2482f97ecd358c85e6e8ac1b3ad8",
+    ("chords14", "g"): "a0ac3a90683010606d95e04be10c4dc2cdbd4b063deb26052b5cc0d499e38966",
+    ("chords14", "tutte"): "89ec865ec32a17d9c9b1171c82506006d55112450a9e3d875795b67787d050f8",
+    ("chords14", "chromatic"): "b5ef9312ec4627441aa1a909c8600578481415c64e99fa714d9a43611714bfb1",
+    ("chords14", "flow"): "e8fa73c727c8974648c67abf7554c740a299c876a17a0a9c8b81b42b01fad1d6",
+    ("chords14", "negami"): "7abcce9ac7ed99d8ef7d6ab6f2b21fcebac886d9e4048466b19f55a6074688f4",
+    ("chords15", "yamada"): "80d6d535d996dda96580f308fd50107c7ac85768bc2f1404851cf215fcb6ee3b",
+    ("chords15", "g"): "e995961ad2b9c3b3dec6f3703355b692161b1a939286c9fdb381d13627ef0387",
+    ("chords15", "tutte"): "cde7feb29b61f05b59ea0128be3f98f04c185900b7b0c9dcb3c74a0d8fe711cc",
+    ("chords15", "chromatic"): "a27fca69a4f7b6baa7dde7c4df572d875fb16ca2c686f5b7b1672467b8d3e5f4",
+    ("chords15", "flow"): "21cf220c710c6598073e467b400c5051b38c545fd5c3dd5ce67f8ef623d38177",
+    ("chords15", "negami"): "980c684a8f058f9b7479dc9cb3a02db3adc732efd13a5749a8dff4b81233283d",
+}
+
 # sha256 over the JSON tables of every corpus graph, yamada then tutte per graph:
 # pins the corpus torsion (thirty Z/2 factors), which Euler characteristics cannot see.
 CORPUS_TABLES_DIGEST = "415357bade4b1bde10106dae4ab913e0c405ea27f15be3cf2c259060510c1058"
@@ -167,6 +199,16 @@ def test_poly_digest(name, which, tmp_path, capsys):
     assert run(["poly", "--which", which, "--input", _graph_path(name, tmp_path), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == POLY_DIGESTS[(name, which)]
+
+
+@pytest.mark.parametrize("name,which", sorted(CHORD_POLY_DIGESTS))
+def test_chord_graph_poly_digest(name, which, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_cycle_plus_chords(*CHORD_GRAPHS[name])))
+    argv = ["poly", "--which", which, "--max-edges", "15", "--input", str(path), "--json"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHORD_POLY_DIGESTS[(name, which)]
 
 
 @pytest.mark.parametrize("name", sorted({name for name, _ in POLY_DIGESTS}))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphhom.invariants
+import graphhom.laurent
 from graphhom.invariants import (
     InvariantParams,
     chromatic_count,
@@ -26,6 +27,7 @@ from graphhom.multigraph import (
     multiedge_graph,
     permute_edges,
     reduce,
+    state_histogram,
     tree_graph,
     triangle,
 )
@@ -89,6 +91,13 @@ def test_g_polynomials_refuse_x_degree_over_limit(monkeypatch):
     assert g_polynomials(bigon())[0] == P({(3, 1): 1, (2, 0): -1})
     monkeypatch.setattr(graphhom.invariants, "MAX_G_DEGREE", 2)
     with pytest.raises(ValueError, match="x-degree 3, over the limit of 2"):
+        g_polynomials(bigon())
+
+
+def test_g_polynomials_refuse_an_impossible_histogram(monkeypatch):
+    # one state with |S| = 0 and b0 = 0 on two vertices: b1 = 0 - 2 + 0 < 0
+    monkeypatch.setattr(graphhom.invariants, "state_histogram", lambda G: {(0, 0): 1})
+    with pytest.raises(RuntimeError, match="negative exponent"):
         g_polynomials(bigon())
 
 
@@ -359,3 +368,59 @@ def test_state_sum_matches_recursion_on_random_loopless_multigraphs():
         G = build(vertices, edges)
         for row in ROWS.values():
             assert eval_del_con(G, row) == _eval_del_con_recursive(G, row)
+
+
+# Loopless, 14 edges on 8 vertices: a Hamiltonian cycle plus six chords,
+# two of them doubled; r = 7 and nu = 7.
+CHORDS14 = build(
+    8,
+    [(7, 5), (5, 6), (6, 4), (4, 0), (0, 2), (2, 1), (1, 3), (3, 7),
+     (6, 5), (2, 1), (0, 3), (0, 3), (4, 3), (5, 4)],
+)
+
+# Polynomial products (`laurent._product`, whether `*` or `eval_del_con`
+# calls it) and constructions (`BivariateLaurent.__init__` and `_adopt`)
+# during one `eval_del_con` call on a connected graph, for every row:
+# 3 (r + nu) + 2 to build the two power tables, min(r, nu) + 1 for the rows
+# (or columns), 2 for cd - a and ce - b, 2 for c^(-1) ** 1 and 1 to shift
+# by it. The count is fixed by r and nu, not by how many (i, j) cells of
+# the histogram are nonzero.
+OPERATION_COUNTS = {
+    "chords14": (7, 7, {"products": 57, "constructions": 11}),
+    "ladder14": (27, 13, {"products": 141, "constructions": 11}),
+}
+
+
+def _count_operations(monkeypatch, G, row):
+    counts = {"products": 0, "constructions": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for module in (graphhom.laurent, graphhom.invariants):
+        monkeypatch.setattr(module, "_product", counted("products", module._product))
+    monkeypatch.setattr(P, "__init__", counted("constructions", P.__init__))
+    monkeypatch.setattr(P, "_adopt", classmethod(counted("constructions", P._adopt.__func__)))
+    value = eval_del_con(G, row)
+    monkeypatch.undo()
+    return counts, value
+
+
+@pytest.mark.parametrize("name", sorted(OPERATION_COUNTS))
+def test_eval_del_con_operation_count_is_bounded_by_rank_and_nullity(name, monkeypatch):
+    G = CHORDS14 if name == "chords14" else _ladder(14)
+    r, nu, expected = OPERATION_COUNTS[name]
+    cells = {(b0, size - G.vertex_count + b0) for size, b0 in state_histogram(G)}
+    assert (len({i for i, _ in cells}), len({j for _, j in cells})) == (r + 1, nu + 1)
+    if name == "ladder14":
+        # one product per nonzero cell (197 of them) would be over the bound
+        assert len(cells) > 4 * (r + nu) + 8
+    for row in ROWS.values():
+        counts, value = _count_operations(monkeypatch, G, row)
+        assert counts == expected
+        assert counts["products"] <= 4 * (r + nu) + 8
+        assert value == eval_del_con(G, row)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphhom.laurent import (
@@ -106,6 +106,28 @@ def test_ring_axioms(p, q, r):
 @given(plain_polys, plain_polys)
 def test_shift_is_multiplicative(p, q):
     assert substitute_shift(p * q) == substitute_shift(p) * substitute_shift(q)
+
+
+def _assert_canonical(p):
+    """p holds no zero coefficient and only plain ints, and equals and hashes
+    like the polynomial the public constructor rebuilds from its terms."""
+    assert all(c != 0 for _, _, c in p.terms())
+    assert all(type(v) is int for term in p.terms() for v in term)
+    rebuilt = P({(a, b): c for a, b, c in p.terms()})
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_polys, laurent_polys | st.integers(-3, 3), st.integers(0, 3))
+@example(X + 1, X - 1, 2)
+@example(X * Y - 1, X * Y + 1, 1)
+@example(X - Y, -(X - Y), 0)
+def test_ring_operations_build_canonical_results(p, q, n):
+    """`+`, `-` and `*` (so `**`) build through the private constructor,
+    which only drops zeros; cancelling sums and products included."""
+    for result in (p + q, q + p, p - q, q - p, -p, p * q, q * p, p ** n):
+        _assert_canonical(result)
+    assert (p - p).is_zero() and (p * 0).is_zero()
 
 
 def test_canonical_string_order():
