@@ -9,14 +9,17 @@ insertion); with the usual alternating signs these assemble into a
 differential that preserves the bidegree and squares to zero, which
 `build_complex` verifies at every height on every run: the bidegree on
 every entry of each distinct per-edge map when that map is first worked
-out, and d^2 = 0 one square face of the cube at a time. The
-per-bidegree blocks are each an `IntMatrix` over three flat arrays of
-row, column and sign. They are not stored: the complex keeps the states,
-their slots and one map per distinct rule key, which fix the
-differential, and `BigradedComplex.blocks` writes the blocks of a height
-from that rule memo each time the height is read. So `dump --height i`
-verifies the whole cube but writes only the blocks of height i, and a
-reader that walks the heights upward holds one height's blocks at a time.
+out, and d^2 = 0 one square face of the cube at a time, on one row of
+small integer codes per state (rule id and sign of each map out of it),
+with a verdict memo so that a face whose four codes were seen before
+costs one set lookup. The per-bidegree blocks are each an `IntMatrix`
+over three flat arrays of row, column and sign. They are not stored: the
+complex keeps the states, their slots and one map per distinct rule
+key, which fix the differential, and `BigradedComplex.blocks` writes the
+blocks of a height from that rule memo each time the height is read. So
+`dump --height i` verifies the whole cube but writes only the blocks of
+height i, and a reader that walks the heights upward holds one height's
+blocks at a time.
 The same builder, with `min_cycles`, builds a cycle summand D_L of the
 tutte complex instead, which `homology.tutte_cohomology` eliminates.
 
@@ -165,16 +168,36 @@ def _edge_rule(
     return pairs
 
 
+def _by_popcount(width: int) -> list[list[int]]:
+    """The integers below 2^width grouped by popcount: entry w holds those
+    with w set bits, in ascending order. Not cached: it takes 2^width
+    steps where `_members` writes 2^(j + k) indices, and a table kept for
+    the process would outlive every complex that needed it."""
+    groups: list[list[int]] = [[] for _ in range(width + 1)]
+    for x in range(1 << width):
+        groups[x.bit_count()].append(x)
+    return groups
+
+
 def _members(slots: tuple[int, int]) -> list[tuple[Bidegree, list[int]]]:
     """The bidegrees of a chain module with `slots` (edge and component
     slots, cycle slots) in order of their first index, each with its
-    indices in ascending order."""
+    indices in ascending order.
+
+    An index of bidegree (p, q) is h << j | l with l below 2^j of
+    popcount p and h below 2^k of popcount q, so the indices come
+    straight from the popcount tables of the two widths (`_by_popcount`),
+    ascending when h and l are. The first index of (p, q) is
+    (2^q - 1) << j | (2^p - 1), which grows with p in the low j bits and
+    with q above them, so q then p is the order of first indices.
+    """
     j_slots, k_slots = slots
-    low = (1 << j_slots) - 1
-    members: dict[Bidegree, list[int]] = {}
-    for x in range(1 << j_slots + k_slots):
-        members.setdefault(((x & low).bit_count(), (x >> j_slots).bit_count()), []).append(x)
-    return list(members.items())
+    lows, highs = _by_popcount(j_slots), _by_popcount(k_slots)
+    return [
+        ((p, q), [h << j_slots | l for h in highs[q] for l in lows[p]])
+        for q in range(k_slots + 1)
+        for p in range(j_slots + 1)
+    ]
 
 
 @dataclass
@@ -246,42 +269,56 @@ class BigradedComplex:
 def _check_faces(
     masks: Iterable[int],
     n: int,
-    below: dict[tuple[int, int], tuple[int, list[int]]],
-    above: dict[tuple[int, int], tuple[int, list[int]]],
+    below: dict[int, list[int]],
+    above: dict[int, list[int]],
+    targets: list[list[int]],
     i: int,
 ) -> None:
     """Raise unless every square face from height i - 1 to i + 1 anticommutes.
 
-    `below` and `above` hold the signed per-edge maps out of heights i - 1
-    and i as target arrays. The piece S -> S+e+f of d^i d^(i-1) is the sum
-    of the two paths round the face; each path sends x to at most one
-    element, with the product of its signs. So the piece is zero exactly
-    when both paths send every x to the same element (or both kill it)
-    and, unless every x is killed, the two sign products are opposite.
+    `below` and `above` hold the code rows of the states of heights i - 1
+    and i: entry t of the row of S is 2 * (rule id) + (parity of the
+    number of edges of S below e) for the t-th edge e outside S, in
+    ascending order, and `targets[rule id]` is that rule's target array.
+    The piece S -> S+e+f of d^i d^(i-1) is the sum of the two paths round
+    the face; each path sends x to at most one element, with the product
+    of its signs. So the piece is zero exactly when both paths send every
+    x to the same element (or both kill it) and, unless every x is
+    killed, the two sign products are opposite: the four parities have an
+    odd sum.
 
-    Faces share target arrays (one per distinct map, kept alive by the
-    build until its last face check), so whether a face's paths agree, and
-    whether some x survives them, is worked out once per four arrays, keyed
-    by their identity; the signs are compared per face.
+    For e < f, the t-th and u-th edges outside S, the four maps of the
+    face are entries t and u of the row of S, entry u - 1 of the row of
+    S+e and entry t of the row of S+f. Whether the paths agree, and
+    whether some x survives them, is worked out once per quadruple of rule
+    ids; the sign test once per quadruple of codes. A quadruple of codes
+    that passed both is kept in a verdict memo, so every other face with
+    that quadruple costs one set lookup.
     """
+    error = f"d^2 != 0 between heights {i - 1} and {i + 1}"
     survives: dict[tuple[int, int, int, int], bool] = {}
+    good: set[tuple[int, int, int, int]] = set()
     for mask in masks:
-        free = [e for e in range(n) if not mask >> e & 1]
-        for t, e in enumerate(free):
-            sign_a, a = below[(mask, e)]
-            for f in free[t + 1 :]:
-                sign_b, b = above[(mask | 1 << e, f)]
-                sign_c, c = below[(mask, f)]
-                sign_d, d = above[(mask | 1 << f, e)]
-                key = (id(a), id(b), id(c), id(d))
-                some = survives.get(key)
+        row = below[mask]
+        ups = [above[mask | 1 << e] for e in range(n) if not mask >> e & 1]
+        for t, a in enumerate(row):
+            t1 = t + 1
+            for b, c, up_f in zip(ups[t][t:], row[t1:], ups[t1:]):
+                d = up_f[t]
+                face = (a, b, c, d)
+                if face in good:
+                    continue
+                ids = (a >> 1, b >> 1, c >> 1, d >> 1)
+                some = survives.get(ids)
                 if some is None:
-                    ab = list(map(b.__getitem__, a))
-                    if ab != list(map(d.__getitem__, c)):
-                        raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
-                    some = survives[key] = max(ab) >= 0
-                if some and sign_a * sign_b == sign_c * sign_d:
-                    raise RuntimeError(f"d^2 != 0 between heights {i - 1} and {i + 1}")
+                    path_a, path_b, path_c, path_d = map(targets.__getitem__, ids)
+                    ab = list(map(path_b.__getitem__, path_a))
+                    if ab != list(map(path_d.__getitem__, path_c)):
+                        raise RuntimeError(error)
+                    some = survives[ids] = max(ab) >= 0
+                if some and not (a ^ b ^ c ^ d) & 1:
+                    raise RuntimeError(error)
+                good.add(face)
 
 
 class HeightBlocks(Sequence):
@@ -351,13 +388,18 @@ def build_complex(
     bidegree and the map to be a partial function (every coefficient is
     1). A map is kept as, per bidegree, the positions of its entries
     counted from the first element of that bidegree in S and in S+e, and,
-    until the build returns, as its target array. Heights are walked in
-    order; once height i is walked, the faces from height i - 1 to i + 1
-    are checked to anticommute (`_check_faces`) on the signed target
-    arrays. Edges with one key share one map, so the face check tests the
-    differential as the blocks will hold it rather than each edge's map
-    apart. Any failure raises RuntimeError, whichever heights are read
-    later.
+    until the build returns, as its target array under a rule id, which
+    numbers the keys in the order they are first seen. Heights are walked
+    in order, and the walk of height i writes one code row per state S:
+    one int per edge e outside S, in edge order, 2 * (rule id of (S, e))
+    + (parity of the edges of S below e), which fixes the signed map.
+    Once height i is walked, the faces from height i - 1 to i + 1 are
+    checked to anticommute (`_check_faces`) on the rows of heights i - 1
+    and i, and the rows of height i - 1 go. Edges with one key share one
+    map, so the face check tests the differential as the blocks will hold
+    it rather than each edge's map apart. Any failure raises
+    RuntimeError, whichever heights are read later. The ids, the target
+    arrays and the rows are dropped once the last face is checked.
 
     Reading `blocks[i]` (`HeightBlocks`) walks height i again: every
     (S, e) extends, per bidegree of its map, three arrays with the map's
@@ -436,10 +478,11 @@ def build_complex(
     # and the source positions, and their signs for an even and for an odd
     # number of edges of S below e
     rules: dict[tuple, list[tuple]] = {}
-    # rule key -> target of each source or -1 when it is killed, with an
-    # extra trailing -1 so that a composite looks up a killed element at
-    # index -1 and gets -1 back; for the face checks only
-    targets: dict[tuple, list[int]] = {}
+    # rule key -> rule id, and rule id -> target of each source or -1 when
+    # it is killed, with an extra trailing -1 so that a composite looks up a
+    # killed element at index -1 and gets -1 back; for the face checks only
+    rule_ids: dict[tuple, int] = {}
+    targets: list[list[int]] = []
 
     def walk(i: int) -> Iterator[tuple[int, int, int, tuple]]:
         """S, e, the parity of the number of edges of S below e and the rule
@@ -490,7 +533,8 @@ def build_complex(
                                 array("b", [-1]) * len(rows),
                             )
                         rule.append((jk, rows, cols, signs))
-                    rules[key], targets[key] = rule, target
+                    rules[key], rule_ids[key] = rule, len(targets)
+                    targets.append(target)
                 yield mask, e, insert & 1, key
 
     def shifts(h: int) -> dict[int, dict[Bidegree, Callable[[int], int]]]:
@@ -527,15 +571,20 @@ def build_complex(
             for jk, t in triplets.items()
         }
 
-    below: dict[tuple[int, int], tuple[int, list[int]]] = {}
+    below: dict[int, list[int]] = {}
     for i in range(n):
-        # (mask, e) -> (sign, target array of the rule)
-        maps = {(mask, e): (-1 if odd else 1, targets[key]) for mask, e, odd, key in walk(i)}
+        # S -> its code row: 2 * rule id + parity per edge outside S, in order
+        rows: dict[int, list[int]] = {mask: [] for mask in offsets[i]}
+        for mask, e, odd, key in walk(i):
+            rows[mask].append(2 * rule_ids[key] + odd)
         if i > 0:
-            _check_faces(offsets[i - 1], n, below, maps, i)
-        below = maps
-    # Every face is checked and every map worked out: no read needs the arrays.
+            _check_faces(offsets[i - 1], n, below, rows, targets, i)
+        below = rows
+    # Every face is checked and every map worked out: no read needs the ids,
+    # the arrays or the rows.
+    rule_ids.clear()
     targets.clear()
+    below.clear()
 
     return BigradedComplex(
         variant=variant,

@@ -121,8 +121,9 @@ class BivariateLaurent:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def is_zero(self) -> bool:

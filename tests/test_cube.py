@@ -460,6 +460,95 @@ def test_each_distinct_edge_map_is_worked_out_once(monkeypatch, G, calls):
     assert len(seen) == calls
 
 
+def _brute_members(slots):
+    """The bidegree groups of `cube._members`, by reading the bidegree off
+    every index in turn."""
+    j_slots, k_slots = slots
+    low = (1 << j_slots) - 1
+    members = {}
+    for x in range(1 << j_slots + k_slots):
+        members.setdefault(((x & low).bit_count(), (x >> j_slots).bit_count()), []).append(x)
+    return list(members.items())
+
+
+def test_members_match_a_grouping_of_every_index_by_popcount():
+    for width in range(13):
+        for j_slots in range(width + 1):
+            shape = (j_slots, width - j_slots)
+            assert cube._members(shape) == _brute_members(shape), shape
+
+
+# One identity rule and one rule that kills both elements, on a module of
+# rank 2; each array ends in -1, as the build's target arrays do.
+IDENTITY, KILL = 0, 1
+FACE_TARGETS = [[0, 1, -1], [-1, -1, -1]]
+
+
+def _koszul_rows(n, h, rule=IDENTITY):
+    """Code rows of every state of height h of an n-edge cube whose every
+    map is `rule`, with the parity of the number of edges of S below e."""
+    return {
+        mask: [
+            2 * rule + (mask & (1 << e) - 1).bit_count() % 2
+            for e in range(n)
+            if not mask >> e & 1
+        ]
+        for mask in range(1 << n)
+        if mask.bit_count() == h
+    }
+
+
+def _check(n, i, below, above, targets=FACE_TARGETS):
+    cube._check_faces(sorted(below), n, below, above, targets, i)
+
+
+def test_check_faces_passes_an_anticommuting_face():
+    _check(2, 1, _koszul_rows(2, 0), _koszul_rows(2, 1))
+    for n in range(3, 6):
+        for i in range(1, n):
+            _check(n, i, _koszul_rows(n, i - 1), _koszul_rows(n, i))
+
+
+def test_check_faces_raises_on_a_face_whose_sign_products_agree():
+    above = _koszul_rows(2, 1)
+    above[0b10][0] ^= 1  # the map of edge 0 out of {1} changes sign
+    with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 0 and 2$"):
+        _check(2, 1, _koszul_rows(2, 0), above)
+
+
+def test_check_faces_raises_on_a_face_whose_paths_disagree():
+    swap = [1, 0, -1]
+    below = _koszul_rows(2, 0)
+    below[0][0] += 2 * 2  # the map of edge 0 out of {} becomes rule 2, a swap
+    with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 0 and 2$"):
+        _check(2, 1, below, _koszul_rows(2, 1), FACE_TARGETS + [swap])
+
+
+def test_check_faces_passes_a_face_that_kills_everything_whatever_its_signs():
+    for parities in range(16):
+        a, b, c, d = ((parities >> bit) & 1 for bit in range(4))
+        below = {0: [2 * KILL + a, 2 * KILL + c]}
+        above = {0b01: [2 * IDENTITY + b], 0b10: [2 * IDENTITY + d]}
+        _check(2, 1, below, above)
+
+
+def test_check_faces_reaches_the_last_face_of_the_last_state():
+    # Every map of the four-edge cube out of height 1 is used by exactly one
+    # face out of {}: flipping the map of edge 3 out of {2} breaks only the
+    # last face, e = 2 and f = 3.
+    above = _koszul_rows(4, 1)
+    above[0b0100][2] ^= 1
+    with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 0 and 2$"):
+        _check(4, 1, _koszul_rows(4, 0), above)
+    # Out of height 1 of the three-edge cube every state has one face, and
+    # each map out of it lies on that face alone: flipping the map of edge 1
+    # out of {2} breaks only the face of the last state.
+    below = _koszul_rows(3, 1)
+    below[0b100][1] ^= 1
+    with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 1 and 3$"):
+        _check(3, 2, below, _koszul_rows(3, 2))
+
+
 def _retained(make):
     """make() and the bytes that what it allocated still holds once it has
     returned, with its result alive (tracemalloc, so bytes only, no time)."""

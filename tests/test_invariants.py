@@ -382,12 +382,12 @@ CHORDS14 = build(
 # calls it) and constructions (`BivariateLaurent.__init__` and `_adopt`)
 # during one `eval_del_con` call on a connected graph, for every row:
 # 3 (r + nu) + 2 to build the two power tables, min(r, nu) + 1 for the rows
-# (or columns), 2 for cd - a and ce - b, 2 for c^(-1) ** 1 and 1 to shift
+# (or columns), 2 for cd - a and ce - b, 1 for c^(-1) ** 1 and 1 to shift
 # by it. The count is fixed by r and nu, not by how many (i, j) cells of
 # the histogram are nonzero.
 OPERATION_COUNTS = {
-    "chords14": (7, 7, {"products": 57, "constructions": 11}),
-    "ladder14": (27, 13, {"products": 141, "constructions": 11}),
+    "chords14": (7, 7, {"products": 56, "constructions": 10}),
+    "ladder14": (27, 13, {"products": 140, "constructions": 10}),
 }
 
 
