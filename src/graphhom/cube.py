@@ -24,21 +24,23 @@ The same builder, with `min_cycles`, builds a cycle summand D_L of the
 tutte complex instead, which `homology.tutte_cohomology` eliminates.
 
 A state S is its edge bitmask, and the components of [G:S] come from
-`multigraph.state_components`, which derives every state from its
-parent state. A basis element of C^S picks 1 or the generator in every
-tensor slot, so it is a bitmask too, and its index in C^S is that
-bitmask read as an integer: bit k is slot k, a set bit is the
-generator. Slots are edge factors by ascending edge index, then
-component factors by ascending minimal vertex, then cycle factors. The
-bidegree of an index is (number of set edge and component bits, number
-of set cycle bits). States inside one height sit in ascending bitmask
-order. These conventions pin every matrix entry, so two runs (or two
-machines) produce identical artifacts. The build counts how many basis
-elements of each bidegree every height has, from the slot counts of its
-states; the positions of those elements (`bidegree_index`), one array
-per bidegree, are written for a height the first time it is read and
-then kept, so `dump` and `cohomology`, which read only counts and
-blocks, write none.
+`multigraph.state_components`, which derives every state from its parent
+state, or, for the states of a cycle summand alone, from
+`multigraph.cyclic_state_components`, which derives them the same way
+along a search that never visits the rest of the cube. A basis element
+of C^S picks 1 or the generator in every tensor slot, so it is a bitmask
+too, and its index in C^S is that bitmask read as an integer: bit k is
+slot k, a set bit is the generator. Slots are edge factors by ascending
+edge index, then component factors by ascending minimal vertex, then
+cycle factors. The bidegree of an index is (number of set edge and
+component bits, number of set cycle bits). States inside one height sit
+in ascending bitmask order. These conventions pin every matrix entry, so
+two runs (or two machines) produce identical artifacts. The build counts
+how many basis elements of each bidegree every height has, from the slot
+counts of its states; the positions of those elements
+(`bidegree_index`), one array per bidegree, are written for a height the
+first time it is read and then kept, so `dump` and `cohomology`, which
+read only counts and blocks, write none.
 
 The chain maps between complexes (`phi_psi` between the two variants,
 `projection_map` onto a subgraph) send every basis element to at most one
@@ -54,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import ZERO, BivariateLaurent
 from .matrices import INDEX_TYPECODE, IntMatrix
@@ -105,31 +107,37 @@ def _refuse_by_floor(vertex_count: int, edge_count: int, yamada: bool) -> None:
     )
 
 
-def state_slots(
-    G: Multigraph, variant: str
-) -> tuple[list[tuple[list[int], int]], list[tuple[int, int]]]:
-    """The components of every state, from `state_components`, and its slot
-    counts (edge and component slots, cycle slots), after refusing a complex
-    whose total chain rank exceeds `MAX_CHAIN_RANK`.
-
-    The refusal comes first by the lower bound of `_refuse_by_floor`, before
-    any state is looked at, then by the exact rank, the sum over all states
-    of 2^(slots), before anything else is built. Every route to a complex
-    or its cohomology refuses here, so they all refuse alike.
-    """
-    yamada = variant == "yamada"
-    _refuse_by_floor(G.vertex_count, G.edge_count, yamada)
-    components = state_components(G)
-    slots = []
-    for mask, (_, b0) in enumerate(components):
-        size = mask.bit_count()
-        slots.append(((size if yamada else 0) + b0, size - G.vertex_count + b0))
-    chain_rank = sum(1 << (j + k) for j, k in slots)
+def _refuse_by_rank(chain_rank: int) -> None:
+    """Raise ValueError if the exact total chain rank is over the limit."""
     if chain_rank > MAX_CHAIN_RANK:
         raise ValueError(
             f"chain complex has rank {chain_rank}, over the limit of {MAX_CHAIN_RANK}"
         )
-    return components, slots
+
+
+def state_slots(G: Multigraph, variant: str) -> dict[int, tuple[list[int], int]]:
+    """The components of every state, from `state_components`, as mask ->
+    (labels, b0) in ascending mask order, after refusing a complex whose
+    total chain rank exceeds `MAX_CHAIN_RANK`.
+
+    The refusal comes first by the lower bound of `_refuse_by_floor`, before
+    any state is looked at, then by the exact rank, the sum over all states
+    of 2^(slots), with (edge and component slots, cycle slots) = (lambda +
+    b0, |S| - V + b0), before anything else is built. Every route to a
+    complex or its cohomology refuses as this does, so they all refuse
+    alike.
+    """
+    yamada = variant == "yamada"
+    _refuse_by_floor(G.vertex_count, G.edge_count, yamada)
+    components = state_components(G)
+    per_edge = 2 if yamada else 1  # lambda + |S| = per_edge * |S|
+    _refuse_by_rank(
+        sum(
+            1 << per_edge * mask.bit_count() + 2 * b0 - G.vertex_count
+            for mask, (_, b0) in enumerate(components)
+        )
+    )
+    return dict(enumerate(components))
 
 
 def _edge_rule(
@@ -269,8 +277,8 @@ class BigradedComplex:
 def _check_faces(
     masks: Iterable[int],
     n: int,
-    below: dict[int, list[int]],
-    above: dict[int, list[int]],
+    below: dict[int, tuple[int, ...]],
+    above: dict[int, tuple[int, ...]],
     targets: list[list[int]],
     i: int,
 ) -> None:
@@ -294,13 +302,24 @@ def _check_faces(
     ids; the sign test once per quadruple of codes. A quadruple of codes
     that passed both is kept in a verdict memo, so every other face with
     that quadruple costs one set lookup.
+
+    The faces out of S read exactly the row of S and the rows of its
+    up-neighbours S+e, in edge order. So a state whose rows equal, code
+    for code, those of a state already judged has only faces already
+    judged, with the same quadruples and verdicts, and is skipped: one
+    lookup of its rows (tuples, to be hashed) instead of one per face.
     """
     error = f"d^2 != 0 between heights {i - 1} and {i + 1}"
     survives: dict[tuple[int, int, int, int], bool] = {}
     good: set[tuple[int, int, int, int]] = set()
+    judged: set[tuple[tuple[int, ...], ...]] = set()
     for mask in masks:
         row = below[mask]
         ups = [above[mask | 1 << e] for e in range(n) if not mask >> e & 1]
+        pattern = (row, *ups)
+        if pattern in judged:
+            continue
+        judged.add(pattern)
         for t, a in enumerate(row):
             t1 = t + 1
             for b, c, up_f in zip(ups[t][t:], row[t1:], ups[t1:]):
@@ -343,7 +362,7 @@ def build_complex(
     G: Multigraph,
     variant: str,
     min_cycles: int | None = None,
-    states: tuple[list[tuple[list[int], int]], list[tuple[int, int]]] | None = None,
+    states: Mapping[int, tuple[list[int], int]] | None = None,
 ) -> BigradedComplex:
     """Verify the complex at every height, and return it with per-bidegree
     blocks that are written from the rule memo each time a height is read.
@@ -366,10 +385,15 @@ def build_complex(
     any state is looked at, then by the exact rank before any basis is
     built. The exact rank takes b0 of every state from `state_components`,
     which also gives the component of each endpoint that the per-edge maps
-    need. A caller that has already called `state_slots(G, variant)`, and
-    so refused or passed G, may hand its result over as `states`, and the
-    build makes no state pass of its own; `homology.tutte_cohomology`
-    builds every D_L from one.
+    need, as a map mask -> (labels, b0). A caller that has refused or
+    passed G itself may hand such a map over as `states` instead, and the
+    build makes no state pass and no refusal of its own. The map need
+    hold only the states of the complex, in any order: the build takes
+    the states with b1 >= L from it with `min_cycles` L, and every state
+    it holds without; its states of each height are sorted by mask. So
+    `homology.tutte_cohomology` builds every D_L from one map of the
+    up-set {b1 >= 1} (`multigraph.cyclic_state_components`), and no D_L
+    build visits the other states of the cube.
 
     The build counts the basis elements of each bidegree at each height
     (`dims`) from the slot counts of its states, one small dict per
@@ -414,22 +438,28 @@ def build_complex(
         raise ValueError("only the tutte complex splits into cycle summands")
     n = G.edge_count
     yamada = variant == "yamada"
-    # Per state: the component of each vertex, and (edge + component slots, cycle slots).
-    components, slots = state_slots(G, variant) if states is None else states
-    if min_cycles is not None:
-        # None for a state outside D_L
-        slots = [(j, 0) if k >= min_cycles else None for j, k in slots]
-
+    # Per state: the component of each vertex and b0.
+    if states is None:
+        states = state_slots(G, variant)
+    # Per state of the complex: (edge + component slots, cycle slots).
+    slots: dict[int, tuple[int, int]] = {}
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        if slots[mask] is not None:
-            masks_by_height[mask.bit_count()].append(mask)
+    for mask in sorted(states):
+        size, b0 = mask.bit_count(), states[mask][1]
+        b1 = size - G.vertex_count + b0
+        if min_cycles is None:
+            slots[mask] = ((size if yamada else 0) + b0, b1)
+        elif b1 >= min_cycles:
+            slots[mask] = (b0, 0)
+        else:
+            continue
+        masks_by_height[size].append(mask)
 
     # Per slot counts: the bidegree of each index and its position among the
     # indices of that bidegree, and the bidegrees in order of their first
     # index, each with its indices in ascending order (`_members`).
     shapes: dict[tuple[int, int], tuple] = {}
-    for shape in {jk for jk in slots if jk is not None}:
+    for shape in set(slots.values()):
         members = _members(shape)
         bidegs: list[Bidegree] = [(0, 0)] * (1 << sum(shape))
         local_pos = [0] * len(bidegs)
@@ -489,7 +519,7 @@ def build_complex(
         key of every (S, e) out of height i, working out and checking the
         map of a key the first time it is seen."""
         for mask in offsets[i]:
-            comp_of = components[mask][0]
+            comp_of = states[mask][0]
             src_slots = slots[mask]
             for e, bit, lower, u, v in edges:
                 if mask & bit:
@@ -571,12 +601,13 @@ def build_complex(
             for jk, t in triplets.items()
         }
 
-    below: dict[int, list[int]] = {}
+    below: dict[int, tuple[int, ...]] = {}
     for i in range(n):
         # S -> its code row: 2 * rule id + parity per edge outside S, in order
-        rows: dict[int, list[int]] = {mask: [] for mask in offsets[i]}
+        codes: dict[int, list[int]] = {mask: [] for mask in offsets[i]}
         for mask, e, odd, key in walk(i):
-            rows[mask].append(2 * rule_ids[key] + odd)
+            codes[mask].append(2 * rule_ids[key] + odd)
+        rows = {mask: tuple(row) for mask, row in codes.items()}
         if i > 0:
             _check_faces(offsets[i - 1], n, below, rows, targets, i)
         below = rows

@@ -22,16 +22,19 @@ complex: the complex splits by cycle bits into shifted copies of the
 cycle summands D_L, the chromatic complex on the states with b1 >= L.
 H(D_0) is a closed form in the chromatic polynomials of the components
 (`chromatic_cohomology`: knight moves, then the Kunneth formula), and
-only D_1, D_2, ... are built and eliminated. `yamada_cohomology` gets the
-yamada table without eliminating the yamada complex: the complex is a
-direct sum, over the edge subsets A, of shifted copies of the tutte
-complexes of the contractions G/A, so the table is a sum of the tutte
-tables of the minors, each worked out once per call by
-`tutte_cohomology`. Torsion is added as prime powers and turned back
-into invariant factors by `prime_powers` and `invariant_factors`, which
-live in `matrices` beside the elimination that uses them too.
-`cohomology(build_complex(G, variant))` stays the whole-complex route,
-which `check` and the tests take.
+only D_1, D_2, ... are built and eliminated, from one enumeration of the
+up-set of the states with b1 >= 1; the refusal reads the state
+histograms, so no pass over all 2^|E| states is made.
+`yamada_cohomology` gets the yamada table without eliminating the yamada
+complex: the complex is a direct sum, over the edge subsets A, of
+shifted copies of the tutte complexes of the contractions G/A, so the
+table is a sum of the tutte tables of the minors, each worked out once
+per call by `tutte_cohomology`, and each class of subsets with one
+minor, size and b0 is added once, times its count. Torsion is added as
+prime powers and turned back into invariant factors by `prime_powers`
+and `invariant_factors`, which live in `matrices` beside the elimination
+that uses them too. `cohomology(build_complex(G, variant))` stays the
+whole-complex route, which `check` and the tests take.
 """
 
 from __future__ import annotations
@@ -41,10 +44,22 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable
 
-from .cube import Bidegree, BigradedComplex, _refuse_by_floor, build_complex, state_slots
+from .cube import (
+    Bidegree,
+    BigradedComplex,
+    _refuse_by_floor,
+    _refuse_by_rank,
+    build_complex,
+    state_slots,
+)
 from .laurent import BivariateLaurent
 from .matrices import _eliminate, invariant_factors, prime_powers
-from .multigraph import Multigraph, connected_components, state_histogram
+from .multigraph import (
+    Multigraph,
+    connected_components,
+    cyclic_state_components,
+    state_histogram,
+)
 
 
 @dataclass(frozen=True)
@@ -156,9 +171,12 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
     return CohomologyTable(variant=cx.variant, height_count=heights, summands=summands)
 
 
-def _knight_moves(G: Multigraph) -> dict[tuple[int, int], tuple[int, int]]:
-    """H^i_j(D_0) of a connected G (V >= 1, loops allowed) from its
-    chromatic polynomial, as (i, j) -> (free rank, number of Z/2).
+def _knight_moves(
+    V: int, histogram: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """H^i_j(D_0) of a connected graph with V >= 1 vertices (loops allowed)
+    and state histogram `histogram`, from its chromatic polynomial, as
+    (i, j) -> (free rank, number of Z/2).
 
     Let c_j be the coefficient of t^j in P_G(1+t), which the state
     histogram gives as sum over S of (-1)^|S| (1+t)^b0(S). If P_G(2) != 0
@@ -178,9 +196,8 @@ def _knight_moves(G: Multigraph) -> dict[tuple[int, int], tuple[int, int]]:
     not a table (a negative one, or a knight move left at the top) raise
     RuntimeError.
     """
-    V = G.vertex_count
     c = [0] * (V + 1)
-    for (size, b0), count in state_histogram(G).items():
+    for (size, b0), count in histogram.items():
         for j in range(b0 + 1):
             c[j] += (-1) ** size * count * comb(b0, j)
     v0 = 1 if sum(c) else 0
@@ -204,7 +221,16 @@ def _knight_moves(G: Multigraph) -> dict[tuple[int, int], tuple[int, int]]:
 
 def chromatic_cohomology(G: Multigraph) -> dict[tuple[int, int], Summand]:
     """H^i_j(D_0), the k = 0 part of the tutte table of G, as (i, j) ->
-    summand, from the state histograms of its components alone.
+    summand, from the state histograms of its components alone
+    (`_kunneth`)."""
+    return _kunneth([(H.vertex_count, state_histogram(H)) for H in connected_components(G)])
+
+
+def _kunneth(
+    components: list[tuple[int, dict[tuple[int, int], int]]]
+) -> dict[tuple[int, int], Summand]:
+    """H^i_j(D_0) of the graph whose connected components have the given
+    (vertex count, state histogram) pairs.
 
     D_0 is the chromatic complex (one Z[t]/(t^2) per component, no cycle
     slots; Helme-Guizon and Rong, AGT 2005), and the complex of G is the
@@ -216,8 +242,8 @@ def chromatic_cohomology(G: Multigraph) -> dict[tuple[int, int], Summand]:
     no vertex has Z at (0, 0).
     """
     table = {(0, 0): (1, 0)}  # (i, j) -> (free rank, number of Z/2)
-    for H in connected_components(G):
-        factor = _knight_moves(H)
+    for V, histogram in components:
+        factor = _knight_moves(V, histogram)
         out: dict[tuple[int, int], tuple[int, int]] = {}
         for (p, j1), (f1, t1) in table.items():
             for (q, j2), (f2, t2) in factor.items():
@@ -243,29 +269,35 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     k, L the bit length of c (`build_complex` with `min_cycles`, which
     gives the proof). c = 0 gives D_0, and the C(L-1, k-1) integers with
     bit length L >= 1 and k bits set give the copies of D_L. H(D_0) comes
-    from the chromatic polynomials of the components of G
-    (`chromatic_cohomology`) and is never eliminated; each D_L is built,
+    from the chromatic polynomials of the components of G (`_kunneth`,
+    as in `chromatic_cohomology`) and is never eliminated; each D_L is built,
     verified (bidegrees, partial functions, d^2 = 0) and eliminated by
     `cohomology`. L runs up to the largest b1 of a state, that of G, which
     is |E| - V + b0(G).
 
     Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),
-    before any histogram is made or any D_L built: by the lower bound of
-    `_refuse_by_floor` first, then by the exact rank, from one pass over
-    the states whose result every D_L build takes. A forest (b1(G) = 0)
-    has no D_L and gets no pass, as the floor is its exact rank: each
-    edge of a forest joins two components, so every state S has b1 = 0
-    and b0 = V - |S| >= 1 (or V = 0 and no edge), which is the b0 of the
-    floor's bound; the floor refuses exactly the forests that the exact
-    sum would, and with the same message, since `state_slots` applies the
-    floor first. Free ranks add as integers, torsion as prime powers.
+    with no state pass: by the lower bound of `_refuse_by_floor` first,
+    which bounds V before `connected_components` allocates per vertex,
+    then by the exact rank, the sum over the states S of 2^(2 b0 + |S| -
+    V), read off the state histograms of the components. The complex of G
+    is the tensor product of those of its components, so that sum is the
+    product of theirs. The same histograms give H(D_0) (`_kunneth`), so
+    each is made once. Then the up-set of the states with b1 >= 1, the
+    states of D_1, is enumerated once (`cyclic_state_components`) and every
+    D_L is built from it. A forest (b1(G) = 0) has no D_L and no such
+    state, and gets no enumeration. Free ranks add as integers, torsion as
+    prime powers.
     """
-    # the floor first: it bounds V before `connected_components` allocates per vertex
     _refuse_by_floor(G.vertex_count, G.edge_count, False)
-    b1 = G.edge_count - G.vertex_count + len(connected_components(G))
-    states = state_slots(G, "tutte") if b1 else None
+    components = [(H.vertex_count, state_histogram(H)) for H in connected_components(G)]
+    rank = 1
+    for V, histogram in components:
+        rank *= sum(count << 2 * b0 + size - V for (size, b0), count in histogram.items())
+    _refuse_by_rank(rank)
+    b1 = G.edge_count - G.vertex_count + len(components)
+    states = cyclic_state_components(G) if b1 else {}
     tally = _Tally()
-    for (i, j), s in chromatic_cohomology(G).items():
+    for (i, j), s in _kunneth(components).items():
         tally.add((i, j, 0), 1, s.free_rank, prime_powers(s.torsion))
     for L in range(1, b1 + 1):
         cx = build_complex(G, "tutte", min_cycles=L, states=states)
@@ -294,29 +326,35 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     Refuses exactly as `build_complex(G, "yamada")` does (`state_slots`),
     before any minor is built. G/A has one vertex per component of [G:A]
     and the edges outside A, relabelled through the components. Cohomology
-    does not depend on the edge order, so each minor's table is worked out
-    once per call by `tutte_cohomology`, for the minor with its edges
-    oriented (min, max) and sorted. Free ranks add as integers, torsion as
-    prime powers, so the sum is exact whatever the torsion.
+    does not depend on the edge order, so the minor is taken with its
+    edges oriented (min, max) and sorted, and the masks A are counted by
+    (b0, that minor's edges, |A|), which fix b1(A) = |A| - V + b0 too:
+    each class is added to the sum once, times its count, and each
+    distinct minor's table is worked out once per call by
+    `tutte_cohomology`, in the order the minors are first met. Free ranks
+    add as integers, torsion as prime powers, so the sum is exact whatever
+    the torsion.
     """
-    components, _ = state_slots(G, "yamada")
-    # minor -> its summands as ((i, j, k), free rank, torsion as prime powers)
-    minors: dict[Multigraph, list[tuple[tuple[int, int, int], int, Counter[int]]]] = {}
-    tally = _Tally()
-    for mask, (labels, b0) in enumerate(components):
-        size = mask.bit_count()
-        b1 = size - G.vertex_count + b0
+    classes: Counter[tuple[int, tuple[tuple[int, int], ...], int]] = Counter()
+    for mask, (labels, b0) in state_slots(G, "yamada").items():
         ends = ((labels[u], labels[v]) for e, (u, v) in enumerate(G.edges) if not mask >> e & 1)
-        minor = Multigraph(b0, tuple(sorted((p, q) if p <= q else (q, p) for p, q in ends)))
-        summands = minors.get(minor)
+        edges = tuple(sorted((p, q) if p <= q else (q, p) for p, q in ends))
+        classes[b0, edges, mask.bit_count()] += 1
+    # (b0, edges) of a minor -> its summands as ((i, j, k), free rank, torsion
+    # as prime powers)
+    minors: dict[tuple, list[tuple[tuple[int, int, int], int, Counter[int]]]] = {}
+    tally = _Tally()
+    for (b0, edges, size), count in classes.items():
+        summands = minors.get((b0, edges))
         if summands is None:
-            table = tutte_cohomology(minor)
-            summands = minors[minor] = [
+            table = tutte_cohomology(Multigraph(b0, edges))
+            summands = minors[b0, edges] = [
                 (key, s.free_rank, prime_powers(s.torsion)) for key, s in table.summands.items()
             ]
+        b1 = size - G.vertex_count + b0
         for (i, j, k), rank, powers in summands:
             for m in range(b1 + 1):
-                tally.add((i + size, j + size, k + m), comb(b1, m), rank, powers)
+                tally.add((i + size, j + size, k + m), count * comb(b1, m), rank, powers)
     return tally.table("yamada", G.edge_count + 1)
 
 

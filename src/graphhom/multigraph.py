@@ -6,20 +6,22 @@ the differentials and every serialized artifact index edges by that
 position. Two graphs with permuted edge lists are different values.
 
 A state S is an edge subset, kept as a bitmask of width |E| (bit i set
-means edge i is in S). Two views of the state cube: `state_components`
+means edge i is in S). Three views of the state cube: `state_components`
 labels the components of every state, which the complex builder needs
-for its tensor slots; `state_histogram` counts all states by (|S|, b0),
-which is all that the state sums need, by a frontier transfer over the
-edges that never visits the states one by one. Those counts are the
-same for every edge order, so the transfer walks an order of its own
-that keeps its frontier narrow; everything that indexes states by edge
-position keeps the given order.
+for its tensor slots; `cyclic_state_components` labels those of the
+states with b1 >= 1 alone, by a search that cuts every branch with no
+cycle ahead, for the cycle summands; `state_histogram` counts all states
+by (|S|, b0), which is all that the state sums need, by a frontier
+transfer over the edges that never visits the states one by one. Those
+counts are the same for every edge order, so the transfer walks an order
+of its own that keeps its frontier narrow; everything that indexes
+states by edge position keeps the given order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 Edge = tuple[int, int]
 EdgeKind = Literal["loop", "isthmus", "ordinary"]
@@ -59,21 +61,117 @@ def state_components(G: Multigraph) -> list[tuple[list[int], int]]:
     Components are numbered by ascending minimal vertex. Each mask is
     its parent `mask & (mask - 1)` plus its lowest edge, so the masks are
     labelled in ascending order from the empty state, where every vertex
-    is its own component. If the new edge joins components p < q, q
-    merges into p and every label above q moves down by one; otherwise
-    the parent's labels are unchanged and its list is shared, so callers
-    must not change the lists. b1 of the state is |S| - V + b0.
+    is its own component (`_subcube_components`). If the new edge joins
+    components p < q, q merges into p and every label above q moves down
+    by one; otherwise the parent's labels are unchanged and its list is
+    shared, so callers must not change the lists. b1 of the state is
+    |S| - V + b0.
     """
-    out = [(list(range(G.vertex_count)), G.vertex_count)]
-    for mask in range(1, 1 << G.edge_count):
-        low = mask & -mask
-        labels, b0 = out[mask ^ low]
-        u, v = G.edges[low.bit_length() - 1]
-        p, q = sorted((labels[u], labels[v]))
+    return _subcube_components(G.edges, 0, list(range(G.vertex_count)), G.vertex_count)
+
+
+def _subcube_components(
+    edges: tuple[Edge, ...], start: int, labels: list[int], b0: int
+) -> list[tuple[list[int], int]]:
+    """(labels, b0) of S + T for every subset T of the edges from `start`
+    on, indexed by T shifted down by `start`, from the `labels` and `b0`
+    of S, which has no edge from `start` on: T is its parent T & (T - 1)
+    plus its lowest edge, as in `state_components`."""
+    out = [(labels, b0)]
+    for t in range(1, 1 << len(edges) - start):
+        low = t & -t
+        labels, b0 = out[t ^ low]
+        u, v = edges[start + low.bit_length() - 1]
+        p, q = labels[u], labels[v]
         if p == q:
             out.append((labels, b0))
         else:
+            p, q = (p, q) if p < q else (q, p)
             out.append(([p if c == q else c - 1 if c > q else c for c in labels], b0 - 1))
+    return out
+
+
+def _cycle_edges(
+    edges: tuple[Edge, ...], labels: Sequence[int], count: int, lo: int
+) -> Iterator[int]:
+    """The edges e >= lo, from the last down, that close a cycle over S
+    plus the edges after e: a union-find over the `count` components of
+    S, whose `labels` give the component of each vertex."""
+    root = list(range(count))
+    for e in range(len(edges) - 1, lo - 1, -1):
+        u, v = edges[e]
+        a, b = labels[u], labels[v]
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a == b:
+            yield e
+        else:
+            root[b] = a
+
+
+def _cycle_search(G: Multigraph) -> Iterator[tuple[int, int, list[int], int, bool]]:
+    """Every node of the search of `cyclic_state_components`, as (mask,
+    start, labels, b0, whether b1 >= 1), in depth-first order.
+
+    A node is a state S and the edges it may still take, those from
+    `start` on, above its highest one. A node with b1(S) >= 1 is a leaf:
+    every state it leads to is in the up-set. Otherwise its children are
+    S + e, labelled from S as in `state_components`, as long as S with e
+    and every edge after it still has b1 >= 1. That superset shrinks as e
+    grows, so the first e that fails ends the children, and every node is
+    a state of the up-set or a subset of one. e qualifies while the count
+    bound |S| + (edges from e on) - V + b0(G) >= 1 holds, since b0 of the
+    superset is at least b0(G); past it, one union-find over the
+    components of S (`_cycle_edges`) finds the last edge that closes a
+    cycle over S and the edges after it, and e qualifies up to that edge.
+    The first child needs no test: S with `start` and every edge after it
+    is the superset its parent tested.
+    """
+    V, n, edges = G.vertex_count, G.edge_count, G.edges
+    b1_of_G = sum(1 for _ in _cycle_edges(edges, range(V), V, 0))
+    stack = [(0, 0, list(range(V)), V)]
+    while stack:
+        mask, start, labels, b0 = stack.pop()
+        size = mask.bit_count()
+        cyclic = size - V + b0 >= 1
+        yield mask, start, labels, b0, cyclic
+        if cyclic:
+            continue
+        stop = min(n, size + b1_of_G)  # the count bound holds for e < stop
+        if stop < n:
+            stop = max(stop, next(_cycle_edges(edges, labels, b0, max(start, stop)), -1) + 1)
+        for e in reversed(range(start, stop)):  # pushed last to first: popped in edge order
+            u, v = edges[e]
+            p, q = labels[u], labels[v]
+            if p == q:
+                stack.append((mask | 1 << e, e + 1, labels, b0))
+            else:
+                p, q = (p, q) if p < q else (q, p)
+                child = [p if c == q else c - 1 if c > q else c for c in labels]
+                stack.append((mask | 1 << e, e + 1, child, b0 - 1))
+
+
+def cyclic_state_components(G: Multigraph) -> dict[int, tuple[list[int], int]]:
+    """`state_components(G)` on the up-set of the states with b1 >= 1
+    alone, as mask -> (labels, b0), labels and b0 as `state_components`
+    gives them (and shared in the same way), the masks in no set order.
+
+    A depth-first search over the edges in order (`_cycle_search`) cuts
+    every branch that can no longer close a cycle, and each of its leaves,
+    a state S with b1(S) = 1 and no edge from `start` on, leads to the
+    subcube of S and every subset of those edges, all in the up-set, which
+    `_subcube_components` labels as `state_components` would. The search
+    visits only those leaves and their prefixes in edge order, not all
+    2^|E| states: a cycle of n edges visits n + 1 states and keeps one.
+    """
+    out: dict[int, tuple[list[int], int]] = {}
+    top = 1 << G.edge_count
+    for mask, start, labels, b0, cyclic in _cycle_search(G):
+        if cyclic:  # S + T is mask + (T << start), T ascending
+            masks = range(mask, mask + top, 1 << start)
+            out.update(zip(masks, _subcube_components(G.edges, start, labels, b0)))
     return out
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import graphhom.cli
 import graphhom.cube
 import graphhom.homology
+import graphhom.multigraph
 import graphhom.verify
 from graphhom.cli import POLY_CHOICES, run
 from graphhom.cube import build_complex
@@ -291,6 +292,25 @@ def test_tutte_cohomology_refuses_before_building_anything(name, tmp_path, monke
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: chain complex has {rank}, over the limit of 1048576\n"
+
+
+def test_tutte_cohomology_refuses_by_the_exact_rank_with_no_state_pass(
+    tmp_path, monkeypatch, capsys
+):
+    # wheel8 (16 edges, 9 vertices) passes the floor; its exact rank comes from
+    # the state histograms, and no state is labelled nor any complex built.
+    path = tmp_path / "wheel8.json"
+    path.write_text(json.dumps({"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE[:-1]}))
+    for module in (graphhom.homology, graphhom.cli):
+        monkeypatch.setattr(module, "build_complex", _never_build)
+    for module in (graphhom.cube, graphhom.multigraph):
+        monkeypatch.setattr(module, "state_components", _never_build)
+    monkeypatch.setattr(graphhom.homology, "cyclic_state_components", _never_build)
+    for extra in ([], ["--json"]):
+        assert run(["cohomology", "--variant", "tutte", "--input", str(path), *extra]) == 1
+        assert capsys.readouterr() == (
+            "", "error: chain complex has rank 1250562, over the limit of 1048576\n"
+        )
 
 
 def test_cohomology_yamada_builds_only_tutte_minors(bigon_path, monkeypatch, capsys):

@@ -63,6 +63,47 @@ DIGESTS = {
     ("cycle8", "cohomology", "yamada"): "aede6df4aca3891570b369ef177bdcbc2a847d6440c8170477c557f2857d6ea6",
 }
 
+# `cohomology` in text and with `--json`, both variants, of inputs of the two
+# routes beyond the corpus, pinned from the output before the tutte route
+# enumerated only the states with b1 >= 1 and the yamada route tallied once
+# per class of minor.
+WHEEL5 = {
+    "vertices": 6,
+    "edges": [[i, i % 5 + 1] for i in range(1, 6)] + [[0, i] for i in range(1, 6)],
+}
+TWO_TRIANGLES = {"vertices": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]}
+CYCLE5_WITH_A_LOOP = {"vertices": 5, "edges": [[i, (i + 1) % 5] for i in range(5)] + [[3, 3]]}
+ROUTE_DIGESTS = {
+    ("cycle8", "tutte", "text"): "a9e66dc100379ccef867ec2c2fa2f72a2dc315ebfcd8c5f819ed3beacb93c593",
+    ("cycle8", "tutte", "json"): "e7387613e89304606df7f9f8a59e3032060ba4ca7e39a7fdd0874197d398f78f",
+    ("cycle8", "yamada", "text"): "2b5a2457c53f89b0fff4755806f24e8cd29fd978dfdce31518070c8c2aa0efb5",
+    ("cycle8", "yamada", "json"): "aede6df4aca3891570b369ef177bdcbc2a847d6440c8170477c557f2857d6ea6",
+    ("path6", "tutte", "text"): "8ce2aa55c621641ef17ce9afc3fa5d1d6596da8a0ff3325e6344e1fa48ffe442",
+    ("path6", "tutte", "json"): "9d0e860b8364ef0515b1aed9156509ca7c5fd56ecaee8d8cc45aeb58898c653a",
+    ("path6", "yamada", "text"): "4f2e4d0593b89eb7912387309e7174713cb540b499a57f8de3ce474de20d90e5",
+    ("path6", "yamada", "json"): "6647b3f44c377ed208be90d2157430827f1d497d5e10aa0639ca93259f563c32",
+    ("K4", "tutte", "text"): "2cc37a7c1a37da1e32bad19bce57403938fd58ce8e7d50ae768ca7b2a680cf64",
+    ("K4", "tutte", "json"): "7e76851ae98416086524b4cc7b4fb638bb65e7f465e4b03440e4a52427ccc907",
+    ("K4", "yamada", "text"): "69e7e2b6c131f2048d82d2e6e0442d9c697a9c7399ed09b0c01942e83d48708c",
+    ("K4", "yamada", "json"): "74e85f3ceefe21c8c771fd9c9b4d0d5c6e767ed0d562cf1e38c69c66a3968143",
+    ("wheel5", "tutte", "text"): "41b582c17a462ca5d9ec10ef65d4b4b82e69debc4a2cb49070ef4344ac1742a1",
+    ("wheel5", "tutte", "json"): "a0ccc1e66c9d4e16861d388753da5162ac774c82a56cecf3dc3ae086d9b2f1cb",
+    ("wheel5", "yamada", "text"): "485c22931a630cec0f3d4a1826a8158a5c4235769c6ae458fb899ef6d0da88e5",
+    ("wheel5", "yamada", "json"): "5ce002f130ed8a7334961947cf31c188b0200215e4fff779978cae214965657b",
+    ("multiedge7", "tutte", "text"): "4f2bb2a3a39ee3ccc85929d9cced9ae2d60a0884a02171587fbda417f68b7497",
+    ("multiedge7", "tutte", "json"): "f9e4311000664a9f8b38d19e53042befec2851bbf1be36f5d703553663ff82dc",
+    ("multiedge7", "yamada", "text"): "3479e961e52bbf3dfe992f5655d974fd3474fc89618fbce46dec5fec0749f257",
+    ("multiedge7", "yamada", "json"): "99aba00ccf4f2b96836e7a2546aa255a6a10c546b816dd3c4cc8012567d17b96",
+    ("two_triangles", "tutte", "text"): "af3e969e01797ad61b5cf2b4ad6bc6fe48cdfbf6b9efa89e97cdae386cbfa30a",
+    ("two_triangles", "tutte", "json"): "fb10f686f0315eb7ea74b0b5703a28797f41a9b647c59670abe8eac4bdb9641f",
+    ("two_triangles", "yamada", "text"): "ea9a52d8d6c37220f4b85ff614cdc4382261192e9fcbb7323d63f907ad54134d",
+    ("two_triangles", "yamada", "json"): "0d81f19d73d21b32eb9b1ffbbd8073c1792a279340ac8adda56e25d313713c9b",
+    ("cycle5_with_a_loop", "tutte", "text"): "17f4653ecaa313db7be909c054b5980428a3d1612ab73d051560969ec9a5e370",
+    ("cycle5_with_a_loop", "tutte", "json"): "7ee5a076f120775ec55ad783c76b5ca89195239b64dc65cad0a8ab6e2db78629",
+    ("cycle5_with_a_loop", "yamada", "text"): "ad74680677e5262fe62866ed5acd7d5dcc35513b18fcd3d1e0aa311b919f5ed2",
+    ("cycle5_with_a_loop", "yamada", "json"): "854c480f2f4a903b70909af4b9cf0b98f676967cb14cf11ef34d6a783b591933",
+}
+
 # `dump --height 0` of two vertices joined by seven parallel edges, yamada variant.
 MULTIEDGE7_HEIGHT0_DIGEST = "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0d9611ca7ede74"
 
@@ -163,6 +204,9 @@ def _graph_path(name, tmp_path):
         "mixed": MIXED,
         "multi12": MULTI12,
         "multiedge7": to_json_dict(multiedge_graph(7)),
+        "wheel5": WHEEL5,
+        "two_triangles": TWO_TRIANGLES,
+        "cycle5_with_a_loop": CYCLE5_WITH_A_LOOP,
     }[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
@@ -177,6 +221,14 @@ def test_output_digest(name, command, variant, tmp_path, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, command, variant)]
+
+
+@pytest.mark.parametrize("name,variant,form", sorted(ROUTE_DIGESTS))
+def test_route_cohomology_digest(name, variant, form, tmp_path, capsys):
+    argv = ["cohomology", "--variant", variant, "--input", _graph_path(name, tmp_path)]
+    assert run(argv + (["--json"] if form == "json" else [])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ROUTE_DIGESTS[(name, variant, form)]
 
 
 def test_dump_height_digest(tmp_path, capsys):

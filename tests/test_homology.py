@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import graphhom.cube as cube
 import graphhom.homology as homology
 import graphhom.matrices as matrices
+import graphhom.multigraph as multigraph
 from graphhom.cube import VARIANTS, build_complex, graded_euler, phi_psi, projection_map
 from graphhom.homology import (
     CohomologyTable,
@@ -30,6 +31,7 @@ from graphhom.multigraph import (
     build,
     connected_components,
     cycle_graph,
+    cyclic_state_components,
     multiedge_graph,
     permute_edges,
     reduce,
@@ -651,15 +653,44 @@ def _eliminated(G):
 
 @pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
 def test_the_tutte_route_makes_at_most_one_state_pass(name, monkeypatch):
-    # One pass serves the refusal and every D_L; a forest has no D_L, and the
-    # floor alone is its exact refusal, so it gets none.
+    # The refusal reads the state histograms, and every D_L is built from one
+    # enumeration of the up-set {b1 >= 1}, so no graph gets a pass over all
+    # of its states; a forest has no D_L and gets no enumeration either.
     G = ROUTE_GRAPHS[name]
-    passes = []
-    monkeypatch.setattr(cube, "state_components", lambda H: passes.append(H) or state_components(H))
+    passes, searches = [], []
+    for module in (cube, multigraph):
+        monkeypatch.setattr(
+            module, "state_components", lambda H: passes.append(H) or state_components(H)
+        )
+    monkeypatch.setattr(
+        homology,
+        "cyclic_state_components",
+        lambda H: searches.append(H) or cyclic_state_components(H),
+    )
     tutte_cohomology(G)
     forest = G.edge_count - G.vertex_count + len(connected_components(G)) == 0
-    assert passes == ([] if forest else [G])
+    assert passes == []
+    assert searches == ([] if forest else [G])
     assert forest == (name in ("empty", "path6", "point"))
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_the_tutte_route_finds_components_and_histograms_once(name, monkeypatch):
+    # The components of G are found once, for b1 and for the knight moves,
+    # and each component's histogram is made once, for both the refusal and
+    # the knight moves: G's own histogram at most once, when G is connected.
+    G = ROUTE_GRAPHS[name]
+    calls = {"connected_components": [], "state_histogram": []}
+    for function in calls:
+        real = getattr(homology, function)
+        monkeypatch.setattr(
+            homology, function, lambda H, real=real, seen=calls[function]: seen.append(H) or real(H)
+        )
+    tutte_cohomology(G)
+    assert calls["connected_components"] == [G]
+    components = connected_components(G)
+    assert calls["state_histogram"] == components
+    assert calls["state_histogram"].count(G) == (len(components) == 1)
 
 
 def _index_from_scratch(cx, min_cycles=None):
@@ -762,6 +793,35 @@ def _random_multigraphs(count, seed):
 
 
 RANDOM_ROUTE_GRAPHS = _random_multigraphs(300, 2424)
+
+
+def test_the_up_set_enumeration_equals_the_whole_pass_restricted_to_b1_at_least_1(corpus):
+    # Labels and b0 alike, on graphs with no vertex, loops, parallel edges,
+    # isolated vertices and several components.
+    graphs = [Multigraph(0, ())] + list(corpus) + list(ROUTE_GRAPHS.values()) + RANDOM_ROUTE_GRAPHS
+    kept = 0
+    for G in graphs:
+        expected = {
+            mask: (labels, b0)
+            for mask, (labels, b0) in enumerate(state_components(G))
+            if mask.bit_count() - G.vertex_count + b0 >= 1
+        }
+        assert cyclic_state_components(G) == expected, G
+        kept += len(expected)
+    assert kept == 27_651
+
+
+def test_the_up_set_enumeration_is_not_a_walk_of_every_state():
+    # A cycle of n edges has one state with a cycle, E itself; the search
+    # visits it and the n prefixes of it in edge order, where the whole cube
+    # has 2^n states. A bouquet has every state but the empty one.
+    for n in (3, 10, 40):
+        G = cycle_graph(n)
+        assert cyclic_state_components(G) == {(1 << n) - 1: ([0] * n, 1)}
+        assert sum(1 for _ in multigraph._cycle_search(G)) == n + 1
+    states = cyclic_state_components(bouquet_graph(13))
+    assert sorted(states) == list(range(1, 1 << 13))
+    assert set(map(tuple, (labels for labels, _ in states.values()))) == {(0,)}
 
 
 def test_tutte_cohomology_matches_the_whole_complex_on_seeded_random_multigraphs():
