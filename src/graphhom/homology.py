@@ -21,10 +21,10 @@ split into prime powers.
 complex: the complex splits by cycle bits into shifted copies of the
 cycle summands D_L, the chromatic complex on the states with b1 >= L.
 H(D_0) is a closed form in the chromatic polynomials of the components
-(`chromatic_cohomology`: knight moves, then the Kunneth formula), and
-only D_1, D_2, ... are built and eliminated, from one enumeration of the
-up-set of the states with b1 >= 1; the refusal reads the state
-histograms, so no pass over all 2^|E| states is made.
+(`_kunneth`: knight moves, then the Kunneth formula), and only D_1,
+D_2, ... are built and eliminated, from one enumeration of the up-set of
+the states with b1 >= 1; the refusal reads the state histograms, so no
+pass over all 2^|E| states is made.
 `yamada_cohomology` gets the yamada table without eliminating the yamada
 complex: the complex is a direct sum, over the edge subsets A, of
 shifted copies of the tutte complexes of the contractions G/A, so the
@@ -219,13 +219,6 @@ def _knight_moves(
     return out
 
 
-def chromatic_cohomology(G: Multigraph) -> dict[tuple[int, int], Summand]:
-    """H^i_j(D_0), the k = 0 part of the tutte table of G, as (i, j) ->
-    summand, from the state histograms of its components alone
-    (`_kunneth`)."""
-    return _kunneth([(H.vertex_count, state_histogram(H)) for H in connected_components(G)])
-
-
 def _kunneth(
     components: list[tuple[int, dict[tuple[int, int], int]]]
 ) -> dict[tuple[int, int], Summand]:
@@ -269,11 +262,10 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     k, L the bit length of c (`build_complex` with `min_cycles`, which
     gives the proof). c = 0 gives D_0, and the C(L-1, k-1) integers with
     bit length L >= 1 and k bits set give the copies of D_L. H(D_0) comes
-    from the chromatic polynomials of the components of G (`_kunneth`,
-    as in `chromatic_cohomology`) and is never eliminated; each D_L is built,
-    verified (bidegrees, partial functions, d^2 = 0) and eliminated by
-    `cohomology`. L runs up to the largest b1 of a state, that of G, which
-    is |E| - V + b0(G).
+    from the chromatic polynomials of the components of G (`_kunneth`)
+    and is never eliminated; each D_L is built, verified (bidegrees,
+    partial functions, d^2 = 0) and eliminated by `cohomology`. L runs up
+    to the largest b1 of a state, that of G, which is |E| - V + b0(G).
 
     Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),
     with no state pass: by the lower bound of `_refuse_by_floor` first,
@@ -328,18 +320,25 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     and the edges outside A, relabelled through the components. Cohomology
     does not depend on the edge order, so the minor is taken with its
     edges oriented (min, max) and sorted, and the masks A are counted by
-    (b0, that minor's edges, |A|), which fix b1(A) = |A| - V + b0 too:
-    each class is added to the sum once, times its count, and each
-    distinct minor's table is worked out once per call by
-    `tutte_cohomology`, in the order the minors are first met. Free ranks
-    add as integers, torsion as prime powers, so the sum is exact whatever
-    the torsion.
+    (b0, that minor's edges, |A|), which fix b1(A) = |A| - V + b0 too.
+    One plain loop per mask, over the (bit, u, v) of each edge worked out
+    once per call, makes that key. Each class is added to the sum once,
+    times its count, and each distinct minor's table is worked out once
+    per call by `tutte_cohomology`, in the order the minors are first met.
+    Free ranks add as integers, torsion as prime powers, so the sum is
+    exact whatever the torsion.
     """
-    classes: Counter[tuple[int, tuple[tuple[int, int], ...], int]] = Counter()
+    pairs = [(1 << e, u, v) for e, (u, v) in enumerate(G.edges)]
+    classes: dict[tuple[int, tuple[tuple[int, int], ...], int], int] = {}
     for mask, (labels, b0) in state_slots(G, "yamada").items():
-        ends = ((labels[u], labels[v]) for e, (u, v) in enumerate(G.edges) if not mask >> e & 1)
-        edges = tuple(sorted((p, q) if p <= q else (q, p) for p, q in ends))
-        classes[b0, edges, mask.bit_count()] += 1
+        minor = []
+        for bit, u, v in pairs:
+            if not mask & bit:
+                p, q = labels[u], labels[v]
+                minor.append((p, q) if p <= q else (q, p))
+        minor.sort()
+        key = (b0, tuple(minor), mask.bit_count())
+        classes[key] = classes.get(key, 0) + 1
     # (b0, edges) of a minor -> its summands as ((i, j, k), free rank, torsion
     # as prime powers)
     minors: dict[tuple, list[tuple[tuple[int, int, int], int, Counter[int]]]] = {}

@@ -12,15 +12,17 @@ for its tensor slots; `cyclic_state_components` labels those of the
 states with b1 >= 1 alone, by a search that cuts every branch with no
 cycle ahead, for the cycle summands; `state_histogram` counts all states
 by (|S|, b0), which is all that the state sums need, by a frontier
-transfer over the edges that never visits the states one by one. Those
-counts are the same for every edge order, so the transfer walks an order
-of its own that keeps its frontier narrow; everything that indexes
-states by edge position keeps the given order.
+transfer over the edges that never visits the states one by one, or in
+closed form for a forest, whose states have no cycle. Those counts are
+the same for every edge order, so the transfer walks an order of its own
+that keeps its frontier narrow; everything that indexes states by edge
+position keeps the given order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Literal, Sequence
 
 Edge = tuple[int, int]
@@ -204,8 +206,9 @@ def connected_components(G: Multigraph) -> list[Multigraph]:
     return out
 
 
-def _narrow_order(G: Multigraph) -> list[Edge]:
-    """The edges of G in an order that keeps the transfer's frontier narrow.
+def _narrow_order(G: Multigraph) -> tuple[list[Edge], int]:
+    """The edges of G in an order that keeps the transfer's frontier
+    narrow, and the number of components among the vertices on an edge.
 
     The endpoints are numbered breadth-first, each component from an
     endpoint of least degree, and the edges sorted by the number of their
@@ -213,15 +216,18 @@ def _narrow_order(G: Multigraph) -> list[Edge]:
     frontier with its first edge and, as its neighbours are numbered
     close to it, leaves soon after. A path then holds 2 vertices at a
     time and a cycle 3, where an arbitrary order can hold most of them.
+    The numbering starts once per component, which counts them.
     """
     neighbours: dict[int, list[int]] = {}
     for u, v in G.edges:
         neighbours.setdefault(u, []).append(v)
         neighbours.setdefault(v, []).append(u)
     pos: dict[int, int] = {}
+    components = 0
     for root in sorted(neighbours, key=lambda w: len(neighbours[w])):
         if root in pos:
             continue
+        components += 1
         pos[root] = len(pos)
         queue = [root]
         for w in queue:  # grows while it is read: breadth first
@@ -234,7 +240,7 @@ def _narrow_order(G: Multigraph) -> list[Edge]:
         a, b = pos[edge[0]], pos[edge[1]]
         return (a, b) if a > b else (b, a)
 
-    return sorted(G.edges, key=key)
+    return sorted(G.edges, key=key), components
 
 
 def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:
@@ -260,10 +266,20 @@ def state_histogram(G: Multigraph) -> dict[tuple[int, int], int]:
     no frontier vertex is left in it. After i edges there are at most
     min(2^i, Bell(frontier width)) groups. Vertices on no edge never
     enter; each adds 1 to b0 in every state.
+
+    A forest needs no transfer: each of its edges joins two components
+    of every state without it, so the C(|E|, k) states of size k all have
+    b0 = V - k. G is a forest exactly when |E| is the number of vertices
+    on an edge less the number of components among them; a loop, a
+    parallel edge or any other cycle makes |E| larger. Either way the
+    keys come in ascending (|S|, b0) order.
     """
-    edges = _narrow_order(G)
+    edges, components = _narrow_order(G)
     last = {w: i for i, edge in enumerate(edges) for w in edge}
-    width = G.edge_count + 1
+    n = G.edge_count
+    if n == len(last) - components:
+        return {(k, G.vertex_count - k): comb(n, k) for k in range(n + 1)}
+    width = n + 1
     fields = len(last) + 1
     stride = width * fields
     front: list[int] = []

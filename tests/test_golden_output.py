@@ -73,6 +73,11 @@ WHEEL5 = {
 }
 TWO_TRIANGLES = {"vertices": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]}
 CYCLE5_WITH_A_LOOP = {"vertices": 5, "edges": [[i, (i + 1) % 5] for i in range(5)] + [[3, 3]]}
+# Forests, pinned from the output before their state histograms were read in
+# closed form: the star K_{1,5}, and paths of 3 and 2 edges with the
+# isolated vertices 4 and 8.
+STAR5 = {"vertices": 6, "edges": [[0, i] for i in range(1, 6)]}
+TWO_PATHS = {"vertices": 9, "edges": [[0, 1], [1, 2], [2, 3], [5, 6], [6, 7]]}
 ROUTE_DIGESTS = {
     ("cycle8", "tutte", "text"): "a9e66dc100379ccef867ec2c2fa2f72a2dc315ebfcd8c5f819ed3beacb93c593",
     ("cycle8", "tutte", "json"): "e7387613e89304606df7f9f8a59e3032060ba4ca7e39a7fdd0874197d398f78f",
@@ -102,6 +107,14 @@ ROUTE_DIGESTS = {
     ("cycle5_with_a_loop", "tutte", "json"): "7ee5a076f120775ec55ad783c76b5ca89195239b64dc65cad0a8ab6e2db78629",
     ("cycle5_with_a_loop", "yamada", "text"): "ad74680677e5262fe62866ed5acd7d5dcc35513b18fcd3d1e0aa311b919f5ed2",
     ("cycle5_with_a_loop", "yamada", "json"): "854c480f2f4a903b70909af4b9cf0b98f676967cb14cf11ef34d6a783b591933",
+    ("star5", "tutte", "text"): "a35aedbd81a674dafa711cb80a371f9d5654d7b711cdcaf8c8ac8959a3029b39",
+    ("star5", "tutte", "json"): "8b0a5a0f67e63d3b633c5729dc4df8ecf678ea0d186d88604f9ae4a0bc25aa46",
+    ("star5", "yamada", "text"): "373be1c81ca3919b42c8d098f1ed8064d6be956e40d8dcc5cf98ead9557f7951",
+    ("star5", "yamada", "json"): "3eca6cdf389c201f604e77de6fae837ecad7f52415d39b6d651e7045d62ead68",
+    ("two_paths", "tutte", "text"): "67ca87e703f5b11fcda4d62750ae654ada3e10cd165762c372d8ef1c1716b042",
+    ("two_paths", "tutte", "json"): "1bca5b67af58a941d8fb8c9d107db8a63760655bace0e2904169b3add2d79671",
+    ("two_paths", "yamada", "text"): "558dc118f5ea3bfd2d78ff941cf2e62a5b1f711e9331646cd8880ba88c563ef0",
+    ("two_paths", "yamada", "json"): "0d90ce9cc4c7ba90cde5a8c83d1498767a844a00c41b3458bbdffbf8643472b5",
 }
 
 # `dump --height 0` of two vertices joined by seven parallel edges, yamada variant.
@@ -151,6 +164,24 @@ POLY_DIGESTS = {
     ("multi12", "chromatic"): "259179b29f74492890680da5639da5f62818ec6ce84265046f897ddac176dcaf",
     ("multi12", "flow"): "cbb62a6456cb5cbe7ab95a93d4a21991579017ab8964428d8258a19100d22722",
     ("multi12", "negami"): "667f50a80cf4c4f39d75e6905017a0e1b1b71d31b28cb83a43b2801f6fdab34e",
+    ("path6", "yamada"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("path6", "g"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("path6", "tutte"): "a61310c6a6346f7f974b09438bd87da07868a9e98f2e26aed00c7680d8df9514",
+    ("path6", "chromatic"): "65b3b6f20a0acc24f2628f25fb28d4e14e6bbada470e9c1eb49e6ecb9b915bfe",
+    ("path6", "flow"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("path6", "negami"): "275b7eb8d37ed2d1702f1a97cd262cab0a316525a9dc02e72caa9d2e07ab77a1",
+    ("star5", "yamada"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("star5", "g"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("star5", "tutte"): "e845278a8c396ec90cad11a5f312f412911768efe3a4327429112fa11a879d33",
+    ("star5", "chromatic"): "d956756ece1dc9b3a0d154d42dae9360744be9744865b157c20ff628b996066f",
+    ("star5", "flow"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("star5", "negami"): "98209d786359d6265ac9058dabd0b258754a9476226e9c3869c75cac4595b3ad",
+    ("two_paths", "yamada"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("two_paths", "g"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("two_paths", "tutte"): "e845278a8c396ec90cad11a5f312f412911768efe3a4327429112fa11a879d33",
+    ("two_paths", "chromatic"): "545c04540e0d362176a7d3cbec40c356081f1bb44b3850e6019f5efae989714c",
+    ("two_paths", "flow"): "aa7e3d069b2d509c7ba6dfc643133e8600da3022f355e9d16bd617e3e878747a",
+    ("two_paths", "negami"): "98209d786359d6265ac9058dabd0b258754a9476226e9c3869c75cac4595b3ad",
 }
 
 
@@ -207,6 +238,8 @@ def _graph_path(name, tmp_path):
         "wheel5": WHEEL5,
         "two_triangles": TWO_TRIANGLES,
         "cycle5_with_a_loop": CYCLE5_WITH_A_LOOP,
+        "star5": STAR5,
+        "two_paths": TWO_PATHS,
     }[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))

@@ -2,11 +2,13 @@ import itertools
 import random
 import timeit
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphhom import multigraph
 from graphhom.multigraph import (
     Multigraph,
     _narrow_order,
@@ -14,6 +16,7 @@ from graphhom.multigraph import (
     bouquet_graph,
     build,
     classify_edge,
+    connected_components,
     cycle_graph,
     from_json_dict,
     multiedge_graph,
@@ -180,7 +183,36 @@ def _frontier_holding_order():
     return build(8, evens + odds + [(0, 1), (2, 3), (4, 5), (6, 7)])
 
 
-def test_state_histogram_matches_masks_under_shuffles():
+def _random_forest(rng):
+    """Up to 12 edges, no cycle, vertices in seeded random labels; a vertex
+    that joins no tree stays isolated."""
+    vertices = rng.randint(1, 14)
+    order = rng.sample(range(vertices), vertices)
+    edges = []
+    for i in range(1, vertices):
+        if len(edges) < 12 and rng.random() < 0.8:
+            edge = [order[i], order[rng.randrange(i)]]
+            rng.shuffle(edge)
+            edges.append(edge)
+    return build(vertices, edges)
+
+
+def _near_forest(rng, F):
+    """F plus one loop, one parallel edge or one edge that closes a cycle
+    through two vertices of a tree of F."""
+    kind = rng.choice(["loop", "parallel", "cycle"] if F.edge_count else ["loop"])
+    if kind == "loop":
+        w = rng.randrange(F.vertex_count)
+        extra = (w, w)
+    elif kind == "parallel":
+        extra = rng.choice(F.edges)
+    else:
+        trees = [c for c in _state_stats(F, (1 << F.edge_count) - 1)[2] if len(c) > 1]
+        extra = tuple(rng.sample(rng.choice(trees), 2))
+    return build(F.vertex_count, F.edges + (extra,))
+
+
+def test_state_histogram_matches_masks_under_shuffles(monkeypatch):
     rng = random.Random(20061)
     graphs = [_random_multigraph(rng) for _ in range(60)]
     assert any(G.vertex_count == 0 for G in graphs)
@@ -188,13 +220,32 @@ def test_state_histogram_matches_masks_under_shuffles():
     assert any(u == v for G in graphs for u, v in G.edges)
     assert any(len(set(G.edges)) < G.edge_count for G in graphs)
     assert any(G.vertex_count > len({w for e in G.edges for w in e}) for G in graphs)
-    for G in graphs:
+    # forests and near-forests from a generator of their own, so the shuffles
+    # of the graphs above stay those they were
+    forest_rng = random.Random(2031)
+    forests = [_random_forest(forest_rng) for _ in range(30)]
+    assert max(F.edge_count for F in forests) == 12
+    assert any(F.vertex_count > len({w for e in F.edges for w in e}) for F in forests)
+    star = build(8, [(5, w) for w in range(8) if w != 5])
+    forests += [star, tree_graph(12), build(0, []), build(2, [(1, 0)]), build(1000, [(999, 3)])]
+    near = [_near_forest(forest_rng, F) for F in forests if F.vertex_count for _ in range(3)]
+    # a forest takes the closed form, which alone calls comb; anything else the transfer
+    combs = []
+    monkeypatch.setattr(multigraph, "comb", lambda n, k: combs.append(n) or comb(n, k))
+    for G in graphs + forests + near:
         for _ in range(2):
             H = permute_edges(G, rng.sample(range(G.edge_count), G.edge_count))
             expected = _histogram_by_masks(H)
+            combs.clear()
             got = state_histogram(H)
             assert got == expected
             assert list(got) == list(expected)
+            forest = all(b0 == H.vertex_count - size for size, b0 in expected)
+            assert bool(combs) == forest
+            if G in forests:
+                assert forest
+            elif G in near:
+                assert not forest
 
 
 def test_state_histogram_on_adversarial_orders():
@@ -233,12 +284,15 @@ def test_narrow_order_is_a_narrow_permutation():
         widths = []
         for _ in range(5):
             H = permute_edges(G, rng.sample(range(G.edge_count), G.edge_count))
-            order = _narrow_order(H)
+            order, _ = _narrow_order(H)
             assert sorted(order) == sorted(G.edges)
             widths.append(_frontier_width(order))
         assert max(widths) == most, widths
     for G in [_random_multigraph(rng) for _ in range(40)] + [_frontier_holding_order()]:
-        assert Counter(_narrow_order(G)) == Counter(G.edges)
+        order, components = _narrow_order(G)
+        assert Counter(order) == Counter(G.edges)
+        # the components with an edge: an isolated vertex is one of its own
+        assert components == sum(1 for H in connected_components(G) if H.edge_count)
 
 
 def test_state_histogram_leaves_isolated_vertices_out():
