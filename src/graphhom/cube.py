@@ -14,12 +14,13 @@ small integer codes per state (rule id and sign of each map out of it),
 with a verdict memo so that a face whose four codes were seen before
 costs one set lookup. The per-bidegree blocks are each an `IntMatrix`
 over three flat arrays of row, column and sign. They are not stored: the
-complex keeps the states, their slots and one map per distinct rule
-key, which fix the differential, and `BigradedComplex.blocks` writes the
-blocks of a height from that rule memo each time the height is read. So
-`dump --height i` verifies the whole cube but writes only the blocks of
-height i, and a reader that walks the heights upward holds one height's
-blocks at a time.
+complex keeps the states, their slots and one target array per distinct
+rule key, which fix the differential, and `BigradedComplex.blocks` writes
+the blocks of a height from those arrays each time the height is read,
+working out block positions for the maps of that height alone. So
+`dump --height i` verifies the whole cube but works out positions and
+writes blocks only for height i, and a reader that walks the heights
+upward holds one height's blocks at a time.
 The same builder, with `min_cycles`, builds a cycle summand D_L of the
 tutte complex instead, which `homology.tutte_cohomology` eliminates.
 
@@ -55,6 +56,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -179,7 +181,7 @@ def _edge_rule(
 def _by_popcount(width: int) -> list[list[int]]:
     """The integers below 2^width grouped by popcount: entry w holds those
     with w set bits, in ascending order. Not cached: it takes 2^width
-    steps where `_members` writes 2^(j + k) indices, and a table kept for
+    steps where `_listing` writes 2^(j + k) indices, and a table kept for
     the process would outlive every complex that needed it."""
     groups: list[list[int]] = [[] for _ in range(width + 1)]
     for x in range(1 << width):
@@ -187,10 +189,10 @@ def _by_popcount(width: int) -> list[list[int]]:
     return groups
 
 
-def _members(slots: tuple[int, int]) -> list[tuple[Bidegree, list[int]]]:
-    """The bidegrees of a chain module with `slots` (edge and component
-    slots, cycle slots) in order of their first index, each with its
-    indices in ascending order.
+def _listing(slots: tuple[int, int]) -> list[int]:
+    """The indices of a chain module with `slots` (edge and component
+    slots, cycle slots) listed bidegree after bidegree, in order of the
+    bidegrees' first indices, each bidegree's indices in ascending order.
 
     An index of bidegree (p, q) is h << j | l with l below 2^j of
     popcount p and h below 2^k of popcount q, so the indices come
@@ -198,14 +200,105 @@ def _members(slots: tuple[int, int]) -> list[tuple[Bidegree, list[int]]]:
     ascending when h and l are. The first index of (p, q) is
     (2^q - 1) << j | (2^p - 1), which grows with p in the low j bits and
     with q above them, so q then p is the order of first indices.
+    `_bidegree_runs` bounds the run of each bidegree.
     """
     j_slots, k_slots = slots
-    lows, highs = _by_popcount(j_slots), _by_popcount(k_slots)
-    return [
-        ((p, q), [h << j_slots | l for h in highs[q] for l in lows[p]])
-        for q in range(k_slots + 1)
-        for p in range(j_slots + 1)
-    ]
+    lows = _by_popcount(j_slots)
+    listing: list[int] = []
+    for hs in _by_popcount(k_slots):
+        for ls in lows:
+            for h in hs:
+                high = h << j_slots
+                listing += [high | l for l in ls] if high else ls
+    return listing
+
+
+def _bidegree_runs(slots: tuple[int, int]) -> list[tuple[Bidegree, int, int]]:
+    """The bidegrees (p, q) of a chain module with `slots`, in the order of
+    `_listing`, each with the bounds of its run there, C(j, p) * C(k, q)
+    indices long. The run of (p, q) is entry q * (j + 1) + p."""
+    j_slots, k_slots = slots
+    runs = []
+    end = 0
+    for q in range(k_slots + 1):
+        for p in range(j_slots + 1):
+            start, end = end, end + comb(j_slots, p) * comb(k_slots, q)
+            runs.append(((p, q), start, end))
+    return runs
+
+
+def _members(slots: tuple[int, int]) -> list[tuple[Bidegree, list[int]]]:
+    """The bidegrees of a chain module with `slots` in order of their first
+    index, each with its indices in ascending order: the runs of
+    `_listing`."""
+    listing = _listing(slots)
+    return [(jk, listing[start:end]) for jk, start, end in _bidegree_runs(slots)]
+
+
+def _popcounts(width: int) -> list[int]:
+    """The popcount of every integer below 2^width, in order: the table of
+    width w + 1 is that of width w followed by it plus one."""
+    counts = [0]
+    for _ in range(width):
+        counts += [c + 1 for c in counts]
+    return counts
+
+
+def _bidegree_codes(slots: tuple[int, int]) -> list[int]:
+    """Entry x: the bidegree (p, q) of index x of a chain module with
+    `slots`, as the int p + 32 * q. Every module under the rank limit has
+    p <= 20, so two modules' codes are equal exactly when their
+    bidegrees are, and most codes are small ints that Python shares.
+    Index h << j | l takes the row of popcount(h), made once per q."""
+    j_slots, k_slots = slots
+    lows = _popcounts(j_slots)
+    rows = [[(q << 5) + p for p in lows] for q in range(k_slots + 1)]
+    codes: list[int] = []
+    for q in _popcounts(k_slots):
+        codes += rows[q]
+    return codes
+
+
+def _places(listing: list[int]) -> list[int]:
+    """Entry x: the place of index x in `listing` (`_listing`), then one
+    trailing -1, which a killed element (target -1) reads."""
+    places = [-1] * (len(listing) + 1)
+    for place, x in enumerate(listing):
+        places[x] = place
+    return places
+
+
+def _block_groups(
+    target: Sequence[int],
+    listing: list[int],
+    runs: list[tuple[Bidegree, int, int]],
+    places: list[int],
+) -> list[tuple[Bidegree, list[int], Sequence[int]]]:
+    """The entries of the map with `target` array, out of a chain module
+    with `listing` and `runs` (`_listing`, `_bidegree_runs`) into one with
+    `places` (`_places`): per source bidegree with an entry, that bidegree,
+    the places of the targets of its entries and the places of their
+    sources, in ascending source order.
+
+    The targets' places are read in one pass over the listing, and each
+    bidegree takes its slice, with its own run as the sources' places.
+    Only a map that kills elements (place -1) walks them again, to keep
+    the others.
+    """
+    rows = [places[target[x]] for x in listing]
+    if -1 not in rows:
+        return [(jk, rows[start:end], range(start, end)) for jk, start, end in runs]
+    groups = []
+    for jk, start, end in runs:
+        kept, cols = [], []
+        for col in range(start, end):
+            row = rows[col]
+            if row >= 0:
+                kept.append(row)
+                cols.append(col)
+        if cols:
+            groups.append((jk, kept, cols))
+    return groups
 
 
 @dataclass
@@ -224,7 +317,7 @@ class BigradedComplex:
     `nonzeros` reads the entries of d^i in global positions from them.
     `build_complex` hands over two `HeightBlocks`: the index writes a
     height the first time it is read and keeps it, the blocks write a
-    height from the build's rule memo each time it is read. Any sequence
+    height from the build's target arrays each time it is read. Any sequence
     of such dicts, one per height, will do, so a reader that reads the
     blocks more than once can keep them with
     `dataclasses.replace(cx, blocks=list(cx.blocks))`.
@@ -252,17 +345,20 @@ class BigradedComplex:
         global basis order, from the blocks through `bidegree_index` (copied
         to lists per block: reading an array makes an int per nonzero), so
         heights i and i + 1 of the index are written if they were not yet;
-        nothing when i is outside the stored heights."""
+        nothing when i is outside the stored heights. The blocks and the
+        index are read on the call, and the nonzeros come from a C-level
+        chain of one `zip` per block, with no Python step per nonzero."""
         if not 0 <= i < len(self.blocks):
-            return
+            return iter(())
         row_index, col_index = self.bidegree_index[i + 1], self.bidegree_index[i]
-        for jk, block in self.blocks[i].items():
-            rows, cols = list(row_index.get(jk, ())), list(col_index.get(jk, ()))
-            yield from zip(
-                map(rows.__getitem__, block.row_of),
-                map(cols.__getitem__, block.col_of),
+        return chain.from_iterable(
+            zip(
+                map(list(row_index.get(jk, ())).__getitem__, block.row_of),
+                map(list(col_index.get(jk, ())).__getitem__, block.col_of),
                 block.val_of,
             )
+            for jk, block in self.blocks[i].items()
+        )
 
     def dims_at(self, i: int) -> dict[Bidegree, int]:
         if not 0 <= i < self.height_count:
@@ -331,10 +427,10 @@ def _check_faces(
                 some = survives.get(ids)
                 if some is None:
                     path_a, path_b, path_c, path_d = map(targets.__getitem__, ids)
-                    ab = list(map(path_b.__getitem__, path_a))
-                    if ab != list(map(path_d.__getitem__, path_c)):
+                    ab = [path_b[x] for x in path_a]
+                    if ab != [path_d[x] for x in path_c]:
                         raise RuntimeError(error)
-                    some = survives[ids] = max(ab) >= 0
+                    some = survives[ids] = ab.count(-1) != len(ab)
                 if some and not (a ^ b ^ c ^ d) & 1:
                     raise RuntimeError(error)
                 good.add(face)
@@ -365,7 +461,8 @@ def build_complex(
     states: Mapping[int, tuple[list[int], int]] | None = None,
 ) -> BigradedComplex:
     """Verify the complex at every height, and return it with per-bidegree
-    blocks that are written from the rule memo each time a height is read.
+    blocks that are written from the kept target arrays each time a height
+    is read.
 
     With `min_cycles` L (tutte variant only) it builds instead the cycle
     summand D_L: the chromatic complex of G, one Z[t]/(t^2) per component
@@ -409,28 +506,39 @@ def build_complex(
     components or None for one component, and the slots of S, which fix
     the rank of C^S. With the variant, these also fix the slots of S+e.
     When first worked out, each entry of a map is checked to preserve the
-    bidegree and the map to be a partial function (every coefficient is
-    1). A map is kept as, per bidegree, the positions of its entries
-    counted from the first element of that bidegree in S and in S+e, and,
-    until the build returns, as its target array under a rule id, which
-    numbers the keys in the order they are first seen. Heights are walked
-    in order, and the walk of height i writes one code row per state S:
-    one int per edge e outside S, in edge order, 2 * (rule id of (S, e))
-    + (parity of the edges of S below e), which fixes the signed map.
+    bidegree, read off a table of codes per slot counts
+    (`_bidegree_codes`) that lives only as long as the build, and the map
+    to be a partial function (every coefficient is 1). A map is kept as
+    its target array alone, under a rule id, which numbers the keys in the
+    order they are first seen. Heights are walked in order, and the walk
+    of height i writes one code row per state S: one int per edge e
+    outside S, in edge order, 2 * (rule id of (S, e)) + (parity of the
+    edges of S below e), which fixes the signed map.
     Once height i is walked, the faces from height i - 1 to i + 1 are
     checked to anticommute (`_check_faces`) on the rows of heights i - 1
     and i, and the rows of height i - 1 go. Edges with one key share one
     map, so the face check tests the differential as the blocks will hold
     it rather than each edge's map apart. Any failure raises
-    RuntimeError, whichever heights are read later. The ids, the target
-    arrays and the rows are dropped once the last face is checked.
+    RuntimeError, whichever heights are read later. The rows are dropped
+    once the last face is checked; the ids and the target arrays stay for
+    the blocks.
 
-    Reading `blocks[i]` (`HeightBlocks`) walks height i again: every
-    (S, e) extends, per bidegree of its map, three arrays with the map's
-    positions shifted by the first positions of that bidegree in S and in
-    S+e, found once per state by running counts over the states of each
-    height in mask order, and `IntMatrix.from_triplets` checks and adopts
-    them. Each read writes exactly the blocks that an eager build would.
+    Reading `blocks[i]` (`HeightBlocks`) walks height i again. A module's
+    indices are listed bidegree after bidegree (`_listing`, with the run
+    of each bidegree from `_bidegree_runs`), and the first (S, e) of each
+    rule key met derives that map's groups from its target array
+    (`_block_groups`): per bidegree, the places of its entries in the
+    listings of S+e and of S, the former read off `_places`. Listings and
+    places are worked out only for the slot counts that the maps of
+    height i read, once per read. Every (S, e) then extends, per bidegree
+    of its map, three arrays with those places shifted to positions among
+    the elements of that bidegree at the height: plus the number of such
+    elements in the states before S (or S+e), less the start of the
+    bidegree's run, found once per state by running counts over the
+    states of each height in mask order. `IntMatrix.from_triplets` checks
+    and adopts them. The groups, listings and places live only as long as
+    the read, so reading blocks does not grow what the complex holds, and
+    each read writes exactly the blocks that an eager build would.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -455,18 +563,9 @@ def build_complex(
             continue
         masks_by_height[size].append(mask)
 
-    # Per slot counts: the bidegree of each index and its position among the
-    # indices of that bidegree, and the bidegrees in order of their first
-    # index, each with its indices in ascending order (`_members`).
-    shapes: dict[tuple[int, int], tuple] = {}
-    for shape in set(slots.values()):
-        members = _members(shape)
-        bidegs: list[Bidegree] = [(0, 0)] * (1 << sum(shape))
-        local_pos = [0] * len(bidegs)
-        for jk, xs in members:
-            for pos, x in enumerate(xs):
-                bidegs[x], local_pos[x] = jk, pos
-        shapes[shape] = (bidegs, local_pos, members)
+    # Per slot counts: the bidegrees in order of their first index, each with
+    # the bounds of its run of indices (`_bidegree_runs`).
+    runs_of = {shape: _bidegree_runs(shape) for shape in set(slots.values())}
 
     offsets: list[dict[int, int]] = []
     sizes: list[dict[int, int]] = []
@@ -483,41 +582,35 @@ def build_complex(
         # order of their first element, as in the index.
         counts: dict[Bidegree, int] = {}
         for shape, count in Counter(map(slots.__getitem__, masks)).items():
-            for jk, xs in shapes[shape][2]:
-                counts[jk] = counts.get(jk, 0) + count * len(xs)
+            for jk, start, end in runs_of[shape]:
+                counts[jk] = counts.get(jk, 0) + count * (end - start)
         offsets.append(offset_map)
         sizes.append(size_map)
         dims.append(counts)
 
     @cache
     def index_at(h: int) -> dict[Bidegree, array]:
-        # The members of each shape are worked out again, not read from
-        # `shapes`: a reader that keeps the blocks it read drops the rule
-        # memo and `shapes` with it, and keeps the index.
-        members_of = cache(_members)
+        members_of: dict[tuple[int, int], list] = {}
         index: dict[Bidegree, array] = {}
         for mask, offset in offsets[h].items():
-            for jk, xs in members_of(slots[mask]):
+            members = members_of.get(slots[mask])
+            if members is None:
+                members = members_of[slots[mask]] = _members(slots[mask])
+            for jk, xs in members:
                 index.setdefault(jk, array(INDEX_TYPECODE)).extend(map(offset.__add__, xs))
         return index
 
     edges = [(e, 1 << e, (1 << e) - 1, u, v) for e, (u, v) in enumerate(G.edges)]
-    # Runs of +1 and of -1 signs by length, made once and shared by the maps.
-    signs_of_length: dict[int, tuple[array, array]] = {}
-    # rule key -> one group per bidegree of its map: the bidegree, the target
-    # and the source positions, and their signs for an even and for an odd
-    # number of edges of S below e
-    rules: dict[tuple, list[tuple]] = {}
-    # rule key -> rule id, and rule id -> target of each source or -1 when
-    # it is killed, with an extra trailing -1 so that a composite looks up a
-    # killed element at index -1 and gets -1 back; for the face checks only
+    # rule key -> rule id, which numbers the keys in the order they are first
+    # seen, and rule id -> target of each source or -1 when it is killed,
+    # with an extra trailing -1 so that a composite looks up a killed
+    # element at index -1 and gets -1 back
     rule_ids: dict[tuple, int] = {}
     targets: list[list[int]] = []
 
     def walk(i: int) -> Iterator[tuple[int, int, int, tuple]]:
         """S, e, the parity of the number of edges of S below e and the rule
-        key of every (S, e) out of height i, working out and checking the
-        map of a key the first time it is seen."""
+        key of every (S, e) out of height i."""
         for mask in offsets[i]:
             comp_of = states[mask][0]
             src_slots = slots[mask]
@@ -528,57 +621,62 @@ def build_complex(
                 p, q = comp_of[u], comp_of[v]
                 pair = (p, q) if p < q else (q, p) if q < p else None
                 key = (i, insert, pair, src_slots) if yamada else (pair, src_slots)
-                if key not in rules:
-                    dst = mask | bit
-                    src_bidegs, src_pos, _ = shapes[src_slots]
-                    dst_bidegs, dst_pos, _ = shapes[slots[dst]]
-                    size = sizes[i][mask]
-                    target = [-1] * (size + 1)
-                    groups: dict[Bidegree, tuple[list[int], list[int]]] = {}
-                    for x, y in _edge_rule(mask, e, p, q, size, yamada):
-                        jk = src_bidegs[x]
-                        if dst_bidegs[y] != jk:
-                            r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
-                            raise RuntimeError(
-                                f"differential d^{i} does not preserve the bidegree"
-                                f" at entry ({r},{c})"
-                            )
-                        if target[x] >= 0:
-                            raise RuntimeError(
-                                f"the map of edge {e} out of state {mask:#b}"
-                                f" sends {x} to two targets"
-                            )
-                        target[x] = y
-                        group = groups.get(jk)
-                        if group is None:
-                            group = groups[jk] = ([], [])
-                        group[0].append(dst_pos[y])
-                        group[1].append(src_pos[x])
-                    rule = []
-                    for jk, (rows, cols) in groups.items():
-                        signs = signs_of_length.get(len(rows))
-                        if signs is None:
-                            signs = signs_of_length[len(rows)] = (
-                                array("b", [1]) * len(rows),
-                                array("b", [-1]) * len(rows),
-                            )
-                        rule.append((jk, rows, cols, signs))
-                    rules[key], rule_ids[key] = rule, len(targets)
-                    targets.append(target)
                 yield mask, e, insert & 1, key
 
-    def shifts(h: int) -> dict[int, dict[Bidegree, Callable[[int], int]]]:
-        """Per state of height h and per bidegree of its shape: adds the
-        position, among the elements of that bidegree at height h, of the
-        state's first element of that bidegree, which is the number of
-        such elements in the states before it."""
+    # per slot counts: the bidegree code of each index, for the checks alone
+    bidegrees = {shape: _bidegree_codes(shape) for shape in set(slots.values())}
+
+    def checked_target(i: int, mask: int, e: int) -> list[int]:
+        """The target array of the map of edge e out of S = mask, at height
+        i, from `_edge_rule`, each entry checked to preserve the bidegree
+        and to give its source a first target."""
+        dst = mask | 1 << e
+        src_codes, dst_codes = bidegrees[slots[mask]], bidegrees[slots[dst]]
+        comp_of, (u, v) = states[mask][0], G.edges[e]
+        size = sizes[i][mask]
+        target = [-1] * (size + 1)
+        for x, y in _edge_rule(mask, e, comp_of[u], comp_of[v], size, yamada):
+            if dst_codes[y] != src_codes[x]:
+                r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
+                raise RuntimeError(
+                    f"differential d^{i} does not preserve the bidegree at entry ({r},{c})"
+                )
+            if target[x] >= 0:
+                raise RuntimeError(
+                    f"the map of edge {e} out of state {mask:#b} sends {x} to two targets"
+                )
+            target[x] = y
+        return target
+
+    below: dict[int, tuple[int, ...]] = {}
+    for i in range(n):
+        # S -> its code row: 2 * rule id + parity per edge outside S, in order
+        codes: dict[int, list[int]] = {mask: [] for mask in offsets[i]}
+        for mask, e, odd, key in walk(i):
+            rule = rule_ids.get(key)
+            if rule is None:
+                rule = rule_ids[key] = len(targets)
+                targets.append(checked_target(i, mask, e))
+            codes[mask].append(2 * rule + odd)
+        rows = {mask: tuple(row) for mask, row in codes.items()}
+        if i > 0:
+            _check_faces(offsets[i - 1], n, below, rows, targets, i)
+        below = rows
+
+    def shifts(h: int) -> dict[int, list[Callable[[int], int]]]:
+        """Per state of height h, per bidegree of its shape in the order of
+        its runs (`_bidegree_runs`): maps the place of an element of that
+        bidegree in the state's listing (`_listing`) to its position among
+        the elements of that bidegree at height h, by adding the number of
+        such elements in the states before it, less the start of the run."""
         seen = dict.fromkeys(dims[h], 0)
         out = {}
         for mask in offsets[h]:
-            members = shapes[slots[mask]][2]
-            out[mask] = {jk: seen[jk].__add__ for jk, _ in members}
-            for jk, xs in members:
-                seen[jk] += len(xs)
+            out[mask] = adders = []
+            for jk, start, end in runs_of[slots[mask]]:
+                before = seen[jk]
+                adders.append((before - start).__add__)
+                seen[jk] = before + end - start
         return out
 
     def write(i: int) -> dict[Bidegree, IntMatrix]:
@@ -589,33 +687,51 @@ def build_complex(
         }
         extends = {jk: (t[0].extend, t[1].extend, t[2].extend) for jk, t in triplets.items()}
         dst_shifts, src_shifts = shifts(i + 1), shifts(i)
+        # slots -> the indices listed bidegree after bidegree (`_listing`),
+        # and the place of each index in that listing (`_places`)
+        listings: dict[tuple[int, int], list[int]] = {}
+        places_of: dict[tuple[int, int], list[int]] = {}
+        # Runs of +1 and of -1 signs by length, shared by the groups.
+        signs_of_length: dict[int, tuple[array, array]] = {}
+        # rule key -> one group per bidegree (p, q) of its map: the extends
+        # of that bidegree's triplets, its run in S+e and in S (q * (j + 1)
+        # + p in a shape of j edge and component slots), the places of the
+        # entries in S+e and in S, and their signs for an even and an odd
+        # number of edges of S below e
+        groups_of: dict[tuple, list[tuple]] = {}
         for mask, e, odd, key in walk(i):
-            dst_shift, src_shift = dst_shifts[mask | 1 << e], src_shifts[mask]
-            for jk, rows, cols, signs in rules[key]:
-                extend_rows, extend_cols, extend_vals = extends[jk]
-                extend_rows(map(dst_shift[jk], rows))
-                extend_cols(map(src_shift[jk], cols))
+            dst = mask | 1 << e
+            groups = groups_of.get(key)
+            if groups is None:
+                src_slots, dst_slots = slots[mask], slots[dst]
+                for shape in src_slots, dst_slots:
+                    if shape not in listings:
+                        listings[shape] = _listing(shape)
+                places = places_of.get(dst_slots)
+                if places is None:
+                    places = places_of[dst_slots] = _places(listings[dst_slots])
+                src_width, dst_width = src_slots[0] + 1, dst_slots[0] + 1
+                groups = groups_of[key] = []
+                for (p, q), rows, cols in _block_groups(
+                    targets[rule_ids[key]], listings[src_slots], runs_of[src_slots], places
+                ):
+                    signs = signs_of_length.get(len(rows))
+                    if signs is None:
+                        signs = signs_of_length[len(rows)] = (
+                            array("b", [1]) * len(rows),
+                            array("b", [-1]) * len(rows),
+                        )
+                    run_dst, run_src = q * dst_width + p, q * src_width + p
+                    groups.append((*extends[p, q], run_dst, run_src, rows, cols, signs))
+            dst_shift, src_shift = dst_shifts[dst], src_shifts[mask]
+            for extend_rows, extend_cols, extend_vals, run_dst, run_src, rows, cols, signs in groups:
+                extend_rows(map(dst_shift[run_dst], rows))
+                extend_cols(map(src_shift[run_src], cols))
                 extend_vals(signs[odd])
         return {
             jk: IntMatrix.from_triplets(rows_dims.get(jk, 0), cols_dims.get(jk, 0), *t)
             for jk, t in triplets.items()
         }
-
-    below: dict[int, tuple[int, ...]] = {}
-    for i in range(n):
-        # S -> its code row: 2 * rule id + parity per edge outside S, in order
-        codes: dict[int, list[int]] = {mask: [] for mask in offsets[i]}
-        for mask, e, odd, key in walk(i):
-            codes[mask].append(2 * rule_ids[key] + odd)
-        rows = {mask: tuple(row) for mask, row in codes.items()}
-        if i > 0:
-            _check_faces(offsets[i - 1], n, below, rows, targets, i)
-        below = rows
-    # Every face is checked and every map worked out: no read needs the ids,
-    # the arrays or the rows.
-    rule_ids.clear()
-    targets.clear()
-    below.clear()
 
     return BigradedComplex(
         variant=variant,

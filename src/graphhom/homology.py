@@ -33,8 +33,9 @@ per call by `tutte_cohomology`, and each class of subsets with one
 minor, size and b0 is added once, times its count. Torsion is added as
 prime powers and turned back into invariant factors by `prime_powers`
 and `invariant_factors`, which live in `matrices` beside the elimination
-that uses them too. `cohomology(build_complex(G, variant))` stays the
-whole-complex route, which `check` and the tests take.
+that uses them too; a summand or a key without torsion skips both.
+`cohomology(build_complex(G, variant))` stays the whole-complex route,
+which `check` and the tests take.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .cube import (
     Bidegree,
@@ -112,13 +113,17 @@ class CohomologyTable:
 class _Tally:
     """A sum of summands, exact whatever the torsion: free ranks add as
     integers and torsion as prime powers, turned back into invariant
-    factors at the end."""
+    factors at the end. A key that no torsion reached gets () without
+    that round trip, and a summand without torsion is added without
+    being split (`_powers`)."""
 
     def __init__(self) -> None:
         self.free: Counter[tuple[int, int, int]] = Counter()
         self.torsion: dict[tuple[int, int, int], Counter[int]] = {}
 
-    def add(self, key: tuple[int, int, int], copies: int, rank: int, powers: Counter[int]) -> None:
+    def add(
+        self, key: tuple[int, int, int], copies: int, rank: int, powers: Mapping[int, int]
+    ) -> None:
         self.free[key] += copies * rank
         if powers:
             acc = self.torsion.setdefault(key, Counter())
@@ -126,15 +131,23 @@ class _Tally:
                 acc[q] += copies * mult
 
     def table(self, variant: str, height_count: int) -> CohomologyTable:
-        empty: Counter[int] = Counter()
+        torsion = self.torsion
         return CohomologyTable(
             variant=variant,
             height_count=height_count,
             summands={
-                key: Summand(self.free[key], invariant_factors(self.torsion.get(key, empty)))
+                key: Summand(
+                    self.free[key], invariant_factors(torsion[key]) if key in torsion else ()
+                )
                 for key in sorted(self.free)
             },
         )
+
+
+def _powers(torsion: tuple[int, ...]) -> Mapping[int, int]:
+    """The torsion of a summand as prime powers (`prime_powers`); no
+    split at all when there is no torsion."""
+    return prime_powers(torsion) if torsion else {}
 
 
 def cohomology(cx: BigradedComplex) -> CohomologyTable:
@@ -290,11 +303,11 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     states = cyclic_state_components(G) if b1 else {}
     tally = _Tally()
     for (i, j), s in _kunneth(components).items():
-        tally.add((i, j, 0), 1, s.free_rank, prime_powers(s.torsion))
+        tally.add((i, j, 0), 1, s.free_rank, _powers(s.torsion))
     for L in range(1, b1 + 1):
         cx = build_complex(G, "tutte", min_cycles=L, states=states)
         for (i, j, _), s in cohomology(cx).summands.items():
-            powers = prime_powers(s.torsion)
+            powers = _powers(s.torsion)
             for k in range(1, L + 1):
                 tally.add((i, j, k), comb(L - 1, k - 1), s.free_rank, powers)
     return tally.table("tutte", G.edge_count + 1)
@@ -341,14 +354,14 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
         classes[key] = classes.get(key, 0) + 1
     # (b0, edges) of a minor -> its summands as ((i, j, k), free rank, torsion
     # as prime powers)
-    minors: dict[tuple, list[tuple[tuple[int, int, int], int, Counter[int]]]] = {}
+    minors: dict[tuple, list[tuple[tuple[int, int, int], int, Mapping[int, int]]]] = {}
     tally = _Tally()
     for (b0, edges, size), count in classes.items():
         summands = minors.get((b0, edges))
         if summands is None:
             table = tutte_cohomology(Multigraph(b0, edges))
             summands = minors[b0, edges] = [
-                (key, s.free_rank, prime_powers(s.torsion)) for key, s in table.summands.items()
+                (key, s.free_rank, _powers(s.torsion)) for key, s in table.summands.items()
             ]
         b1 = size - G.vertex_count + b0
         for (i, j, k), rank, powers in summands:

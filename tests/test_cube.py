@@ -478,6 +478,105 @@ def test_members_match_a_grouping_of_every_index_by_popcount():
             assert cube._members(shape) == _brute_members(shape), shape
 
 
+def test_listing_runs_places_and_codes_agree_with_the_brute_grouping():
+    # The listing is the brute groups joined in order, each run bounds one
+    # group, the places invert the listing, and the codes read p + 32 q.
+    for width in range(11):
+        for j_slots in range(width + 1):
+            shape = (j_slots, width - j_slots)
+            groups = _brute_members(shape)
+            listing = cube._listing(shape)
+            assert listing == [x for _, xs in groups for x in xs], shape
+            runs = cube._bidegree_runs(shape)
+            assert [(jk, listing[a:b]) for jk, a, b in runs] == groups, shape
+            assert [runs.index(run) for run in runs] == [
+                q * (j_slots + 1) + p for (p, q), _, _ in runs
+            ]
+            places = cube._places(listing)
+            assert places[-1] == -1 and [listing[t] for t in places[:-1]] == list(range(1 << width))
+            codes = [0] * (1 << width)
+            for (p, q), xs in groups:
+                for x in xs:
+                    codes[x] = p + 32 * q
+            assert cube._bidegree_codes(shape) == codes, shape
+
+
+def test_block_groups_drop_killed_entries_and_keep_source_order():
+    # Source (2, 0): indices 0..3 listed 0 | 1, 2 | 3. A map onto a module
+    # (1, 0), listed 0 | 1, that sends 0 -> 0, 1 -> 1, 2 -> 1 and kills 3.
+    listing, runs = cube._listing((2, 0)), cube._bidegree_runs((2, 0))
+    places = cube._places(cube._listing((1, 0)))
+    groups = cube._block_groups([0, 1, 1, -1, -1], listing, runs, places)
+    assert [(jk, list(rows), list(cols)) for jk, rows, cols in groups] == [
+        ((0, 0), [0], [0]),
+        ((1, 0), [1, 1], [1, 2]),
+    ]
+    # with nothing killed every bidegree keeps its whole run as columns
+    groups = cube._block_groups([0, 1, 1, 0, -1], listing, runs, places)
+    assert [(jk, list(rows), cols) for jk, rows, cols in groups] == [
+        ((0, 0), [0], range(0, 1)),
+        ((1, 0), [1, 1], range(1, 3)),
+        ((2, 0), [0], range(3, 4)),
+    ]
+
+
+def _shapes_at(G, variant, h):
+    """The slot counts of the states of height h of the whole complex."""
+    return {
+        ((h if variant == "yamada" else 0) + b0, h - G.vertex_count + b0)
+        for mask, (_, b0) in enumerate(state_components(G))
+        if mask.bit_count() == h
+    }
+
+
+def _tutte_keys_at(G, h):
+    """The rule keys of the tutte maps out of height h: the unordered pair
+    of endpoint components (None for one) and the slots of S."""
+    keys = set()
+    for mask, (labels, b0) in enumerate(state_components(G)):
+        if mask.bit_count() == h:
+            for e, (u, v) in enumerate(G.edges):
+                if not mask >> e & 1:
+                    pair = frozenset((labels[u], labels[v])) if labels[u] != labels[v] else None
+                    keys.add((pair, (b0, h - G.vertex_count + b0)))
+    return keys
+
+
+@pytest.mark.parametrize("G", [K4, cycle_graph(5), bigon()], ids=["K4", "cycle5", "bigon"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_block_positions_are_worked_out_only_for_the_height_read(monkeypatch, G, variant):
+    # The build works out every map's target array and nothing for the
+    # blocks: no groups, no listing, no places. A read of height i derives
+    # the groups of each map that height uses once, and lists the slot
+    # counts of heights i and i + 1 once each, with places for the latter.
+    # In the yamada variant the rule key holds |S|, so the maps of height i
+    # are the rules the build worked out for states of height i; in the
+    # tutte variant they are its keys at height i.
+    rules, derived, listed, placed = [], [], [], []
+    real_rule, real_groups = cube._edge_rule, cube._block_groups
+    real_listing, real_places = cube._listing, cube._places
+    monkeypatch.setattr(cube, "_edge_rule", lambda mask, *a: rules.append(mask) or real_rule(mask, *a))
+    monkeypatch.setattr(
+        cube, "_block_groups", lambda target, *a: derived.append(target) or real_groups(target, *a)
+    )
+    monkeypatch.setattr(cube, "_listing", lambda shape: listed.append(shape) or real_listing(shape))
+    monkeypatch.setattr(cube, "_places", lambda listing: placed.append(listing) or real_places(listing))
+    cx = build_complex(G, variant)
+    assert rules and not derived and not listed and not placed
+    built = len(rules)
+    for i in [*range(len(cx.blocks)), 0]:
+        derived.clear(), listed.clear(), placed.clear()
+        cx.blocks[i]
+        assert len({id(target) for target in derived}) == len(derived)
+        if variant == "yamada":
+            assert len(derived) == sum(mask.bit_count() == i for mask in rules)
+        else:
+            assert len(derived) == len(_tutte_keys_at(G, i))
+        assert sorted(listed) == sorted(_shapes_at(G, variant, i) | _shapes_at(G, variant, i + 1))
+        assert len(placed) == len(_shapes_at(G, variant, i + 1))
+    assert len(rules) == built  # reading worked out no map again
+
+
 # One identity rule and one rule that kills both elements, on a module of
 # rank 2; each array ends in -1, as the build's target arrays do.
 IDENTITY, KILL = 0, 1
@@ -586,8 +685,9 @@ def _retained(make):
 
 def test_blocks_keep_under_40_bytes_per_nonzero():
     # What the built complex of cycle8 (tutte, 26,248 block nonzeros) and its
-    # blocks hold, per nonzero. With flat triplet arrays and the rule memo
-    # it is about 21; a {(row, col): sign} dict per block holds about 108.
+    # blocks hold, per nonzero. With flat triplet arrays and a target array
+    # per map it is about 16 (19 while the complex also kept each map's
+    # block positions); a {(row, col): sign} dict per block holds about 108.
     (_, blocks), retained = _retained(
         lambda: (cx := build_complex(cycle_graph(8), "tutte"), list(cx.blocks))
     )
@@ -598,9 +698,10 @@ def test_blocks_keep_under_40_bytes_per_nonzero():
 
 def test_a_built_complex_holds_under_128_bytes_per_state_and_edge():
     # Before any height is read, K5 (tutte, 1,024 states, 5,120 pairs (S, e))
-    # holds its states, their bidegree counts and one map per rule key: about
-    # 83 bytes per pair, 95 when the build wrote its bidegree index up front.
-    # A record per pair and an adder per state and bidegree held about 206.
+    # holds its states, their bidegree counts and one target array per rule
+    # key: about 81 bytes per pair (94 while it also kept each map's block
+    # positions, more when the build wrote its bidegree index up front). A
+    # record per pair and an adder per state and bidegree held about 206.
     cx, retained = _retained(lambda: build_complex(K5, "tutte"))
     pairs = sum(len(offsets) * (10 - i) for i, offsets in enumerate(cx.state_offsets))
     assert pairs == 5_120
@@ -608,14 +709,17 @@ def test_a_built_complex_holds_under_128_bytes_per_state_and_edge():
 
 
 def test_cohomology_does_not_grow_what_the_complex_holds():
-    # cycle7 (yamada) holds about 360 KiB once built (459 KiB when the build
-    # wrote its bidegree index up front). Its cohomology reads every height
-    # of the blocks and none of the index; a complex that kept the blocks it
-    # wrote, and dropped a record per (S, e) for each, went from 471 to
-    # 512 KiB.
+    # cycle7 (yamada) holds about 162 KiB once built: its states and one
+    # target array per rule key. It held about 364 KiB while the complex also
+    # kept, per map, the block positions of its entries per bidegree, and
+    # 459 KiB when the build wrote its bidegree index up front. Its
+    # cohomology reads every height of the blocks and none of the index,
+    # and each read works out block positions that it drops again; a
+    # complex that kept the blocks it wrote, and dropped a record per (S, e)
+    # for each, went from 471 to 512 KiB.
     cx, held = _retained(lambda: build_complex(cycle_graph(7), "yamada"))
     _, grown = _retained(lambda: cohomology(cx) and None)  # the table is not counted
-    assert held > 340_000
+    assert 140_000 < held < 190_000
     assert grown < held / 50
 
 

@@ -19,7 +19,14 @@ import pytest
 
 import graphhom.cube as cube
 from graphhom.cli import POLY_CHOICES, run
-from graphhom.multigraph import bigon, cycle_graph, multiedge_graph, to_json_dict, tree_graph
+from graphhom.multigraph import (
+    bigon,
+    cycle_graph,
+    from_json_dict,
+    multiedge_graph,
+    to_json_dict,
+    tree_graph,
+)
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
@@ -125,6 +132,42 @@ MULTIEDGE7_HEIGHT0_DIGEST = "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0
 CYCLE10_HEIGHT_DIGESTS = {
     0: "1d0301422ade780096515c413b0d11afe342302b0ad6d75e221fc762b16fcf22",
     5: "75cac36b08c6bb3fa042b33d4d116de22809f01ad0986246c9b889b62eab70db",
+}
+
+# Pinned from the output before block positions were worked out when a
+# height is read rather than at build. `dump --height 0` of the benchmark's
+# dump-build graphs in canonical edge order and shuffled by
+# random.Random(2308) (multiedge7's seven edges are all parallel, so every
+# order prints the same); `dump --height h` of K4 at every height; and the
+# blocks of every height in the order their triplets were written, unsorted,
+# since `_eliminate` reads them in that order.
+DUMP_ORDER_DIGESTS = {
+    ("multiedge7", "yamada", "canonical"): "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0d9611ca7ede74",
+    ("multiedge7", "yamada", "shuffled"): "65033d0bf19622ec7277f6e763dbfaf74f2d093d86b1a3ce6c0d9611ca7ede74",
+    ("cycle10", "tutte", "canonical"): "1d0301422ade780096515c413b0d11afe342302b0ad6d75e221fc762b16fcf22",
+    ("cycle10", "tutte", "shuffled"): "93b27b7ff6808283c6673893287b94dff977bff312c114497ebc1a76d9ed34aa",
+}
+K4_HEIGHT_DIGESTS = {
+    ("yamada", 0): "68bd93a38d4d472bf4a1f90f697c8287c7fc3430946fea86468978bbaa534c16",
+    ("yamada", 1): "f08b73a2b4b18c17b8c302e77f74dff2c8a125eba8583b9f6cfabb6315ed5850",
+    ("yamada", 2): "2da1ec66e19973fb814f5d0ccb3d557f2aa3d7133f9e2248f14613346cc5886c",
+    ("yamada", 3): "1e327361dd1aaf908a96dd2cdd4605e92676c1cd8dee643d125ded56d4f7b199",
+    ("yamada", 4): "a602b5594d2baa559dbb651aeb5090570e9bc6bdb4d938ef180c8609534ffb57",
+    ("yamada", 5): "9a90e55712a3d302d8c64626499bf17d1fc1241df69b93ae2f4335f360550dce",
+    ("tutte", 0): "3f6ec25be11fcbc5999af3076b910e71e87ae0c87a683706c611303515ed4930",
+    ("tutte", 1): "156672d90b367caa58e60a9303135b2e3e6b36d2a06ba3b255b782de8b9e1ffd",
+    ("tutte", 2): "61be4c54df438a120a0a61b39871c19644dfc42b325403a8778f5546b49ee5b4",
+    ("tutte", 3): "e014548bde4df37fdb4876e8fbbc276b82fdc096515a1592e4200065dd4dd828",
+    ("tutte", 4): "f549d625ab2428fce92c8bbc14d85abbfe43aae99a494383d56e116a92d61712",
+    ("tutte", 5): "645fe8cb6a321f235daf4ed50fadb86821e5f2da26f1acd321b628bd169c3f7e",
+}
+TRIPLET_DIGESTS = {
+    ("K4", "yamada"): "9c7216f6c21a4fa8526ef3f0163a543b548fa047cc1da617063fafa6022b5298",
+    ("K4", "tutte"): "84f5ba1e95934aad23626130fe39f59d7d6dcb3b03cfe334975cd4218c4f0a1a",
+    ("cycle5", "yamada"): "b9ece4133284f58dfee16548840b7f61b313ec2cc9bf47db631412b8c4eac38e",
+    ("cycle5", "tutte"): "b1c4a120ff9ff5e6ce9e167296ec460560743f9939b8c8bb8dcdc0c604913702",
+    ("multiedge5", "yamada"): "0c575ede35786e0b1ff3a56a29fc67dba928fd23656cd25037dd6002a307132c",
+    ("multiedge5", "tutte"): "8b23172842e047ad959168bb3573668831e1d2e5888b1e08946f0d6fabe00ead",
 }
 
 POLY_DIGESTS = {
@@ -277,6 +320,37 @@ def test_cycle10_dump_height_digest(height, tmp_path, capsys):
     assert run(argv + ["--input", _graph_path("cycle10", tmp_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CYCLE10_HEIGHT_DIGESTS[height]
+
+
+@pytest.mark.parametrize("name,variant,order", sorted(DUMP_ORDER_DIGESTS))
+def test_dump_height_0_digest_in_two_edge_orders(name, variant, order, tmp_path, capsys):
+    data = to_json_dict({"multiedge7": multiedge_graph(7), "cycle10": cycle_graph(10)}[name])
+    if order == "shuffled":
+        random.Random(2308).shuffle(data["edges"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert run(["dump", "--variant", variant, "--height", "0", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_ORDER_DIGESTS[(name, variant, order)]
+
+
+@pytest.mark.parametrize("variant,height", sorted(K4_HEIGHT_DIGESTS))
+def test_k4_dump_height_digest(variant, height, tmp_path, capsys):
+    argv = ["dump", "--variant", variant, "--height", str(height)]
+    assert run(argv + ["--input", _graph_path("K4", tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == K4_HEIGHT_DIGESTS[(variant, height)]
+
+
+@pytest.mark.parametrize("name,variant", sorted(TRIPLET_DIGESTS))
+def test_block_triplets_digest_in_written_order(name, variant):
+    G = {"K4": from_json_dict(K4), "cycle5": cycle_graph(5), "multiedge5": multiedge_graph(5)}[name]
+    digest = hashlib.sha256()
+    for level in cube.build_complex(G, variant).blocks:
+        for jk, block in level.items():
+            triplets = map(list, (block.row_of, block.col_of, block.val_of))
+            digest.update(repr((jk, block.rows, block.cols, *triplets)).encode())
+    assert digest.hexdigest() == TRIPLET_DIGESTS[(name, variant)]
 
 
 @pytest.mark.parametrize("name,which", sorted(POLY_DIGESTS))

@@ -954,3 +954,32 @@ def test_yamada_cohomology_adds_torsion_as_prime_powers(monkeypatch):
         (2, 2, 0): Summand(2, (2, 4, 4, 12, 12)),
         (2, 2, 1): Summand(0, (2,)),
     }
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_the_routes_normalise_torsion_only_where_there_is_some(name, monkeypatch, table_of):
+    # Both routes split a summand into prime powers only when it has
+    # torsion, and the tally turns prime powers back into invariant factors
+    # only for a key that some torsion reached: one call per torsion key of
+    # each table the tally makes, the minors' tables included.
+    G = ROUTE_GRAPHS[name]
+    split, joined, tallied = [], [], []
+    real_split, real_join, real_table = homology.prime_powers, homology.invariant_factors, homology._Tally.table
+
+    def table(self, variant, height_count):
+        tallied.append(real_table(self, variant, height_count))
+        return tallied[-1]
+
+    monkeypatch.setattr(homology, "prime_powers", lambda t: split.append(t) or real_split(t))
+    monkeypatch.setattr(homology, "invariant_factors", lambda p: joined.append(p) or real_join(p))
+    monkeypatch.setattr(homology._Tally, "table", table)
+    for route, variant in ((tutte_cohomology, "tutte"), (yamada_cohomology, "yamada")):
+        split.clear(), joined.clear(), tallied.clear()
+        table = route(G)
+        _same_table(table, table_of(G, variant))
+        assert all(split) and all(joined)
+        assert len(joined) == sum(bool(s.torsion) for t in tallied for s in t.summands.values())
+        has_torsion = any(s.torsion for s in table.summands.values())
+        assert bool(split) == bool(joined) == has_torsion
+        # the torsion-free graphs of the list make no call at all
+        assert has_torsion == (name not in ("bouquet4", "empty", "multiedge7", "path6", "point"))
