@@ -43,11 +43,12 @@ counts of its states; the positions of those elements
 first time it is read and then kept, so `dump` and `cohomology`, which
 read only counts and blocks, write none.
 
-The chain maps between complexes (`phi_psi` between the two variants,
-`projection_map` onto a subgraph) send every basis element to at most one
-basis element, with coefficient 1. So each is a list, one per height, of
-target arrays: entry l is the index of the image of element l, or -1 when
-the map kills it.
+Every map here sends each basis element to at most one basis element,
+with coefficient 1. So each is a target array: entry l is the index of
+the image of element l, or -1 when the map kills it. A per-edge map
+(`_edge_rule`) is one such array with one trailing -1; a chain map
+between complexes (`phi_psi` between the two variants, `projection_map`
+onto a subgraph) is a list of them, one per height.
 """
 
 from __future__ import annotations
@@ -142,10 +143,9 @@ def state_slots(G: Multigraph, variant: str) -> dict[int, tuple[list[int], int]]
     return dict(enumerate(components))
 
 
-def _edge_rule(
-    mask: int, e: int, p: int, q: int, size: int, yamada: bool
-) -> list[tuple[int, int]]:
-    """(source, target) index pairs of the unsigned map C^S -> C^(S+e).
+def _edge_rule(mask: int, e: int, p: int, q: int, size: int, yamada: bool) -> list[int]:
+    """The target array of the unsigned map C^S -> C^(S+e): entry x is the
+    index of the image of x, or -1 when x is killed, and one trailing -1.
 
     `mask` is S, `size` the rank of C^S, and p, q are the components of
     [G:S] holding the endpoints of e. Every coefficient is 1. In the
@@ -153,7 +153,7 @@ def _edge_rule(
     p == q the new cycle slot is the highest bit of the target and holds
     the unit, so nothing else moves. Otherwise the component bits of p
     and q are OR-ed into the lower one, elements with both set are
-    dropped (t * t = 0), and the higher one is removed, which moves the
+    killed (t * t = 0), and the higher one is removed, which moves the
     later components down one slot.
     """
     if yamada:
@@ -163,19 +163,17 @@ def _edge_rule(
         targets = [(x >> insert << insert + 1) | (x & below) for x in range(size)]
     else:
         comp0 = 0
-        targets = range(size)
+        targets = list(range(size))
     if p == q:
-        return list(enumerate(targets))
+        return targets + [-1]
     lo, hi = comp0 + min(p, q), comp0 + max(p, q)
     lo_bit, hi_bit, below_hi = 1 << lo, 1 << hi, (1 << hi) - 1
-    pairs = []
-    for x, y in enumerate(targets):
-        if y & hi_bit:
-            if y & lo_bit:
-                continue
-            y |= lo_bit
-        pairs.append((x, (y >> hi + 1 << hi) | (y & below_hi)))
-    return pairs
+    return [
+        (y >> hi + 1 << hi) | (y & below_hi) if not y & hi_bit
+        else -1 if y & lo_bit
+        else (y >> hi + 1 << hi) | (y & below_hi) | lo_bit
+        for y in targets
+    ] + [-1]
 
 
 def _by_popcount(width: int) -> list[list[int]]:
@@ -505,12 +503,12 @@ def build_complex(
     rule reads e only through the latter), the unordered pair of endpoint
     components or None for one component, and the slots of S, which fix
     the rank of C^S. With the variant, these also fix the slots of S+e.
-    When first worked out, each entry of a map is checked to preserve the
+    When first worked out, each entry of the map's target array that is
+    not killed is checked, in ascending source order, to preserve the
     bidegree, read off a table of codes per slot counts
-    (`_bidegree_codes`) that lives only as long as the build, and the map
-    to be a partial function (every coefficient is 1). A map is kept as
-    its target array alone, under a rule id, which numbers the keys in the
-    order they are first seen. Heights are walked in order, and the walk
+    (`_bidegree_codes`) that lives only as long as the build. The array
+    is kept as the rule gave it, under a rule id, which numbers the keys
+    in the order they are first seen. Heights are walked in order, and the walk
     of height i writes one code row per state S: one int per edge e
     outside S, in edge order, 2 * (rule id of (S, e)) + (parity of the
     edges of S below e), which fixes the signed map.
@@ -628,24 +626,18 @@ def build_complex(
 
     def checked_target(i: int, mask: int, e: int) -> list[int]:
         """The target array of the map of edge e out of S = mask, at height
-        i, from `_edge_rule`, each entry checked to preserve the bidegree
-        and to give its source a first target."""
+        i, from `_edge_rule`, each entry that is not killed checked to
+        preserve the bidegree."""
         dst = mask | 1 << e
         src_codes, dst_codes = bidegrees[slots[mask]], bidegrees[slots[dst]]
         comp_of, (u, v) = states[mask][0], G.edges[e]
-        size = sizes[i][mask]
-        target = [-1] * (size + 1)
-        for x, y in _edge_rule(mask, e, comp_of[u], comp_of[v], size, yamada):
-            if dst_codes[y] != src_codes[x]:
+        target = _edge_rule(mask, e, comp_of[u], comp_of[v], sizes[i][mask], yamada)
+        for x, y in enumerate(target):
+            if y >= 0 and dst_codes[y] != src_codes[x]:
                 r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x
                 raise RuntimeError(
                     f"differential d^{i} does not preserve the bidegree at entry ({r},{c})"
                 )
-            if target[x] >= 0:
-                raise RuntimeError(
-                    f"the map of edge {e} out of state {mask:#b} sends {x} to two targets"
-                )
-            target[x] = y
         return target
 
     below: dict[int, tuple[int, ...]] = {}

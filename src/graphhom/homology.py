@@ -276,8 +276,8 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     gives the proof). c = 0 gives D_0, and the C(L-1, k-1) integers with
     bit length L >= 1 and k bits set give the copies of D_L. H(D_0) comes
     from the chromatic polynomials of the components of G (`_kunneth`)
-    and is never eliminated; each D_L is built, verified (bidegrees,
-    partial functions, d^2 = 0) and eliminated by `cohomology`. L runs up
+    and is never eliminated; each D_L is built, verified (bidegrees and
+    d^2 = 0) and eliminated by `cohomology`. L runs up
     to the largest b1 of a state, that of G, which is |E| - V + b0(G).
 
     Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),

@@ -143,9 +143,6 @@ class BivariateLaurent:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, xexp: int, yexp: int) -> int:
-        return self._terms.get((xexp, yexp), 0)
-
     def terms(self) -> list[tuple[int, int, int]]:
         """(xexp, yexp, coeff) triples in canonical (descending) order."""
         return [(a, b, self._terms[(a, b)]) for (a, b) in sorted(self._terms, reverse=True)]

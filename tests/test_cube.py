@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import tracemalloc
 
@@ -29,6 +30,7 @@ from graphhom.multigraph import (
     bouquet_graph,
     build,
     cycle_graph,
+    multiedge_graph,
     permute_edges,
     state_components,
     to_json_dict,
@@ -74,41 +76,50 @@ def test_chain_module_order_is_little_endian():
 
 
 def _edge_map(G, mask, e, variant):
-    """(source, target) pairs of the unsigned map C^S -> C^(S+e) for
-    S = mask, with the ranks of C^S and C^(S+e)."""
-    sizes = build_complex(G, variant).state_sizes
-    labels = state_components(G)[mask][0]
-    u, v = G.edges[e]
+    """The target array of the unsigned map C^S -> C^(S+e) for S = mask,
+    with the ranks of C^S and C^(S+e)."""
+    cx = build_complex(G, variant)
     i = mask.bit_count()
-    size = sizes[i][mask]
-    pairs = cube._edge_rule(mask, e, labels[u], labels[v], size, variant == "yamada")
-    return pairs, size, sizes[i + 1][mask | 1 << e]
+    return _rule_maps(cx)[mask, e], cx.state_sizes[i][mask], cx.state_sizes[i + 1][mask | 1 << e]
+
+
+def _rule_maps(cx):
+    """(S, e) -> the target array of `_edge_rule` for every state S of `cx`
+    and edge e outside S, outside the per-build memo of `build_complex`."""
+    G = cx.graph
+    components = state_components(G)
+    maps = {}
+    for sizes in cx.state_sizes:
+        for mask, size in sizes.items():
+            labels = components[mask][0]
+            for e, (u, v) in enumerate(G.edges):
+                if not mask >> e & 1:
+                    maps[mask, e] = cube._edge_rule(
+                        mask, e, labels[u], labels[v], size, cx.variant == "yamada"
+                    )
+    return maps
 
 
 def test_per_edge_map_merge_case():
     # t (x) t dies; 1 (x) 1 lands on the unit edge factor times the unit component
-    assert _edge_map(bigon(), 0b00, 0, "yamada") == ([(0, 0), (1, 2), (2, 2)], 4, 4)
+    assert _edge_map(bigon(), 0b00, 0, "yamada") == ([0, 2, 2, -1, -1], 4, 4)
 
 
 def test_per_edge_map_cycle_case():
-    pairs, cols, rows = _edge_map(bigon(), 0b10, 0, "yamada")
+    target, cols, rows = _edge_map(bigon(), 0b10, 0, "yamada")
     # t on edge slot e2 goes to 1_A (x) t (x) 1_A (x) 1_B
-    assert (1, 2) in pairs
-    assert (pairs, cols, rows) == ([(0, 0), (1, 2), (2, 4), (3, 6)], 4, 16)
+    assert target[1] == 2
+    assert (target, cols, rows) == ([0, 2, 4, 6, -1], 4, 16)
 
 
 def test_per_edge_map_merge_with_bystander_component():
     # three isolated vertices; the added edge merges the second and third
     G = build(3, [(1, 2)])
-    assert _edge_map(G, 0b0, 0, "yamada") == (
-        [(0, 0), (1, 2), (2, 4), (3, 6), (4, 4), (5, 6)],
-        8,
-        8,
-    )
+    assert _edge_map(G, 0b0, 0, "yamada") == ([0, 2, 4, 6, 4, 6, -1, -1, -1], 8, 8)
 
 
 def test_per_edge_map_tutte_variant_drops_edge_factors():
-    assert _edge_map(bigon(), 0b00, 0, "tutte") == ([(0, 0), (1, 1), (2, 1)], 4, 2)
+    assert _edge_map(bigon(), 0b00, 0, "tutte") == ([0, 1, 1, -1, -1], 4, 2)
 
 
 def test_build_complex_bigon_ranks_and_differentials():
@@ -221,32 +232,18 @@ def test_unsigned_squares_commute():
         build(3, [(0, 1), (1, 2), (0, 0), (1, 2)]),
     ]
     for G in graphs:
-        components = state_components(G)
         for variant in ("yamada", "tutte"):
-            sizes = {}
-            for level in build_complex(G, variant).state_sizes:
-                sizes.update(level)
-
-            def targets(mask, e):
-                # target of each source, -1 when it is killed (also at index -1)
-                labels = components[mask][0]
-                u, v = G.edges[e]
-                out = [-1] * (sizes[mask] + 1)
-                for x, y in cube._edge_rule(
-                    mask, e, labels[u], labels[v], sizes[mask], variant == "yamada"
-                ):
-                    out[x] = y
-                return out
-
+            # target of each source, -1 when it is killed (also at index -1)
+            targets = _rule_maps(build_complex(G, variant))
             for mask in range(1 << G.edge_count):
                 free = [e for e in range(G.edge_count) if not mask >> e & 1]
                 for a in free:
                     for b in free:
                         if a >= b:
                             continue
-                        after_a, after_b = targets(mask | 1 << a, b), targets(mask | 1 << b, a)
-                        ab = [after_a[y] for y in targets(mask, a)]
-                        ba = [after_b[y] for y in targets(mask, b)]
+                        after_a, after_b = targets[mask | 1 << a, b], targets[mask | 1 << b, a]
+                        ab = [after_a[y] for y in targets[mask, a]]
+                        ba = [after_b[y] for y in targets[mask, b]]
                         assert ab == ba, (G, mask, a, b, variant)
 
 
@@ -408,26 +405,18 @@ def test_differential_view_matches_blocks_and_squares_to_zero(G, complex_of):
 MIXED = Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 2), (1, 2)))
 
 
-def _differentials_from_the_rule(G, cx):
-    """Every d^i assembled entry by entry from `_edge_rule`, with the sign
-    (-1)^|S n [0, e)|, outside the per-build memo of `build_complex`."""
-    components = state_components(G)
-    out = []
-    for i in range(cx.height_count - 1):
-        entries = {}
-        for mask, src_off in cx.state_offsets[i].items():
-            labels = components[mask][0]
-            size = cx.state_sizes[i][mask]
-            for e, (u, v) in enumerate(G.edges):
-                if mask >> e & 1:
-                    continue
-                sign = -1 if (mask & ((1 << e) - 1)).bit_count() % 2 else 1
-                dst_off = cx.state_offsets[i + 1][mask | 1 << e]
-                pairs = cube._edge_rule(mask, e, labels[u], labels[v], size, cx.variant == "yamada")
-                for x, y in pairs:
-                    entries[(dst_off + y, src_off + x)] = sign
-        out.append(int_matrix(cx.rank(i + 1), cx.rank(i), entries))
-    return out
+def _differentials_from_the_rule(cx):
+    """Every d^i assembled entry by entry from `_edge_rule` (`_rule_maps`),
+    with the sign (-1)^|S n [0, e)|."""
+    entries = [{} for _ in range(cx.height_count - 1)]
+    for (mask, e), target in _rule_maps(cx).items():
+        i = mask.bit_count()
+        sign = -1 if (mask & ((1 << e) - 1)).bit_count() % 2 else 1
+        src_off, dst_off = cx.state_offsets[i][mask], cx.state_offsets[i + 1][mask | 1 << e]
+        for x, y in enumerate(target):
+            if y >= 0:
+                entries[i][dst_off + y, src_off + x] = sign
+    return [int_matrix(cx.rank(i + 1), cx.rank(i), d) for i, d in enumerate(entries)]
 
 
 def test_memoised_edge_maps_match_the_rule_applied_to_every_state_and_edge(corpus, complex_of):
@@ -438,8 +427,27 @@ def test_memoised_edge_maps_match_the_rule_applied_to_every_state_and_edge(corpu
         for variant in ("yamada", "tutte"):
             cx = complex_of(G, variant)
             assembled = [contents(differential(cx, i)) for i in range(cx.height_count - 1)]
-            from_rule = [contents(d) for d in _differentials_from_the_rule(G, cx)]
+            from_rule = [contents(d) for d in _differentials_from_the_rule(cx)]
             assert assembled == from_rule, (G, variant)
+
+
+# sha256 over the target arrays of `_edge_rule` for every (S, e), as JSON
+# [S, e, target] in ascending (S, e) order, of the corpus, K4, cycle6, MIXED
+# and multiedge5; taken from the (source, target) pairs that the rule
+# returned before it returned target arrays.
+RULE_DIGESTS = {
+    "yamada": "84b3c339004ad0d12ceb7dfc544a6cf7b398fd31ddf6050286281f81f272e65f",
+    "tutte": "70d6ab843466c71f046c806182dcb95b8e21e3f6234a3a11cf6b1b7e2650e359",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_edge_rule_target_arrays_digest(variant, corpus, complex_of):
+    digest = hashlib.sha256()
+    for G in [*corpus, K4, cycle_graph(6), MIXED, multiedge_graph(5)]:
+        for (mask, e), target in sorted(_rule_maps(complex_of(G, variant)).items()):
+            digest.update(json.dumps([mask, e, target]).encode())
+    assert digest.hexdigest() == RULE_DIGESTS[variant]
 
 
 @pytest.mark.parametrize("G,calls", [(K4, 15), (bouquet_graph(4), 4)], ids=["K4", "bouquet4"])

@@ -4,10 +4,10 @@ The sha256 digests pin the exact bytes that `dump`, `cohomology --json` and
 `poly --json` print, and the cohomology tables of the whole corpus, so any
 change to basis order, signs, block layout, cohomology (torsion included) or
 to a polynomial shows up here.
-The corruption tests prove that `build_complex` still runs both of its
-run-time verifications (bidegree preservation and d^2 = 0), and that it
-refuses a per-edge map that is not a partial function, on which its
-face-by-face d^2 check would not be exact.
+The corruption tests overwrite or kill entries of per-edge target arrays
+and prove that `build_complex` still runs both of its run-time
+verifications: bidegree preservation, named at the first faulty entry in
+source order, and d^2 = 0.
 """
 
 import hashlib
@@ -396,24 +396,22 @@ def test_corpus_tables_digest(corpus, table_of):
     assert digest.hexdigest() == CORPUS_TABLES_DIGEST
 
 
-def _corrupt_first_edge_map(monkeypatch, add=None, drop=None, at=None):
-    """Add the entry `add` to, or drop the entry `drop` from, the map of edge
-    e out of state S with (S, e) == `at`, or else the first per-edge map that
-    `build_complex` asks for (the bigon's S = {}, e = 0)."""
+def _corrupt_first_edge_map(monkeypatch, changes, at=None):
+    """Set the entries `changes` (source -> target, -1 to kill it) of the
+    target array of edge e out of state S with (S, e) == `at`, or else of
+    the first per-edge map that `build_complex` asks for (the bigon's
+    S = {}, e = 0, whose array is [0, 2, 2, -1, -1])."""
     original = cube._edge_rule
     seen = []
 
     def corrupted(mask, e, *args):
-        pairs = original(mask, e, *args)
+        target = original(mask, e, *args)
         if seen or at not in (None, (mask, e)):
-            return pairs
+            return target
         seen.append(True)
-        entries = {(r, c) for c, r in pairs}
-        if add is not None:
-            entries.add(add)
-        if drop is not None:
-            entries.remove(drop)
-        return [(c, r) for r, c in sorted(entries)]
+        for x, y in changes.items():
+            target[x] = y
+        return target
 
     monkeypatch.setattr(cube, "_edge_rule", corrupted)
     return seen
@@ -421,47 +419,50 @@ def _corrupt_first_edge_map(monkeypatch, add=None, drop=None, at=None):
 
 def test_corrupted_map_breaking_bidegree_is_caught(monkeypatch):
     # target 1 carries a generator in the new edge slot: bidegree (1, 0), source 0 has (0, 0)
-    seen = _corrupt_first_edge_map(monkeypatch, add=(1, 0))
+    seen = _corrupt_first_edge_map(monkeypatch, {0: 1})
     with pytest.raises(RuntimeError, match="bidegree"):
         cube.build_complex(bigon(), "yamada")
     assert seen
 
 
 def test_corrupted_map_breaking_d_squared_is_caught(monkeypatch):
-    # Dropping 1 (x) 1 -> 1 from the map of edge 1 out of {0} keeps every
+    # Killing 1 (x) 1, source 0, in the map of edge 1 out of {0} keeps every
     # bidegree, but the face {} -> {0, 1} stops commuting: the map of edge 0
     # out of {1} inserts its unit at another position, so it has another key
     # and stays whole. (Both edges out of {} share one map, so corrupting
     # that one would leave a complex.)
-    seen = _corrupt_first_edge_map(monkeypatch, drop=(0, 0), at=(0b1, 1))
+    seen = _corrupt_first_edge_map(monkeypatch, {0: -1}, at=(0b1, 1))
     with pytest.raises(RuntimeError, match="d\\^2"):
         cube.build_complex(bigon(), "yamada")
     assert seen
 
 
-def test_corrupted_map_with_two_targets_is_caught(monkeypatch):
-    # t (x) 1 also goes to the edge generator, of the same bidegree (1, 0): the
-    # face check assumes every per-edge map is a partial function
-    seen = _corrupt_first_edge_map(monkeypatch, add=(1, 1))
-    with pytest.raises(RuntimeError, match="two targets"):
+def test_corrupted_map_names_its_lowest_faulty_source(monkeypatch):
+    # Sources 1 and 2 (bidegree (1, 0)) go to 3 (bidegree (2, 0)) and to 0
+    # (bidegree (0, 0)); the killed source 0 is not checked. The message names
+    # source 1, not the entry of the lowest target.
+    seen = _corrupt_first_edge_map(monkeypatch, {0: -1, 1: 3, 2: 0})
+    with pytest.raises(RuntimeError) as caught:
         cube.build_complex(bigon(), "yamada")
+    assert str(caught.value) == "differential d^0 does not preserve the bidegree at entry (3,1)"
     assert seen
 
 
 def _corrupt_maps_out_of_height_2_and_up(monkeypatch, fault):
     """Break the first per-edge map that `build_complex` asks for out of a
     state with |S| >= 2 (in the yamada variant each height has maps of its
-    own): "bidegree" adds 0 -> 1, the unit to an edge generator, and "face"
-    drops the map's first entry."""
+    own): "bidegree" sends 0, the unit, to 1, an edge generator, and "face"
+    kills 0."""
     original = cube._edge_rule
     seen = []
 
     def corrupted(mask, *args):
-        pairs = original(mask, *args)
+        target = original(mask, *args)
         if seen or mask.bit_count() < 2:
-            return pairs
+            return target
         seen.append(mask)
-        return [(0, 1), *pairs] if fault == "bidegree" else pairs[1:]
+        target[0] = 1 if fault == "bidegree" else -1
+        return target
 
     monkeypatch.setattr(cube, "_edge_rule", corrupted)
     return seen
