@@ -21,14 +21,14 @@ working out block positions for the maps of that height alone. So
 `dump --height i` verifies the whole cube but works out positions and
 writes blocks only for height i, and a reader that walks the heights
 upward holds one height's blocks at a time.
-The same builder, with `min_cycles`, builds a cycle summand D_L of the
-tutte complex instead, which `homology.tutte_cohomology` eliminates.
+The same builder makes the chromatic complex (one Z[t]/(t^2) per
+component, no edge or cycle factors) on a given set of states, which
+`homology.tutte_cohomology` builds and eliminates.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its parent
-state, or, for the states of a cycle summand alone, from
-`multigraph.cyclic_state_components`, which derives them the same way
-along a search that never visits the rest of the cube. A basis element
+state, or from the map of states that a caller hands over to
+`build_complex`, which need not hold every state. A basis element
 of C^S picks 1 or the generator in every tensor slot, so it is a bitmask
 too, and its index in C^S is that bitmask read as an integer: bit k is
 slot k, a set bit is the generator. Slots are edge factors by ascending
@@ -223,14 +223,6 @@ def _bidegree_runs(slots: tuple[int, int]) -> list[tuple[Bidegree, int, int]]:
             start, end = end, end + comb(j_slots, p) * comb(k_slots, q)
             runs.append(((p, q), start, end))
     return runs
-
-
-def _members(slots: tuple[int, int]) -> list[tuple[Bidegree, list[int]]]:
-    """The bidegrees of a chain module with `slots` in order of their first
-    index, each with its indices in ascending order: the runs of
-    `_listing`."""
-    listing = _listing(slots)
-    return [(jk, listing[start:end]) for jk, start, end in _bidegree_runs(slots)]
 
 
 def _popcounts(width: int) -> list[int]:
@@ -438,7 +430,8 @@ class HeightBlocks(Sequence):
     """One dict per height of a complex, written by `write(i)` each time
     height i is read. The blocks' writer keeps nothing, so a reader that
     reads a height more than once keeps what it read; the index's writer
-    is cached, so each height is written once, on its first read."""
+    is cached, so each height is written once, on its first read. A slice
+    reads the heights it names, in its order, into a list."""
 
     def __init__(self, write: Callable[[int], dict], count: int) -> None:
         self._write, self._count = write, count
@@ -446,34 +439,26 @@ class HeightBlocks(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i: int) -> dict:
+    def __getitem__(self, i: int | slice) -> dict | list[dict]:
         # range indexing takes negative indices and raises IndexError past
-        # the end, where iteration stops
-        return self._write(range(self._count)[i])
+        # the end, where iteration stops; sliced, it gives the heights named
+        heights = range(self._count)[i]
+        return [*map(self._write, heights)] if isinstance(i, slice) else self._write(heights)
 
 
 def build_complex(
     G: Multigraph,
     variant: str,
-    min_cycles: int | None = None,
     states: Mapping[int, tuple[list[int], int]] | None = None,
 ) -> BigradedComplex:
     """Verify the complex at every height, and return it with per-bidegree
     blocks that are written from the kept target arrays each time a height
     is read.
 
-    With `min_cycles` L (tutte variant only) it builds instead the cycle
-    summand D_L: the chromatic complex of G, one Z[t]/(t^2) per component
-    and no cycle slots (slots (b0, 0)), on the states with b1 >= L. The
-    per-edge maps of the tutte complex keep the cycle bits, read as an
-    integer c (a merge leaves them alone, and a new cycle slot is the
-    highest and holds the unit), so the tutte complex is the direct sum
-    over c of the elements with cycle bits c. Those live on the states
-    with b1 at least the bit length L of c, and there the maps act on the
-    component bits alone, with the tutte signs: the summand is D_L,
-    shifted by popcount(c) in k. b1 never falls as edges are added, so
-    the states of D_L are an up-set and every face out of one of them
-    stays in it; D_L is refused as the whole tutte complex is.
+    `variant` is one of `VARIANTS`, or "chromatic": one Z[t]/(t^2) per
+    component and no cycle slots (slots (b0, 0)), with the rule keys,
+    maps and signs of the tutte complex. The chromatic complex is built
+    only on given `states`.
 
     Refuses, before building anything, complexes whose total chain rank
     exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
@@ -482,20 +467,17 @@ def build_complex(
     which also gives the component of each endpoint that the per-edge maps
     need, as a map mask -> (labels, b0). A caller that has refused or
     passed G itself may hand such a map over as `states` instead, and the
-    build makes no state pass and no refusal of its own. The map need
-    hold only the states of the complex, in any order: the build takes
-    the states with b1 >= L from it with `min_cycles` L, and every state
-    it holds without; its states of each height are sorted by mask. So
-    `homology.tutte_cohomology` builds every D_L from one map of the
-    up-set {b1 >= 1} (`multigraph.cyclic_state_components`), and no D_L
-    build visits the other states of the cube.
+    build makes no state pass and no refusal of its own. The complex lives
+    on exactly the states of the map, which it takes in any order and
+    sorts by mask within each height; with each state the map must hold
+    every state with one more edge.
 
     The build counts the basis elements of each bidegree at each height
     (`dims`) from the slot counts of its states, one small dict per
     height. The positions of those elements, `bidegree_index[i]`, are
     written the first time height i is read (`HeightBlocks` over a cached
     writer) and kept; only `nonzeros` and direct readers read them, so
-    `dump`, `cohomology` and every D_L build write none.
+    `dump` and `cohomology` write none.
 
     The map of edge e out of state S is worked out once per distinct key
     of exactly what `_edge_rule` reads, and kept for the life of the
@@ -538,27 +520,21 @@ def build_complex(
     the read, so reading blocks does not grow what the complex holds, and
     each read writes exactly the blocks that an eager build would.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if min_cycles is not None and variant != "tutte":
-        raise ValueError("only the tutte complex splits into cycle summands")
+    if variant not in (*VARIANTS, "chromatic"):
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS} or 'chromatic'")
     n = G.edge_count
-    yamada = variant == "yamada"
+    yamada, cycles = variant == "yamada", variant != "chromatic"
     # Per state: the component of each vertex and b0.
     if states is None:
+        if not cycles:
+            raise ValueError("the chromatic complex is built only on given states")
         states = state_slots(G, variant)
     # Per state of the complex: (edge + component slots, cycle slots).
     slots: dict[int, tuple[int, int]] = {}
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in sorted(states):
         size, b0 = mask.bit_count(), states[mask][1]
-        b1 = size - G.vertex_count + b0
-        if min_cycles is None:
-            slots[mask] = ((size if yamada else 0) + b0, b1)
-        elif b1 >= min_cycles:
-            slots[mask] = (b0, 0)
-        else:
-            continue
+        slots[mask] = ((size if yamada else 0) + b0, size - G.vertex_count + b0 if cycles else 0)
         masks_by_height[size].append(mask)
 
     # Per slot counts: the bidegrees in order of their first index, each with
@@ -588,13 +564,15 @@ def build_complex(
 
     @cache
     def index_at(h: int) -> dict[Bidegree, array]:
+        # slots -> each bidegree with its indices, the runs of `_listing`
         members_of: dict[tuple[int, int], list] = {}
         index: dict[Bidegree, array] = {}
         for mask, offset in offsets[h].items():
-            members = members_of.get(slots[mask])
-            if members is None:
-                members = members_of[slots[mask]] = _members(slots[mask])
-            for jk, xs in members:
+            shape = slots[mask]
+            if shape not in members_of:
+                listing = _listing(shape)
+                members_of[shape] = [(jk, listing[start:end]) for jk, start, end in runs_of[shape]]
+            for jk, xs in members_of[shape]:
                 index.setdefault(jk, array(INDEX_TYPECODE)).extend(map(offset.__add__, xs))
         return index
 

@@ -19,12 +19,14 @@ split into prime powers.
 
 `tutte_cohomology` gets the tutte table without eliminating the tutte
 complex: the complex splits by cycle bits into shifted copies of the
-cycle summands D_L, the chromatic complex on the states with b1 >= L.
+cycle summands D_L, the chromatic complex on the up-set of the states
+with b1 >= L, and this module alone decides which states a summand has.
 H(D_0) is a closed form in the chromatic polynomials of the components
 (`_kunneth`: knight moves, then the Kunneth formula), and only D_1,
-D_2, ... are built and eliminated, from one enumeration of the up-set of
-the states with b1 >= 1; the refusal reads the state histograms, so no
-pass over all 2^|E| states is made.
+D_2, ... are built, each as `build_complex(G, "chromatic", states)`,
+and eliminated, from one enumeration of the up-set of the states with
+b1 >= 1; the refusal reads the state histograms, so no pass over all
+2^|E| states is made.
 `yamada_cohomology` gets the yamada table without eliminating the yamada
 complex: the complex is a direct sum, over the edge subsets A, of
 shifted copies of the tutte complexes of the contractions G/A, so the
@@ -269,16 +271,23 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
         H^i_(j,k)(tutte, G) = [k = 0] H^i_j(D_0)
             + sum over L >= 1 of C(L-1, k-1) * H^i_j(D_L).
 
-    The per-edge maps keep the cycle bits of a basis element, read as an
-    integer c, so the complex is the direct sum over c of the elements
-    with cycle bits c, and that summand is D_L shifted by popcount(c) in
-    k, L the bit length of c (`build_complex` with `min_cycles`, which
-    gives the proof). c = 0 gives D_0, and the C(L-1, k-1) integers with
-    bit length L >= 1 and k bits set give the copies of D_L. H(D_0) comes
-    from the chromatic polynomials of the components of G (`_kunneth`)
-    and is never eliminated; each D_L is built, verified (bidegrees and
-    d^2 = 0) and eliminated by `cohomology`. L runs up
-    to the largest b1 of a state, that of G, which is |E| - V + b0(G).
+    The per-edge maps of the tutte complex keep the cycle bits of a basis
+    element, read as an integer c: a merge leaves them alone, and a new
+    cycle slot is the highest and holds the unit. So the complex is the
+    direct sum over c of the elements with cycle bits c. Those live on
+    the states with b1 at least the bit length L of c, and there the maps
+    act on the component bits alone, with the tutte signs: the summand is
+    D_L, the chromatic complex (one Z[t]/(t^2) per component, no cycle
+    slots) on the states with b1 >= L, shifted by popcount(c) in k. b1
+    never falls as edges are added, so those states are an up-set and
+    every face out of one of them stays in it. c = 0 gives D_0, and the
+    C(L-1, k-1) integers with bit length L >= 1 and k bits set give the
+    copies of D_L. H(D_0) comes from the chromatic polynomials of the
+    components of G (`_kunneth`) and is never eliminated; each D_L is
+    built by `build_complex(G, "chromatic", states)` on its own states,
+    verified (bidegrees and d^2 = 0) and eliminated by `cohomology`. L
+    runs up to the largest b1 of a state, that of G, which is
+    |E| - V + b0(G).
 
     Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),
     with no state pass: by the lower bound of `_refuse_by_floor` first,
@@ -288,10 +297,12 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     is the tensor product of those of its components, so that sum is the
     product of theirs. The same histograms give H(D_0) (`_kunneth`), so
     each is made once. Then the up-set of the states with b1 >= 1, the
-    states of D_1, is enumerated once (`cyclic_state_components`) and every
-    D_L is built from it. A forest (b1(G) = 0) has no D_L and no such
-    state, and gets no enumeration. Free ranks add as integers, torsion as
-    prime powers.
+    states of D_1, is enumerated once (`cyclic_state_components`), and
+    before each D_L is built the map is narrowed to the states with
+    b1 >= L, so each build sorts only its own states. D_L is refused as
+    the whole tutte complex is, whose rank bounds its own. A forest
+    (b1(G) = 0) has no D_L and no such state, and gets no enumeration.
+    Free ranks add as integers, torsion as prime powers.
     """
     _refuse_by_floor(G.vertex_count, G.edge_count, False)
     components = [(H.vertex_count, state_histogram(H)) for H in connected_components(G)]
@@ -305,7 +316,9 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     for (i, j), s in _kunneth(components).items():
         tally.add((i, j, 0), 1, s.free_rank, _powers(s.torsion))
     for L in range(1, b1 + 1):
-        cx = build_complex(G, "tutte", min_cycles=L, states=states)
+        # D_L lives on the states with b1 >= L
+        states = {m: s for m, s in states.items() if m.bit_count() - G.vertex_count + s[1] >= L}
+        cx = build_complex(G, "chromatic", states)
         for (i, j, _), s in cohomology(cx).summands.items():
             powers = _powers(s.torsion)
             for k in range(1, L + 1):

@@ -163,6 +163,38 @@ def test_build_complex_unknown_variant():
         build_complex(bouquet_graph(5), "euler")
 
 
+def test_the_chromatic_complex_is_built_only_on_given_states():
+    with pytest.raises(ValueError, match="chromatic complex is built only on given states"):
+        build_complex(bigon(), "chromatic")
+
+
+def _entries(level):
+    """The blocks of one height as sorted (bidegree, shape, entries)."""
+    return sorted(
+        (jk, b.rows, b.cols, sorted(zip(b.row_of, b.col_of, b.val_of))) for jk, b in level.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [slice(0, 1), slice(1, 4), slice(-2, None), slice(None, -3), slice(None, None, 2),
+     slice(4, 0, -2), slice(None, None, -1), slice(3, 3), slice(2, 99)],
+)
+def test_height_blocks_slices_read_the_heights_they_name(cut):
+    # Blocks are written anew on each read, so they compare by entries; the
+    # index keeps each height it wrote, so a slice holds the same objects.
+    cx = build_complex(cycle_graph(5), "tutte")
+    blocks = cx.blocks[cut]
+    assert isinstance(blocks, list)
+    assert [_entries(level) for level in blocks] == [
+        _entries(cx.blocks[h]) for h in range(len(cx.blocks))[cut]
+    ]
+    heights = range(len(cx.bidegree_index))[cut]
+    index = cx.bidegree_index[cut]
+    assert len(index) == len(heights)
+    assert all(level is cx.bidegree_index[h] for level, h in zip(index, heights))
+
+
 def test_bidegree_dims_bigon():
     cx = build_complex(bigon(), "yamada")
     assert cx.dims_at(0) == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
@@ -469,8 +501,9 @@ def test_each_distinct_edge_map_is_worked_out_once(monkeypatch, G, calls):
 
 
 def _brute_members(slots):
-    """The bidegree groups of `cube._members`, by reading the bidegree off
-    every index in turn."""
+    """The bidegrees of a chain module with `slots` in order of their first
+    index, each with its indices in ascending order, by reading the
+    bidegree off every index in turn."""
     j_slots, k_slots = slots
     low = (1 << j_slots) - 1
     members = {}
@@ -479,17 +512,10 @@ def _brute_members(slots):
     return list(members.items())
 
 
-def test_members_match_a_grouping_of_every_index_by_popcount():
-    for width in range(13):
-        for j_slots in range(width + 1):
-            shape = (j_slots, width - j_slots)
-            assert cube._members(shape) == _brute_members(shape), shape
-
-
 def test_listing_runs_places_and_codes_agree_with_the_brute_grouping():
     # The listing is the brute groups joined in order, each run bounds one
     # group, the places invert the listing, and the codes read p + 32 q.
-    for width in range(11):
+    for width in range(13):
         for j_slots in range(width + 1):
             shape = (j_slots, width - j_slots)
             groups = _brute_members(shape)

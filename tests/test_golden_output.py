@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import graphhom.cube as cube
+import graphhom.homology as homology
 from graphhom.cli import POLY_CHOICES, run
+from graphhom.homology import tutte_cohomology
 from graphhom.multigraph import (
     bigon,
     cycle_graph,
@@ -27,6 +29,7 @@ from graphhom.multigraph import (
     to_json_dict,
     tree_graph,
 )
+from test_homology import ROUTE_GRAPHS
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
@@ -168,6 +171,46 @@ TRIPLET_DIGESTS = {
     ("cycle5", "tutte"): "b1c4a120ff9ff5e6ce9e167296ec460560743f9939b8c8bb8dcdc0c604913702",
     ("multiedge5", "yamada"): "0c575ede35786e0b1ff3a56a29fc67dba928fd23656cd25037dd6002a307132c",
     ("multiedge5", "tutte"): "8b23172842e047ad959168bb3573668831e1d2e5888b1e08946f0d6fabe00ead",
+}
+# The same over the blocks of every height of each cycle summand D_L that
+# `tutte_cohomology` builds, keyed by (graph, L), pinned from the builds
+# before D_L was the chromatic complex on its own states: the tutte complex
+# restricted to the states with b1 >= L and given slots (b0, 0).
+DL_TRIPLET_DIGESTS = {
+    ("K4", 1): "dcce248348ec355dcfe9ea6ed6a8695569382d404b65f3e0064a554caf1ced3d",
+    ("K4", 2): "67db19555307966b8d621d95b22a884af39379e9e95b2fdb1f4c07db68b29d79",
+    ("K4", 3): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("K5", 1): "1fb9d328b11ec1bae70346bcaad36e274aaf1e6af5fc6024f8bc8aa2a9917745",
+    ("K5", 2): "80603a73c1945f62f2f901fa158df0c00fc53b20956e355de61fe5939eb432c3",
+    ("K5", 3): "5736c455aa5c3634e4dd210d534bef9f437b4cb63e6e6c4f94025aee111817af",
+    ("K5", 4): "86805701b88cc598af0615fcff2bae24dbb1625df1079da63eec9caf920c444e",
+    ("K5", 5): "9f1699a75811ce2ae6640c1b1f688b1cba59e9f81ef8015cbe24d425d03948d7",
+    ("K5", 6): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("bouquet4", 1): "955aed44e15ca3485b0f2177dcb4e47eabc9f511337be261d67a4a07faccbcc8",
+    ("bouquet4", 2): "792fed5a6aa35df8d1ca2d7f944b4534eb66844890c4b1bef6217bb2d56d597d",
+    ("bouquet4", 3): "0679af7e6737f293aef8a62f640c79122f3597df7d710872149dfc6b4a29dd3a",
+    ("bouquet4", 4): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("cycle5_with_a_loop", 1): "61c14044e53c904f4a74ee622b672cd28aee8f9c3f7fe13bc94873fabfa031b2",
+    ("cycle5_with_a_loop", 2): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("cycle6", 1): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("cycle8", 1): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("mixed", 1): "7f91a43328e09617f3cf8bd753c395f1b20ccee825489100e2b7ff24ae6d066a",
+    ("mixed", 2): "5ada2bf472516028e00af9953576db6d54ef736c063ae11abf530f3035cf71e4",
+    ("mixed", 3): "10f5f8c85bf2bb71e4bd108effc116c7342c70b97a939baed104e22035cc1a47",
+    ("multiedge7", 1): "88563d410b1776b375b2a1b359e232f37a6ab3d1b0e9089b11edb3bd9ff4b99b",
+    ("multiedge7", 2): "d51077357113a061249c905406ca74534c26589cc223828b86c17fd6dbc3d036",
+    ("multiedge7", 3): "dc4817ec6c03dc10a3fe0f6b5657810a12f5c6a3076f8f5de6b7b7f2bfa541f5",
+    ("multiedge7", 4): "73febff6bd25608c18fa04478866c396a59dcf027cc45f5b94c9910b2207b34a",
+    ("multiedge7", 5): "6c8e4e61fa3e9c9eac7da1c27f9bfc63c7738768879f00ba0a2d5827ec586c25",
+    ("multiedge7", 6): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
+    ("triangle_and_two_points", 1): "10f5f8c85bf2bb71e4bd108effc116c7342c70b97a939baed104e22035cc1a47",
+    ("two_triangles", 1): "7c15236170ee60c1695230dce3f1b8edff7fb4ee0149e635790e4a82c840da49",
+    ("two_triangles", 2): "811b6e501f07b15a5acb16af0386089d2f5b66adfaf74d694dbbfa05fd76e21f",
+    ("wheel5", 1): "c5b602edad999905e5d4d14c37a36cc2219d02945a4d42826dd4283791ef0aca",
+    ("wheel5", 2): "3bbc1620de2c884b6aeb5f3e6b24d1a34f9bdf64645b5625f1b2c428d8910ab6",
+    ("wheel5", 3): "24c229a89e4cbd7cb92bb798b68482cf586f2b8425bab06487a389c633e6360c",
+    ("wheel5", 4): "9f1699a75811ce2ae6640c1b1f688b1cba59e9f81ef8015cbe24d425d03948d7",
+    ("wheel5", 5): "5f653d2f27a17935bee77240afac80bab64a78c94f54eccd85e230784e54f17a",
 }
 
 POLY_DIGESTS = {
@@ -342,15 +385,35 @@ def test_k4_dump_height_digest(variant, height, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == K4_HEIGHT_DIGESTS[(variant, height)]
 
 
-@pytest.mark.parametrize("name,variant", sorted(TRIPLET_DIGESTS))
-def test_block_triplets_digest_in_written_order(name, variant):
-    G = {"K4": from_json_dict(K4), "cycle5": cycle_graph(5), "multiedge5": multiedge_graph(5)}[name]
+def _triplets_digest(cx):
     digest = hashlib.sha256()
-    for level in cube.build_complex(G, variant).blocks:
+    for level in cx.blocks:
         for jk, block in level.items():
             triplets = map(list, (block.row_of, block.col_of, block.val_of))
             digest.update(repr((jk, block.rows, block.cols, *triplets)).encode())
-    assert digest.hexdigest() == TRIPLET_DIGESTS[(name, variant)]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,variant", sorted(TRIPLET_DIGESTS))
+def test_block_triplets_digest_in_written_order(name, variant):
+    G = {"K4": from_json_dict(K4), "cycle5": cycle_graph(5), "multiedge5": multiedge_graph(5)}[name]
+    assert _triplets_digest(cube.build_complex(G, variant)) == TRIPLET_DIGESTS[(name, variant)]
+
+
+DL_GRAPHS = {**ROUTE_GRAPHS, "K5": from_json_dict(K5), "wheel5": from_json_dict(WHEEL5)}
+
+
+@pytest.mark.parametrize("name", sorted(DL_GRAPHS))
+def test_cycle_summand_triplets_digest_in_written_order(name, monkeypatch):
+    # Graphs without a cycle build no D_L, and have no digest.
+    built = []
+    build = homology.build_complex
+    monkeypatch.setattr(homology, "build_complex", lambda *args: built.append(build(*args)) or built[-1])
+    tutte_cohomology(DL_GRAPHS[name])
+    assert {cx.variant for cx in built} <= {"chromatic"}
+    assert {(name, L): _triplets_digest(cx) for L, cx in enumerate(built, 1)} == {
+        key: digest for key, digest in DL_TRIPLET_DIGESTS.items() if key[0] == name
+    }
 
 
 @pytest.mark.parametrize("name,which", sorted(POLY_DIGESTS))

@@ -644,18 +644,32 @@ def test_yamada_cohomology_matches_the_whole_complex_on_the_corpus(corpus, table
     assert kinds == {"loop": 32, "parallel": 22, "isolated": 28}
 
 
+def _summand_level(G, states):
+    """The L of the cycle summand D_L on `states`: their least b1, after
+    asserting that they are exactly the states of G with b1 >= L."""
+    def b1(mask, b0):
+        return mask.bit_count() - G.vertex_count + b0
+
+    L = min(b1(mask, b0) for mask, (_, b0) in states.items())
+    up_set = cyclic_state_components(G)
+    assert states == {m: s for m, s in up_set.items() if b1(m, s[1]) >= L}, (G, L)
+    return L
+
+
 def _eliminated(G):
     """The L and the table of each D_L that `tutte_cohomology(G)`
-    eliminates, in order."""
-    eliminated, levels = [], []
+    eliminates, in order, each a chromatic complex on the states it was
+    given."""
+    eliminated, given = [], []
     build, whole = homology.build_complex, homology.cohomology
 
-    def recording_build(H, variant, min_cycles=None, states=None):
-        levels.append(min_cycles)
-        return build(H, variant, min_cycles, states)
+    def recording_build(H, variant, states=None):
+        given.append(states)
+        return build(H, variant, states)
 
     def recording_cohomology(cx):
-        eliminated.append((levels[-1], whole(cx)))
+        assert cx.variant == "chromatic"
+        eliminated.append((_summand_level(cx.graph, given[-1]), whole(cx)))
         return eliminated[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -707,38 +721,41 @@ def test_the_tutte_route_finds_components_and_histograms_once(name, monkeypatch)
     assert calls["state_histogram"].count(G) == (len(components) == 1)
 
 
-def _index_from_scratch(cx, min_cycles=None):
+def _index_from_scratch(cx, states=None):
     """Per height, the positions of the basis elements of each bidegree, as
-    lists: the states of each height in ascending order, back to back from
-    position 0, each of rank 2^(j + k) with its slots from the components
-    of its spanning subgraph (`connected_components`), and the bidegree of
-    an element the bit counts of its low j bits and of the rest. Asserts on
-    the way that the complex has exactly these states, offsets and sizes."""
+    lists: the states of each height (those of `states` when given) in
+    ascending order, back to back from position 0, each of rank 2^(j + k)
+    with its slots from the components of its spanning subgraph
+    (`connected_components`), and the bidegree of an element the bit
+    counts of its low j bits and of the rest. Asserts on the way that the
+    complex has exactly these states, offsets and sizes, and that b0 of
+    each given state is right."""
     G = cx.graph
     out = [{} for _ in range(G.edge_count + 1)]
-    at, states = [0] * (G.edge_count + 1), [0] * (G.edge_count + 1)
+    at, per_height = [0] * (G.edge_count + 1), [0] * (G.edge_count + 1)
     for mask in sorted(range(1 << G.edge_count), key=lambda m: (m.bit_count(), m)):
         i = mask.bit_count()
         chosen = tuple(edge for e, edge in enumerate(G.edges) if mask >> e & 1)
         b0 = len(connected_components(Multigraph(G.vertex_count, chosen)))
         b1 = i - G.vertex_count + b0
-        if min_cycles is not None and b1 < min_cycles:
+        if states is not None and mask not in states:
             assert mask not in cx.state_offsets[i]
             continue
-        j, k = (b0, 0) if min_cycles is not None else (b0 + i * (cx.variant == "yamada"), b1)
+        assert states is None or states[mask][1] == b0
+        j, k = {"yamada": (b0 + i, b1), "tutte": (b0, b1), "chromatic": (b0, 0)}[cx.variant]
         assert cx.state_offsets[i][mask] == at[i]
         assert cx.state_sizes[i][mask] == 1 << j + k
         for x in range(1 << j + k):
             jk = ((x & (1 << j) - 1).bit_count(), (x >> j).bit_count())
             out[i].setdefault(jk, []).append(at[i] + x)
         at[i] += 1 << j + k
-        states[i] += 1
-    assert [len(offsets) for offsets in cx.state_offsets] == states
+        per_height[i] += 1
+    assert [len(offsets) for offsets in cx.state_offsets] == per_height
     return out
 
 
-def _assert_index_from_scratch(cx, min_cycles=None):
-    expected = _index_from_scratch(cx, min_cycles)
+def _assert_index_from_scratch(cx, states=None):
+    expected = _index_from_scratch(cx, states)
     assert cx.height_count == len(expected)
     for i, index in enumerate(expected):
         level = cx.bidegree_index[i]
@@ -758,8 +775,8 @@ def test_the_index_written_on_read_matches_one_worked_out_from_scratch(corpus, c
     summands = []
     build = homology.build_complex
 
-    def recording_build(H, variant, min_cycles=None, states=None):
-        summands.append((build(H, variant, min_cycles, states), min_cycles))
+    def recording_build(H, variant, states=None):
+        summands.append((build(H, variant, states), states))
         return summands[-1][0]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -769,8 +786,9 @@ def test_the_index_written_on_read_matches_one_worked_out_from_scratch(corpus, c
             if variant == "tutte":
                 tutte_cohomology(G)
     assert len(summands) > 100
-    for cx, min_cycles in summands:
-        _assert_index_from_scratch(cx, min_cycles)
+    for cx, states in summands:
+        _summand_level(cx.graph, states)
+        _assert_index_from_scratch(cx, states)
 
 
 def _same_tutte_table(H, direct):

@@ -1,9 +1,12 @@
+import ast
 import contextlib
 import dataclasses
 import importlib
 import io
 import pkgutil
 import re
+import sys
+import tokenize
 from pathlib import Path
 
 import graphhom
@@ -65,15 +68,81 @@ def _resolves(path, submodules):
     return False
 
 
-def test_every_code_name_in_the_readme_resolves():
-    # A backticked snake_case or dotted identifier, with or without a call's
-    # arguments, must name something in graphhom; check names are exempt.
-    submodules = {
+def _submodules():
+    return {
         name: importlib.import_module(f"graphhom.{name}")
         for _, name, _ in pkgutil.iter_modules(graphhom.__path__)
     }
-    text = README.read_text(encoding="utf-8")
+
+
+def _code_names(text):
+    """Every backticked snake_case or dotted identifier in `text`, with or
+    without a call's arguments; check names are exempt."""
     spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?`", text)
-    names = {n for n in spans if "_" in n or "." in n} - set(CHECK_NAMES)
+    return {n for n in spans if "_" in n or "." in n} - set(CHECK_NAMES)
+
+
+def test_every_code_name_in_the_readme_resolves():
+    # Each must name something in graphhom.
+    names = _code_names(README.read_text(encoding="utf-8"))
     assert names
+    submodules = _submodules()
     assert sorted(n for n in names if not _resolves(n, submodules)) == []
+
+
+PACKAGE = Path(graphhom.__file__).resolve().parent
+
+
+def _package_sources():
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _docs_and_comments(source):
+    """The docstrings and the `#` comments of a module's source."""
+    texts = [
+        ast.get_docstring(node) or ""
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return texts + [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+
+
+def _stale_names(sources):
+    """(file, name) of every code name in the docstrings and comments of
+    `sources` that names nothing: it does not resolve as in the README
+    (`_resolves`), and it starts with neither a parameter name of a
+    function in `sources` nor a standard-library module."""
+    submodules = _submodules()
+    starts = set(sys.stdlib_module_names) | {
+        arg.arg for source in sources.values() for arg in ast.walk(ast.parse(source))
+        if isinstance(arg, ast.arg)
+    }
+    return sorted(
+        (file, name)
+        for file, source in sources.items()
+        for text in _docs_and_comments(source)
+        for name in _code_names(text)
+        if name.split(".")[0] not in starts and not _resolves(name, submodules)
+    )
+
+
+def test_every_code_name_in_the_package_docs_resolves():
+    sources = _package_sources()
+    assert sum(len(_code_names(t)) for s in sources.values() for t in _docs_and_comments(s)) > 100
+    assert _stale_names(sources) == []
+
+
+def test_the_package_docs_guard_flags_a_stale_name():
+    # Planted: a parameter that no function has any more, a deleted helper,
+    # and a module attribute that never was, in a docstring and a comment.
+    sources = _package_sources()
+    sources["cube.py"] += (
+        '\n\ndef planted(G):\n    """Reads `G.edges`, `min_cycles` and `cube._members`."""\n'
+        "    # and `graphhom.no_such_name`, but not `dataclasses.replace`\n"
+    )
+    assert _stale_names(sources) == [
+        ("cube.py", "cube._members"),
+        ("cube.py", "graphhom.no_such_name"),
+        ("cube.py", "min_cycles"),
+    ]
