@@ -12,12 +12,16 @@ every entry of each distinct per-edge map when that map is first worked
 out, and d^2 = 0 one square face of the cube at a time, on one row of
 small integer codes per state (rule id and sign of each map out of it),
 with a verdict memo so that a face whose four codes were seen before
-costs one set lookup. The per-bidegree blocks are each an `IntMatrix`
-over three flat arrays of row, column and sign. They are not stored: the
-complex keeps the states, their slots and one target array per distinct
-rule key, which fix the differential, and `BigradedComplex.blocks` writes
-the blocks of a height from those arrays each time the height is read,
-working out block positions for the maps of that height alone. So
+costs one set lookup. Both checks run their per-entry work at C level:
+one `operator.itemgetter` call reads every entry's bidegree code, or
+composes two maps, with no Python step per entry; a per-entry walk
+runs only to name the entry of a fault. The per-bidegree blocks are
+each an `IntMatrix` over three flat arrays of row, column and sign.
+They are not stored: the complex keeps the states, their slots and one
+target array per distinct rule key, which fix the differential, and
+`BigradedComplex.blocks` writes the blocks of a height from those arrays
+each time the height is read, working out block positions for the maps
+of that height alone. So
 `dump --height i` verifies the whole cube but works out positions and
 writes blocks only for height i, and a reader that walks the heights
 upward holds one height's blocks at a time.
@@ -57,8 +61,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, product, starmap
 from math import comb
+from operator import itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import ZERO, BivariateLaurent
@@ -143,13 +148,36 @@ def state_slots(G: Multigraph, variant: str) -> dict[int, tuple[list[int], int]]
     return dict(enumerate(components))
 
 
+def _refuse_unclosed(states: Mapping[int, object], n: int) -> None:
+    """Raise ValueError unless `states` holds, with each of its states, every
+    state with one more of the n edges. The up-neighbour of every pair of
+    a state and an edge is looked up in one C-level pipeline; only a miss
+    walks the pairs again, in the same order, to name the first state
+    without its up-neighbour, and that up-neighbour."""
+    bits = [1 << e for e in range(n)]
+    if all(map(states.__contains__, starmap(or_, product(states, bits)))):
+        return
+    mask, up = next(
+        (mask, mask | bit) for mask, bit in product(states, bits) if mask | bit not in states
+    )
+    raise ValueError(
+        f"the states are not closed under adding an edge: state "
+        f"{mask:#0{n + 2}b} has no up-neighbour {up:#0{n + 2}b}"
+    )
+
+
 def _edge_rule(mask: int, e: int, p: int, q: int, size: int, yamada: bool) -> list[int]:
     """The target array of the unsigned map C^S -> C^(S+e): entry x is the
     index of the image of x, or -1 when x is killed, and one trailing -1.
 
     `mask` is S, `size` the rank of C^S, and p, q are the components of
     [G:S] holding the endpoints of e. Every coefficient is 1. In the
-    yamada variant a 0 bit (the unit) is inserted at e's edge slot. If
+    yamada variant a 0 bit (the unit) is inserted at e's edge slot k:
+    x goes to (x >> k << k + 1) | (x & 2^k - 1). With step = 2^k, the
+    sources with low bits l go to l, l + 2 step, ..., and the run of
+    sources from h, a multiple of step, to 2h onwards; the array is
+    written by one slice assignment of a range per l, or per such run,
+    whichever is fewer, so about sqrt(size) Python steps, not size. If
     p == q the new cycle slot is the highest bit of the target and holds
     the unit, so nothing else moves. Otherwise the component bits of p
     and q are OR-ed into the lower one, elements with both set are
@@ -158,9 +186,14 @@ def _edge_rule(mask: int, e: int, p: int, q: int, size: int, yamada: bool) -> li
     """
     if yamada:
         comp0 = mask.bit_count() + 1  # the target's edge slots come first
-        insert = (mask & ((1 << e) - 1)).bit_count()
-        below = (1 << insert) - 1
-        targets = [(x >> insert << insert + 1) | (x & below) for x in range(size)]
+        step = 1 << (mask & ((1 << e) - 1)).bit_count()
+        targets = [0] * size
+        if step * step <= size:
+            for low in range(step):
+                targets[low::step] = range(low, 2 * size, 2 * step)
+        else:
+            for high in range(0, size, step):
+                targets[high : high + step] = range(2 * high, 2 * high + step)
     else:
         comp0 = 0
         targets = list(range(size))
@@ -239,7 +272,9 @@ def _bidegree_codes(slots: tuple[int, int]) -> list[int]:
     `slots`, as the int p + 32 * q. Every module under the rank limit has
     p <= 20, so two modules' codes are equal exactly when their
     bidegrees are, and most codes are small ints that Python shares.
-    Index h << j | l takes the row of popcount(h), made once per q."""
+    Index h << j | l takes the row of popcount(h), made once per q.
+    `build_complex` adds a trailing -1 to each table, so that a killed
+    entry (target -1) reads -1, which no bidegree code is."""
     j_slots, k_slots = slots
     lows = _popcounts(j_slots)
     rows = [[(q << 5) + p for p in lows] for q in range(k_slots + 1)]
@@ -385,7 +420,9 @@ def _check_faces(
     face are entries t and u of the row of S, entry u - 1 of the row of
     S+e and entry t of the row of S+f. Whether the paths agree, and
     whether some x survives them, is worked out once per quadruple of rule
-    ids; the sign test once per quadruple of codes. A quadruple of codes
+    ids, by composing the arrays at C level (`operator.itemgetter`: the
+    path through rule a then rule b is `itemgetter(*a)(b)`, a tuple); the
+    sign test once per quadruple of codes. A quadruple of codes
     that passed both is kept in a verdict memo, so every other face with
     that quadruple costs one set lookup.
 
@@ -417,8 +454,10 @@ def _check_faces(
                 some = survives.get(ids)
                 if some is None:
                     path_a, path_b, path_c, path_d = map(targets.__getitem__, ids)
-                    ab = [path_b[x] for x in path_a]
-                    if ab != [path_d[x] for x in path_c]:
+                    # Every array holds at least one entry and its trailing
+                    # -1, so itemgetter of it always returns a tuple.
+                    ab = itemgetter(*path_a)(path_b)
+                    if ab != itemgetter(*path_c)(path_d):
                         raise RuntimeError(error)
                     some = survives[ids] = ab.count(-1) != len(ab)
                 if some and not (a ^ b ^ c ^ d) & 1:
@@ -470,7 +509,10 @@ def build_complex(
     build makes no state pass and no refusal of its own. The complex lives
     on exactly the states of the map, which it takes in any order and
     sorts by mask within each height; with each state the map must hold
-    every state with one more edge.
+    every state with one more edge, or the build raises ValueError
+    naming a state and its missing up-neighbour before it works out any
+    map (`_refuse_unclosed`). A map from `state_slots` holds every state,
+    so whole complexes skip that check.
 
     The build counts the basis elements of each bidegree at each height
     (`dims`) from the slot counts of its states, one small dict per
@@ -486,9 +528,13 @@ def build_complex(
     components or None for one component, and the slots of S, which fix
     the rank of C^S. With the variant, these also fix the slots of S+e.
     When first worked out, each entry of the map's target array that is
-    not killed is checked, in ascending source order, to preserve the
-    bidegree, read off a table of codes per slot counts
-    (`_bidegree_codes`) that lives only as long as the build. The array
+    not killed is checked to preserve the bidegree, read off a table of
+    codes per slot counts (`_bidegree_codes`, with a trailing -1) that
+    lives only as long as the build. One `itemgetter` call reads the
+    code of every target, a killed one reading -1, and the map passes
+    when the entries whose code differs from their source's are exactly
+    the killed ones. Only a map that fails is walked entry by entry, in
+    ascending source order, to name its first faulty entry. The array
     is kept as the rule gave it, under a rule id, which numbers the keys
     in the order they are first seen. Heights are walked in order, and the walk
     of height i writes one code row per state S: one int per edge e
@@ -529,6 +575,8 @@ def build_complex(
         if not cycles:
             raise ValueError("the chromatic complex is built only on given states")
         states = state_slots(G, variant)
+    else:
+        _refuse_unclosed(states, n)
     # Per state of the complex: (edge + component slots, cycle slots).
     slots: dict[int, tuple[int, int]] = {}
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]
@@ -599,8 +647,10 @@ def build_complex(
                 key = (i, insert, pair, src_slots) if yamada else (pair, src_slots)
                 yield mask, e, insert & 1, key
 
-    # per slot counts: the bidegree code of each index, for the checks alone
-    bidegrees = {shape: _bidegree_codes(shape) for shape in set(slots.values())}
+    # per slot counts: the bidegree code of each index, for the checks alone,
+    # then -1, which a killed entry (target -1) reads (a list made by `+` has
+    # no spare room, as one grown by `append` would)
+    bidegrees = {shape: _bidegree_codes(shape) + [-1] for shape in set(slots.values())}
 
     def checked_target(i: int, mask: int, e: int) -> list[int]:
         """The target array of the map of edge e out of S = mask, at height
@@ -610,6 +660,12 @@ def build_complex(
         src_codes, dst_codes = bidegrees[slots[mask]], bidegrees[slots[dst]]
         comp_of, (u, v) = states[mask][0], G.edges[e]
         target = _edge_rule(mask, e, comp_of[u], comp_of[v], sizes[i][mask], yamada)
+        # A killed entry reads -1, which differs from every code, and the
+        # trailing -1 meets the source table's trailing -1: the map keeps
+        # every bidegree exactly when the killed entries are all that differ.
+        seen = itemgetter(*target)(dst_codes)
+        if sum(map(ne, seen, src_codes)) == seen.count(-1) - 1:
+            return target
         for x, y in enumerate(target):
             if y >= 0 and dst_codes[y] != src_codes[x]:
                 r, c = offsets[i + 1][dst] + y, offsets[i][mask] + x

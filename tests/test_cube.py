@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -166,6 +167,36 @@ def test_build_complex_unknown_variant():
 def test_the_chromatic_complex_is_built_only_on_given_states():
     with pytest.raises(ValueError, match="chromatic complex is built only on given states"):
         build_complex(bigon(), "chromatic")
+
+
+def test_given_states_not_closed_under_adding_an_edge_are_refused_before_any_map(monkeypatch):
+    def never(*args):
+        raise AssertionError("a map was worked out")
+
+    monkeypatch.setattr(cube, "_edge_rule", never)
+    G = triangle()
+    components = state_components(G)
+    # The one state {0, 1} lacks {0, 1, 2}.
+    message = (
+        "the states are not closed under adding an edge: state 0b011 has no up-neighbour 0b111"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_complex(G, "chromatic", {0b011: components[0b011]})
+    # Without {1, 2}, state by state the first that lacks an up-neighbour
+    # is {1}, by edge 2.
+    states = {mask: components[mask] for mask in range(8) if mask != 0b110}
+    with pytest.raises(ValueError, match=r"state 0b010 has no up-neighbour 0b110$"):
+        build_complex(G, "tutte", states)
+
+
+def test_a_whole_complex_makes_no_closure_check(monkeypatch):
+    # Its states come from `state_slots`, every state of the cube.
+    def never(*args):
+        raise AssertionError("the closure check ran")
+
+    monkeypatch.setattr(cube, "_refuse_unclosed", never)
+    for variant in VARIANTS:
+        build_complex(triangle(), variant)
 
 
 def _entries(level):
@@ -482,6 +513,48 @@ def test_edge_rule_target_arrays_digest(variant, corpus, complex_of):
     assert digest.hexdigest() == RULE_DIGESTS[variant]
 
 
+def test_edge_rule_inserts_the_unit_bit_as_the_per_entry_formula_does():
+    # |S| edges at odd positions, e at an even one with k of them below, so
+    # the insert position is k; sizes 2^(|S| + 1) and 2^14, and one seeded
+    # between, run both the strided and the blockwise slice assignments.
+    rng = random.Random(35)
+    branches = set()
+    for edges in range(14):
+        mask = sum(1 << 2 * t + 1 for t in range(edges))
+        for width in sorted({edges + 1, rng.randint(edges + 1, 14), 14}):
+            size = 1 << width
+            for k in range(edges + 1):
+                formula = [(x >> k << k + 1) | (x & (1 << k) - 1) for x in range(size)]
+                target = cube._edge_rule(mask, 2 * k, 0, 0, size, True)
+                assert target == formula + [-1], (edges, width, k)
+                branches.add((1 << k) ** 2 <= size)
+    assert branches == {True, False}
+
+
+def test_a_fault_after_killed_entries_is_named_by_its_source(monkeypatch):
+    # The first map of the triangle (S = {}, e = 0, rank 8) with sources 0 to
+    # 3 killed, and 5 sent to its image with the new edge slot set: one more
+    # edge generator. Source 6 is killed too, after it.
+    original = cube._edge_rule
+    seen = []
+
+    def corrupted(mask, e, *args):
+        target = original(mask, e, *args)
+        if not seen:
+            seen.append(target[5])
+            target[:4] = [-1] * 4
+            target[5] |= 1
+            target[6] = -1
+        return target
+
+    monkeypatch.setattr(cube, "_edge_rule", corrupted)
+    with pytest.raises(RuntimeError) as caught:
+        build_complex(triangle(), "yamada")
+    assert str(caught.value) == (
+        f"differential d^0 does not preserve the bidegree at entry ({seen[0] | 1},5)"
+    )
+
+
 @pytest.mark.parametrize("G,calls", [(K4, 15), (bouquet_graph(4), 4)], ids=["K4", "bouquet4"])
 def test_each_distinct_edge_map_is_worked_out_once(monkeypatch, G, calls):
     # The memo key holds exactly what `_edge_rule` reads. In the tutte variant
@@ -657,6 +730,25 @@ def test_check_faces_raises_on_a_face_whose_paths_disagree():
     below[0][0] += 2 * 2  # the map of edge 0 out of {} becomes rule 2, a swap
     with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 0 and 2$"):
         _check(2, 1, below, _koszul_rows(2, 1), FACE_TARGETS + [swap])
+
+
+def test_check_faces_composes_the_shortest_arrays():
+    # Rank-1 modules: each target array is one entry and the trailing -1.
+    one, none = [0, -1], [-1, -1]
+    _check(2, 1, _koszul_rows(2, 0), _koszul_rows(2, 1), [one])
+    for n in range(3, 5):
+        _check(n, 2, _koszul_rows(n, 1), _koszul_rows(n, 2), [one])
+    above = _koszul_rows(2, 1)
+    above[0b10][0] ^= 1
+    with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 0 and 2$"):
+        _check(2, 1, _koszul_rows(2, 0), above, [one])
+    below = _koszul_rows(2, 0)
+    below[0][0] += 2  # the map of edge 0 out of {} becomes rule 1, which kills
+    with pytest.raises(RuntimeError, match=r"^d\^2 != 0 between heights 0 and 2$"):
+        _check(2, 1, below, _koszul_rows(2, 1), [one, none])
+    for parities in range(16):
+        a, b, c, d = ((parities >> bit) & 1 for bit in range(4))
+        _check(2, 1, {0: [2 + a, 2 + c]}, {0b01: [b], 0b10: [d]}, [one, none])
 
 
 def test_check_faces_passes_a_face_that_kills_everything_whatever_its_signs():

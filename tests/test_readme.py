@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import dataclasses
 import importlib
@@ -108,22 +109,49 @@ def _docs_and_comments(source):
     return texts + [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
 
 
+def _attribute_names(submodules):
+    """Every name defined in the package or the standard library that a
+    parameter's attribute may have: a module attribute of a graphhom
+    submodule, or an attribute, method, property or dataclass field of a
+    class that a submodule defines or imports, or of a builtin class."""
+    owners = [*submodules.values(), *(c for c in vars(builtins).values() if isinstance(c, type))]
+    owners += [c for m in submodules.values() for c in vars(m).values() if isinstance(c, type)]
+    names = set()
+    for owner in owners:
+        names.update(dir(owner))
+        if dataclasses.is_dataclass(owner):
+            names.update(f.name for f in dataclasses.fields(owner))
+    return names
+
+
 def _stale_names(sources):
     """(file, name) of every code name in the docstrings and comments of
     `sources` that names nothing: it does not resolve as in the README
-    (`_resolves`), and it starts with neither a parameter name of a
-    function in `sources` nor a standard-library module."""
+    (`_resolves`), it does not start with a standard-library module, and
+    it is not a parameter name of a function in `sources` followed by
+    attributes that the package or the standard library defines
+    (`_attribute_names`)."""
     submodules = _submodules()
-    starts = set(sys.stdlib_module_names) | {
+    params = {
         arg.arg for source in sources.values() for arg in ast.walk(ast.parse(source))
         if isinstance(arg, ast.arg)
     }
+    attributes = _attribute_names(submodules)
+
+    def names_something(name):
+        first, *rest = name.split(".")
+        if first in sys.stdlib_module_names:
+            return True
+        if first in params and attributes.issuperset(rest):
+            return True
+        return _resolves(name, submodules)
+
     return sorted(
         (file, name)
         for file, source in sources.items()
         for text in _docs_and_comments(source)
         for name in _code_names(text)
-        if name.split(".")[0] not in starts and not _resolves(name, submodules)
+        if not names_something(name)
     )
 
 
@@ -135,13 +163,16 @@ def test_every_code_name_in_the_package_docs_resolves():
 
 def test_the_package_docs_guard_flags_a_stale_name():
     # Planted: a parameter that no function has any more, a deleted helper,
-    # and a module attribute that never was, in a docstring and a comment.
+    # a module attribute that never was and an attribute that nothing
+    # defines on a parameter, in a docstring and a comment.
     sources = _package_sources()
     sources["cube.py"] += (
-        '\n\ndef planted(G):\n    """Reads `G.edges`, `min_cycles` and `cube._members`."""\n'
+        '\n\ndef planted(G):\n'
+        '    """Reads `G.edges`, `G.no_such_attr`, `min_cycles` and `cube._members`."""\n'
         "    # and `graphhom.no_such_name`, but not `dataclasses.replace`\n"
     )
     assert _stale_names(sources) == [
+        ("cube.py", "G.no_such_attr"),
         ("cube.py", "cube._members"),
         ("cube.py", "graphhom.no_such_name"),
         ("cube.py", "min_cycles"),
