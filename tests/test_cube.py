@@ -517,7 +517,7 @@ def test_edge_rule_inserts_the_unit_bit_as_the_per_entry_formula_does():
     # |S| edges at odd positions, e at an even one with k of them below, so
     # the insert position is k; sizes 2^(|S| + 1) and 2^14, and one seeded
     # between, run both the strided and the blockwise slice assignments.
-    rng = random.Random(35)
+    rng = random.Random(2006)
     branches = set()
     for edges in range(14):
         mask = sum(1 << 2 * t + 1 for t in range(edges))
