@@ -200,6 +200,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_edges", 0) < 0:
+            parser.error(f"argument --max-edges: must be at least 0, got {args.max_edges}")
         return _COMMANDS[args.command](args)
     except (_CliError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,14 +25,17 @@ of that height alone. So
 `dump --height i` verifies the whole cube but works out positions and
 writes blocks only for height i, and a reader that walks the heights
 upward holds one height's blocks at a time.
-The same builder makes the chromatic complex (one Z[t]/(t^2) per
-component, no edge or cycle factors) on a given set of states, which
-`homology.tutte_cohomology` builds and eliminates.
+`build_complex` builds the whole complex of a variant, on every state.
+Its private builder `_build` takes the map of states instead, and
+`homology.tutte_cohomology` calls it to build the chromatic complex (one
+Z[t]/(t^2) per component, no edge or cycle factors) on the up-set of
+each cycle summand, whose closure under adding an edge that route
+proves.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its parent
-state, or from the map of states that a caller hands over to
-`build_complex`, which need not hold every state. A basis element
+state, or from the map of states that `homology.tutte_cohomology` hands
+over to `_build`, which need not hold every state. A basis element
 of C^S picks 1 or the generator in every tensor slot, so it is a bitmask
 too, and its index in C^S is that bitmask read as an integer: bit k is
 slot k, a set bit is the generator. Slots are edge factors by ascending
@@ -61,9 +64,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product, starmap
+from itertools import chain
 from math import comb
-from operator import itemgetter, ne, or_
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import ZERO, BivariateLaurent
@@ -146,24 +149,6 @@ def state_slots(G: Multigraph, variant: str) -> dict[int, tuple[list[int], int]]
         )
     )
     return dict(enumerate(components))
-
-
-def _refuse_unclosed(states: Mapping[int, object], n: int) -> None:
-    """Raise ValueError unless `states` holds, with each of its states, every
-    state with one more of the n edges. The up-neighbour of every pair of
-    a state and an edge is looked up in one C-level pipeline; only a miss
-    walks the pairs again, in the same order, to name the first state
-    without its up-neighbour, and that up-neighbour."""
-    bits = [1 << e for e in range(n)]
-    if all(map(states.__contains__, starmap(or_, product(states, bits)))):
-        return
-    mask, up = next(
-        (mask, mask | bit) for mask, bit in product(states, bits) if mask | bit not in states
-    )
-    raise ValueError(
-        f"the states are not closed under adding an edge: state "
-        f"{mask:#0{n + 2}b} has no up-neighbour {up:#0{n + 2}b}"
-    )
 
 
 def _edge_rule(mask: int, e: int, p: int, q: int, size: int, yamada: bool) -> list[int]:
@@ -485,34 +470,41 @@ class HeightBlocks(Sequence):
         return [*map(self._write, heights)] if isinstance(i, slice) else self._write(heights)
 
 
-def build_complex(
-    G: Multigraph,
-    variant: str,
-    states: Mapping[int, tuple[list[int], int]] | None = None,
-) -> BigradedComplex:
-    """Verify the complex at every height, and return it with per-bidegree
-    blocks that are written from the kept target arrays each time a height
-    is read.
-
-    `variant` is one of `VARIANTS`, or "chromatic": one Z[t]/(t^2) per
-    component and no cycle slots (slots (b0, 0)), with the rule keys,
-    maps and signs of the tutte complex. The chromatic complex is built
-    only on given `states`.
+def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
+    """Verify the whole complex of G in `variant`, one of `VARIANTS`, at
+    every height, and return it with per-bidegree blocks that are written
+    from the kept target arrays each time a height is read (`_build`).
 
     Refuses, before building anything, complexes whose total chain rank
     exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
     any state is looked at, then by the exact rank before any basis is
     built. The exact rank takes b0 of every state from `state_components`,
     which also gives the component of each endpoint that the per-edge maps
-    need, as a map mask -> (labels, b0). A caller that has refused or
-    passed G itself may hand such a map over as `states` instead, and the
-    build makes no state pass and no refusal of its own. The complex lives
-    on exactly the states of the map, which it takes in any order and
-    sorts by mask within each height; with each state the map must hold
-    every state with one more edge, or the build raises ValueError
-    naming a state and its missing up-neighbour before it works out any
-    map (`_refuse_unclosed`). A map from `state_slots` holds every state,
-    so whole complexes skip that check.
+    need, as a map mask -> (labels, b0) that holds every state.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return _build(G, variant, state_slots(G, variant))
+
+
+def _build(
+    G: Multigraph, variant: str, states: Mapping[int, tuple[list[int], int]]
+) -> BigradedComplex:
+    """The complex of G in `variant` on the states of the map `states`
+    (mask -> (labels, b0)), verified at every height, with per-bidegree
+    blocks that are written from the kept target arrays each time a
+    height is read.
+
+    `variant` is one of `VARIANTS`, or "chromatic": one Z[t]/(t^2) per
+    component and no cycle slots (slots (b0, 0)), with the rule keys,
+    maps and signs of the tutte complex. The build makes no state pass
+    and no refusal of its own: the caller has refused or passed G. The
+    complex lives on exactly the states of the map, which it takes in any
+    order and sorts by mask within each height. Precondition: the map is
+    closed under adding an edge, that is, with each state it holds every
+    state with one more edge. Every map of `state_slots` is, and so is
+    each up-set that `homology.tutte_cohomology` hands over, which that
+    route proves; the build does not check it.
 
     The build counts the basis elements of each bidegree at each height
     (`dims`) from the slot counts of its states, one small dict per
@@ -566,17 +558,8 @@ def build_complex(
     the read, so reading blocks does not grow what the complex holds, and
     each read writes exactly the blocks that an eager build would.
     """
-    if variant not in (*VARIANTS, "chromatic"):
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS} or 'chromatic'")
     n = G.edge_count
     yamada, cycles = variant == "yamada", variant != "chromatic"
-    # Per state: the component of each vertex and b0.
-    if states is None:
-        if not cycles:
-            raise ValueError("the chromatic complex is built only on given states")
-        states = state_slots(G, variant)
-    else:
-        _refuse_unclosed(states, n)
     # Per state of the complex: (edge + component slots, cycle slots).
     slots: dict[int, tuple[int, int]] = {}
     masks_by_height: list[list[int]] = [[] for _ in range(n + 1)]

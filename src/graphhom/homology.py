@@ -23,10 +23,10 @@ cycle summands D_L, the chromatic complex on the up-set of the states
 with b1 >= L, and this module alone decides which states a summand has.
 H(D_0) is a closed form in the chromatic polynomials of the components
 (`_kunneth`: knight moves, then the Kunneth formula), and only D_1,
-D_2, ... are built, each as `build_complex(G, "chromatic", states)`,
-and eliminated, from one enumeration of the up-set of the states with
-b1 >= 1; the refusal reads the state histograms, so no pass over all
-2^|E| states is made.
+D_2, ... are built, each by the private builder of `cube` as
+`_build(G, "chromatic", states)`, and eliminated, from one enumeration
+of the up-set of the states with b1 >= 1; the refusal reads the state
+histograms, so no pass over all 2^|E| states is made.
 `yamada_cohomology` gets the yamada table without eliminating the yamada
 complex: the complex is a direct sum, over the edge subsets A, of
 shifted copies of the tutte complexes of the contractions G/A, so the
@@ -50,9 +50,9 @@ from typing import Iterable, Mapping
 from .cube import (
     Bidegree,
     BigradedComplex,
+    _build,
     _refuse_by_floor,
     _refuse_by_rank,
-    build_complex,
     state_slots,
 )
 from .laurent import BivariateLaurent
@@ -284,8 +284,8 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     C(L-1, k-1) integers with bit length L >= 1 and k bits set give the
     copies of D_L. H(D_0) comes from the chromatic polynomials of the
     components of G (`_kunneth`) and is never eliminated; each D_L is
-    built by `build_complex(G, "chromatic", states)` on its own states,
-    verified (bidegrees and d^2 = 0) and eliminated by `cohomology`. L
+    built by `_build(G, "chromatic", states)` on its own states, verified
+    (bidegrees and d^2 = 0) and eliminated by `cohomology`. L
     runs up to the largest b1 of a state, that of G, which is
     |E| - V + b0(G).
 
@@ -299,7 +299,9 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     each is made once. Then the up-set of the states with b1 >= 1, the
     states of D_1, is enumerated once (`cyclic_state_components`), and
     before each D_L is built the map is narrowed to the states with
-    b1 >= L, so each build sorts only its own states. D_L is refused as
+    b1 >= L, so each build sorts only its own states. Each narrowed map
+    is an up-set, as above, which is the precondition of `_build`; the
+    build does not check it, and the tests do. D_L is refused as
     the whole tutte complex is, whose rank bounds its own. A forest
     (b1(G) = 0) has no D_L and no such state, and gets no enumeration.
     Free ranks add as integers, torsion as prime powers.
@@ -318,7 +320,7 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     for L in range(1, b1 + 1):
         # D_L lives on the states with b1 >= L
         states = {m: s for m, s in states.items() if m.bit_count() - G.vertex_count + s[1] >= L}
-        cx = build_complex(G, "chromatic", states)
+        cx = _build(G, "chromatic", states)
         for (i, j, _), s in cohomology(cx).summands.items():
             powers = _powers(s.torsion)
             for k in range(1, L + 1):

@@ -254,7 +254,7 @@ def test_yamada_cohomology_refuses_before_building_any_minor(name, tmp_path, mon
     data, rank = YAMADA_REFUSALS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
-    monkeypatch.setattr(graphhom.homology, "build_complex", _never_build)
+    monkeypatch.setattr(graphhom.homology, "_build", _never_build)
     monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
     for extra in ([], ["--json"]):
         assert run(["cohomology", "--variant", "yamada", "--input", str(path), *extra]) == 1
@@ -283,8 +283,8 @@ def test_tutte_cohomology_refuses_before_building_anything(name, tmp_path, monke
     data, rank = TUTTE_REFUSALS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
-    for module in (graphhom.homology, graphhom.cli):
-        monkeypatch.setattr(module, "build_complex", _never_build)
+    monkeypatch.setattr(graphhom.homology, "_build", _never_build)
+    monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
     monkeypatch.setattr(graphhom.homology, "state_histogram", _never_build)
     monkeypatch.setattr(graphhom.cube, "state_components", _never_build)
     for extra in ([], ["--json"]):
@@ -301,8 +301,8 @@ def test_tutte_cohomology_refuses_by_the_exact_rank_with_no_state_pass(
     # the state histograms, and no state is labelled nor any complex built.
     path = tmp_path / "wheel8.json"
     path.write_text(json.dumps({"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE[:-1]}))
-    for module in (graphhom.homology, graphhom.cli):
-        monkeypatch.setattr(module, "build_complex", _never_build)
+    monkeypatch.setattr(graphhom.homology, "_build", _never_build)
+    monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
     for module in (graphhom.cube, graphhom.multigraph):
         monkeypatch.setattr(module, "state_components", _never_build)
     monkeypatch.setattr(graphhom.homology, "cyclic_state_components", _never_build)
@@ -378,6 +378,20 @@ def test_max_edges_guard(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", "error: chain complex has rank at least 3188646, over the limit of 1048576\n"
     )
+
+
+def test_a_negative_max_edges_is_refused_at_parse_time(tmp_path, capsys):
+    # before the input is read: the file does not exist
+    path = tmp_path / "empty.json"
+    refusal = "error: argument --max-edges: must be at least 0, got -1\n"
+    for argv in (["poly", "--which", "yamada"], ["check", "--all"]):
+        assert run([*argv, "--max-edges", "-1", "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", refusal)
+    # a limit of 0 still answers the empty graph
+    path.write_text(json.dumps({"vertices": 0, "edges": []}))
+    for argv in (["poly", "--which", "yamada"], ["check", "--all"]):
+        assert run([*argv, "--max-edges", "0", "--input", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_dump_answers_a_13_edge_complex_under_the_rank_limit(tmp_path, capsys):

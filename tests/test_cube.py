@@ -1,17 +1,17 @@
 import gc
 import hashlib
+import inspect
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphhom.cli
 import graphhom.cube as cube
 import graphhom.homology as homology
-import graphhom.verify as verify
 from graphhom.cli import run
 from graphhom.cube import (
     MAX_CHAIN_RANK,
@@ -40,6 +40,7 @@ from graphhom.multigraph import (
 )
 from graphhom.verify import CHECK_NAMES, default_sigma, run_checks
 
+from conftest import record_builds
 from matrix_route import contents, differential, identity, int_matrix, map_matrix, matmul
 
 P = BivariateLaurent
@@ -164,39 +165,13 @@ def test_build_complex_unknown_variant():
         build_complex(bouquet_graph(5), "euler")
 
 
-def test_the_chromatic_complex_is_built_only_on_given_states():
-    with pytest.raises(ValueError, match="chromatic complex is built only on given states"):
+def test_the_public_builder_rejects_chromatic_as_an_unknown_variant():
+    # The chromatic complex of a cycle summand is built by the private
+    # builder alone, on the up-set that `tutte_cohomology` hands over.
+    assert list(inspect.signature(build_complex).parameters) == ["G", "variant"]
+    message = "unknown variant 'chromatic'; expected one of ('yamada', 'tutte')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_complex(bigon(), "chromatic")
-
-
-def test_given_states_not_closed_under_adding_an_edge_are_refused_before_any_map(monkeypatch):
-    def never(*args):
-        raise AssertionError("a map was worked out")
-
-    monkeypatch.setattr(cube, "_edge_rule", never)
-    G = triangle()
-    components = state_components(G)
-    # The one state {0, 1} lacks {0, 1, 2}.
-    message = (
-        "the states are not closed under adding an edge: state 0b011 has no up-neighbour 0b111"
-    )
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        build_complex(G, "chromatic", {0b011: components[0b011]})
-    # Without {1, 2}, state by state the first that lacks an up-neighbour
-    # is {1}, by edge 2.
-    states = {mask: components[mask] for mask in range(8) if mask != 0b110}
-    with pytest.raises(ValueError, match=r"state 0b010 has no up-neighbour 0b110$"):
-        build_complex(G, "tutte", states)
-
-
-def test_a_whole_complex_makes_no_closure_check(monkeypatch):
-    # Its states come from `state_slots`, every state of the cube.
-    def never(*args):
-        raise AssertionError("the closure check ran")
-
-    monkeypatch.setattr(cube, "_refuse_unclosed", never)
-    for variant in VARIANTS:
-        build_complex(triangle(), variant)
 
 
 def _entries(level):
@@ -878,33 +853,18 @@ def _count_reads(monkeypatch):
     return reads
 
 
-def _recorded_builds(monkeypatch, *modules):
-    """Every complex built from now on by `build_complex` as looked up in
-    `modules`, kept alive so that the ids of its sequences stay its own."""
-    built = []
-    build = cube.build_complex
-
-    def recording(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    for module in modules:
-        monkeypatch.setattr(module, "build_complex", recording)
-    return built
-
-
 def test_dump_of_height_0_writes_only_the_blocks_of_height_0(monkeypatch, tmp_path, capsys):
     path = tmp_path / "cycle10.json"
     path.write_text(json.dumps(to_json_dict(cycle_graph(10))))
     made = _count_from_triplets(monkeypatch)
     reads = _count_reads(monkeypatch)
-    built = _recorded_builds(monkeypatch, graphhom.cli)
+    built = record_builds(monkeypatch, cube)
     assert run(["dump", "--variant", "tutte", "--height", "0", "--input", str(path)]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert {b["i"] for b in printed} == {0}
     assert sorted(made) == sorted((b["rows"], b["cols"]) for b in printed)
     # one read, of the blocks of height 0: no height of the index is written
-    (cx,) = built
+    ((cx, _),) = built
     assert [read[:2] for read in reads] == [(id(cx.blocks), 0)]
 
 
@@ -916,11 +876,11 @@ def test_cohomology_writes_no_height_of_the_index(monkeypatch, variant):
     assert [read[:2] for read in reads] == [(id(cx.blocks), i) for i in range(6)]
     # nor does the tutte route, in any D_L it builds and eliminates
     reads.clear()
-    built = _recorded_builds(monkeypatch, homology)
+    built = record_builds(monkeypatch, homology)
     tutte_cohomology(K4)
     assert len(built) == 3
     assert sorted(read[:2] for read in reads) == sorted(
-        (id(cx.blocks), i) for cx in built for i in range(len(cx.blocks))
+        (id(cx.blocks), i) for cx, _ in built for i in range(len(cx.blocks))
     )
 
 
@@ -956,8 +916,9 @@ def test_run_checks_writes_each_height_of_each_complex_once(monkeypatch):
     # and never indexed.
     reads = _count_reads(monkeypatch)
     made = _count_from_triplets(monkeypatch)
-    built = _recorded_builds(monkeypatch, cube, verify)
+    recorded = record_builds(monkeypatch, cube)
     assert all(report.passed for report in run_checks(K4, CHECK_NAMES))
+    built = [cx for cx, _ in recorded]
     assert len(built) == 6
     blocks = {id(cx.blocks) for cx in built}
     block_reads = [read for read in reads if read[0] in blocks]

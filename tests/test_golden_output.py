@@ -29,6 +29,7 @@ from graphhom.multigraph import (
     to_json_dict,
     tree_graph,
 )
+from conftest import record_builds
 from test_homology import ROUTE_GRAPHS
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
@@ -406,10 +407,9 @@ DL_GRAPHS = {**ROUTE_GRAPHS, "K5": from_json_dict(K5), "wheel5": from_json_dict(
 @pytest.mark.parametrize("name", sorted(DL_GRAPHS))
 def test_cycle_summand_triplets_digest_in_written_order(name, monkeypatch):
     # Graphs without a cycle build no D_L, and have no digest.
-    built = []
-    build = homology.build_complex
-    monkeypatch.setattr(homology, "build_complex", lambda *args: built.append(build(*args)) or built[-1])
+    recorded = record_builds(monkeypatch, homology)
     tutte_cohomology(DL_GRAPHS[name])
+    built = [cx for cx, _ in recorded]
     assert {cx.variant for cx in built} <= {"chromatic"}
     assert {(name, L): _triplets_digest(cx) for L, cx in enumerate(built, 1)} == {
         key: digest for key, digest in DL_TRIPLET_DIGESTS.items() if key[0] == name

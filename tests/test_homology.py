@@ -43,6 +43,7 @@ from graphhom.multigraph import (
 from graphhom.verify import default_gamma
 
 import matrix_route
+from conftest import record_builds
 from matrix_route import (
     contents,
     determinantal_factors,
@@ -660,20 +661,16 @@ def _eliminated(G):
     """The L and the table of each D_L that `tutte_cohomology(G)`
     eliminates, in order, each a chromatic complex on the states it was
     given."""
-    eliminated, given = [], []
-    build, whole = homology.build_complex, homology.cohomology
-
-    def recording_build(H, variant, states=None):
-        given.append(states)
-        return build(H, variant, states)
+    eliminated = []
+    whole = homology.cohomology
 
     def recording_cohomology(cx):
         assert cx.variant == "chromatic"
-        eliminated.append((_summand_level(cx.graph, given[-1]), whole(cx)))
+        eliminated.append((_summand_level(cx.graph, built[-1][1]), whole(cx)))
         return eliminated[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homology, "build_complex", recording_build)
+        built = record_builds(patch, homology)
         patch.setattr(homology, "cohomology", recording_cohomology)
         tutte_cohomology(G)
     return eliminated
@@ -772,15 +769,8 @@ def test_the_index_written_on_read_matches_one_worked_out_from_scratch(corpus, c
     # K5 in the tutte one, and every D_L that the tutte route builds for them.
     K5 = Multigraph(5, tuple(itertools.combinations(range(5), 2)))
     pairs = [(G, v) for G in list(corpus) + list(ROUTE_GRAPHS.values()) for v in VARIANTS]
-    summands = []
-    build = homology.build_complex
-
-    def recording_build(H, variant, states=None):
-        summands.append((build(H, variant, states), states))
-        return summands[-1][0]
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homology, "build_complex", recording_build)
+        summands = record_builds(patch, homology)
         for G, variant in pairs + [(K5, "tutte")]:
             _assert_index_from_scratch(complex_of(G, variant))
             if variant == "tutte":
@@ -855,6 +845,70 @@ def test_the_up_set_enumeration_is_not_a_walk_of_every_state():
     states = cyclic_state_components(bouquet_graph(13))
     assert sorted(states) == list(range(1, 1 << 13))
     assert set(map(tuple, (labels for labels, _ in states.values()))) == {(0,)}
+
+
+def _route_up_sets(G):
+    """Call `tutte_cohomology(G)` and assert that the L-th state map it
+    hands the private builder, for L = 1, 2, ..., holds with each state
+    every state with one more edge, and equals the states of the whole
+    cube (`state_components`) with b1 >= L. Each map is checked before it
+    is built. This is the precondition of `cube._build`, which does not
+    check it. Returns the number of maps."""
+    n, V = G.edge_count, G.vertex_count
+    whole = list(enumerate(state_components(G)))
+    given = []
+    build = homology._build
+
+    def checking_build(H, variant, states):
+        L = len(given) + 1
+        given.append(states)
+        missing = [(m, m | 1 << e) for m in states for e in range(n) if m | 1 << e not in states]
+        assert not missing, f"not closed under adding an edge: {missing[0]}, L = {L}, {G}"
+        assert states == {m: s for m, s in whole if m.bit_count() - V + s[1] >= L}, (
+            f"not the states with b1 >= {L}, {G}"
+        )
+        return build(H, variant, states)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_build", checking_build)
+        tutte_cohomology(G)
+    return len(given)
+
+
+def test_the_tutte_route_hands_the_builder_only_up_sets(corpus):
+    # One map per L from 1 to b1(G), each an up-set: the oracle of the
+    # route-side guarantee that `cube._build` relies on.
+    graphs = list(corpus) + list(ROUTE_GRAPHS.values()) + RANDOM_ROUTE_GRAPHS
+    maps = [_route_up_sets(G) for G in graphs]
+    assert maps == [
+        G.edge_count - G.vertex_count + len(connected_components(G)) for G in graphs
+    ]
+
+
+@pytest.mark.parametrize(
+    "drop,fault",
+    [("least", "not the states with b1 >= 1"), ("above_another", "not closed under adding an edge")],
+)
+def test_the_up_set_check_catches_a_dropped_state(drop, fault, monkeypatch):
+    # K4's up-set {b1 >= 1}: its least states are the triangles and the
+    # 4-cycles. Without a least state the map is still closed under adding
+    # an edge, but not the whole up-set; without a triangle plus an edge,
+    # the triangle lacks an up-neighbour.
+    real = cyclic_state_components
+
+    def dropping(H):
+        states = real(H)
+        ordered = sorted(states, key=lambda m: (m.bit_count(), m))
+        if drop == "least":
+            victim = ordered[0]
+        else:
+            victim = next(m for m in ordered if any(s != m and s & m == s for s in states))
+        del states[victim]
+        return states
+
+    monkeypatch.setattr(homology, "cyclic_state_components", dropping)
+    with pytest.raises(AssertionError, match=fault):
+        _route_up_sets(ROUTE_GRAPHS["K4"])
 
 
 def test_tutte_cohomology_matches_the_whole_complex_on_seeded_random_multigraphs():
