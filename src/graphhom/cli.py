@@ -86,8 +86,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_graph(path: str, max_edges: int | None = None) -> Multigraph:
-    # the complex commands pass no `max_edges`: they are refused by chain rank, as
-    # `cube.state_slots` refuses a whole complex
+    # the complex commands pass no `max_edges`: they are refused by chain rank, by
+    # `cube._refuse`, before any state is labelled
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)

@@ -30,7 +30,10 @@ Its private builder `_build` takes the map of states instead, and
 `homology.tutte_cohomology` calls it to build the chromatic complex (one
 Z[t]/(t^2) per component, no edge or cycle factors) on the up-set of
 each cycle summand, whose closure under adding an edge that route
-proves.
+proves. `_refuse` is the one chain-rank refusal: `build_complex` and
+both cohomology routes of `homology` refuse through it, by the rank that
+the state histograms of the components give, before any state is
+labelled, so every command that asks for a complex refuses alike.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its parent
@@ -71,7 +74,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import ZERO, BivariateLaurent
 from .matrices import INDEX_TYPECODE, IntMatrix
-from .multigraph import Multigraph, state_components
+from .multigraph import Multigraph, connected_components, state_components, state_histogram
 
 Bidegree = tuple[int, int]
 VARIANTS = ("yamada", "tutte")
@@ -118,37 +121,32 @@ def _refuse_by_floor(vertex_count: int, edge_count: int, yamada: bool) -> None:
     )
 
 
-def _refuse_by_rank(chain_rank: int) -> None:
-    """Raise ValueError if the exact total chain rank is over the limit."""
-    if chain_rank > MAX_CHAIN_RANK:
-        raise ValueError(
-            f"chain complex has rank {chain_rank}, over the limit of {MAX_CHAIN_RANK}"
-        )
+def _refuse(G: Multigraph, variant: str) -> list[tuple[int, dict[tuple[int, int], int]]]:
+    """Raise ValueError if the complex of G in `variant` has a total chain
+    rank over `MAX_CHAIN_RANK`; otherwise return the (vertex count, state
+    histogram) of each connected component of G, in the order of
+    `connected_components`.
 
-
-def state_slots(G: Multigraph, variant: str) -> dict[int, tuple[list[int], int]]:
-    """The components of every state, from `state_components`, as mask ->
-    (labels, b0) in ascending mask order, after refusing a complex whose
-    total chain rank exceeds `MAX_CHAIN_RANK`.
-
-    The refusal comes first by the lower bound of `_refuse_by_floor`, before
-    any state is looked at, then by the exact rank, the sum over all states
-    of 2^(slots), with (edge and component slots, cycle slots) = (lambda +
-    b0, |S| - V + b0), before anything else is built. Every route to a
-    complex or its cohomology refuses as this does, so they all refuse
-    alike.
+    The one chain-rank refusal of the package: every route to a complex
+    or its cohomology refuses through it, so they all refuse alike. First
+    by the lower bound of `_refuse_by_floor`, which bounds V before
+    `connected_components` allocates per vertex, then by the exact rank,
+    the sum over the states S of 2^(slots), with (edge and component
+    slots, cycle slots) = (lambda + b0, |S| - V + b0), read off the state
+    histograms of the components with no state pass. The complex of G is
+    the tensor product of those of its components, so that sum is the
+    product of theirs. The tutte route reuses the histograms for H(D_0).
     """
     yamada = variant == "yamada"
     _refuse_by_floor(G.vertex_count, G.edge_count, yamada)
-    components = state_components(G)
     per_edge = 2 if yamada else 1  # lambda + |S| = per_edge * |S|
-    _refuse_by_rank(
-        sum(
-            1 << per_edge * mask.bit_count() + 2 * b0 - G.vertex_count
-            for mask, (_, b0) in enumerate(components)
-        )
-    )
-    return dict(enumerate(components))
+    components = [(H.vertex_count, state_histogram(H)) for H in connected_components(G)]
+    rank = 1
+    for V, hist in components:
+        rank *= sum(count << per_edge * size + 2 * b0 - V for (size, b0), count in hist.items())
+    if rank > MAX_CHAIN_RANK:
+        raise ValueError(f"chain complex has rank {rank}, over the limit of {MAX_CHAIN_RANK}")
+    return components
 
 
 def _edge_rule(mask: int, e: int, p: int, q: int, size: int, yamada: bool) -> list[int]:
@@ -475,16 +473,16 @@ def build_complex(G: Multigraph, variant: str) -> BigradedComplex:
     every height, and return it with per-bidegree blocks that are written
     from the kept target arrays each time a height is read (`_build`).
 
-    Refuses, before building anything, complexes whose total chain rank
-    exceeds `MAX_CHAIN_RANK` (`state_slots`): first by a lower bound before
-    any state is looked at, then by the exact rank before any basis is
-    built. The exact rank takes b0 of every state from `state_components`,
-    which also gives the component of each endpoint that the per-edge maps
-    need, as a map mask -> (labels, b0) that holds every state.
+    Refuses, before any state is labelled, complexes whose total chain
+    rank exceeds `MAX_CHAIN_RANK` (`_refuse`). Then `state_components`
+    labels every state, giving the component of each endpoint that the
+    per-edge maps need, as a map mask -> (labels, b0) that holds every
+    state.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _build(G, variant, state_slots(G, variant))
+    _refuse(G, variant)
+    return _build(G, variant, dict(enumerate(state_components(G))))
 
 
 def _build(
@@ -498,13 +496,14 @@ def _build(
     `variant` is one of `VARIANTS`, or "chromatic": one Z[t]/(t^2) per
     component and no cycle slots (slots (b0, 0)), with the rule keys,
     maps and signs of the tutte complex. The build makes no state pass
-    and no refusal of its own: the caller has refused or passed G. The
-    complex lives on exactly the states of the map, which it takes in any
-    order and sorts by mask within each height. Precondition: the map is
-    closed under adding an edge, that is, with each state it holds every
-    state with one more edge. Every map of `state_slots` is, and so is
-    each up-set that `homology.tutte_cohomology` hands over, which that
-    route proves; the build does not check it.
+    and no refusal of its own: the caller has passed G through `_refuse`.
+    The complex lives on exactly the states of the map, which it takes in
+    any order and sorts by mask within each height. Precondition: the map
+    is closed under adding an edge, that is, with each state it holds
+    every state with one more edge. The map of all states that
+    `build_complex` hands over is, and so is each up-set that
+    `homology.tutte_cohomology` hands over, which that route proves; the
+    build does not check it.
 
     The build counts the basis elements of each bidegree at each height
     (`dims`) from the slot counts of its states, one small dict per

@@ -25,8 +25,10 @@ H(D_0) is a closed form in the chromatic polynomials of the components
 (`_kunneth`: knight moves, then the Kunneth formula), and only D_1,
 D_2, ... are built, each by the private builder of `cube` as
 `_build(G, "chromatic", states)`, and eliminated, from one enumeration
-of the up-set of the states with b1 >= 1; the refusal reads the state
-histograms, so no pass over all 2^|E| states is made.
+of the up-set of the states with b1 >= 1. Both routes refuse through the
+one chain-rank refusal of `cube`, `_refuse`, which reads the state
+histograms of the components, and the tutte route takes those
+histograms back for H(D_0), so it makes no pass over all 2^|E| states.
 `yamada_cohomology` gets the yamada table without eliminating the yamada
 complex: the complex is a direct sum, over the edge subsets A, of
 shifted copies of the tutte complexes of the contractions G/A, so the
@@ -47,22 +49,10 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Mapping
 
-from .cube import (
-    Bidegree,
-    BigradedComplex,
-    _build,
-    _refuse_by_floor,
-    _refuse_by_rank,
-    state_slots,
-)
+from .cube import Bidegree, BigradedComplex, _build, _refuse
 from .laurent import BivariateLaurent
 from .matrices import _eliminate, invariant_factors, prime_powers
-from .multigraph import (
-    Multigraph,
-    connected_components,
-    cyclic_state_components,
-    state_histogram,
-)
+from .multigraph import Multigraph, cyclic_state_components, state_components
 
 
 @dataclass(frozen=True)
@@ -289,29 +279,20 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     runs up to the largest b1 of a state, that of G, which is
     |E| - V + b0(G).
 
-    Refuses exactly as `build_complex(G, "tutte")` does (`state_slots`),
-    with no state pass: by the lower bound of `_refuse_by_floor` first,
-    which bounds V before `connected_components` allocates per vertex,
-    then by the exact rank, the sum over the states S of 2^(2 b0 + |S| -
-    V), read off the state histograms of the components. The complex of G
-    is the tensor product of those of its components, so that sum is the
-    product of theirs. The same histograms give H(D_0) (`_kunneth`), so
-    each is made once. Then the up-set of the states with b1 >= 1, the
-    states of D_1, is enumerated once (`cyclic_state_components`), and
-    before each D_L is built the map is narrowed to the states with
-    b1 >= L, so each build sorts only its own states. Each narrowed map
-    is an up-set, as above, which is the precondition of `_build`; the
-    build does not check it, and the tests do. D_L is refused as
-    the whole tutte complex is, whose rank bounds its own. A forest
-    (b1(G) = 0) has no D_L and no such state, and gets no enumeration.
-    Free ranks add as integers, torsion as prime powers.
+    Refuses exactly as `build_complex(G, "tutte")` does, by `_refuse`,
+    with no state pass. The (vertex count, state histogram) pairs of the
+    components that `_refuse` returns give H(D_0) (`_kunneth`) and b0(G),
+    so each histogram is made once. Then the up-set of the states with
+    b1 >= 1, the states of D_1, is enumerated once
+    (`cyclic_state_components`), and before each D_L is built the map is
+    narrowed to the states with b1 >= L, so each build sorts only its own
+    states. Each narrowed map is an up-set, as above, which is the
+    precondition of `_build`; the build does not check it, and the tests
+    do. D_L is refused as the whole tutte complex is, whose rank bounds
+    its own. A forest (b1(G) = 0) has no D_L and no such state, and gets
+    no enumeration. Free ranks add as integers, torsion as prime powers.
     """
-    _refuse_by_floor(G.vertex_count, G.edge_count, False)
-    components = [(H.vertex_count, state_histogram(H)) for H in connected_components(G)]
-    rank = 1
-    for V, histogram in components:
-        rank *= sum(count << 2 * b0 + size - V for (size, b0), count in histogram.items())
-    _refuse_by_rank(rank)
+    components = _refuse(G, "tutte")
     b1 = G.edge_count - G.vertex_count + len(components)
     states = cyclic_state_components(G) if b1 else {}
     tally = _Tally()
@@ -343,11 +324,13 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     G/A by a fixed sign per edge. So it is the tutte complex of G/A, shifted
     by |A| in height and in j, tensored with b1(A) free cycle factors.
 
-    Refuses exactly as `build_complex(G, "yamada")` does (`state_slots`),
-    before any minor is built. G/A has one vertex per component of [G:A]
-    and the edges outside A, relabelled through the components. Cohomology
-    does not depend on the edge order, so the minor is taken with its
-    edges oriented (min, max) and sorted, and the masks A are counted by
+    Refuses exactly as `build_complex(G, "yamada")` does, by `_refuse`,
+    before any state is labelled or any minor is built; then
+    `state_components` labels the components of every state A. G/A has
+    one vertex per component of [G:A] and the edges outside A, relabelled
+    through the components. Cohomology does not depend on the edge
+    order, so the minor is taken with its edges oriented (min, max) and
+    sorted, and the masks A are counted by
     (b0, that minor's edges, |A|), which fix b1(A) = |A| - V + b0 too.
     One plain loop per mask, over the (bit, u, v) of each edge worked out
     once per call, makes that key. Each class is added to the sum once,
@@ -356,9 +339,10 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     Free ranks add as integers, torsion as prime powers, so the sum is
     exact whatever the torsion.
     """
+    _refuse(G, "yamada")
     pairs = [(1 << e, u, v) for e, (u, v) in enumerate(G.edges)]
     classes: dict[tuple[int, tuple[tuple[int, int], ...], int], int] = {}
-    for mask, (labels, b0) in state_slots(G, "yamada").items():
+    for mask, (labels, b0) in enumerate(state_components(G)):
         minor = []
         for bit, u, v in pairs:
             if not mask & bit:

@@ -201,19 +201,24 @@ def test_dump_height_checked_before_building(bigon_path, monkeypatch, capsys):
         assert "out of range" in capsys.readouterr().err
 
 
+# wheel8 with a doubled spoke has 17 edges on 9 vertices, the vertex count
+# with the least tutte floor at 17 edges
+_WHEEL8_WITH_A_DOUBLED_SPOKE = (
+    [[i, i % 8 + 1] for i in range(1, 9)] + [[0, i] for i in range(1, 9)] + [[0, 1]]
+)
+_WHEEL8 = {"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE[:-1]}
+
+
 def test_oversized_complex_is_exit_1(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("an oversized complex must be refused before any state is labelled")
 
     monkeypatch.setattr(graphhom.cube, "state_components", never)
-    # wheel8 with a doubled spoke has 17 edges on 9 vertices, the vertex count
-    # with the least tutte floor at 17 edges
-    wheel8 = [[i, i % 8 + 1] for i in range(1, 9)] + [[0, i] for i in range(1, 9)] + [[0, 1]]
     cases = [
         ({"vertices": 64, "edges": []}, "yamada", 2**64),
         ({"vertices": 1, "edges": [[0, 0]] * 12}, "yamada", 2 * 5**12),
-        ({"vertices": 9, "edges": wheel8}, "tutte", 1399140),
-        ({"vertices": 9, "edges": wheel8}, "yamada", 5978632192),
+        ({"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE}, "tutte", 1399140),
+        ({"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE}, "yamada", 5978632192),
     ]
     for n, (data, variant, rank) in enumerate(cases):
         path = tmp_path / f"oversized{n}.json"
@@ -266,9 +271,6 @@ def test_yamada_cohomology_refuses_before_building_any_minor(name, tmp_path, mon
 # `cohomology --variant tutte` refuses these exactly as `build_complex`
 # refuses the whole tutte complex, all by the lower bound: the tutte case of
 # `test_oversized_complex_is_exit_1` and a bouquet of 13 loops, 2 * 3^13.
-_WHEEL8_WITH_A_DOUBLED_SPOKE = (
-    [[i, i % 8 + 1] for i in range(1, 9)] + [[0, i] for i in range(1, 9)] + [[0, 1]]
-)
 TUTTE_REFUSALS = {
     "wheel8_with_a_doubled_spoke": (
         {"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE},
@@ -285,7 +287,7 @@ def test_tutte_cohomology_refuses_before_building_anything(name, tmp_path, monke
     path.write_text(json.dumps(data))
     monkeypatch.setattr(graphhom.homology, "_build", _never_build)
     monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
-    monkeypatch.setattr(graphhom.homology, "state_histogram", _never_build)
+    monkeypatch.setattr(graphhom.cube, "state_histogram", _never_build)
     monkeypatch.setattr(graphhom.cube, "state_components", _never_build)
     for extra in ([], ["--json"]):
         assert run(["cohomology", "--variant", "tutte", "--input", str(path), *extra]) == 1
@@ -300,7 +302,7 @@ def test_tutte_cohomology_refuses_by_the_exact_rank_with_no_state_pass(
     # wheel8 (16 edges, 9 vertices) passes the floor; its exact rank comes from
     # the state histograms, and no state is labelled nor any complex built.
     path = tmp_path / "wheel8.json"
-    path.write_text(json.dumps({"vertices": 9, "edges": _WHEEL8_WITH_A_DOUBLED_SPOKE[:-1]}))
+    path.write_text(json.dumps(_WHEEL8))
     monkeypatch.setattr(graphhom.homology, "_build", _never_build)
     monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
     for module in (graphhom.cube, graphhom.multigraph):
@@ -311,6 +313,51 @@ def test_tutte_cohomology_refuses_by_the_exact_rank_with_no_state_pass(
         assert capsys.readouterr() == (
             "", "error: chain complex has rank 1250562, over the limit of 1048576\n"
         )
+
+
+def _command_refusals():
+    """(name, (graph, command, refused rank)) of every complex command on
+    the refusal tables: the cohomology route and `dump` of the variant,
+    and `check` where the first complex it asks for is refused (the tutte
+    one for the retraction, the yamada one for the euler check of
+    `--all`)."""
+    tutte = {**TUTTE_REFUSALS, "wheel8": (_WHEEL8, "rank 1250562")}
+    for variant, table in (("yamada", YAMADA_REFUSALS), ("tutte", tutte)):
+        for name, (data, rank) in table.items():
+            for command in ("cohomology", "dump"):
+                yield f"{command}-{variant}-{name}", (data, [command, "--variant", variant], rank)
+    yield "check-retraction-wheel8", (
+        _WHEEL8,
+        ["check", "--only", "retraction", "--max-edges", "16"],
+        "rank 1250562",
+    )
+    yield "check-all-triangle_with_a_sevenfold_edge", (
+        YAMADA_REFUSALS["triangle_with_a_sevenfold_edge"][0],
+        ["check", "--all"],
+        "rank 1093768",
+    )
+
+
+COMMAND_REFUSALS = dict(_command_refusals())
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_REFUSALS))
+def test_every_complex_command_refuses_alike_before_any_state_is_labelled(
+    name, tmp_path, monkeypatch, capsys
+):
+    # One refusal serves every route to a complex, by the floor or by the
+    # exact rank read off the state histograms, so no command labels a state
+    # of a complex it refuses.
+    data, argv, rank = COMMAND_REFUSALS[name]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    for module in (graphhom.cube, graphhom.homology, graphhom.multigraph):
+        monkeypatch.setattr(module, "state_components", _never_build)
+    monkeypatch.setattr(graphhom.homology, "cyclic_state_components", _never_build)
+    assert run([*argv, "--input", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: chain complex has {rank}, over the limit of 1048576\n"
+    )
 
 
 def test_cohomology_yamada_builds_only_tutte_minors(bigon_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from array import array
 
@@ -10,6 +11,7 @@ import graphhom.cube as cube
 import graphhom.homology as homology
 import graphhom.matrices as matrices
 import graphhom.multigraph as multigraph
+from graphhom.cli import run
 from graphhom.cube import VARIANTS, build_complex, graded_euler, phi_psi, projection_map
 from graphhom.homology import (
     CohomologyTable,
@@ -37,6 +39,7 @@ from graphhom.multigraph import (
     reduce,
     state_components,
     state_histogram,
+    to_json_dict,
     tree_graph,
     triangle,
 )
@@ -707,9 +710,9 @@ def test_the_tutte_route_finds_components_and_histograms_once(name, monkeypatch)
     G = ROUTE_GRAPHS[name]
     calls = {"connected_components": [], "state_histogram": []}
     for function in calls:
-        real = getattr(homology, function)
+        real = getattr(cube, function)
         monkeypatch.setattr(
-            homology, function, lambda H, real=real, seen=calls[function]: seen.append(H) or real(H)
+            cube, function, lambda H, real=real, seen=calls[function]: seen.append(H) or real(H)
         )
     tutte_cohomology(G)
     assert calls["connected_components"] == [G]
@@ -909,6 +912,42 @@ def test_the_up_set_check_catches_a_dropped_state(drop, fault, monkeypatch):
     monkeypatch.setattr(homology, "cyclic_state_components", dropping)
     with pytest.raises(AssertionError, match=fault):
         _route_up_sets(ROUTE_GRAPHS["K4"])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_limit_of_every_route_is_the_exact_chain_rank(
+    variant, corpus, monkeypatch, capsys, tmp_path
+):
+    # R is the chain rank of the built complex. Under a limit of R the builder
+    # and the variant's cohomology route answer; under R - 1 they and `dump`
+    # refuse, with "rank R", or "rank at least R" where the floor is tight.
+    route = yamada_cohomology if variant == "yamada" else tutte_cohomology
+    path = tmp_path / "graph.json"
+    graphs = list(corpus) + _random_multigraphs(60, 37, max_edges=7)
+    forms = {"rank": 0, "rank at least": 0}
+    limit = cube.MAX_CHAIN_RANK
+    for G in graphs:
+        monkeypatch.setattr(cube, "MAX_CHAIN_RANK", limit)
+        R = sum(map(build_complex(G, variant).rank, range(G.edge_count + 1)))
+        monkeypatch.setattr(cube, "MAX_CHAIN_RANK", R)
+        build_complex(G, variant)
+        route(G)
+        monkeypatch.setattr(cube, "MAX_CHAIN_RANK", R - 1)
+        messages = []
+        for refused in (build_complex, lambda G, variant: route(G)):
+            with pytest.raises(ValueError) as caught:
+                refused(G, variant)
+            messages.append(f"error: {caught.value}\n")
+        path.write_text(json.dumps(to_json_dict(G)))
+        assert run(["dump", "--variant", variant, "--input", str(path)]) == 1
+        messages.append(capsys.readouterr().err)
+        expected = {
+            f"error: chain complex has {form} {R}, over the limit of {R - 1}\n": form
+            for form in forms
+        }
+        assert messages[0] in expected and messages == [messages[0]] * 3, (G, messages)
+        forms[expected[messages[0]]] += 1
+    assert len(graphs) == 329 and all(forms.values()), forms
 
 
 def test_tutte_cohomology_matches_the_whole_complex_on_seeded_random_multigraphs():
