@@ -34,6 +34,8 @@ proves. `_refuse` is the one chain-rank refusal: `build_complex` and
 both cohomology routes of `homology` refuse through it, by the rank that
 the state histograms of the components give, before any state is
 labelled, so every command that asks for a complex refuses alike.
+`projection_map` builds its target, a subgraph's whole complex, by
+`_build` with no refusal: the source, refused already, bounds its rank.
 
 A state S is its edge bitmask, and the components of [G:S] come from
 `multigraph.state_components`, which derives every state from its parent
@@ -368,15 +370,6 @@ class BigradedComplex:
             for jk, block in self.blocks[i].items()
         )
 
-    def dims_at(self, i: int) -> dict[Bidegree, int]:
-        if not 0 <= i < self.height_count:
-            return {}
-        return dict(self.dims[i])
-
-    def qdim(self, i: int) -> BivariateLaurent:
-        """Graded dimension of C^i, as a polynomial in (t, w)."""
-        return BivariateLaurent(self.dims_at(i))
-
 
 def _check_faces(
     masks: Iterable[int],
@@ -496,14 +489,16 @@ def _build(
     `variant` is one of `VARIANTS`, or "chromatic": one Z[t]/(t^2) per
     component and no cycle slots (slots (b0, 0)), with the rule keys,
     maps and signs of the tutte complex. The build makes no state pass
-    and no refusal of its own: the caller has passed G through `_refuse`.
-    The complex lives on exactly the states of the map, which it takes in
-    any order and sorts by mask within each height. Precondition: the map
-    is closed under adding an edge, that is, with each state it holds
-    every state with one more edge. The map of all states that
-    `build_complex` hands over is, and so is each up-set that
-    `homology.tutte_cohomology` hands over, which that route proves; the
-    build does not check it.
+    and no refusal of its own: the caller has bounded the chain rank,
+    by passing G through `_refuse` or, as `projection_map` does, through
+    a complex already refused that holds every state of the map with the
+    same chain module. The complex lives on exactly the states of the
+    map, which it takes in any order and sorts by mask within each
+    height. Precondition: the map is closed under adding an edge, that
+    is, with each state it holds every state with one more edge. The map
+    of all states that `build_complex` and `projection_map` hand over
+    is, and so is each up-set that `homology.tutte_cohomology` hands
+    over, which that route proves; the build does not check it.
 
     The build counts the basis elements of each bidegree at each height
     (`dims`) from the slot counts of its states, one small dict per
@@ -754,7 +749,7 @@ def _build(
 
 def graded_euler(cx: BigradedComplex) -> BivariateLaurent:
     """Alternating sum of the graded dimensions of the chain groups."""
-    return sum(((-1) ** i * cx.qdim(i) for i in range(cx.height_count)), ZERO)
+    return sum(((-1) ** i * BivariateLaurent(dims) for i, dims in enumerate(cx.dims)), ZERO)
 
 
 def projection_map(
@@ -768,15 +763,17 @@ def projection_map(
     to the same element of that state in the target, any other is killed.
     The target complex lives on the subgraph with gamma's edges in their
     induced order (all vertices retained, so states and their chain
-    modules match verbatim), in the source's variant. Its chain rank is
-    at most the source's, so it is never refused.
+    modules match verbatim), in the source's variant. Its states are the
+    source's states inside gamma, so its chain rank is at most the
+    source's, which was refused already: the target is built by `_build`
+    on all its states, with no refusal of its own.
     """
     G = source.graph
     gamma_sorted = sorted(set(gamma))
     if any(not 0 <= e < G.edge_count for e in gamma_sorted):
         raise ValueError("gamma is not a subset of the edge indices")
     sub = Multigraph(G.vertex_count, tuple(G.edges[e] for e in gamma_sorted))
-    dst = build_complex(sub, source.variant)
+    dst = _build(sub, source.variant, dict(enumerate(state_components(sub))))
     gamma_mask = sum(1 << e for e in gamma_sorted)
 
     maps: list[list[int]] = []

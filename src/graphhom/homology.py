@@ -12,8 +12,9 @@ Bar-Natan, "Fast Khovanov homology computations", 2007). All arithmetic
 is exact.
 
 A chain map is a list of per-height target arrays (see `cube`), so
-`chain_map_defect` compares f o d with d o f by relabelling the nonzeros
-of the blocks through the arrays, with no matrix product.
+`chain_map_defect` works out f o d - d o f by relabelling the nonzeros
+of the blocks through the arrays into one signed sum, with no matrix
+product.
 `summand_defect` compares two tables summand by summand, with torsion
 split into prime powers.
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cube import Bidegree, BigradedComplex, _build, _refuse
 from .laurent import BivariateLaurent
@@ -165,7 +166,7 @@ def cohomology(cx: BigradedComplex) -> CohomologyTable:
 
     summands: dict[tuple[int, int, int], Summand] = {}
     for i in range(heights):
-        for jk, dim in cx.dims_at(i).items():
+        for jk, dim in cx.dims[i].items():
             rank_out = block_data.get((i, jk), (0, ()))[0]
             rank_in, torsion = block_data.get((i - 1, jk), (0, ()))
             free = dim - rank_out - rank_in
@@ -378,8 +379,10 @@ def chain_map_defect(
     `maps[i][l]` is the image of basis element l of C^i(src) in
     C^i(dst), or -1 when l is killed. Entry (r, c) of f o d is the sum of
     the nonzeros (r', c) of d_src with f sending r' to r; entry (r, c) of
-    d o f is the nonzero (r, f(c)) of d_dst. Both are summed exactly over
-    the block nonzeros, and compared with zeros dropped.
+    d o f is the nonzero (r, f(c)) of d_dst. One pass over the block
+    nonzeros of each adds the first and subtracts the second into one dict
+    of exact entries of f o d - d o f, and the height fails when one of
+    them is not zero.
     """
     if len(maps) != src.height_count or any(
         len(f) != src.rank(i) or min(f, default=-1) < -1 or max(f, default=-1) >= dst.rank(i)
@@ -392,18 +395,16 @@ def chain_map_defect(
         for c, t in enumerate(lower):
             if t >= 0:
                 preimages.setdefault(t, []).append(c)
-        f_d = _exact_sum(((upper[r], c), v) for r, c, v in src.nonzeros(i) if upper[r] >= 0)
-        d_f = _exact_sum(((r, c), v) for r, t, v in dst.nonzeros(i) for c in preimages.get(t, ()))
-        if f_d != d_f:
+        defect: dict[tuple[int, int], int] = {}
+        for r, c, v in src.nonzeros(i):
+            if (t := upper[r]) >= 0:
+                defect[t, c] = defect.get((t, c), 0) + v
+        for r, t, v in dst.nonzeros(i):
+            for c in preimages.get(t, ()):
+                defect[r, c] = defect.get((r, c), 0) - v
+        if any(defect.values()):
             return i
     return None
-
-
-def _exact_sum(terms: Iterable[tuple[tuple[int, int], int]]) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for key, v in terms:
-        out[key] = out.get(key, 0) + v
-    return {key: v for key, v in out.items() if v}
 
 
 def summand_defect(

@@ -68,18 +68,13 @@ def check_euler(G: Multigraph, complex_of: ComplexOf, table_of: TableOf) -> Chec
     chain_chi = graded_euler(complex_of(G, "yamada"))
     coh_chi = table_of(G, "yamada").euler()
     g = g_polynomials(G)[1]
-    if chain_chi != g:
-        return CheckReport(
-            "euler",
-            False,
-            f"chain euler {chain_chi.to_string('t', 'w')} differs from g = {g.to_string('t', 'w')}",
-        )
-    if coh_chi != g:
-        return CheckReport(
-            "euler",
-            False,
-            f"cohomology euler {coh_chi.to_string('t', 'w')} differs from g = {g.to_string('t', 'w')}",
-        )
+    for name, chi in (("chain", chain_chi), ("cohomology", coh_chi)):
+        if chi != g:
+            return CheckReport(
+                "euler",
+                False,
+                f"{name} euler {chi.to_string('t', 'w')} differs from g = {g.to_string('t', 'w')}",
+            )
     return CheckReport("euler", True)
 
 

@@ -38,7 +38,7 @@ from graphhom.multigraph import (
     tree_graph,
     triangle,
 )
-from graphhom.verify import CHECK_NAMES, default_sigma, run_checks
+from graphhom.verify import CHECK_NAMES, default_gamma, default_sigma, run_checks
 
 from conftest import record_builds
 from matrix_route import contents, differential, identity, int_matrix, map_matrix, matmul
@@ -203,9 +203,9 @@ def test_height_blocks_slices_read_the_heights_they_name(cut):
 
 def test_bidegree_dims_bigon():
     cx = build_complex(bigon(), "yamada")
-    assert cx.dims_at(0) == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
-    assert cx.dims_at(1) == {(0, 0): 2, (1, 0): 4, (2, 0): 2}
-    assert cx.dims_at(2) == {
+    assert cx.dims[0] == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+    assert cx.dims[1] == {(0, 0): 2, (1, 0): 4, (2, 0): 2}
+    assert cx.dims[2] == {
         (0, 0): 1,
         (1, 0): 3,
         (2, 0): 3,
@@ -231,7 +231,7 @@ def test_qdim_matches_state_formula():
                     b1 = i - G.vertex_count + b0
                     lam = i if variant == "yamada" else 0
                     expected = expected + one_plus_t ** (lam + b0) * one_plus_w ** b1
-                assert cx.qdim(i) == expected
+                assert BivariateLaurent(cx.dims[i]) == expected
 
 
 def test_graded_euler_examples():
@@ -315,6 +315,33 @@ def test_projection_map_is_chain_map(complex_of):
                     lhs = matmul(matrices[i + 1], differential(source, i))
                     rhs = matmul(differential(target, i), matrices[i])
                     assert contents(lhs) == contents(rhs)
+
+
+def _refused(*args):
+    raise AssertionError("the projection target needs no refusal and no public build")
+
+
+def test_the_projection_target_is_built_with_no_refusal(corpus, complex_of, monkeypatch):
+    # Its chain rank is at most the source's, which was refused already. The
+    # sources and the reference targets are built before the patch.
+    def blocks(cx):
+        return [{jk: b.sorted_entries() for jk, b in level.items()} for level in cx.blocks]
+
+    cases = []
+    for G in corpus:
+        gamma = default_gamma(G)
+        sub = Multigraph(G.vertex_count, tuple(G.edges[e] for e in gamma))
+        for variant in VARIANTS:
+            cases.append((complex_of(G, variant), gamma, build_complex(sub, variant)))
+    monkeypatch.setattr(cube, "_refuse", _refused)
+    monkeypatch.setattr(cube, "build_complex", _refused)
+    for source, gamma, expected in cases:
+        target, _ = projection_map(source, gamma)
+        assert (target.graph, target.variant) == (expected.graph, expected.variant)
+        assert target.state_offsets == expected.state_offsets
+        assert target.dims == expected.dims
+        assert blocks(target) == blocks(expected)
+    assert len(cases) == 2 * len(corpus)
 
 
 def test_projection_map_rejects_bad_gamma(complex_of):

@@ -1,9 +1,9 @@
 """Regression guards for the complex builder and the polynomials.
 
-The sha256 digests pin the exact bytes that `dump`, `cohomology --json` and
-`poly --json` print, and the cohomology tables of the whole corpus, so any
-change to basis order, signs, block layout, cohomology (torsion included) or
-to a polynomial shows up here.
+The sha256 digests pin the exact bytes that `dump`, `cohomology --json`,
+`poly --json` and `check --all` print, and the cohomology tables of the
+whole corpus, so any change to basis order, signs, block layout, cohomology
+(torsion included), to a polynomial or to a check report shows up here.
 The corruption tests overwrite or kill entries of per-edge target arrays
 and prove that `build_complex` still runs both of its run-time
 verifications: bidegree preservation, named at the first faulty entry in
@@ -384,6 +384,21 @@ def test_k4_dump_height_digest(variant, height, tmp_path, capsys):
     assert run(argv + ["--input", _graph_path("K4", tmp_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == K4_HEIGHT_DIGESTS[(variant, height)]
+
+
+# `check --all` on five graphs. Every check passes on all five, so the
+# reports, and their digests, are one.
+CHECK_ALL_DIGESTS = {
+    name: "1156d331957d692444db5221a98e361c34218481b6abd56db327e0f178e27fad"
+    for name in ("bigon", "triangle", "cycle5", "K4", "mixed")
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ALL_DIGESTS))
+def test_check_all_digest(name, tmp_path, capsys):
+    assert run(["check", "--all", "--input", _graph_path(name, tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_DIGESTS[name]
 
 
 def _triplets_digest(cx):

@@ -2,6 +2,9 @@ import itertools
 import json
 import random
 from array import array
+from collections import Counter
+from itertools import compress, repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -525,6 +528,132 @@ def test_chain_map_defect_agrees_with_the_matrix_route(corpus, complex_of):
     assert failing > 1000 and corrupted > failing
 
 
+def _dense_product(a, b, cols):
+    """a @ b for matrices given as lists of rows, b with `cols` columns. An
+    entry 1 of a takes the row of b unscaled; no row of b is written."""
+    out = []
+    for row in a:
+        acc = None
+        for k in compress(range(len(row)), row):
+            term = b[k] if row[k] == 1 else list(map(mul, repeat(row[k]), b[k]))
+            acc = term if acc is None else list(map(add, acc, term))
+        out.append([0] * cols if acc is None else acc)
+    return out
+
+
+def _seeded_small_multigraphs(count, seed):
+    """Seeded multigraphs with 1 to 4 vertices and at most 4 edges, each
+    endpoint drawn uniformly (loops, parallel edges and isolated vertices
+    occur), kept when every chain module of the yamada complex has rank at
+    most 512, so that the dense matrices stay small."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        V, E = rng.randint(1, 4), rng.randint(0, 4)
+        G = Multigraph(V, tuple((rng.randrange(V), rng.randrange(V)) for _ in range(E)))
+        if max(sum(dims.values()) for dims in build_complex(G, "yamada").dims) <= 512:
+            out.append(G)
+    return out
+
+
+def test_chain_map_defect_agrees_with_dense_integer_matrices(corpus, complex_of):
+    # phi, psi and both projections, each as it is and under seeded
+    # corruptions at one height: an image killed, two sources sent to one
+    # target, an image moved to another element of the same target state,
+    # and two sources with opposite entries in one column of d sent to one
+    # target, so that their terms of f o d cancel. Every matrix is dense,
+    # built from `nonzeros` or a target array by `int_matrix`, and the
+    # oracle is the lowest i with F_(i+1) D_i != D'_i F_i. Only heights
+    # h - 1 and h read F_h: a corruption of F_h is multiplied out there,
+    # and the other side and every other height are the uncorrupted ones.
+    graphs = list(corpus) + _seeded_small_multigraphs(60, 38)
+    kinds = {"loop": 0, "parallel": 0, "isolated": 0}
+    for G in graphs[len(corpus) :]:
+        kinds["loop"] += any(u == v for u, v in G.edges)
+        kinds["parallel"] += len(set(G.edges)) < G.edge_count
+        kinds["isolated"] += len({x for e in G.edges for x in e}) < G.vertex_count
+    assert min(kinds.values()) > 5, kinds
+    rng = random.Random(38)
+    seen = Counter()
+    for G in graphs:
+        differentials = {}  # (id of complex, i) -> dense d^i
+
+        def differential(cx, i):
+            key = (id(cx), i)
+            if key not in differentials:
+                differentials[key] = to_rows(matrix_route.differential(cx, i))
+            return differentials[key]
+
+        for name, src, dst, maps in _chain_maps(G, complex_of):
+            heights = range(src.height_count - 1)
+
+            def dense_maps(fs):
+                return [to_rows(matrix_route.map_matrix(f, dst.rank(h))) for h, f in fs]
+
+            def f_d(F, i):
+                return _dense_product(F[i + 1], differential(src, i), src.rank(i))
+
+            def d_f(F, i):
+                return _dense_product(differential(dst, i), F[i], src.rank(i))
+
+            F = dense_maps(enumerate(maps))
+            sides = [(f_d(F, i), d_f(F, i)) for i in heights]
+            assert all(lhs == rhs for lhs, rhs in sides), (G, name)
+            assert chain_map_defect(src, dst, maps) is None, (G, name)
+
+            def check(kind, h, bad, cancelled=None):
+                bad_F = F[:h] + dense_maps([(h, bad)]) + F[h + 1 :]
+                differs = {}
+                if h - 1 in heights:
+                    lhs = f_d(bad_F, h - 1)
+                    if cancelled is not None:
+                        seen["cancelled"] += lhs[cancelled[0]][cancelled[1]] == 0
+                    differs[h - 1] = lhs != sides[h - 1][1]
+                if h in heights:
+                    differs[h] = sides[h][0] != d_f(bad_F, h)
+                expected = next((i for i, d in differs.items() if d), None)
+                corrupted = maps[:h] + [bad] + maps[h + 1 :]
+                assert chain_map_defect(src, dst, corrupted) == expected, (G, name, kind, h)
+                seen[kind, expected is None] += 1
+
+            live = [h for h, f in enumerate(maps) if max(f, default=-1) >= 0]
+            if not live:
+                continue
+            h = rng.choice(live)
+            f = maps[h]
+            l = rng.choice([x for x, t in enumerate(f) if t >= 0])
+            check("kill", h, f[:l] + [-1] + f[l + 1 :])
+            if len(f) > 1:
+                other = rng.choice([x for x in range(len(f)) if x != l])
+                check("merge", h, f[:other] + [f[l]] + f[other + 1 :])
+            t = f[l]
+            for off, size in zip(dst.state_offsets[h].values(), dst.state_sizes[h].values()):
+                if off <= t < off + size and size > 1:
+                    moved = rng.choice([y for y in range(off, off + size) if y != t])
+                    check("move", h, f[:l] + [moved] + f[l + 1 :])
+            # two entries of opposite signs in one column of d^i, the first
+            # row with an image at height i + 1 and the second sent there too
+            columns = {}
+            for i in heights:
+                for r, c, v in src.nonzeros(i):
+                    columns.setdefault((i, c), []).append((r, v))
+            pairs = [
+                (i, c, r1, r2)
+                for (i, c), entries in columns.items()
+                for r1, v1 in entries
+                for r2, v2 in entries
+                if v1 == -v2 and maps[i + 1][r1] >= 0 and maps[i + 1][r2] != maps[i + 1][r1]
+            ]
+            if pairs:
+                i, c, r1, r2 = rng.choice(pairs)
+                upper = maps[i + 1]
+                bad = upper[:r2] + [upper[r1]] + upper[r2 + 1 :]
+                check("cancel", i + 1, bad, cancelled=(upper[r1], c))
+    assert all(seen[kind, False] > 50 for kind in ("kill", "merge", "move", "cancel")), seen
+    assert seen["kill", True] + seen["merge", True] > 0, seen
+    assert seen["cancelled"] > 50, seen
+
+
 def test_chain_map_defect_rejects_non_chain_maps(complex_of):
     cx = complex_of(bigon(), "tutte")
     identity = [list(range(cx.rank(i))) for i in range(cx.height_count)]
@@ -761,7 +890,7 @@ def _assert_index_from_scratch(cx, states=None):
         level = cx.bidegree_index[i]
         assert all(a.typecode == matrices.INDEX_TYPECODE for a in level.values())
         assert {jk: list(a) for jk, a in level.items()} == index, (cx.graph, i)
-        assert list(cx.dims_at(i).items()) == [(jk, len(a)) for jk, a in level.items()]
+        assert list(cx.dims[i].items()) == [(jk, len(a)) for jk, a in level.items()]
         assert cx.rank(i) == sum(map(len, index.values()))
         assert cx.bidegree_index[i] is level  # written once, then kept
         assert cx.bidegree_index[i - cx.height_count] is level

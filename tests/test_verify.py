@@ -30,6 +30,7 @@ from graphhom.verify import (
     run_checks,
 )
 
+from conftest import record_builds
 from matrix_route import contents, differential, map_matrix, matmul
 
 SAMPLES = [
@@ -108,7 +109,8 @@ def test_run_all_checks_order_and_verdicts():
 def test_run_checks_builds_each_complex_and_table_once(monkeypatch):
     """One check run builds one complex and one table per distinct (graph, variant):
     on K4, 6 complexes (G, its edge reversal and its projection subgraph, in both
-    variants) and 4 tables (G and its reversal, in both variants)."""
+    variants) and 4 tables (G and its reversal, in both variants). The projection
+    targets are built by the private `_build`, with no `build_complex` call."""
     builds, tables = [], []
 
     def counting_build(G, variant, *args, **kwargs):
@@ -122,14 +124,16 @@ def test_run_checks_builds_each_complex_and_table_once(monkeypatch):
     monkeypatch.setattr(graphhom.verify, "build_complex", counting_build)
     monkeypatch.setattr(graphhom.cube, "build_complex", counting_build)
     monkeypatch.setattr(graphhom.verify, "cohomology", counting_cohomology)
+    built = record_builds(monkeypatch, graphhom.cube)
     K4 = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     reports = run_checks(K4)
     assert all(r.passed for r in reports)
     H = permute_edges(K4, default_sigma(K4))
     sub = Multigraph(4, K4.edges[:-1])
     # first use, in check order: euler, permutation_invariance, projection
-    assert builds == [
-        (K4, "yamada"), (H, "yamada"), (K4, "tutte"), (H, "tutte"), (sub, "yamada"), (sub, "tutte")
+    assert builds == [(K4, "yamada"), (H, "yamada"), (K4, "tutte"), (H, "tutte")]
+    assert [(cx.graph, cx.variant) for cx, _ in built] == builds + [
+        (sub, "yamada"), (sub, "tutte")
     ]
     assert tables == [(K4, "yamada"), (H, "yamada"), (K4, "tutte"), (H, "tutte")]
 
