@@ -26,8 +26,8 @@ of that height alone. So
 writes blocks only for height i, and a reader that walks the heights
 upward holds one height's blocks at a time.
 `build_complex` builds the whole complex of a variant, on every state.
-Its private builder `_build` takes the map of states instead, and
-`homology.tutte_cohomology` calls it to build the chromatic complex (one
+Its private builder `_build` takes the map of states instead, and the
+tutte route of `homology` calls it to build the chromatic complex (one
 Z[t]/(t^2) per component, no edge or cycle factors) on the up-set of
 each cycle summand, whose closure under adding an edge that route
 proves. `_refuse` is the one chain-rank refusal: `build_complex` and
@@ -123,11 +123,16 @@ def _refuse_by_floor(vertex_count: int, edge_count: int, yamada: bool) -> None:
     )
 
 
+def _component_histograms(G: Multigraph) -> list[tuple[int, dict[tuple[int, int], int]]]:
+    """The (vertex count, state histogram) of each connected component of
+    G, in the order of `connected_components`."""
+    return [(H.vertex_count, state_histogram(H)) for H in connected_components(G)]
+
+
 def _refuse(G: Multigraph, variant: str) -> list[tuple[int, dict[tuple[int, int], int]]]:
     """Raise ValueError if the complex of G in `variant` has a total chain
-    rank over `MAX_CHAIN_RANK`; otherwise return the (vertex count, state
-    histogram) of each connected component of G, in the order of
-    `connected_components`.
+    rank over `MAX_CHAIN_RANK`; otherwise return the component histograms
+    of G (`_component_histograms`).
 
     The one chain-rank refusal of the package: every route to a complex
     or its cohomology refuses through it, so they all refuse alike. First
@@ -137,12 +142,14 @@ def _refuse(G: Multigraph, variant: str) -> list[tuple[int, dict[tuple[int, int]
     slots, cycle slots) = (lambda + b0, |S| - V + b0), read off the state
     histograms of the components with no state pass. The complex of G is
     the tensor product of those of its components, so that sum is the
-    product of theirs. The tutte route reuses the histograms for H(D_0).
+    product of theirs. The tutte route reuses the histograms for H(D_0),
+    and the yamada route reads those of its minors from
+    `_component_histograms` alone, since G's refusal bounds them.
     """
     yamada = variant == "yamada"
     _refuse_by_floor(G.vertex_count, G.edge_count, yamada)
     per_edge = 2 if yamada else 1  # lambda + |S| = per_edge * |S|
-    components = [(H.vertex_count, state_histogram(H)) for H in connected_components(G)]
+    components = _component_histograms(G)
     rank = 1
     for V, hist in components:
         rank *= sum(count << per_edge * size + 2 * b0 - V for (size, b0), count in hist.items())

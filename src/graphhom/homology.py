@@ -26,19 +26,25 @@ H(D_0) is a closed form in the chromatic polynomials of the components
 (`_kunneth`: knight moves, then the Kunneth formula), and only D_1,
 D_2, ... are built, each by the private builder of `cube` as
 `_build(G, "chromatic", states)`, and eliminated, from one enumeration
-of the up-set of the states with b1 >= 1. Both routes refuse through the
-one chain-rank refusal of `cube`, `_refuse`, which reads the state
-histograms of the components, and the tutte route takes those
-histograms back for H(D_0), so it makes no pass over all 2^|E| states.
+of the up-set of the states with b1 >= 1. The route is its refusal plus
+a private core, `_tutte_tally`, which takes the (vertex count, state
+histogram) pairs of the components and returns the sum as a `_Tally`.
+Both routes refuse through the one chain-rank refusal of `cube`,
+`_refuse`, which reads those histograms (`_component_histograms`) and
+returns them, so the tutte route makes no pass over all 2^|E| states.
 `yamada_cohomology` gets the yamada table without eliminating the yamada
 complex: the complex is a direct sum, over the edge subsets A, of
 shifted copies of the tutte complexes of the contractions G/A, so the
-table is a sum of the tutte tables of the minors, each worked out once
-per call by `tutte_cohomology`, and each class of subsets with one
-minor, size and b0 is added once, times its count. Torsion is added as
-prime powers and turned back into invariant factors by `prime_powers`
-and `invariant_factors`, which live in `matrices` beside the elimination
-that uses them too; a summand or a key without torsion skips both.
+table is a sum of the tutte tables of the minors, and each class of
+subsets with one minor, size and b0 is added once, times its count. The
+one refusal of G bounds every minor, so each distinct minor's tally is
+read once per call from `_tutte_tally`, with no refusal and no table of
+its own. Torsion is added as prime powers: the Z/2 of D_0 as the power
+2, the invariant factors of a D_L summand split by `prime_powers`, and
+the sum turned back into invariant factors once, for the route's own
+table, by `invariant_factors`; both live in `matrices` beside the
+elimination that uses them too, and a summand or a key without torsion
+skips them.
 `cohomology(build_complex(G, variant))` stays the whole-complex route,
 which `check` and the tests take.
 """
@@ -50,7 +56,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping
 
-from .cube import Bidegree, BigradedComplex, _build, _refuse
+from .cube import Bidegree, BigradedComplex, _build, _component_histograms, _refuse
 from .laurent import BivariateLaurent
 from .matrices import _eliminate, invariant_factors, prime_powers
 from .multigraph import Multigraph, cyclic_state_components, state_components
@@ -105,10 +111,13 @@ class CohomologyTable:
 
 class _Tally:
     """A sum of summands, exact whatever the torsion: free ranks add as
-    integers and torsion as prime powers, turned back into invariant
-    factors at the end. A key that no torsion reached gets () without
-    that round trip, and a summand without torsion is added without
-    being split (`_powers`)."""
+    integers in `free` and torsion as prime powers in `torsion`, turned
+    back into invariant factors only by `table`, at the end. Every key of
+    `torsion` is a key of `free`. A key that no torsion reached gets ()
+    without that round trip, and a summand without torsion is added with
+    no powers at all. The tutte route's core (`_tutte_tally`) returns one,
+    and the yamada route adds each minor's counters straight into its own.
+    """
 
     def __init__(self) -> None:
         self.free: Counter[tuple[int, int, int]] = Counter()
@@ -125,22 +134,11 @@ class _Tally:
 
     def table(self, variant: str, height_count: int) -> CohomologyTable:
         torsion = self.torsion
-        return CohomologyTable(
-            variant=variant,
-            height_count=height_count,
-            summands={
-                key: Summand(
-                    self.free[key], invariant_factors(torsion[key]) if key in torsion else ()
-                )
-                for key in sorted(self.free)
-            },
-        )
-
-
-def _powers(torsion: tuple[int, ...]) -> Mapping[int, int]:
-    """The torsion of a summand as prime powers (`prime_powers`); no
-    split at all when there is no torsion."""
-    return prime_powers(torsion) if torsion else {}
+        summands = {
+            key: Summand(rank, invariant_factors(torsion[key]) if key in torsion else ())
+            for key, rank in sorted(self.free.items())
+        }
+        return CohomologyTable(variant, height_count, summands)
 
 
 def cohomology(cx: BigradedComplex) -> CohomologyTable:
@@ -227,9 +225,10 @@ def _knight_moves(
 
 def _kunneth(
     components: list[tuple[int, dict[tuple[int, int], int]]]
-) -> dict[tuple[int, int], Summand]:
+) -> dict[tuple[int, int], tuple[int, int]]:
     """H^i_j(D_0) of the graph whose connected components have the given
-    (vertex count, state histogram) pairs.
+    (vertex count, state histogram) pairs, as (i, j) -> (free rank, number
+    of Z/2).
 
     D_0 is the chromatic complex (one Z[t]/(t^2) per component, no cycle
     slots; Helme-Guizon and Rong, AGT 2005), and the complex of G is the
@@ -252,7 +251,7 @@ def _kunneth(
                     free, z2 = out.get((p + q - 1, j1 + j2), (0, 0))
                     out[(p + q - 1, j1 + j2)] = (free, z2 + t1 * t2)
         table = {key: counts for key, counts in out.items() if counts != (0, 0)}
-    return {key: Summand(free, (2,) * z2) for key, (free, z2) in sorted(table.items())}
+    return table
 
 
 def tutte_cohomology(G: Multigraph) -> CohomologyTable:
@@ -273,41 +272,52 @@ def tutte_cohomology(G: Multigraph) -> CohomologyTable:
     never falls as edges are added, so those states are an up-set and
     every face out of one of them stays in it. c = 0 gives D_0, and the
     C(L-1, k-1) integers with bit length L >= 1 and k bits set give the
-    copies of D_L. H(D_0) comes from the chromatic polynomials of the
-    components of G (`_kunneth`) and is never eliminated; each D_L is
-    built by `_build(G, "chromatic", states)` on its own states, verified
-    (bidegrees and d^2 = 0) and eliminated by `cohomology`. L
-    runs up to the largest b1 of a state, that of G, which is
-    |E| - V + b0(G).
+    copies of D_L. L runs up to the largest b1 of a state, that of G,
+    which is |E| - V + b0(G).
 
     Refuses exactly as `build_complex(G, "tutte")` does, by `_refuse`,
-    with no state pass. The (vertex count, state histogram) pairs of the
-    components that `_refuse` returns give H(D_0) (`_kunneth`) and b0(G),
-    so each histogram is made once. Then the up-set of the states with
-    b1 >= 1, the states of D_1, is enumerated once
-    (`cyclic_state_components`), and before each D_L is built the map is
-    narrowed to the states with b1 >= L, so each build sorts only its own
-    states. Each narrowed map is an up-set, as above, which is the
-    precondition of `_build`; the build does not check it, and the tests
-    do. D_L is refused as the whole tutte complex is, whose rank bounds
-    its own. A forest (b1(G) = 0) has no D_L and no such state, and gets
-    no enumeration. Free ranks add as integers, torsion as prime powers.
+    with no state pass, and hands the component histograms that `_refuse`
+    returns to `_tutte_tally`, which sums the right-hand side. Each D_L is
+    a summand of the tutte complex, so the one refusal bounds its rank.
     """
-    components = _refuse(G, "tutte")
+    return _tutte_tally(G, _refuse(G, "tutte")).table("tutte", G.edge_count + 1)
+
+
+def _tutte_tally(
+    G: Multigraph, components: list[tuple[int, dict[tuple[int, int], int]]]
+) -> _Tally:
+    """The summands of the tutte cohomology of G (see `tutte_cohomology`)
+    as a tally, given the (vertex count, state histogram) pair of each
+    component of G (`cube._component_histograms`). It refuses nothing:
+    its callers have bounded G.
+
+    H(D_0) comes from the histograms (`_kunneth`) and is never
+    eliminated, its Z/2 counts added as the prime power 2; the histograms
+    give b0(G) too. Then the up-set of the states with b1 >= 1, the
+    states of D_1, is enumerated once (`cyclic_state_components`), and
+    before each D_L is built the map is narrowed to the states with b1 >=
+    L, so each build sorts only its own states. Each narrowed map is an
+    up-set, as `tutte_cohomology` shows, which is the precondition of
+    `_build(G, "chromatic", states)`; the build does not check it, and the
+    tests do. Each D_L is verified (bidegrees and d^2 = 0) and eliminated
+    by `cohomology`, and only its summands with torsion are split into
+    prime powers. A forest (b1(G) = 0) has no D_L and no such state, and
+    gets no enumeration.
+    """
     b1 = G.edge_count - G.vertex_count + len(components)
     states = cyclic_state_components(G) if b1 else {}
     tally = _Tally()
-    for (i, j), s in _kunneth(components).items():
-        tally.add((i, j, 0), 1, s.free_rank, _powers(s.torsion))
+    for (i, j), (free, z2) in _kunneth(components).items():
+        tally.add((i, j, 0), 1, free, {2: z2} if z2 else {})
     for L in range(1, b1 + 1):
         # D_L lives on the states with b1 >= L
         states = {m: s for m, s in states.items() if m.bit_count() - G.vertex_count + s[1] >= L}
         cx = _build(G, "chromatic", states)
         for (i, j, _), s in cohomology(cx).summands.items():
-            powers = _powers(s.torsion)
+            powers = prime_powers(s.torsion) if s.torsion else {}
             for k in range(1, L + 1):
                 tally.add((i, j, k), comb(L - 1, k - 1), s.free_rank, powers)
-    return tally.table("tutte", G.edge_count + 1)
+    return tally
 
 
 def yamada_cohomology(G: Multigraph) -> CohomologyTable:
@@ -326,19 +336,27 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
     by |A| in height and in j, tensored with b1(A) free cycle factors.
 
     Refuses exactly as `build_complex(G, "yamada")` does, by `_refuse`,
-    before any state is labelled or any minor is built; then
-    `state_components` labels the components of every state A. G/A has
-    one vertex per component of [G:A] and the edges outside A, relabelled
-    through the components. Cohomology does not depend on the edge
-    order, so the minor is taken with its edges oriented (min, max) and
-    sorted, and the masks A are counted by
-    (b0, that minor's edges, |A|), which fix b1(A) = |A| - V + b0 too.
-    One plain loop per mask, over the (bit, u, v) of each edge worked out
-    once per call, makes that key. Each class is added to the sum once,
-    times its count, and each distinct minor's table is worked out once
-    per call by `tutte_cohomology`, in the order the minors are first met.
-    Free ranks add as integers, torsion as prime powers, so the sum is
-    exact whatever the torsion.
+    before any state is labelled or any minor is built, and that is the
+    only refusal: no minor can need one.
+    - The yamada complex of G is the direct sum above, so the tutte
+      complex of each G/A, and each of its summands D_L, has a rank at
+      most that of the yamada complex of G, which `_refuse` bounded.
+    - G/A has b0(A) <= V vertices and at most |E| edges, so its
+      components and `_kunneth` allocate nothing per vertex or per edge
+      beyond what the refusal of G bounded.
+
+    Then `state_components` labels the components of every state A. G/A
+    has one vertex per component of [G:A] and the edges outside A,
+    relabelled through the components. Cohomology does not depend on the
+    edge order, so the minor is taken with its edges oriented (min, max)
+    and sorted, and the masks A are counted by (b0, that minor's edges,
+    |A|), which fix b1(A) = |A| - V + b0 too. One plain loop per mask,
+    over the (bit, u, v) of each edge worked out once per call, makes that
+    key. Each class is added to the sum once, times its count, and each
+    distinct minor's tally is worked out once per call by `_tutte_tally`,
+    in the order the minors are first met, with no table of its own: its
+    free ranks and prime powers are added straight into the sum, so the
+    sum is exact whatever the torsion.
     """
     _refuse(G, "yamada")
     pairs = [(1 << e, u, v) for e, (u, v) in enumerate(G.edges)]
@@ -352,19 +370,16 @@ def yamada_cohomology(G: Multigraph) -> CohomologyTable:
         minor.sort()
         key = (b0, tuple(minor), mask.bit_count())
         classes[key] = classes.get(key, 0) + 1
-    # (b0, edges) of a minor -> its summands as ((i, j, k), free rank, torsion
-    # as prime powers)
-    minors: dict[tuple, list[tuple[tuple[int, int, int], int, Mapping[int, int]]]] = {}
+    minors: dict[tuple[int, tuple[tuple[int, int], ...]], _Tally] = {}
     tally = _Tally()
     for (b0, edges, size), count in classes.items():
         summands = minors.get((b0, edges))
         if summands is None:
-            table = tutte_cohomology(Multigraph(b0, edges))
-            summands = minors[b0, edges] = [
-                (key, s.free_rank, _powers(s.torsion)) for key, s in table.summands.items()
-            ]
+            H = Multigraph(b0, edges)
+            summands = minors[b0, edges] = _tutte_tally(H, _component_histograms(H))
         b1 = size - G.vertex_count + b0
-        for (i, j, k), rank, powers in summands:
+        for (i, j, k), rank in summands.free.items():
+            powers = summands.torsion.get((i, j, k), {})
             for m in range(b1 + 1):
                 tally.add((i + size, j + size, k + m), count * comb(b1, m), rank, powers)
     return tally.table("yamada", G.edge_count + 1)

@@ -362,13 +362,13 @@ def test_every_complex_command_refuses_alike_before_any_state_is_labelled(
 
 def test_cohomology_yamada_builds_only_tutte_minors(bigon_path, monkeypatch, capsys):
     minors = []
-    real = graphhom.homology.tutte_cohomology
+    real = graphhom.homology._tutte_tally
 
-    def recording_tutte_cohomology(G):
+    def recording_tutte_tally(G, components):
         minors.append((G.vertex_count, G.edges))
-        return real(G)
+        return real(G, components)
 
-    monkeypatch.setattr(graphhom.homology, "tutte_cohomology", recording_tutte_cohomology)
+    monkeypatch.setattr(graphhom.homology, "_tutte_tally", recording_tutte_tally)
     monkeypatch.setattr(graphhom.cli, "build_complex", _never_build)
     assert run(["cohomology", "--variant", "yamada", "--input", bigon_path]) == 0
     assert "H^0 (1,0): free rank 1" in capsys.readouterr().out

@@ -918,7 +918,8 @@ def _same_tutte_table(H, direct):
     the whole tutte table of H, then the route's whole table against it."""
     k0 = {(i, j): s for (i, j, k), s in direct.summands.items() if k == 0}
     components = [(C.vertex_count, state_histogram(C)) for C in connected_components(H)]
-    assert _kunneth(components) == k0, H
+    by_recipe = _kunneth(components)  # (i, j) -> (free rank, number of Z/2)
+    assert {key: Summand(free, (2,) * z2) for key, (free, z2) in by_recipe.items()} == k0, H
     _same_table(tutte_cohomology(H), direct)
 
 
@@ -1150,12 +1151,13 @@ def _contraction(G, mask):
 def test_every_memo_hit_equals_the_table_of_its_own_minor(name, minors, monkeypatch, table_of):
     G = ROUTE_GRAPHS[name]
     memo = {}
+    real = homology._tutte_tally
 
-    def recording_tutte_cohomology(minor):
-        memo[minor] = tutte_cohomology(minor)
+    def recording_tutte_tally(minor, components):
+        memo[minor] = real(minor, components)
         return memo[minor]
 
-    monkeypatch.setattr(homology, "tutte_cohomology", recording_tutte_cohomology)
+    monkeypatch.setattr(homology, "_tutte_tally", recording_tutte_tally)
     yamada_cohomology(G)
     keys = []
     for mask in range(1 << G.edge_count):
@@ -1164,10 +1166,65 @@ def test_every_memo_hit_equals_the_table_of_its_own_minor(name, minors, monkeypa
             minor.vertex_count, tuple(sorted(tuple(sorted(edge)) for edge in minor.edges))
         )
         keys.append(key)
-        assert table_of(minor, "tutte") == memo[key]
+        assert table_of(minor, "tutte") == memo[key].table("tutte", minor.edge_count + 1)
     # one table per distinct key, worked out when the key is first met
     assert list(memo) == list(dict.fromkeys(keys))
     assert len(memo) == minors < len(keys)
+
+
+@pytest.mark.parametrize("name", ["path6", "cycle6", "K4", "mixed"])
+def test_each_route_refuses_once_and_makes_one_table(name, monkeypatch):
+    # Each route refuses its graph once, by `_refuse`, and makes one table,
+    # its own: the yamada route reads its minors (7 for path6) with no
+    # refusal and no table of their own.
+    G = ROUTE_GRAPHS[name]
+    refusals, tables = [], []
+    real_refuse, real_table = homology._refuse, homology._Tally.table
+    monkeypatch.setattr(
+        homology, "_refuse", lambda H, variant: refusals.append((H, variant)) or real_refuse(H, variant)
+    )
+    monkeypatch.setattr(
+        homology._Tally, "table", lambda self, *args: tables.append(args) or real_table(self, *args)
+    )
+    for route, variant in ((yamada_cohomology, "yamada"), (tutte_cohomology, "tutte")):
+        refusals.clear(), tables.clear()
+        route(G)
+        assert refusals == [(G, variant)]
+        assert tables == [(variant, G.edge_count + 1)]
+
+
+def test_every_minor_the_yamada_route_reads_is_bounded_by_the_refusal_of_its_graph(
+    corpus, complex_of, table_of, monkeypatch
+):
+    # `yamada_cohomology` refuses G alone and reads the tally of each distinct
+    # minor G/A unrefused, because the tutte complex of G/A is a summand of
+    # the yamada complex of G, so its chain rank is at most that of G. The
+    # tally of each minor, made into a table, is the cohomology of its whole
+    # tutte complex, and it was read from the minor's component histograms.
+    read = []
+    real = homology._tutte_tally
+
+    def recording_tutte_tally(H, components):
+        read.append((H, components, real(H, components)))
+        return read[-1][2]
+
+    monkeypatch.setattr(homology, "_tutte_tally", recording_tutte_tally)
+    graphs = list(corpus) + _random_multigraphs(60, 39, max_edges=7)
+    minors = 0
+    for G in graphs:
+        read.clear()
+        yamada_cohomology(G)
+        yamada = complex_of(G, "yamada")
+        bound = sum(map(yamada.rank, range(yamada.height_count)))
+        for H, components, tally in read:
+            tutte = complex_of(H, "tutte")
+            assert sum(map(tutte.rank, range(tutte.height_count))) <= bound, (G, H)
+            assert tally.table("tutte", H.edge_count + 1) == table_of(H, "tutte"), (G, H)
+            assert components == [
+                (C.vertex_count, state_histogram(C)) for C in connected_components(H)
+            ]
+        minors += len(read)
+    assert len(graphs) == 329 and minors == 2471
 
 
 def test_yamada_cohomology_euler_is_the_g_polynomial(corpus):
@@ -1179,15 +1236,13 @@ def test_yamada_cohomology_euler_is_the_g_polynomial(corpus):
 
 
 def test_yamada_cohomology_adds_torsion_as_prime_powers(monkeypatch):
-    # Synthetic minor tables for the bigon: the loop G/{e} (twice, for
+    # Synthetic minor tallies for the bigon: the loop G/{e} (twice, for
     # A = {0} and {1}) has Z/4 + Z/12 at (1, 1, 0), and the point G/{0, 1},
     # with b1 = 1, has Z/2 at (0, 0, 0). Shifted by |A| they meet at (2, 2, 0).
-    tables = {
-        2: CohomologyTable("tutte", 3),
-        1: CohomologyTable("tutte", 2, {(1, 1, 0): Summand(1, (4, 12))}),
-        0: CohomologyTable("tutte", 1, {(0, 0, 0): Summand(0, (2,))}),
-    }
-    monkeypatch.setattr(homology, "tutte_cohomology", lambda minor: tables[minor.edge_count])
+    tallies = {2: homology._Tally(), 1: homology._Tally(), 0: homology._Tally()}
+    tallies[1].add((1, 1, 0), 1, 1, prime_powers((4, 12)))
+    tallies[0].add((0, 0, 0), 1, 0, prime_powers((2,)))
+    monkeypatch.setattr(homology, "_tutte_tally", lambda minor, _: tallies[minor.edge_count])
     table = yamada_cohomology(bigon())
     assert table.height_count == 3
     assert table.summands == {
@@ -1198,13 +1253,16 @@ def test_yamada_cohomology_adds_torsion_as_prime_powers(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
 def test_the_routes_normalise_torsion_only_where_there_is_some(name, monkeypatch, table_of):
-    # Both routes split a summand into prime powers only when it has
-    # torsion, and the tally turns prime powers back into invariant factors
-    # only for a key that some torsion reached: one call per torsion key of
-    # each table the tally makes, the minors' tables included.
+    # Both routes split a summand into prime powers only when it is the
+    # summand of an eliminated D_L and has torsion (the Z/2 of D_0 and the
+    # minors' tallies are added as prime powers already), and the tally
+    # turns prime powers back into invariant factors only for a key that
+    # some torsion reached: one call per torsion key of the one table the
+    # tally makes, the route's own, since no minor gets a table.
     G = ROUTE_GRAPHS[name]
-    split, joined, tallied = [], [], []
+    split, joined, tallied, eliminated = [], [], [], []
     real_split, real_join, real_table = homology.prime_powers, homology.invariant_factors, homology._Tally.table
+    real_cohomology = homology.cohomology
 
     def table(self, variant, height_count):
         tallied.append(real_table(self, variant, height_count))
@@ -1213,13 +1271,18 @@ def test_the_routes_normalise_torsion_only_where_there_is_some(name, monkeypatch
     monkeypatch.setattr(homology, "prime_powers", lambda t: split.append(t) or real_split(t))
     monkeypatch.setattr(homology, "invariant_factors", lambda p: joined.append(p) or real_join(p))
     monkeypatch.setattr(homology._Tally, "table", table)
+    monkeypatch.setattr(
+        homology, "cohomology", lambda cx: eliminated.append(real_cohomology(cx)) or eliminated[-1]
+    )
     for route, variant in ((tutte_cohomology, "tutte"), (yamada_cohomology, "yamada")):
-        split.clear(), joined.clear(), tallied.clear()
+        split.clear(), joined.clear(), tallied.clear(), eliminated.clear()
         table = route(G)
         _same_table(table, table_of(G, variant))
-        assert all(split) and all(joined)
-        assert len(joined) == sum(bool(s.torsion) for t in tallied for s in t.summands.values())
+        assert tallied == [table]
+        assert split == [s.torsion for t in eliminated for s in t.summands.values() if s.torsion]
+        assert all(joined)
+        assert len(joined) == sum(bool(s.torsion) for s in table.summands.values())
         has_torsion = any(s.torsion for s in table.summands.values())
-        assert bool(split) == bool(joined) == has_torsion
+        assert bool(joined) == has_torsion
         # the torsion-free graphs of the list make no call at all
         assert has_torsion == (name not in ("bouquet4", "empty", "multiedge7", "path6", "point"))
